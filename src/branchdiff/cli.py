@@ -13,7 +13,7 @@ Exit codes (also shown by --help):
   0  all tasks ran and every verification check passed
   1  unexpected internal error
   2  config or model file parse error
-  3  validation failure (model invariants, CFL bound)
+  3  validation failure (model invariants, CFL bound, numerical failure)
   4  explosion guard tripped
   5  tasks ran but at least one verification check failed
   6  I/O error (missing file, unwritable output)

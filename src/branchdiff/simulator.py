@@ -1,35 +1,40 @@
 """Monte Carlo engine for controlled branching diffusions.
 
-The engine follows the jump-time induction construction: every living
-particle carries an exponential clock at the dominating rate; between clock
-rings all particles advance in lockstep by Euler-Maruyama steps of at most
-the configured step size, with a final partial step landing exactly on the
-ring time; at a ring the affected particle draws a uniform mark on
-[0, rate_bound] which is classified against its offspring intervals
+The engine follows the construction of the model: every particle, named by
+its genealogy label, carries its own Brownian motion and its own exponential
+clock at the dominating rate.  Pending rings wait in a heap ordered by
+(time, label).  At a ring only the ringing particle moves: Euler-Maruyama
+steps carry it from its own time to the ring time on its own grid, which is
+the global grid ``t0 + k*step`` inside that interval plus the particle's birth
+and ring times (:func:`particle_grid`).  The particle then draws a uniform
+mark on [0, rate_bound], classified against its offspring intervals
 (thinning): marks at or above the local death rate are phantoms, the lowest
 interval is a death, interval l replaces the particle by l children at its
-position.  This makes event times exact in law; only the diffusion between
-events carries O(step) weak bias.
+position.  At the horizon every survivor steps on to the horizon.  Event times
+are exact in law; only the diffusion carries O(step) weak bias.
 
-Per-particle randomness comes from keyed streams (see :mod:`branchdiff.rng`),
-so a rerun with the same seed reproduces the path bit for bit, and two runs
-with different coefficients but one seed are coupled through identical
-Brownian increments, clocks and marks.
+A particle's path depends only on (seed, its label, its own history): its
+Brownian increments come from its own keyed stream (see
+:mod:`branchdiff.rng`) and its grid from its own birth and rings.  So a rerun
+with the same seed reproduces the path bit for bit, adding an unrelated
+particle leaves every other particle's path unchanged, and two runs with
+different coefficients but one seed are coupled through identical Brownian
+increments, clocks and marks.  An event costs one particle advance, whatever
+the population size.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ExplosionGuardError
-from .labels import Label, assert_antichain, children
+from .errors import ConfigurationError, ExplosionGuardError, NumericalFailureError
+from .labels import Label, assert_antichain, children, label_to_str
 from .model import ModelParams, offspring_boundaries
 from .rng import RandomDriver
-
-_TIME_EPS = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -106,22 +111,27 @@ class JumpEvent:
     n_children: int
     position: np.ndarray
     pop_size_after: int
-    cost_integral_after: float
 
 
 @dataclass
-class Segment:
-    """Lockstep trajectory slice between consecutive potential jump times.
+class Track:
+    """One particle's Euler path from its birth to its death or the horizon.
 
-    All particles alive during the slice share the time grid, so positions
-    align row-wise across labels.  ``cost_cum`` is the running-cost integral
-    from the start of the whole path, sampled at the grid times.
+    ``controls[k]`` is in force on step k (left-endpoint control);
+    ``cost_cum`` is the particle's own running-cost integral since its birth,
+    left-endpoint rule, at the grid times.
     """
 
-    times: np.ndarray                      # (K+1,)
-    positions: dict[Label, np.ndarray]     # label -> (K+1, d)
-    controls: dict[Label, np.ndarray]      # label -> (K,) control indices
-    cost_cum: np.ndarray                   # (K+1,)
+    times: np.ndarray        # (K+1,)
+    positions: np.ndarray    # (K+1, d)
+    controls: np.ndarray     # (K,) control indices
+    cost_cum: np.ndarray     # (K+1,)
+
+    def equals(self, other: "Track") -> bool:
+        return (np.array_equal(self.times, other.times)
+                and np.array_equal(self.positions, other.positions)
+                and np.array_equal(self.controls, other.controls)
+                and np.array_equal(self.cost_cum, other.cost_cum))
 
 
 @dataclass
@@ -136,44 +146,53 @@ class PopulationPath:
     population_record: list[tuple[float, int]]
     seed: int
     n_steps: int
-    segments: list[Segment] | None = field(default=None, repr=False)
+    tracks: dict[Label, Track] | None = field(default=None, repr=False)
 
     @property
     def extinct(self) -> bool:
         return not self.final
 
+    def _recorded_tracks(self) -> dict[Label, Track]:
+        if self.tracks is None:
+            raise ValueError("path was simulated without trajectory recording")
+        return self.tracks
+
     def trajectory(self, label: Label) -> tuple[np.ndarray, np.ndarray]:
         """Sampled (times, positions) over the particle's lifespan."""
-        if self.segments is None:
-            raise ValueError("path was simulated without trajectory recording")
-        ts, xs = [], []
-        for seg in self.segments:
-            if label not in seg.positions:
-                continue
-            if ts:
-                ts.append(seg.times[1:])
-                xs.append(seg.positions[label][1:])
-            else:
-                ts.append(seg.times)
-                xs.append(seg.positions[label])
-        if not ts:
+        track = self._recorded_tracks().get(label)
+        if track is None:
             raise KeyError(f"label {label!r} never alive on this path")
-        return np.concatenate(ts), np.concatenate(xs, axis=0)
+        return track.times, track.positions
 
-    def state_after_event(self, idx: int) -> tuple[float, dict[Label, np.ndarray], float]:
-        """Population and cost integral immediately after event ``idx``."""
-        if self.segments is None:
-            raise ValueError("path was simulated without trajectory recording")
-        seg = self.segments[idx]
+    def state_after_event(self, idx: int, params: ModelParams
+                          ) -> tuple[float, dict[Label, np.ndarray], float]:
+        """Population and cost integral immediately after event ``idx``.
+
+        The event's particle, or its children, sit at the event position.
+        Every other living particle is placed at the event time by a
+        Brownian-bridge draw inside the Euler step of its own grid that
+        contains that time; the draw comes from the particle's bridge stream
+        for this event, so the path itself is untouched.  Each particle's
+        running cost up to the event time follows the left-endpoint rule.
+        """
+        tracks = self._recorded_tracks()
         ev = self.events[idx]
-        pop = {lab: seg.positions[lab][-1] for lab in seg.positions}
-        if ev.kind == "death":
-            del pop[ev.label]
-        elif ev.kind == "branch":
-            del pop[ev.label]
-            for child in children(ev.label, ev.n_children):
-                pop[child] = ev.position
-        return ev.time, pop, ev.cost_integral_after
+        tau = ev.time
+        living = dict.fromkeys(self.initial)
+        for past in self.events[:idx + 1]:
+            if past.kind != "phantom":
+                del living[past.label]
+                living.update(dict.fromkeys(children(past.label, past.n_children)))
+        driver = RandomDriver(self.seed)
+        pop = {}
+        for lab in living:
+            if lab[:len(ev.label)] == ev.label:
+                pop[lab] = ev.position
+            else:
+                pop[lab] = _bridge_position(tracks[lab], tau, params,
+                                            lambda: driver.bridge_stream(lab, idx))
+        cost = sum(float(np.interp(tau, tr.times, tr.cost_cum)) for tr in tracks.values())
+        return tau, pop, cost
 
     def equals(self, other: "PopulationPath") -> bool:
         """Bitwise path equality (the determinism contract)."""
@@ -196,27 +215,36 @@ class PopulationPath:
             if (a.time != b.time or a.label != b.label or a.mark != b.mark
                     or a.kind != b.kind or a.n_children != b.n_children
                     or a.pop_size_after != b.pop_size_after
-                    or a.cost_integral_after != b.cost_integral_after
                     or not np.array_equal(a.position, b.position)):
                 return False
-        if (self.segments is None) != (other.segments is None):
+        if (self.tracks is None) != (other.tracks is None):
             return False
-        if self.segments is not None:
-            if len(self.segments) != len(other.segments):
+        if self.tracks is not None:
+            if sorted(self.tracks) != sorted(other.tracks):
                 return False
-            for sa, sb in zip(self.segments, other.segments):
-                if not np.array_equal(sa.times, sb.times):
-                    return False
-                if sorted(sa.positions) != sorted(sb.positions):
-                    return False
-                for lab in sa.positions:
-                    if not np.array_equal(sa.positions[lab], sb.positions[lab]):
-                        return False
-                    if not np.array_equal(sa.controls[lab], sb.controls[lab]):
-                        return False
-                if not np.array_equal(sa.cost_cum, sb.cost_cum):
-                    return False
+            return all(tr.equals(other.tracks[lab]) for lab, tr in self.tracks.items())
         return True
+
+
+def _bridge_position(track: Track, tau: float, params: ModelParams,
+                     stream) -> np.ndarray:
+    """Position at ``tau`` of the Euler interpolation of ``track``, given
+    both ends of the step around ``tau``: the chord plus the bridge noise
+    sigma * sqrt(theta (1 - theta) dt) * Z under the step's frozen diffusion.
+    ``stream()`` yields the generator of Z; it is derived only when needed."""
+    times = track.times
+    k = int(np.searchsorted(times, tau, side="right")) - 1
+    if times[k] == tau:
+        return track.positions[k]
+    dt = times[k + 1] - times[k]
+    theta = (tau - times[k]) / dt
+    x0, x1 = track.positions[k], track.positions[k + 1]
+    x = x0 + theta * (x1 - x0)
+    sig = params.diffusion_at(x0, int(track.controls[k]))
+    if np.any(sig):
+        z = stream().standard_normal(params.noise_dim)
+        x = x + (sig @ z) * math.sqrt(theta * (1.0 - theta) * dt)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +285,6 @@ class _MotionPlan:
     linear: bool
     draw_noise: bool
     query_in_loop: bool
-    vector_controls: bool
     b_const: np.ndarray | None = None
     sig_const: np.ndarray | None = None
 
@@ -281,7 +308,6 @@ def _make_plan(policy, params: ModelParams) -> _MotionPlan:
         linear=linear,
         draw_noise=draw_noise,
         query_in_loop=motion_ctrl is None,
-        vector_controls=const is None and motion_ctrl is not None,
     )
     if linear:
         origin = np.zeros(params.dim)
@@ -290,14 +316,28 @@ def _make_plan(policy, params: ModelParams) -> _MotionPlan:
     return plan
 
 
-def _step_grid(t0: float, t1: float, step: float) -> np.ndarray:
-    span = t1 - t0
-    n_full = int(math.floor(span / step + 1e-9))
-    grid = t0 + step * np.arange(n_full + 1)
-    if span - n_full * step > _TIME_EPS * max(1.0, abs(t1)):
-        grid = np.append(grid, t1)
-    else:
-        grid[-1] = t1
+def particle_grid(t0: float, start: float, end: float, step: float) -> np.ndarray:
+    """Euler grid of one particle on [start, end] for a path started at t0.
+
+    The global grid points ``t0 + k*step`` strictly inside the interval, plus
+    both ends; a global point within 1e-9 steps of an end merges into it.
+    Always at least one step, of length zero when ``start == end``.
+    """
+    tol = 1e-9 * step
+    k_lo = math.floor((start - t0) / step)
+    while t0 + step * k_lo > start + tol:
+        k_lo -= 1
+    while t0 + step * k_lo <= start + tol:
+        k_lo += 1
+    k_hi = math.ceil((end - t0) / step)
+    while t0 + step * k_hi < end - tol:
+        k_hi += 1
+    while t0 + step * k_hi >= end - tol:
+        k_hi -= 1
+    grid = np.empty(max(k_hi - k_lo + 1, 0) + 2)
+    grid[0] = start
+    grid[1:-1] = t0 + step * np.arange(k_lo, k_hi + 1)
+    grid[-1] = end
     return grid
 
 
@@ -308,6 +348,17 @@ def _segment_costs(params: ModelParams, xs_left: np.ndarray, ctrls: np.ndarray) 
         mask = ctrls == a
         out[mask] = params.running_cost_many(xs_left[mask], int(a))
     return out
+
+
+def _join_pieces(pieces: list[tuple]) -> Track:
+    """One track from the (grid, positions, controls, step costs) pieces of
+    consecutive advances, which share their end points."""
+    first = pieces[0]
+    times = np.concatenate([first[0]] + [p[0][1:] for p in pieces[1:]])
+    positions = np.concatenate([first[1]] + [p[1][1:] for p in pieces[1:]])
+    controls = np.concatenate([p[2] for p in pieces])
+    cost_cum = np.concatenate(([0.0], np.cumsum(np.concatenate([p[3] for p in pieces]))))
+    return Track(times=times, positions=positions, controls=controls, cost_cum=cost_cum)
 
 
 class _Simulation:
@@ -332,21 +383,21 @@ class _Simulation:
         self.start = float(t)
         self.horizon = float(horizon)
         self.cap = int(population_cap)
-        self.record = bool(record_paths)
         self.seed = int(seed)
         self.plan = _make_plan(policy, params)
+        self.cost_free = params.cost_is_zero()
         self.driver = RandomDriver(seed)
-        self.pop = init
-        self.rings: dict[Label, float] = {}
-        self.current = float(t)
+        self.pop = init                                      # label -> position at its own time
+        self.clock = {lab: self.start for lab in init}      # label -> its own time
+        self.rings: list[tuple[float, Label]] = []          # heap of pending rings
         self.cost = 0.0
         self.events: list[JumpEvent] = []
-        self.segments: list[Segment] | None = [] if record_paths else None
-        self.pop_record: list[tuple[float, int]] = [(float(t), len(init))]
+        self.pieces: dict[Label, list] | None = (
+            {lab: [] for lab in init} if record_paths else None)
+        self.pop_record: list[tuple[float, int]] = [(self.start, len(init))]
         self.sup_n = len(init)
         self.n_steps = 0
         self.initial_snapshot = {lab: pos.copy() for lab, pos in init.items()}
-        self.last_controls: dict[Label, int] = {}
         # event geometry is position-free for many models; cache it per control
         self._static_geom: dict[int, tuple[float, np.ndarray]] = {}
         origin = np.zeros(params.dim)
@@ -356,90 +407,77 @@ class _Simulation:
                 self._static_geom[a] = (params.death_rate_at(origin, a),
                                         offspring_boundaries(origin, a, params))
 
-    def _spawn_clock(self, label: Label) -> None:
-        if self.params.rate_bound <= 0.0:
-            self.rings[label] = math.inf
-        else:
+    def _spawn_clock(self, label: Label, now: float) -> None:
+        if self.params.rate_bound > 0.0:
             gap = self.driver.event_stream(label).exponential(1.0 / self.params.rate_bound)
-            self.rings[label] = self.current + gap
+            heapq.heappush(self.rings, (now + gap, label))
 
     def run(self) -> PopulationPath:
         for lab in self.pop:
-            self._spawn_clock(lab)
-        while self.pop:
-            next_time = min(self.rings.values())
-            if next_time >= self.horizon:
-                self._advance(self.horizon)
-                self.current = self.horizon
-                break
-            self._advance(next_time)
-            self.current = next_time
-            self._fire_event()
+            self._spawn_clock(lab, self.start)
+        rings = self.rings
+        while rings and rings[0][0] < self.horizon:
+            now, lab = heapq.heappop(rings)
+            control = self._advance(lab, now)
+            self._fire_event(lab, now, control)
+        for lab in self.pop:
+            self._advance(lab, self.horizon)
         final = {lab: pos.copy() for lab, pos in self.pop.items()}
+        tracks = None
+        if self.pieces is not None:
+            tracks = {lab: _join_pieces(pieces) for lab, pieces in self.pieces.items()}
         return PopulationPath(
             start_time=self.start, horizon=self.horizon,
             initial=self.initial_snapshot, final=final,
             events=self.events, cost_integral=self.cost,
             sup_population=self.sup_n, population_record=self.pop_record,
-            seed=self.seed, n_steps=self.n_steps, segments=self.segments,
+            seed=self.seed, n_steps=self.n_steps, tracks=tracks,
         )
 
-    # -- between-event diffusion ----------------------------------------------
+    # -- one particle's diffusion ----------------------------------------------
 
-    def _advance(self, target: float) -> None:
-        params = self.params
-        if target <= self.current + _TIME_EPS * max(1.0, abs(target)):
-            self.last_controls = {}
-            if self.record:
-                times = np.array([self.current])
-                self.segments.append(Segment(
-                    times=times,
-                    positions={lab: pos[None, :].copy() for lab, pos in self.pop.items()},
-                    controls={lab: np.empty(0, dtype=np.int64) for lab in self.pop},
-                    cost_cum=np.array([self.cost]),
-                ))
-            return
-        grid = _step_grid(self.current, target, self.step)
-        n_steps = len(grid) - 1
+    def _advance(self, lab: Label, target: float) -> int:
+        """Step particle ``lab`` from its own time to ``target`` on its own
+        grid; returns the control of its last step."""
+        grid = particle_grid(self.start, self.clock[lab], target, self.step)
         deltas = np.diff(grid)
-        sqrt_d = np.sqrt(deltas)
-        positions: dict[Label, np.ndarray] = {}
-        controls: dict[Label, np.ndarray] = {}
-        for lab, x0 in self.pop.items():
-            xs, ctrls = self._advance_particle(lab, x0, grid, deltas, sqrt_d)
-            positions[lab] = xs
-            controls[lab] = ctrls
-            self.pop[lab] = xs[-1]
-        self.last_controls = {lab: int(c[-1]) for lab, c in controls.items()}
-        self.n_steps += n_steps * len(positions)
-        step_cost = np.zeros(n_steps)
-        if not params.cost_is_zero():
-            for lab, xs in positions.items():
-                step_cost += _segment_costs(params, xs[:-1], controls[lab])
-        seg_cost = np.concatenate(([0.0], np.cumsum(step_cost * deltas)))
-        new_cost = self.cost + seg_cost[-1]
-        if self.record:
-            self.segments.append(Segment(
-                times=grid, positions=positions, controls=controls,
-                cost_cum=self.cost + seg_cost,
-            ))
-        self.cost = new_cost
+        xs, ctrls = self._motion(lab, self.pop[lab], grid, deltas)
+        if not np.isfinite(xs).all():
+            bad = int(np.argmin(np.isfinite(xs).all(axis=1)))
+            before = (f", one Euler step after {xs[bad - 1].tolist()} at time "
+                      f"{float(grid[bad - 1])!r}" if bad else "")
+            raise NumericalFailureError(
+                f"particle {label_to_str(lab) or '(root)'} reached the non-finite "
+                f"position {xs[bad].tolist()} at time {float(grid[bad])!r}{before}")
+        self.pop[lab] = xs[-1]
+        self.clock[lab] = target
+        self.n_steps += len(deltas)
+        if self.cost_free:
+            step_cost = None
+        else:
+            step_cost = _segment_costs(self.params, xs[:-1], ctrls) * deltas
+            self.cost += float(step_cost.sum())
+        if self.pieces is not None:
+            if step_cost is None:
+                step_cost = np.zeros(len(deltas))
+            self.pieces[lab].append((grid, xs, ctrls, step_cost))
+        return int(ctrls[-1])
 
-    def _advance_particle(self, lab, x0, grid, deltas, sqrt_d):
+    def _motion(self, lab, x0, grid, deltas):
+        """Euler-Maruyama positions on ``grid`` and the control of each step."""
         params, plan = self.params, self.plan
-        n_steps = len(grid) - 1
+        n_steps = len(deltas)
         dw = None
         if plan.draw_noise:
             z = self.driver.motion_stream(lab).standard_normal((n_steps, params.noise_dim))
-            dw = z * sqrt_d[:, None]
+            dw = z * np.sqrt(deltas)[:, None]
+        xs = np.empty((n_steps + 1, params.dim))
         if plan.linear:
-            xs = np.empty((n_steps + 1, params.dim))
             xs[:] = x0
             xs += (grid - grid[0])[:, None] * plan.b_const
             if dw is not None:
                 xs[1:] += np.cumsum(dw, axis=0) @ plan.sig_const.T
         else:
-            xs = np.empty((n_steps + 1, params.dim))
             xs[0] = x0
             x = x0
             if plan.query_in_loop:
@@ -467,19 +505,11 @@ class _Simulation:
 
     # -- events ----------------------------------------------------------------
 
-    def _fire_event(self) -> None:
+    def _fire_event(self, lab: Label, now: float, a: int) -> None:
+        """Classify the ring of particle ``lab`` at ``now`` under control ``a``,
+        the control in force on its last Euler step."""
         params = self.params
-        target = min(self.rings.items(), key=lambda kv: (kv[1], kv[0]))
-        lab = target[0]
         x = self.pop[lab]
-        # control in force at the ring: the last Euler step's left-endpoint
-        # control, falling back to a fresh query for zero-length advances
-        a = self.last_controls.get(lab)
-        if a is None:
-            if self.plan.const_control is not None:
-                a = self.plan.const_control
-            else:
-                a = self.policy.control_at(self.current, x, lab)
         mark = float(self.driver.event_stream(lab).uniform(0.0, params.rate_bound))
         geom = self._static_geom.get(a)
         if geom is not None:
@@ -493,33 +523,36 @@ class _Simulation:
                 f"at x={x.tolist()}, control {a}")
         if mark >= gamma:
             kind, n_children = "phantom", 0
-            self._spawn_clock(lab)
+            self._spawn_clock(lab, now)
         else:
             if bounds is None:
                 bounds = offspring_boundaries(x, a, params)
             k = int(np.searchsorted(bounds, mark, side="right")) - 1
             k = min(max(k, 0), params.max_children)
             del self.pop[lab]
-            del self.rings[lab]
+            del self.clock[lab]
             if k == 0:
                 kind, n_children = "death", 0
             else:
                 kind, n_children = "branch", k
                 for child in children(lab, k):
                     self.pop[child] = x.copy()
-                    self._spawn_clock(child)
-            self.pop_record.append((self.current, len(self.pop)))
+                    self.clock[child] = now
+                    if self.pieces is not None:
+                        self.pieces[child] = []
+                    self._spawn_clock(child, now)
+            self.pop_record.append((now, len(self.pop)))
         self.sup_n = max(self.sup_n, len(self.pop))
         self.events.append(JumpEvent(
-            time=self.current, label=lab, mark=mark, kind=kind,
+            time=now, label=lab, mark=mark, kind=kind,
             n_children=n_children, position=x.copy(),
-            pop_size_after=len(self.pop), cost_integral_after=self.cost,
+            pop_size_after=len(self.pop),
         ))
         if len(self.pop) > self.cap:
             raise ExplosionGuardError(
                 f"population {len(self.pop)} exceeded cap {self.cap} "
-                f"at time {self.current}",
-                time_reached=self.current, population=len(self.pop),
+                f"at time {now}",
+                time_reached=now, population=len(self.pop),
                 n_events=len(self.events))
 
 
@@ -528,8 +561,6 @@ def write_path_csv(path: PopulationPath, file) -> None:
     (time, label, event, mark, positions...).  Terminal rows use event
     "final" and an empty mark; labels render dot-joined, the root empty."""
     import csv as _csv
-
-    from .labels import label_to_str
 
     dim = len(next(iter(path.initial.values()))) if path.initial else 1
     writer = _csv.writer(file)
@@ -553,7 +584,8 @@ def simulate(t: float, initial: dict, policy, params: ModelParams, step: float,
     ``initial`` maps labels to positions and must satisfy the antichain
     condition.  Fixed seed and inputs give a bit-identical path on every call.
     Raises :class:`ExplosionGuardError` when the population exceeds
-    ``population_cap``.
+    ``population_cap`` and :class:`NumericalFailureError` when a particle's
+    position stops being finite.
     """
     sim = _Simulation(t, initial, policy, params, step, horizon, seed,
                       population_cap, record_paths)
@@ -592,14 +624,13 @@ def _coupling_success(p1: PopulationPath, p2: PopulationPath, delta: float) -> b
         if (a.time != b.time or a.label != b.label or a.kind != b.kind
                 or a.n_children != b.n_children):
             return False
-    for sa, sb in zip(p1.segments, p2.segments):
-        if sorted(sa.positions) != sorted(sb.positions):
+    # equal event logs give every particle the same grid in both runs
+    if p1.tracks.keys() != p2.tracks.keys():
+        return False
+    for lab, track in p1.tracks.items():
+        xa, xb = track.positions, p2.tracks[lab].positions
+        if xa.shape != xb.shape:
             return False
-        for lab, xa in sa.positions.items():
-            xb = sb.positions[lab]
-            if xa.shape != xb.shape:
-                return False
-            gap = np.linalg.norm(xa - xb, axis=1).max() if xa.size else 0.0
-            if gap > delta:
-                return False
+        if np.linalg.norm(xa - xb, axis=1).max() > delta:
+            return False
     return True

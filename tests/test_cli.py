@@ -171,6 +171,44 @@ tasks:
 """)
         assert cli.run(cfg) == cli.EXIT_EXPLOSION
 
+    def test_numerical_blowup_exits_validation(self, tmp_path, capsys):
+        # explicit Euler on x' = -200 x at step 0.05 multiplies x by -9 per
+        # step, overflowing after about 320 steps
+        (tmp_path / "stiff.yaml").write_text("""
+dim: 1
+noise_dim: 1
+rate_bound: 0.0
+max_children: 1
+mean_offspring_bound: 1.0
+controls: {count: 1}
+coefficients:
+  drift: [{family: affine, intercept: 0.0, slope: [-200.0]}]
+  diffusion: [{family: constant, value: 0.3}]
+  death_rate: {family: constant, value: 0.0}
+  offspring:
+    probs: [{family: constant, value: 1.0}]
+  running_cost: {family: constant, value: 0.0}
+  terminal: {family: gaussian-bump, offset: 0.1, amplitude: 0.8, center: [0.0], width: 1.0}
+""")
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(f"""
+model: stiff.yaml
+output_dir: {tmp_path / 'out'}
+initial:
+  particles: [{{label: "", position: [0.1]}}]
+simulation:
+  step: 0.05
+  horizon: 20.0
+  replications: 10
+  seed_base: 1
+tasks:
+  - kind: estimate
+""")
+        assert cli.main(["--config", str(cfg)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "non-finite position" in err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
 
 class TestMainEntry:
     def test_version_flag(self, capsys):

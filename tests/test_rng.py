@@ -31,7 +31,12 @@ def test_purposes_are_separate_streams():
     d = RandomDriver(5)
     a = d.motion_stream((0,)).standard_normal(4)
     b = d.event_stream((0,)).standard_normal(4)
+    c = d.bridge_stream((0,), 0).standard_normal(4)
     assert not np.array_equal(a, b)
+    assert not np.array_equal(a, c) and not np.array_equal(b, c)
+    # keyed by event index too, and fresh on every call
+    assert not np.array_equal(c, d.bridge_stream((0,), 1).standard_normal(4))
+    np.testing.assert_array_equal(c, d.bridge_stream((0,), 0).standard_normal(4))
 
 
 def test_seed_changes_streams():

@@ -1,15 +1,18 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from branchdiff import hjb, model as M
-from branchdiff.errors import ConfigurationError, ExplosionGuardError
+from branchdiff.errors import (ConfigurationError, ExplosionGuardError,
+                               NumericalFailureError)
 from branchdiff.labels import is_antichain
 from branchdiff.rng import RandomDriver
 from branchdiff.simulator import (
     ConstantPolicy,
     OpenLoopPolicy,
+    particle_grid,
     pathwise_cost,
     pathwise_cost_log_form,
     simulate,
@@ -57,8 +60,7 @@ class TestSingleDiffusion:
         m = make_model(sigma=0.3, affine_drift=(0.1, -0.5))
         h, horizon, seed = 0.1, 1.0, 77
         path = simulate(0.0, ROOT_START, ConstantPolicy(0), m, h, horizon, seed)
-        from branchdiff.simulator import _step_grid
-        grid = _step_grid(0.0, horizon, h)
+        grid = particle_grid(0.0, 0.0, horizon, h)
         deltas = np.diff(grid)
         z = RandomDriver(seed).motion_stream(()).standard_normal((len(deltas), 1))
         dw = z * np.sqrt(deltas)[:, None]
@@ -138,7 +140,7 @@ class TestBranchingLaw:
         for seed in range(100):
             p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 1.0, 3.0, seed)
             for idx in range(len(p.events)):
-                _, pop, _ = p.state_after_event(idx)
+                _, pop, _ = p.state_after_event(idx, m)
                 assert is_antichain(pop.keys())
 
     def test_children_born_at_death_position(self):
@@ -148,7 +150,7 @@ class TestBranchingLaw:
         for idx, ev in enumerate(p.events):
             if ev.kind != "branch":
                 continue
-            _, pop, _ = p.state_after_event(idx)
+            _, pop, _ = p.state_after_event(idx, m)
             for child_idx in range(ev.n_children):
                 child = ev.label + (child_idx,)
                 np.testing.assert_array_equal(pop[child], ev.position)
@@ -228,6 +230,162 @@ class TestDeterminism:
         a = simulate(0.0, ROOT_START, feedback, m, 0.05, 1.0, seed=33)
         b = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.05, 1.0, seed=33)
         assert a.equals(b)
+
+
+FOUNDERS = {(i,): np.array([0.25 * i - 0.5]) for i in range(6)}
+
+
+def event_digest(path):
+    h = hashlib.sha256()
+    for ev in path.events:
+        h.update(f"{ev.time.hex()} {ev.label} {ev.kind} {ev.n_children} "
+                 f"{ev.mark.hex()}\n".encode())
+    return h.hexdigest()[:16]
+
+
+def own_grid_steps(path, step):
+    """Euler steps each particle takes on its own grid, rebuilt from the event
+    log: its lifespan cut at its own rings, each piece on the global grid."""
+    birth = {lab: path.start_time for lab in path.initial}
+    cuts = {lab: [] for lab in path.initial}
+    for ev in path.events:
+        cuts[ev.label].append(ev.time)
+        for child in [ev.label + (i,) for i in range(ev.n_children)]:
+            birth[child] = ev.time
+            cuts[child] = []
+    steps = {}
+    for lab, t_birth in birth.items():
+        ends = cuts[lab] if lab not in path.final else cuts[lab] + [path.horizon]
+        points = [t_birth] + ends
+        steps[lab] = sum(len(particle_grid(path.start_time, a, b, step)) - 1
+                         for a, b in zip(points, points[1:]))
+    return steps
+
+
+class TestParticleLocalStepping:
+    # state-independent rates and offspring: the event log depends on the
+    # event streams alone, so these digests, recorded from the lockstep
+    # engine this one replaced, pin the order in which the streams are read
+    PINNED = {
+        "critical": ["40eb66ef17197dd1", "018dc13a3dae7ea6", "6c82d33c79232398",
+                     "8f1ec5bac830b05d"],
+        "thinned": ["1cbc1b6ced342c98", "9b8a901cc86320c3", "0da42f48e04c6316",
+                    "cfbeaefefb1f433a"],
+    }
+    MODELS = {
+        "critical": make_model(sigma=0.4, gamma=1.0, rate_bound=1.0, p0=0.5),
+        "thinned": make_model(b=0.3, sigma=0.4, gamma=1.0, rate_bound=1.5,
+                              p0=0.3, p1=0.2, mean_bound=1.2),
+    }
+
+    @pytest.mark.parametrize("name", ["critical", "thinned"])
+    def test_event_log_pinned(self, name):
+        for seed, want in enumerate(self.PINNED[name]):
+            p = simulate(0.0, FOUNDERS, ConstantPolicy(0), self.MODELS[name],
+                         0.1, 3.0, seed, record_paths=False)
+            assert event_digest(p) == want, seed
+
+    def test_sibling_leaves_particle_path_unchanged(self):
+        logistic = M.VectorSpec((M.CoefficientSpec(
+            family="logistic", slope=(3.0,), center=(0.2,), lo=-1.0, hi=1.0),))
+        m = M.ModelParams(
+            dim=1, noise_dim=1, controls=M.ControlSet.of_size(1),
+            drift=(logistic,), diffusion=(M.constant_vector([0.5]),),
+            death_rate=(M.constant(0.0),),
+            offspring=((M.constant(0.5), M.constant(0.0)),),
+            running_cost=(M.constant(0.0),), terminal=M.constant(0.5),
+            rate_bound=2.0, mean_offspring_bound=1.0, max_children=2)
+        alone = {(0,): np.zeros(1)}
+        pair = {(0,): np.zeros(1), (1,): np.array([0.7])}
+        sibling_rang = 0
+        for seed in range(50):
+            a = simulate(0.0, alone, ConstantPolicy(0), m, 0.1, 1.0, seed)
+            b = simulate(0.0, pair, ConstantPolicy(0), m, 0.1, 1.0, seed)
+            sibling_rang += any(ev.label == (1,) for ev in b.events)
+            np.testing.assert_array_equal(a.final[(0,)], b.final[(0,)])
+            assert a.tracks[(0,)].equals(b.tracks[(0,)])
+        assert sibling_rang >= 30
+
+    @pytest.mark.parametrize("name", ["critical", "thinned"])
+    def test_counter_identities(self, name):
+        m = self.MODELS[name]
+        for seed in range(20):
+            p = simulate(0.0, FOUNDERS, ConstantPolicy(0), m, 0.1, 3.0, seed)
+            kinds = [ev.kind for ev in p.events]
+            assert len(p.events) == (kinds.count("phantom") + kinds.count("death")
+                                     + kinds.count("branch"))
+            assert len(p.final) == (len(p.initial) - kinds.count("death")
+                                    + sum(ev.n_children - 1 for ev in p.events
+                                          if ev.kind == "branch"))
+            steps = own_grid_steps(p, 0.1)
+            assert set(steps) == set(p.tracks)
+            for lab, track in p.tracks.items():
+                assert len(track.times) - 1 == steps[lab], (seed, lab)
+            assert p.n_steps == sum(steps.values())
+
+    def test_ring_free_steps_per_founder(self):
+        m = make_model(b=0.2, sigma=0.3)
+        for t, horizon, step in ((0.0, 3.0, 0.1), (0.1, 1.0, 0.2), (0.0, 0.6, 0.05),
+                                 (0.3, 2.0, 0.07)):
+            p = simulate(t, FOUNDERS, ConstantPolicy(0), m, step, horizon, seed=1,
+                         record_paths=False)
+            assert p.n_steps == len(FOUNDERS) * math.ceil((horizon - t) / step)
+
+    def test_own_grid_is_global_grid_plus_rings(self):
+        m = self.MODELS["thinned"]
+        p = simulate(0.0, FOUNDERS, ConstantPolicy(0), m, 0.1, 3.0, seed=2)
+        for lab, track in p.tracks.items():
+            rings = {ev.time for ev in p.events if ev.label == lab}
+            born = track.times[0]
+            inner = [t for t in track.times[1:-1] if t not in rings]
+            k = np.rint(np.array(inner) / 0.1)
+            np.testing.assert_array_equal(np.array(inner), 0.1 * k)
+            assert born == 0.0 or any(ev.time == born for ev in p.events)
+
+    def test_snapshot_cost_is_population_time(self):
+        # unit running cost: the cost integral up to an event is the
+        # population-time integral, exact under the left-endpoint rule
+        m = make_model(sigma=0.3, gamma=1.0, rate_bound=1.0, p0=0.4, p1=0.1,
+                       c=1.0, mean_bound=1.2)
+        for seed in range(20):
+            p = simulate(0.0, FOUNDERS, ConstantPolicy(0), m, 0.1, 2.0, seed)
+            area, last, n = 0.0, 0.0, len(FOUNDERS)
+            for idx, ev in enumerate(p.events):
+                area += n * (ev.time - last)
+                last, n = ev.time, ev.pop_size_after
+                tau, pop, cost = p.state_after_event(idx, m)
+                assert tau == ev.time
+                assert len(pop) == ev.pop_size_after
+                assert cost == pytest.approx(area, rel=1e-12, abs=1e-12)
+
+    def test_snapshot_bridge_law(self):
+        # two driftless founders at the origin, pure death: at the first
+        # death the survivor sits inside a coarse Euler step, and its bridged
+        # position must be N(0, sigma^2 tau)
+        sigma = 0.5
+        m = make_model(sigma=sigma, gamma=1.0, rate_bound=1.0, p0=1.0)
+        zs = []
+        for seed in range(2000):
+            p = simulate(0.0, {(0,): X0, (1,): X0}, ConstantPolicy(0), m, 0.5,
+                         3.0, seed)
+            if not p.events:
+                continue
+            tau, pop, _ = p.state_after_event(0, m)
+            again = p.state_after_event(0, m)[1]
+            (lab, x), = pop.items()
+            np.testing.assert_array_equal(x, again[lab])
+            assert p.tracks[lab].times[0] == 0.0
+            zs.append(x[0] / (sigma * math.sqrt(tau)))
+        zs = np.array(zs)
+        n = len(zs)
+        assert abs(zs.mean()) < 4.0 / math.sqrt(n)
+        assert abs(zs.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
+
+    def test_non_finite_position_raises(self):
+        m = make_model(sigma=0.3, affine_drift=(0.0, -200.0))
+        with pytest.raises(NumericalFailureError, match="non-finite position"):
+            simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.05, 20.0, seed=1,
+                     record_paths=False)
 
 
 class TestPathwiseCost:
