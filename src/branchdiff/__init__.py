@@ -14,6 +14,7 @@ from .errors import ConfigurationError, ExplosionGuardError, NumericalFailureErr
 from .labels import Label, ROOT
 from .model import (
     CoefficientSpec,
+    Coefficients,
     ControlSet,
     ModelParams,
     ValidationReport,
@@ -21,6 +22,7 @@ from .model import (
     coefficient_distance,
     constant,
     constant_vector,
+    generator,
     interval_overlap,
     offspring_intervals,
     validate_params,
@@ -42,10 +44,7 @@ from .hjb import (
     check_cfl,
     evaluate,
     extract_feedback,
-    generator_zero_order,
-    hamiltonian,
     solve,
-    solve_semilinear,
 )
 from .estimator import (
     Estimate,

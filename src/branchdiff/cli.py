@@ -35,6 +35,7 @@ import yaml
 from . import __version__, estimator, hjb, model as model_mod, modelio, simulator
 from .errors import ConfigurationError, ExplosionGuardError, NumericalFailureError
 from .labels import label_from_str
+from .modelio import _check_empty, _fail, _require_mapping, _take
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -93,35 +94,12 @@ def config_digest(doc) -> str:
 # ---------------------------------------------------------------------------
 # experiment config parsing
 
-def _fail(path, msg):
-    raise ConfigurationError(f"{path}: {msg}")
-
-
-def _mapping(node, path):
-    if not isinstance(node, dict):
-        _fail(path, f"expected a mapping, got {type(node).__name__}")
-    return dict(node)
-
-
-def _take(node, key, path, required=True, default=None):
-    if key in node:
-        return node.pop(key)
-    if required:
-        _fail(path, f"missing required key {key!r}")
-    return default
-
-
-def _done(node, path):
-    if node:
-        _fail(path, f"unknown key(s): {sorted(node)}")
-
-
 class Experiment:
     """Parsed experiment: model, initial family, numerics, tasks."""
 
     def __init__(self, doc: dict, config_path: Path, overrides):
         self.digest = config_digest(doc)
-        doc = _mapping(doc, "experiment")
+        doc = dict(_require_mapping(doc, "experiment"))
         base = config_path.parent
         model_ref = _take(doc, "model", "experiment")
         self.model_path = (base / model_ref).resolve()
@@ -129,7 +107,8 @@ class Experiment:
         self.output_dir = Path(overrides.out if overrides.out is not None
                                else file_out)
 
-        sim = _mapping(_take(doc, "simulation", "experiment"), "simulation")
+        sim = dict(_require_mapping(_take(doc, "simulation", "experiment"),
+                                    "simulation"))
         self.step = float(_take(sim, "step", "simulation"))
         self.horizon = float(_take(sim, "horizon", "simulation"))
         file_reps = _take(sim, "replications", "simulation")
@@ -141,28 +120,28 @@ class Experiment:
                                         required=False, default=10**6))
         self.coupling_delta = float(_take(sim, "coupling_delta", "simulation",
                                           required=False, default=0.05))
-        _done(sim, "simulation")
+        _check_empty(sim, "simulation")
 
-        init = _mapping(_take(doc, "initial", "experiment"), "initial")
+        init = dict(_require_mapping(_take(doc, "initial", "experiment"), "initial"))
         self.start_time = float(_take(init, "time", "initial", required=False,
                                       default=0.0))
         particles = _take(init, "particles", "initial")
-        _done(init, "initial")
+        _check_empty(init, "initial")
         if not isinstance(particles, list) or not particles:
             _fail("initial.particles", "expected a non-empty list")
         self.initial = {}
         for i, p in enumerate(particles):
-            p = _mapping(p, f"initial.particles[{i}]")
+            p = dict(_require_mapping(p, f"initial.particles[{i}]"))
             lab = label_from_str(str(_take(p, "label", f"initial.particles[{i}]",
                                            required=False, default="")))
             pos = _take(p, "position", f"initial.particles[{i}]")
-            _done(p, f"initial.particles[{i}]")
+            _check_empty(p, f"initial.particles[{i}]")
             self.initial[lab] = np.asarray(pos, dtype=float)
 
         grid_node = _take(doc, "grid", "experiment", required=False)
         self.grid_doc = None
         if grid_node is not None:
-            g = _mapping(grid_node, "grid")
+            g = dict(_require_mapping(grid_node, "grid"))
             self.grid_doc = {
                 "x_lo": float(_take(g, "x_lo", "grid")),
                 "x_hi": float(_take(g, "x_hi", "grid")),
@@ -171,15 +150,15 @@ class Experiment:
                 "boundary": _take(g, "boundary", "grid", required=False,
                                   default="one-sided"),
             }
-            _done(g, "grid")
+            _check_empty(g, "grid")
 
         tasks = _take(doc, "tasks", "experiment")
-        _done(doc, "experiment")
+        _check_empty(doc, "experiment")
         if not isinstance(tasks, list) or not tasks:
             _fail("tasks", "expected a non-empty task list")
         self.tasks = []
         for i, task in enumerate(tasks):
-            task = _mapping(task, f"tasks[{i}]")
+            task = dict(_require_mapping(task, f"tasks[{i}]"))
             kind = _take(task, "kind", f"tasks[{i}]")
             if kind not in _TASK_KINDS:
                 _fail(f"tasks[{i}].kind", f"unknown task kind {kind!r}; "
@@ -213,19 +192,19 @@ class Runner:
     def policy_from(self, node, path) -> object:
         if node is None:
             return simulator.ConstantPolicy(0)
-        node = _mapping(node, path)
+        node = dict(_require_mapping(node, path))
         kind = _take(node, "kind", path)
         if kind == "constant":
             ctrl = int(_take(node, "control", path, required=False, default=0))
-            _done(node, path)
+            _check_empty(node, path)
             return simulator.ConstantPolicy(ctrl)
         if kind == "feedback":
-            _done(node, path)
+            _check_empty(node, path)
             return hjb.extract_feedback(self.solved_grid())
         if kind == "open-loop":
             times = _take(node, "switch_times", path)
             ctrls = _take(node, "controls", path)
-            _done(node, path)
+            _check_empty(node, path)
             return simulator.OpenLoopPolicy((times, ctrls))
         _fail(path, f"unknown policy kind {kind!r}")
 
@@ -260,7 +239,7 @@ def _task_solve(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
     probes = _take(task, "probe_points", f"tasks[{idx}]", required=False)
     sensitivity = _take(task, "boundary_sensitivity", f"tasks[{idx}]",
                         required=False, default=False)
-    _done(task, f"tasks[{idx}]")
+    _check_empty(task, f"tasks[{idx}]")
     cfg = exp.grid_config()
     ratio = hjb.cfl_ratio(exp.params, cfg)
     grid = runner.solved_grid()
@@ -305,7 +284,7 @@ def _task_estimate(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
     allowance = float(_take(task, "allowance", path, required=False, default=0.01))
     dump_summaries = _take(task, "dump_summaries", path, required=False, default=False)
     dump_paths = int(_take(task, "dump_paths", path, required=False, default=0))
-    _done(task, path)
+    _check_empty(task, path)
     summaries = estimator.run_replications(
         exp.start_time, exp.initial, policy, exp.params, n_reps, exp.step,
         exp.horizon, exp.seed_base, population_cap=exp.population_cap,
@@ -318,13 +297,13 @@ def _task_estimate(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
                "extinct_fraction": float(np.mean([s.extinct for s in summaries]))}
     checks = []
     if oracle is not None:
-        onode = _mapping(oracle, f"{path}.oracle")
+        onode = dict(_require_mapping(oracle, f"{path}.oracle"))
         target = float(_take(onode, "value", f"{path}.oracle"))
         sigmas = float(_take(onode, "sigmas", f"{path}.oracle", required=False,
                              default=3.0))
         o_allow = float(_take(onode, "allowance", f"{path}.oracle",
                               required=False, default=0.0))
-        _done(onode, f"{path}.oracle")
+        _check_empty(onode, f"{path}.oracle")
         band = sigmas * est.stderr + o_allow
         checks.append(runner.check(idx, "estimate", "oracle",
                                    est.mean, target, band,
@@ -366,7 +345,7 @@ def _task_branching(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict
                                 f"{path}.policy")
     n_reps = int(_take(task, "replications", path, required=False,
                        default=exp.n_reps))
-    _done(task, path)
+    _check_empty(task, path)
     report = estimator.check_branching(
         exp.start_time, [np.atleast_1d(np.asarray(p, dtype=float))
                          for p in positions],
@@ -385,7 +364,7 @@ def _task_branching(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict
 
 
 def _parse_test_function(node, path) -> estimator.SmoothTestFunction:
-    node = _mapping(node, path)
+    node = dict(_require_mapping(node, path))
     kwargs = {"family": _take(node, "family", path)}
     for key in ("base", "scale", "decay", "width"):
         if key in node:
@@ -393,7 +372,7 @@ def _parse_test_function(node, path) -> estimator.SmoothTestFunction:
     for key in ("center", "direction"):
         if key in node:
             kwargs[key] = tuple(float(v) for v in node.pop(key))
-    _done(node, path)
+    _check_empty(node, path)
     return estimator.SmoothTestFunction(**kwargs)
 
 
@@ -408,7 +387,7 @@ def _task_dynkin(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
                        default=min(exp.n_reps, 10000)))
     allow_coef = float(_take(task, "allowance_per_step", path, required=False,
                              default=0.5))
-    _done(task, path)
+    _check_empty(task, path)
     functions = [_parse_test_function(n, f"{path}.functions[{i}]")
                  for i, n in enumerate(fn_nodes)]
     rows, checks = [], []
@@ -437,19 +416,19 @@ def _task_dpp(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
     n_reps = int(_take(task, "replications", path, required=False,
                        default=min(exp.n_reps, 20000)))
     allowance = float(_take(task, "allowance", path, required=False, default=0.01))
-    _done(task, path)
+    _check_empty(task, path)
     grid = runner.solved_grid()
     rows, checks = [], []
     for pi, pnode in enumerate(policy_nodes):
-        pnode = _mapping(pnode, f"{path}.policies[{pi}]")
+        pnode = dict(_require_mapping(pnode, f"{path}.policies[{pi}]"))
         role = _take(pnode, "role", f"{path}.policies[{pi}]", required=False,
                      default="admissible")
         policy = runner.policy_from(pnode, f"{path}.policies[{pi}]")
         for si, snode in enumerate(stopping):
-            snode = _mapping(snode, f"{path}.stopping[{si}]")
+            snode = dict(_require_mapping(snode, f"{path}.stopping[{si}]"))
             skind = _take(snode, "rule", f"{path}.stopping[{si}]")
             stime = float(_take(snode, "time", f"{path}.stopping[{si}]"))
-            _done(snode, f"{path}.stopping[{si}]")
+            _check_empty(snode, f"{path}.stopping[{si}]")
             report = estimator.dpp_check(
                 exp.start_time, exp.initial, policy, exp.params,
                 (skind, stime), grid, n_reps, exp.step,
@@ -479,7 +458,7 @@ def _task_moment(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
                                 f"{path}.policy")
     n_reps = int(_take(task, "replications", path, required=False,
                        default=exp.n_reps))
-    _done(task, path)
+    _check_empty(task, path)
     summaries = estimator.run_replications(
         exp.start_time, exp.initial, policy, exp.params, n_reps, exp.step,
         exp.horizon, exp.seed_base, population_cap=exp.population_cap,
@@ -505,7 +484,7 @@ def _task_couple(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
                        default=min(exp.n_reps, 10000)))
     final_min = float(_take(task, "final_rate_min", path, required=False,
                             default=0.99))
-    _done(task, path)
+    _check_empty(task, path)
     ladder = sorted((float(e) for e in perturbations), reverse=True)
     rows = []
     rates = []
@@ -545,7 +524,7 @@ def _task_verify_all(runner: Runner, idx: int, task: dict, out_dir: Path) -> dic
     oracle = _take(task, "oracle", path, required=False)
     perturbations = _take(task, "perturbations", path, required=False)
     positions = _take(task, "branching_positions", path, required=False)
-    _done(task, path)
+    _check_empty(task, path)
 
     checks = []
     results = {}
@@ -647,10 +626,9 @@ def _task_verify_all(runner: Runner, idx: int, task: dict, out_dir: Path) -> dic
                                    worst, 0.0, 1e-10, worst < 1e-10))
 
     if perturbations:
-        sub = {"perturbations": perturbations, "replications": n_small,
-               "kind": "couple"}
-        sub.pop("kind")
-        couple_report = _task_couple(runner, idx, dict(sub), out_dir)
+        couple_report = _task_couple(
+            runner, idx, {"perturbations": perturbations, "replications": n_small},
+            out_dir)
         checks.extend(couple_report["checks"])
         results["coupling"] = couple_report["results"]
 

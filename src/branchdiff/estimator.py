@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ExplosionGuardError
 from .hjb import ValueGrid, evaluate, evaluate_many
-from .model import ModelParams
+from .model import ModelParams, generator
 from .simulator import PopulationPath, pathwise_cost, simulate, simulate_coupled
 
 
@@ -285,32 +285,6 @@ class SmoothTestFunction:
         return np.asarray(amp)[..., None, None] * hess_psi / 2.0
 
 
-def derivative_mismatch(u: SmoothTestFunction, t: float, points: np.ndarray,
-                        eps: float = 1e-5) -> float:
-    """Max absolute gap between analytic derivatives and centered finite
-    differences at the given points; the construction contract is 1e-6."""
-    worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        d = len(x)
-        dt_num = (u.value(t + eps, x) - u.value(t - eps, x)) / (2 * eps)
-        worst = max(worst, abs(float(dt_num - u.time_derivative(t, x))))
-        grad = u.gradient(t, x)
-        hess = u.hessian(t, x)
-        for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = eps
-            gi = (u.value(t, x + ei) - u.value(t, x - ei)) / (2 * eps)
-            worst = max(worst, abs(float(gi - grad[i])))
-            for j in range(d):
-                ej = np.zeros(d)
-                ej[j] = eps
-                hij = (u.value(t, x + ei + ej) - u.value(t, x + ei - ej)
-                       - u.value(t, x - ei + ej) + u.value(t, x - ei - ej)) / (4 * eps**2)
-                worst = max(worst, abs(float(hij - hess[i, j])))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # martingale residual
 
@@ -353,19 +327,8 @@ def _path_operator_integral(path: PopulationPath, u: SmoothTestFunction,
         hess = u.hessian(tl, xs)
         for a in np.unique(ctrls):
             m = ctrls == a
-            a = int(a)
-            b = params.drift_many(xs[m], a)
-            sig = params.diffusion_many(xs[m], a)
-            gam = params.death_rate_many(xs[m], a)
-            probs = params.offspring_probs_many(xs[m], a)
-            c = params.running_cost_many(xs[m], a)
-            uvm = uv[m]
-            zero = np.zeros(uvm.shape)
-            for kk in range(probs.shape[1]):
-                zero += probs[:, kk] * (uvm**kk - uvm)
-            quad = 0.5 * np.einsum("nik,njk,nij->n", sig, sig, hess[m])
-            lu[m] += (np.sum(b * grad[m], axis=1) + quad
-                      + gam * zero - c * uvm)
+            coef = params.coefficients(xs[m], int(a))
+            lu[m] += generator(coef, uv[m], grad[m], hess[m])
         alive = (left >= tr.times[0]) & (left < tr.times[-1])
         held = np.searchsorted(tr.times, left[alive], side="right") - 1
         uvals[i, alive] = uv[held]

@@ -2,14 +2,15 @@
 spatial dimension.
 
 The equation is backward in time: the time derivative of u plus the infimum
-over controls of (drift term + half sigma^2 curvature term + branching
-zero-order term - running cost times u) vanishes, with terminal data g.  The
-scheme uses upwinded first differences (direction picked by the drift sign
-per control before the minimum), centered second differences, and explicit
-Euler stepping backward from the terminal layer.  Under the CFL bound checked
-here every updated value is a nondecreasing function of the neighboring
-values, which keeps the solution inside [0, 1] and makes two solutions with
-ordered terminal data stay ordered.
+over controls of the generator L^a u vanishes, with terminal data g.  L^a is
+:func:`branchdiff.model.generator`, the one definition of the operator; the
+solver adds only the stencil.  The scheme uses upwinded first
+differences (direction picked by the drift sign per control before the
+minimum), centered second differences, and explicit Euler stepping backward
+from the terminal layer.  Under the CFL bound checked here every updated
+value is a nondecreasing function of the neighboring values, which keeps the
+solution inside [0, 1] and makes two solutions with ordered terminal data
+stay ordered.
 
 Edge nodes close the stencil by constant extrapolation: a one-sided
 difference is used when it looks into the domain, and a difference that would
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError
 from .labels import Label
-from .model import ModelParams
+from .model import Coefficients, ModelParams, generator
 
 CLAMP_TOL = 1e-12
 
@@ -96,57 +97,13 @@ class ValueGrid:
 
 
 # ---------------------------------------------------------------------------
-# pointwise operators
-
-def generator_zero_order(x: np.ndarray, a: int, r: float, params: ModelParams) -> float:
-    """Zero-order branching term: rate times sum_k p_k (r^k - r), with r
-    clamped to [-1, 1].  The summand form (r^k - r) vanishes at r = 1 exactly,
-    probability rounding notwithstanding."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    rc = min(max(r, -1.0), 1.0)
-    gamma = params.death_rate_at(x, a)
-    probs = params.offspring_probs_at(x, a)
-    acc = 0.0
-    for k, pk in enumerate(probs):
-        acc += pk * (rc**k - rc)
-    return gamma * acc
-
-
-def hamiltonian(x: np.ndarray, r: float, p: float, m2: float,
-                params: ModelParams) -> tuple[float, int]:
-    """Exact minimum over the control set of the one-dimensional operator
-    value, and the minimizing index (lowest index wins ties)."""
-    if params.dim != 1:
-        raise ConfigurationError("hamiltonian is defined for one-dimensional models")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    best_val, best_a = math.inf, 0
-    for a in params.controls.indices:
-        b = float(params.drift_at(x, a)[0])
-        sig = params.diffusion_at(x, a)
-        s2 = float(np.sum(sig * sig))
-        c = params.running_cost_at(x, a)
-        val = b * p + 0.5 * s2 * m2 + generator_zero_order(x, a, r, params) - c * r
-        if val < best_val:
-            best_val, best_a = val, a
-    return best_val, best_a
-
-
-# ---------------------------------------------------------------------------
 # CFL
 
-def _coefficient_tables(params: ModelParams, nodes: np.ndarray):
-    """Per-control coefficient arrays over the node set."""
-    xs = nodes[:, None]
-    b, s2, gam, probs, cost = [], [], [], [], []
-    for a in params.controls.indices:
-        b.append(params.drift_many(xs, a)[:, 0])
-        sig = params.diffusion_many(xs, a)
-        s2.append(np.sum(sig * sig, axis=(1, 2)))
-        gam.append(params.death_rate_many(xs, a))
-        probs.append(params.offspring_probs_many(xs, a))
-        cost.append(params.running_cost_many(xs, a))
-    return (np.stack(b), np.stack(s2), np.stack(gam),
-            np.stack(probs), np.stack(cost))
+def _coefficient_tables(params: ModelParams, nodes: np.ndarray) -> Coefficients:
+    """Coefficients over the node set, stacked over the controls."""
+    per_control = [params.coefficients(nodes[:, None], a)
+                   for a in params.controls.indices]
+    return Coefficients(*map(np.stack, zip(*per_control)))
 
 
 def cfl_ratio(params: ModelParams, grid: GridConfig) -> float:
@@ -155,11 +112,11 @@ def cfl_ratio(params: ModelParams, grid: GridConfig) -> float:
     The scheme is monotone when this is at most one."""
     if params.dim != 1:
         raise ConfigurationError("the PDE solver handles one-dimensional models only")
-    b, s2, gam, probs, cost = _coefficient_tables(params, grid.nodes)
-    per_node = (s2.max(axis=0) / grid.dx**2
-                + np.abs(b).max(axis=0) / grid.dx
+    coef = _coefficient_tables(params, grid.nodes)
+    per_node = (coef.cov[:, :, 0, 0].max(axis=0) / grid.dx**2
+                + np.abs(coef.drift[:, :, 0]).max(axis=0) / grid.dx
                 + params.rate_bound * (params.mean_offspring_bound + 1.0)
-                + cost.max(axis=0))
+                + coef.cost.max(axis=0))
     return float(grid.dt * per_node.max())
 
 
@@ -181,36 +138,31 @@ def required_time_steps_for(params: ModelParams, grid: GridConfig) -> int:
 # ---------------------------------------------------------------------------
 # solver
 
-def _layer_operator(u: np.ndarray, pre, dx: float) -> np.ndarray:
-    """Stacked per-control operator values (n_controls, n_x) on one layer."""
-    b, s2, gam, probs, cost = pre
+def _layer_operator(u: np.ndarray, coef: Coefficients, forward: np.ndarray,
+                    dx: float) -> np.ndarray:
+    """Stacked per-control generator values (n_controls, n_x) on one layer;
+    the first difference looks forward where ``forward`` (drift >= 0) holds."""
     n_x = len(u)
-    diff = (u[1:] - u[:-1]) / dx
-    fwd = np.zeros(n_x)
-    fwd[:-1] = diff          # looks outside at the right edge: drop
-    bwd = np.zeros(n_x)
-    bwd[1:] = diff           # looks outside at the left edge: drop
-    m2 = np.zeros(n_x)
+    slope = np.zeros(n_x + 1)  # a difference looking outside the domain is dropped
+    slope[1:-1] = (u[1:] - u[:-1]) / dx
+    m2 = np.empty(n_x)
     m2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
     m2[0] = (u[1] - u[0]) / dx**2
     m2[-1] = (u[-2] - u[-1]) / dx**2
-    r = np.clip(u, -1.0, 1.0)
-    n_k = probs.shape[2]
-    powers = np.empty((n_k, n_x))
-    powers[0] = 1.0 - r
-    for k in range(1, n_k):
-        powers[k] = r**k - r
-    zero_order = np.einsum("ank,kn->an", probs, powers)
-    p_up = np.where(b >= 0.0, fwd[None, :], bwd[None, :])
-    return b * p_up + 0.5 * s2 * m2[None, :] + gam * zero_order - cost * u[None, :]
+    upwind = np.where(forward, slope[1:, None], slope[:-1, None])
+    return generator(coef, u, upwind, m2[:, None, None])
 
 
-def _solve_common(params: ModelParams, grid: GridConfig, reduce_min: bool):
+def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
+    """Backward explicit sweep from the terminal layer; rejects grids that
+    violate the CFL bound and reports clamp events (layer values that left
+    [0, 1] by more than a floating-point guard before clipping)."""
     if params.dim != 1:
         raise ConfigurationError("the PDE solver handles one-dimensional models only")
     check_cfl(params, grid)
     nodes = grid.nodes
-    pre = _coefficient_tables(params, nodes)
+    coef = _coefficient_tables(params, nodes)
+    forward = coef.drift >= 0.0
     terminal = params.terminal_many(nodes[:, None])
     if terminal.min() < -CLAMP_TOL or terminal.max() > 1.0 + CLAMP_TOL:
         raise ConfigurationError("terminal cost leaves [0, 1] on the grid")
@@ -222,13 +174,9 @@ def _solve_common(params: ModelParams, grid: GridConfig, reduce_min: bool):
     clamp_events = 0
     dt = grid.dt
     for k in range(n_t - 1, -1, -1):
-        stacked = _layer_operator(values[k + 1], pre, grid.dx)
-        if reduce_min:
-            h = np.minimum.reduce(stacked, axis=0)
-            argmin[k + 1] = np.argmin(stacked, axis=0)
-        else:
-            h = stacked[0]
-        u_new = values[k + 1] + dt * h
+        stacked = _layer_operator(values[k + 1], coef, forward, grid.dx)
+        argmin[k + 1] = np.argmin(stacked, axis=0)
+        u_new = values[k + 1] + dt * np.minimum.reduce(stacked, axis=0)
         if np.isnan(u_new).any():
             raise NumericalFailureError(
                 f"non-finite values while stepping onto layer {k}", layer=k)
@@ -236,29 +184,12 @@ def _solve_common(params: ModelParams, grid: GridConfig, reduce_min: bool):
             (u_new < -CLAMP_TOL) | (u_new > 1.0 + CLAMP_TOL)))
         np.clip(u_new, 0.0, 1.0, out=u_new)
         values[k] = u_new
-    stacked = _layer_operator(values[0], pre, grid.dx)
-    if reduce_min:
-        argmin[0] = np.argmin(stacked, axis=0)
-    degenerate = bool(np.any(pre[1] == 0.0))
+    argmin[0] = np.argmin(_layer_operator(values[0], coef, forward, grid.dx), axis=0)
+    degenerate = bool(np.any(coef.cov == 0.0))
     return ValueGrid(times=grid.times, nodes=nodes, values=values,
                      argmin_control=argmin, params=params,
                      clamp_events=clamp_events, degenerate_diffusion=degenerate,
                      config=grid)
-
-
-def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
-    """Backward explicit sweep from the terminal layer; rejects grids that
-    violate the CFL bound and reports clamp events (layer values that left
-    [0, 1] by more than a floating-point guard before clipping)."""
-    return _solve_common(params, grid, reduce_min=True)
-
-
-def solve_semilinear(params: ModelParams, grid: GridConfig) -> ValueGrid:
-    """Single-control models solved without the minimum reduction, using the
-    identical stencil arithmetic.  Cross-checks the general path."""
-    if len(params.controls) != 1:
-        raise ConfigurationError("semilinear path requires a single control")
-    return _solve_common(params, grid, reduce_min=False)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +237,7 @@ class FeedbackPolicy:
 
     A query snaps to the nearest time layer, linearly interpolates the value
     and its space derivatives at the (domain-clamped) position, and returns
-    the control minimizing the operator there; ties go to the lowest index.
+    the control minimizing the generator there; ties go to the lowest index.
     Total on all of R: positions are clamped to the grid.
     """
 
@@ -319,11 +250,6 @@ class FeedbackPolicy:
 
     def constant_control(self) -> int | None:
         return 0 if len(self.params.controls) == 1 else None
-
-    def _nearest_layer(self, t: float) -> int:
-        dt = self.grid.times[1] - self.grid.times[0]
-        k = int(round((t - self.grid.times[0]) / dt))
-        return min(max(k, 0), len(self.grid.times) - 1)
 
     def control_at(self, t: float, x: np.ndarray, label: Label) -> int:
         return int(self.controls_along(np.array([t]), np.atleast_1d(x)[None, :], label)[0])
@@ -345,26 +271,11 @@ class FeedbackPolicy:
         r = grid.values[k, j] * (1 - wx) + grid.values[k, j + 1] * wx
         p = self._du[k, j] * (1 - wx) + self._du[k, j + 1] * wx
         m2 = self._d2u[k, j] * (1 - wx) + self._d2u[k, j + 1] * wx
-        params = self.params
-        pts = xq[:, None]
-        rc = np.clip(r, -1.0, 1.0)
-        best_val = np.full(n, np.inf)
-        best_a = np.zeros(n, dtype=np.int64)
-        for a in params.controls.indices:
-            b = params.drift_many(pts, a)[:, 0]
-            sig = params.diffusion_many(pts, a)
-            s2 = np.sum(sig * sig, axis=(1, 2))
-            probs = params.offspring_probs_many(pts, a)
-            zero = np.zeros(n)
-            for kk in range(probs.shape[1]):
-                zero += probs[:, kk] * (rc**kk - rc)
-            gam = params.death_rate_many(pts, a)
-            c = params.running_cost_many(pts, a)
-            val = b * p + 0.5 * s2 * m2 + gam * zero - c * r
-            better = val < best_val
-            best_val = np.where(better, val, best_val)
-            best_a = np.where(better, a, best_a)
-        return best_a
+        pts, grad, hess = xq[:, None], p[:, None], m2[:, None, None]
+        vals = np.empty((len(self.params.controls), n))
+        for a in self.params.controls.indices:
+            vals[a] = generator(self.params.coefficients(pts, a), r, grad, hess)
+        return np.argmin(vals, axis=0)   # lowest index wins ties, as in solve
 
 
 def extract_feedback(grid: ValueGrid) -> FeedbackPolicy:

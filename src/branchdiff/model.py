@@ -1,9 +1,13 @@
-"""Model coefficients, their validity checks, and offspring-interval geometry.
+"""Model coefficients, the generator, their validity checks, and
+offspring-interval geometry.
 
 A model bundles the drift, diffusion, death rate, offspring distribution,
 running cost and terminal cost of a controlled branching diffusion, together
 with the global bounds (dominating death rate, mean-offspring bound) that the
 simulator's thinning construction and the moment bound depend on.
+:func:`generator` is the one definition of the operator L^a of the value
+equation; the PDE solver, the feedback policy and the martingale-residual
+integrand all evaluate it.
 
 Coefficients are declarative family specs rather than arbitrary callables so
 that model files serialize, coupled experiments can perturb parameters
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -321,6 +326,15 @@ class ModelParams:
     def terminal_many(self, xs: np.ndarray) -> np.ndarray:
         return self.terminal.eval_many(xs)
 
+    def coefficients(self, xs: np.ndarray, a: int) -> "Coefficients":
+        """Every coefficient of control ``a`` at the (n, d) points ``xs``."""
+        sig = self.diffusion_many(xs, a)
+        return Coefficients(drift=self.drift_many(xs, a),
+                            cov=sig @ sig.transpose(0, 2, 1),
+                            death_rate=self.death_rate_many(xs, a),
+                            probs=self.offspring_probs_many(xs, a),
+                            cost=self.running_cost_many(xs, a))
+
     # -- structure queries used by the simulator fast paths -------------------
 
     def motion_state_independent(self, a: int) -> bool:
@@ -333,13 +347,42 @@ class ModelParams:
     def diffusion_is_zero(self) -> bool:
         return all(self.diffusion[a].is_zero for a in self.controls.indices)
 
-    def cost_state_independent(self, a: int) -> bool:
-        return self.running_cost[a].state_independent
-
     def cost_is_zero(self) -> bool:
         return all(self.running_cost[a].state_independent
                    and self.running_cost[a].bounds() == (0.0, 0.0)
                    for a in self.controls.indices)
+
+
+class Coefficients(NamedTuple):
+    """Coefficients of one control at n points (:meth:`ModelParams.coefficients`).
+    Stacking each field over controls adds a leading control axis."""
+
+    drift: np.ndarray       # (n, d)
+    cov: np.ndarray         # (n, d, d): sigma sigma^T
+    death_rate: np.ndarray  # (n,)
+    probs: np.ndarray       # (n, max_children + 1): offspring probabilities
+    cost: np.ndarray        # (n,): running cost
+
+
+def generator(coef: Coefficients, r, grad, hess) -> np.ndarray:
+    """The operator of the value equation applied at n points:
+
+        L^a u = b . grad + 1/2 sum_ij (sigma sigma^T)_ij hess_ij
+                + gamma sum_k p_k (rc^k - rc) - c r,
+
+    with rc = r clipped to [-1, 1].  ``r`` has shape (n,), ``grad`` (n, d) and
+    ``hess`` (n, d, d); leading axes (one per control, say) broadcast against
+    those of ``coef``.  The zero-order term carries the branching: the summand
+    form (rc^k - rc) vanishes at r = 1 exactly, probability rounding
+    notwithstanding.
+    """
+    rc = np.minimum(np.maximum(r, -1.0), 1.0)   # np.clip costs more per call
+    probs = coef.probs
+    branching = probs[..., 0] * (1.0 - rc)
+    for k in range(1, probs.shape[-1]):
+        branching += probs[..., k] * (rc**k - rc)
+    return ((coef.drift * grad).sum(-1) + 0.5 * (coef.cov * hess).sum((-2, -1))
+            + coef.death_rate * branching - coef.cost * r)
 
 
 def coefficient_distance(params: ModelParams, other: ModelParams) -> float:

@@ -413,15 +413,18 @@ class _Simulation:
             heapq.heappush(self.rings, (now + gap, label))
 
     def run(self) -> PopulationPath:
-        for lab in self.pop:
-            self._spawn_clock(lab, self.start)
-        rings = self.rings
-        while rings and rings[0][0] < self.horizon:
-            now, lab = heapq.heappop(rings)
-            control = self._advance(lab, now)
-            self._fire_event(lab, now, control)
-        for lab in self.pop:
-            self._advance(lab, self.horizon)
+        # a blow-up overflows on its way to a non-finite position; the check
+        # in _advance reports it once, so numpy's warnings stay silent
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lab in self.pop:
+                self._spawn_clock(lab, self.start)
+            rings = self.rings
+            while rings and rings[0][0] < self.horizon:
+                now, lab = heapq.heappop(rings)
+                control = self._advance(lab, now)
+                self._fire_event(lab, now, control)
+            for lab in self.pop:
+                self._advance(lab, self.horizon)
         final = {lab: pos.copy() for lab, pos in self.pop.items()}
         tracks = None
         if self.pieces is not None:

@@ -44,41 +44,55 @@ def grid_for(params, x_lo, x_hi, n_x, horizon, refine=1.0):
 CRITICAL = single_control(gamma=1.0, rate_bound=1.0, p0=0.5, p1=0.0)
 
 
+def generator_at(m, r, p=0.0, m2=0.0):
+    """Generator values of every control at X0, stacked (n_controls,)."""
+    return np.array([M.generator(m.coefficients(X0[None, :], a), np.array([r]),
+                                 np.array([[p]]), np.array([[[m2]]]))[0]
+                     for a in m.controls.indices])
+
+
+def hamiltonian(m, r, p, m2):
+    """Minimum over the controls of the generator at X0, and the minimizing
+    index (lowest index wins ties)."""
+    vals = generator_at(m, r, p, m2)
+    return vals.min(), int(np.argmin(vals))
+
+
 class TestZeroOrderTerm:
+    # b = sigma = c = 0, so the generator is its zero-order branching term
     def test_vanishes_at_one(self):
         m = single_control(gamma=0.7, rate_bound=1.0, p0=0.3, p1=0.2,
                            mean_bound=1.2)
-        assert hjb.generator_zero_order(X0, 0, 1.0, m) == 0.0
+        assert generator_at(m, 1.0)[0] == 0.0
 
     def test_hand_value(self):
-        got = hjb.generator_zero_order(X0, 0, 0.5, CRITICAL)
+        got = generator_at(CRITICAL, 0.5)[0]
         assert got == pytest.approx(0.125, abs=1e-15)
 
     def test_clamps_above_one(self):
         m = single_control(gamma=0.7, rate_bound=1.0, p0=0.3, p1=0.2,
                            mean_bound=1.2)
-        assert (hjb.generator_zero_order(X0, 0, 2.0, m)
-                == hjb.generator_zero_order(X0, 0, 1.0, m))
+        assert generator_at(m, 2.0)[0] == generator_at(m, 1.0)[0]
 
 
 class TestHamiltonian:
     def test_all_zero_ties_to_lowest_index(self):
         m = two_control(c0=0.0, c1=0.0)
-        val, a = hjb.hamiltonian(X0, 0.5, 1.0, 1.0, m)
+        val, a = hamiltonian(m, 0.5, 1.0, 1.0)
         assert val == 0.0 and a == 0
 
     def test_linear_term_only(self):
         m = single_control(b=2.0)
-        val, a = hjb.hamiltonian(X0, 0.0, 3.0, 7.0, m)
+        val, a = hamiltonian(m, 0.0, 3.0, 7.0)
         assert val == pytest.approx(6.0) and a == 0
 
     def test_cost_term_selects_discount(self):
         # minimizing -c r: positive r prefers the larger cost, negative r the
         # smaller one
         m = two_control(c0=1.0, c1=2.0)
-        val, a = hjb.hamiltonian(X0, 0.5, 0.0, 0.0, m)
+        val, a = hamiltonian(m, 0.5, 0.0, 0.0)
         assert val == pytest.approx(-1.0) and a == 1
-        val, a = hjb.hamiltonian(X0, -0.5, 0.0, 0.0, m)
+        val, a = hamiltonian(m, -0.5, 0.0, 0.0)
         assert val == pytest.approx(0.5) and a == 0
 
 
@@ -159,8 +173,18 @@ class TestSolve:
                                                center=(0.0,), width=1.0))
         grid = grid_for(m, -4, 4, 101, 1.0)
         a = hjb.solve(m, grid)
-        b = hjb.solve_semilinear(m, grid)
-        assert np.array_equal(a.values, b.values)
+        # explicit Euler over the single control's generator, no minimum
+        xs, dx = grid.nodes[:, None], grid.dx
+        coef = m.coefficients(xs, 0)
+        u = np.clip(m.terminal_many(xs), 0.0, 1.0)
+        for k in range(grid.n_t - 1, -1, -1):
+            slope = np.concatenate(([0.0], (u[1:] - u[:-1]) / dx, [0.0]))
+            upwind = np.where(coef.drift >= 0.0, slope[1:, None], slope[:-1, None])
+            m2 = np.concatenate(([u[1] - u[0]], u[2:] - 2.0 * u[1:-1] + u[:-2],
+                                 [u[-2] - u[-1]])) / dx**2
+            u = np.clip(u + grid.dt * M.generator(coef, u, upwind, m2[:, None, None]),
+                        0.0, 1.0)
+            assert np.array_equal(a.values[k], u)
 
     def test_degenerate_diffusion_reported(self):
         out = hjb.solve(CRITICAL, hjb.GridConfig(x_lo=-1, x_hi=1, n_x=11,
