@@ -23,8 +23,6 @@ from .model import (
     constant,
     constant_vector,
     generator,
-    interval_overlap,
-    offspring_intervals,
     validate_params,
 )
 from .simulator import (

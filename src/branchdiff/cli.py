@@ -28,6 +28,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -147,8 +148,6 @@ class Experiment:
                 "x_hi": float(_take(g, "x_hi", "grid")),
                 "n_x": int(_take(g, "n_x", "grid")),
                 "n_t": int(_take(g, "n_t", "grid")),
-                "boundary": _take(g, "boundary", "grid", required=False,
-                                  default="one-sided"),
             }
             _check_empty(g, "grid")
 
@@ -263,7 +262,7 @@ def _task_solve(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
             for x in probes]
     if sensitivity:
         sens = hjb.boundary_sensitivity(
-            exp.params, cfg,
+            grid,
             [[float(p["x"])] for p in results.get("probes", [])] or
             [[0.5 * (cfg.x_lo + cfg.x_hi)]])
         results["boundary_sensitivity"] = sens
@@ -653,12 +652,7 @@ _TASK_FUNCS = {
 def run(config_path, *, out=None, seed=None, reps=None, threads=1) -> int:
     """Execute an experiment file; returns the process exit code."""
     config_path = Path(config_path)
-
-    class _Overrides:
-        pass
-
-    ov = _Overrides()
-    ov.out, ov.seed, ov.reps, ov.threads = out, seed, reps, threads
+    ov = SimpleNamespace(out=out, seed=seed, reps=reps, threads=threads)
 
     try:
         text = config_path.read_text()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,8 +33,6 @@ from .labels import Label
 from .model import Coefficients, ModelParams, generator
 
 CLAMP_TOL = 1e-12
-
-_BOUNDARY_RULES = ("one-sided",)
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,6 @@ class GridConfig:
     n_x: int
     n_t: int
     horizon: float
-    boundary: str = "one-sided"
 
     def __post_init__(self):
         if self.x_hi <= self.x_lo:
@@ -57,9 +54,6 @@ class GridConfig:
             raise ConfigurationError("need at least 1 time step")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be positive")
-        if self.boundary not in _BOUNDARY_RULES:
-            raise ConfigurationError(
-                f"unknown boundary rule {self.boundary!r}; choose from {_BOUNDARY_RULES}")
 
     @property
     def dx(self) -> float:
@@ -138,19 +132,24 @@ def required_time_steps_for(params: ModelParams, grid: GridConfig) -> int:
 # ---------------------------------------------------------------------------
 # solver
 
+def _second_difference(u: np.ndarray, dx: float) -> np.ndarray:
+    """Centered second difference along the last axis; at an edge node the
+    ghost value equals the edge value, leaving the one inward difference."""
+    m2 = np.empty_like(u)
+    m2[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx**2
+    m2[..., 0] = (u[..., 1] - u[..., 0]) / dx**2
+    m2[..., -1] = (u[..., -2] - u[..., -1]) / dx**2
+    return m2
+
+
 def _layer_operator(u: np.ndarray, coef: Coefficients, forward: np.ndarray,
                     dx: float) -> np.ndarray:
     """Stacked per-control generator values (n_controls, n_x) on one layer;
     the first difference looks forward where ``forward`` (drift >= 0) holds."""
-    n_x = len(u)
-    slope = np.zeros(n_x + 1)  # a difference looking outside the domain is dropped
+    slope = np.zeros(len(u) + 1)  # a difference looking outside the domain is dropped
     slope[1:-1] = (u[1:] - u[:-1]) / dx
-    m2 = np.empty(n_x)
-    m2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
-    m2[0] = (u[1] - u[0]) / dx**2
-    m2[-1] = (u[-2] - u[-1]) / dx**2
     upwind = np.where(forward, slope[1:, None], slope[:-1, None])
-    return generator(coef, u, upwind, m2[:, None, None])
+    return generator(coef, u, upwind, _second_difference(u, dx)[:, None, None])
 
 
 def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
@@ -225,11 +224,7 @@ def _derivative_tables(values: np.ndarray, dx: float):
     du[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx)
     du[:, 0] = (values[:, 1] - values[:, 0]) / dx
     du[:, -1] = (values[:, -1] - values[:, -2]) / dx
-    d2u = np.empty_like(values)
-    d2u[:, 1:-1] = (values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]) / dx**2
-    d2u[:, 0] = (values[:, 1] - values[:, 0]) / dx**2
-    d2u[:, -1] = (values[:, -2] - values[:, -1]) / dx**2
-    return du, d2u
+    return du, _second_difference(values, dx)
 
 
 class FeedbackPolicy:
@@ -250,9 +245,6 @@ class FeedbackPolicy:
 
     def constant_control(self) -> int | None:
         return 0 if len(self.params.controls) == 1 else None
-
-    def control_at(self, t: float, x: np.ndarray, label: Label) -> int:
-        return int(self.controls_along(np.array([t]), np.atleast_1d(x)[None, :], label)[0])
 
     def controls_along(self, times: np.ndarray, xs: np.ndarray, label: Label) -> np.ndarray:
         grid = self.grid
@@ -287,22 +279,17 @@ def extract_feedback(grid: ValueGrid) -> FeedbackPolicy:
 # ---------------------------------------------------------------------------
 # diagnostics and export
 
-def boundary_sensitivity(params: ModelParams, grid: GridConfig,
-                         probe_xs, t: float = 0.0) -> float:
-    """Max change of u(t, probe) when the domain width doubles at the same
-    resolution.  Small values certify that the edge closure does not reach
-    the probes."""
-    base = solve(params, grid)
+def boundary_sensitivity(base: ValueGrid, probe_xs, t: float = 0.0) -> float:
+    """Max change of u(t, probe) from the solved ``base`` when the domain
+    width doubles at the same resolution.  Small values certify that the
+    edge closure does not reach the probes."""
+    params, grid = base.params, base.config
     half = (grid.x_hi - grid.x_lo) / 2.0
-    wide_cfg = GridConfig(
-        x_lo=grid.x_lo - half, x_hi=grid.x_hi + half,
-        n_x=2 * grid.n_x - 1, n_t=grid.n_t, horizon=grid.horizon,
-        boundary=grid.boundary)
+    wide_cfg = replace(grid, x_lo=grid.x_lo - half, x_hi=grid.x_hi + half,
+                       n_x=2 * grid.n_x - 1)
     n_t_needed = required_time_steps_for(params, wide_cfg)
     if n_t_needed > wide_cfg.n_t:
-        wide_cfg = GridConfig(
-            x_lo=wide_cfg.x_lo, x_hi=wide_cfg.x_hi, n_x=wide_cfg.n_x,
-            n_t=n_t_needed, horizon=wide_cfg.horizon, boundary=wide_cfg.boundary)
+        wide_cfg = replace(wide_cfg, n_t=n_t_needed)
     wide = solve(params, wide_cfg)
     worst = 0.0
     for x in probe_xs:

@@ -9,25 +9,9 @@ prefix of another living particle's label.
 
 from __future__ import annotations
 
-import struct
-
-import numpy as np
-
 Label = tuple[int, ...]
 
 ROOT: Label = ()
-
-_MAX_CHILD_INDEX = 2**32 - 1
-
-
-def concat(i: Label, j: Label) -> Label:
-    """Concatenate two labels; the empty label is the identity."""
-    return i + j
-
-
-def is_strict_ancestor(j: Label, i: Label) -> bool:
-    """True iff ``j`` is a proper prefix of ``i``."""
-    return len(j) < len(i) and i[: len(j)] == j
 
 
 def children(i: Label, k: int) -> list[Label]:
@@ -37,18 +21,10 @@ def children(i: Label, k: int) -> list[Label]:
     return [i + (l,) for l in range(k)]
 
 
-def encode(i: Label) -> bytes:
-    """Self-delimiting byte encoding: a length prefix followed by the
-    elements, all as big-endian uint32.  Injective over valid labels, which is
-    what keys per-label random streams apart."""
-    for v in i:
-        if not 0 <= v <= _MAX_CHILD_INDEX:
-            raise ValueError(f"label element {v} outside uint32 range")
-    return struct.pack(">I", len(i)) + b"".join(struct.pack(">I", v) for v in i)
-
-
 def encode_words(i: Label) -> tuple[int, ...]:
-    """The uint32 words of :func:`encode`, usable as seed entropy."""
+    """Self-delimiting seed entropy: the length followed by the elements.
+    Injective over labels, which is what keys per-label random streams
+    apart."""
     return (len(i),) + i
 
 
@@ -80,19 +56,3 @@ def is_antichain(labels) -> bool:
 def assert_antichain(labels) -> None:
     if not is_antichain(labels):
         raise ValueError("population labels violate the antichain condition")
-
-
-def replace_by_children(pop: dict[Label, np.ndarray], i: Label, k: int,
-                        x: np.ndarray) -> dict[Label, np.ndarray]:
-    """Remove ``i`` and insert its ``k`` children at position ``x``.
-
-    Pure: returns a new mapping.  ``k = 0`` is a death with no offspring.
-    Antichain inputs yield antichain outputs.
-    """
-    if i not in pop:
-        raise KeyError(f"label {i!r} not present in population")
-    out = dict(pop)
-    del out[i]
-    for child in children(i, k):
-        out[child] = x
-    return out

@@ -247,7 +247,6 @@ class ModelParams:
     rate_bound: float
     mean_offspring_bound: float
     max_children: int
-    lipschitz_bound: float = 0.0
     offspring_residual_last: bool = True
 
     def __post_init__(self):
@@ -409,19 +408,15 @@ def coefficient_distance(params: ModelParams, other: ModelParams) -> float:
 
 def _offspring_prob_sup_distance(p1: ModelParams, p2: ModelParams, a: int, k: int) -> float:
     last = p1.max_children
-
-    def spec_dist(m1: ModelParams, m2: ModelParams) -> float:
-        s1 = None if (m1.offspring_residual_last and k == last) else m1.offspring[a][k]
-        s2 = None if (m2.offspring_residual_last and k == last) else m2.offspring[a][k]
-        if s1 is not None and s2 is not None:
-            return sup_distance(s1, s2)
-        # residual probabilities: |p_last - q_last| <= sum of the other gaps
-        gaps = 0.0
-        for j in range(last):
-            gaps += sup_distance(m1.offspring[a][j], m2.offspring[a][j])
-        return gaps
-
-    return spec_dist(p1, p2)
+    s1 = None if (p1.offspring_residual_last and k == last) else p1.offspring[a][k]
+    s2 = None if (p2.offspring_residual_last and k == last) else p2.offspring[a][k]
+    if s1 is not None and s2 is not None:
+        return sup_distance(s1, s2)
+    # residual probabilities: |p_last - q_last| <= sum of the other gaps
+    gaps = 0.0
+    for j in range(last):
+        gaps += sup_distance(p1.offspring[a][j], p2.offspring[a][j])
+    return gaps
 
 
 def perturbed_copy(params: ModelParams, eps: float) -> ModelParams:
@@ -464,8 +459,7 @@ def perturbed_copy(params: ModelParams, eps: float) -> ModelParams:
         offspring=tuple(offspring), running_cost=params.running_cost,
         terminal=params.terminal, rate_bound=params.rate_bound,
         mean_offspring_bound=params.mean_offspring_bound,
-        max_children=params.max_children, lipschitz_bound=params.lipschitz_bound,
-        offspring_residual_last=True)
+        max_children=params.max_children, offspring_residual_last=True)
 
 
 # -- offspring intervals ------------------------------------------------------
@@ -479,36 +473,6 @@ def offspring_boundaries(x: np.ndarray, a: int, params: ModelParams) -> np.ndarr
     bounds = gamma * cum
     bounds[-1] = gamma  # the partition ends at gamma exactly
     return bounds
-
-
-def offspring_intervals(x: np.ndarray, a: int, params: ModelParams) -> list[tuple[float, float]]:
-    """The half-open intervals partitioning [0, gamma(x, a)); interval k has
-    length gamma * p_k.  Zero-length intervals are retained as empty markers."""
-    bounds = offspring_boundaries(x, a, params)
-    return [(float(bounds[k]), float(bounds[k + 1])) for k in range(len(bounds) - 1)]
-
-
-def interval_overlap(x: np.ndarray, y: np.ndarray, a: int,
-                     params: ModelParams, params_tilde: ModelParams) -> float:
-    """Lebesgue measure of the set of marks classified identically by the two
-    models: the union over k of the k-th interval intersections, plus the
-    shared phantom segment up to the common rate bound.  At most rate_bound."""
-    if params.rate_bound != params_tilde.rate_bound:
-        raise ConfigurationError("models must share the same rate bound")
-    if params.max_children != params_tilde.max_children:
-        raise ConfigurationError("models must share the same offspring support")
-    b1 = offspring_boundaries(x, a, params)
-    b2 = offspring_boundaries(y, a, params_tilde)
-    total = 0.0
-    for k in range(len(b1) - 1):
-        lo = max(b1[k], b2[k])
-        hi = min(b1[k + 1], b2[k + 1])
-        if hi > lo:
-            total += hi - lo
-    top = params.rate_bound - max(b1[-1], b2[-1])
-    if top > 0:
-        total += top
-    return min(total, params.rate_bound)
 
 
 # -- validation ---------------------------------------------------------------

@@ -134,8 +134,6 @@ def parse_model(doc, source: str = "<model>") -> ModelParams:
     max_children = _int(_take(doc, "max_children", source), f"{source}.max_children")
     mean_bound = _number(_take(doc, "mean_offspring_bound", source),
                          f"{source}.mean_offspring_bound")
-    lipschitz = _number(_take(doc, "lipschitz_bound", source, required=False, default=0.0),
-                        f"{source}.lipschitz_bound")
 
     controls_node = dict(_require_mapping(_take(doc, "controls", source),
                                           f"{source}.controls"))
@@ -194,7 +192,7 @@ def parse_model(doc, source: str = "<model>") -> ModelParams:
         diffusion=diffusion, death_rate=death, offspring=offspring,
         running_cost=cost, terminal=terminal, rate_bound=rate_bound,
         mean_offspring_bound=mean_bound, max_children=max_children,
-        lipschitz_bound=lipschitz, offspring_residual_last=residual_last)
+        offspring_residual_last=residual_last)
 
 
 def load_model(path) -> ModelParams:

@@ -49,14 +49,8 @@ class ConstantPolicy:
     def constant_control(self) -> int | None:
         return self.control
 
-    def control_at(self, t: float, x: np.ndarray, label: Label) -> int:
-        return self.control
-
     def controls_along(self, times: np.ndarray, xs: np.ndarray, label: Label) -> np.ndarray:
         return np.full(len(times), self.control, dtype=np.int64)
-
-    def __eq__(self, other):
-        return isinstance(other, ConstantPolicy) and other.control == self.control
 
 
 class OpenLoopPolicy:
@@ -87,11 +81,6 @@ class OpenLoopPolicy:
 
     def _schedule(self, label: Label):
         return self.per_label.get(label, self.default)
-
-    def control_at(self, t: float, x: np.ndarray, label: Label) -> int:
-        times, ctrls = self._schedule(label)
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        return int(ctrls[max(idx, 0)])
 
     def controls_along(self, times_q: np.ndarray, xs: np.ndarray, label: Label) -> np.ndarray:
         times, ctrls = self._schedule(label)
@@ -143,7 +132,6 @@ class PopulationPath:
     events: list[JumpEvent]
     cost_integral: float
     sup_population: int
-    population_record: list[tuple[float, int]]
     seed: int
     n_steps: int
     tracks: dict[Label, Track] | None = field(default=None, repr=False)
@@ -154,15 +142,8 @@ class PopulationPath:
 
     def _recorded_tracks(self) -> dict[Label, Track]:
         if self.tracks is None:
-            raise ValueError("path was simulated without trajectory recording")
+            raise ValueError("path was simulated with record_paths=False")
         return self.tracks
-
-    def trajectory(self, label: Label) -> tuple[np.ndarray, np.ndarray]:
-        """Sampled (times, positions) over the particle's lifespan."""
-        track = self._recorded_tracks().get(label)
-        if track is None:
-            raise KeyError(f"label {label!r} never alive on this path")
-        return track.times, track.positions
 
     def state_after_event(self, idx: int, params: ModelParams
                           ) -> tuple[float, dict[Label, np.ndarray], float]:
@@ -200,7 +181,6 @@ class PopulationPath:
                 or self.cost_integral != other.cost_integral
                 or self.sup_population != other.sup_population
                 or self.n_steps != other.n_steps
-                or self.population_record != other.population_record
                 or len(self.events) != len(other.events)
                 or sorted(self.initial) != sorted(other.initial)
                 or sorted(self.final) != sorted(other.final)):
@@ -394,7 +374,6 @@ class _Simulation:
         self.events: list[JumpEvent] = []
         self.pieces: dict[Label, list] | None = (
             {lab: [] for lab in init} if record_paths else None)
-        self.pop_record: list[tuple[float, int]] = [(self.start, len(init))]
         self.sup_n = len(init)
         self.n_steps = 0
         self.initial_snapshot = {lab: pos.copy() for lab, pos in init.items()}
@@ -433,8 +412,8 @@ class _Simulation:
             start_time=self.start, horizon=self.horizon,
             initial=self.initial_snapshot, final=final,
             events=self.events, cost_integral=self.cost,
-            sup_population=self.sup_n, population_record=self.pop_record,
-            seed=self.seed, n_steps=self.n_steps, tracks=tracks,
+            sup_population=self.sup_n, seed=self.seed,
+            n_steps=self.n_steps, tracks=tracks,
         )
 
     # -- one particle's diffusion ----------------------------------------------
@@ -483,22 +462,19 @@ class _Simulation:
         else:
             xs[0] = x0
             x = x0
-            if plan.query_in_loop:
-                ctrls = np.empty(n_steps, dtype=np.int64)
-                for k in range(n_steps):
-                    a = self.policy.control_at(grid[k], x, lab)
-                    ctrls[k] = a
-                    x = x + params.drift_at(x, a) * deltas[k]
-                    if dw is not None:
-                        x = x + params.diffusion_at(x, a) @ dw[k]
-                    xs[k + 1] = x
-                return xs, ctrls
             a = plan.motion_control
+            # control-dependent motion: the control of each step is read at
+            # its left end, where the position is known only inside the loop
+            queried = np.empty(n_steps, dtype=np.int64) if plan.query_in_loop else None
             for k in range(n_steps):
+                if queried is not None:
+                    a = queried[k] = self.policy.controls_along(grid[k:k + 1], x[None], lab)[0]
                 x = x + params.drift_at(x, a) * deltas[k]
                 if dw is not None:
                     x = x + params.diffusion_at(x, a) @ dw[k]
                 xs[k + 1] = x
+            if queried is not None:
+                return xs, queried
         if plan.const_control is not None:
             ctrls = np.full(n_steps, plan.const_control, dtype=np.int64)
         else:
@@ -544,7 +520,6 @@ class _Simulation:
                     if self.pieces is not None:
                         self.pieces[child] = []
                     self._spawn_clock(child, now)
-            self.pop_record.append((now, len(self.pop)))
         self.sup_n = max(self.sup_n, len(self.pop))
         self.events.append(JumpEvent(
             time=now, label=lab, mark=mark, kind=kind,

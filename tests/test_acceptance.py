@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from branchdiff import estimator, hjb, model as M
-from branchdiff.labels import is_antichain, replace_by_children
+from branchdiff.labels import children, is_antichain
 from branchdiff.modelio import load_model
 from branchdiff.simulator import (
     ConstantPolicy,
@@ -273,7 +273,8 @@ def test_criterion_9_determinism_and_identities():
             lab = keys[rand.randrange(len(keys))]
             k = 0 if len(pop) >= 30 else rand.randrange(4)
             before = len(pop)
-            pop = replace_by_children(pop, lab, k, pop[lab])
+            x = pop.pop(lab)   # the engine's event update
+            pop.update(dict.fromkeys(children(lab, k), x))
             assert len(pop) == before + k - 1
             assert is_antichain(pop)
             events += 1

@@ -115,6 +115,24 @@ class TestRun:
         cfg = write_experiment(tmp_path, body=EXPERIMENT + "\nbogus: 1\n")
         assert cli.run(cfg) == cli.EXIT_PARSE
 
+    def test_boundary_sensitivity_reuses_solved_grid(self, tmp_path, monkeypatch):
+        calls = []
+        solve = cli.hjb.solve
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(cli.hjb, "solve", counted)
+        body = EXPERIMENT.split("  - kind: estimate")[0].replace(
+            "probe_points: [0.0]",
+            "probe_points: [0.0]\n    boundary_sensitivity: true\n    export_csv: false")
+        cfg = write_experiment(tmp_path, body=body)
+        assert cli.run(cfg) == cli.EXIT_OK
+        assert len(calls) == 2   # the task's grid, then the doubled domain
+        results = read_json(tmp_path / "out" / "task_00_solve.json")["results"]
+        assert 0.0 <= results["boundary_sensitivity"] < 1.0
+
     def test_yaml_syntax_error_exits_parse(self, tmp_path):
         cfg = tmp_path / "exp.yaml"
         cfg.write_text("tasks: [unclosed\n")

@@ -263,7 +263,7 @@ class TestFeedback:
                                                  n_t=50, horizon=1.0))
         pol = hjb.extract_feedback(out)
         assert pol.constant_control() == 0
-        assert pol.control_at(0.3, np.array([0.2]), ()) == 0
+        assert pol.controls_along(np.array([0.3]), np.array([[0.2]]), ())[0] == 0
 
     def test_dominating_control_chosen_everywhere(self):
         # all else equal and u > 0: the larger running cost minimizes the
@@ -275,7 +275,7 @@ class TestFeedback:
         xs = np.linspace(-1.5, 1.5, 9)
         for t in ts:
             for x in xs:
-                assert pol.control_at(float(t), np.array([x]), ()) == 1
+                assert pol.controls_along(np.array([t]), np.array([[x]]), ())[0] == 1
         assert np.all(out.argmin_control == 1)
 
     def test_tie_breaks_to_lowest_index(self):
@@ -283,7 +283,7 @@ class TestFeedback:
         out = hjb.solve(m, grid_for(m, -2, 2, 41, 1.0))
         pol = hjb.extract_feedback(out)
         for x in np.linspace(-1.5, 1.5, 9):
-            assert pol.control_at(0.5, np.array([x]), ()) == 0
+            assert pol.controls_along(np.array([0.5]), np.array([[x]]), ())[0] == 0
         assert np.all(out.argmin_control == 0)
 
     def test_vectorized_queries_match_scalar(self):
@@ -297,7 +297,8 @@ class TestFeedback:
         times = rng.uniform(0, 1, 40)
         xs = rng.uniform(-5, 5, (40, 1))
         batch = pol.controls_along(times, xs, ())
-        single = [pol.control_at(float(t), x, ()) for t, x in zip(times, xs)]
+        single = [pol.controls_along(np.array([t]), x[None], ())[0]
+                  for t, x in zip(times, xs)]
         np.testing.assert_array_equal(batch, single)
 
     def test_evaluate_many_matches_scalar(self):
@@ -315,7 +316,7 @@ def test_boundary_sensitivity_small_for_wide_domain():
     m = single_control(sigma=0.5, gamma=0.4, rate_bound=0.4, p0=0.3, p1=0.1,
                        mean_bound=1.1, g=g)
     grid = grid_for(m, -6, 6, 121, 1.0)
-    sens = hjb.boundary_sensitivity(m, grid, [[-1.0], [0.0], [1.0]])
+    sens = hjb.boundary_sensitivity(hjb.solve(m, grid), [[-1.0], [0.0], [1.0]])
     assert sens < 1e-6
 
 

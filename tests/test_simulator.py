@@ -160,10 +160,7 @@ class TestBranchingLaw:
                        mean_bound=1.5)
         p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.05, 2.0, seed=5)
         for lab in {ev.label for ev in p.events} | set(p.final):
-            try:
-                ts, xs = p.trajectory(lab)
-            except KeyError:
-                continue
+            ts, xs = p.tracks[lab].times, p.tracks[lab].positions
             assert np.all(np.diff(ts) >= 0)
             assert np.isfinite(xs).all()
 
@@ -456,13 +453,64 @@ class TestInputChecks:
 
 def test_open_loop_policy_lookup():
     pol = OpenLoopPolicy(([0.0, 0.5], [0, 1]))
-    assert pol.control_at(0.0, X0, ()) == 0
-    assert pol.control_at(0.49, X0, ()) == 0
-    assert pol.control_at(0.5, X0, ()) == 1
-    assert pol.control_at(2.0, X0, ()) == 1
+    for t, want in ((0.0, 0), (0.49, 0), (0.5, 1), (2.0, 1)):
+        assert pol.controls_along(np.array([t]), X0[None], ())[0] == want
     np.testing.assert_array_equal(
         pol.controls_along(np.array([0.1, 0.6]), np.zeros((2, 1)), ()),
         [0, 1])
+
+
+def two_control_motion():
+    """Drift and diffusion differ per control, so the engine asks the policy
+    for the control of every Euler step as the particle moves."""
+    return M.ModelParams(
+        dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
+        drift=(M.constant_vector([0.4]),
+               M.VectorSpec((M.CoefficientSpec(family="affine", intercept=-0.2,
+                                               slope=(-0.5,)),))),
+        diffusion=(M.constant_vector([0.3]), M.constant_vector([0.7])),
+        death_rate=(M.constant(0.8),),
+        offspring=((M.constant(0.4), M.constant(0.2)),),
+        running_cost=(M.constant(0.1), M.constant(0.4)),
+        terminal=M.CoefficientSpec(family="gaussian-bump", offset=0.2,
+                                   amplitude=0.7, center=(0.0,), width=0.8),
+        rate_bound=1.0, mean_offspring_bound=1.2, max_children=2)
+
+
+def track_digest(paths):
+    h = hashlib.sha256()
+    for p in paths:
+        for lab in sorted(p.tracks):
+            tr = p.tracks[lab]
+            for arr in (tr.times, tr.positions, tr.controls, tr.cost_cum):
+                h.update(arr.tobytes())
+        h.update(p.cost_integral.hex().encode())
+    return h.hexdigest()[:16]
+
+
+class TestControlDependentMotion:
+    # recorded from the engine that asked the policy one point at a time
+    # through a separate per-point method, over seeds 0..19
+    PINNED = {"open_loop": "1aba6e5a9b355e1f", "feedback": "d2264babbe4dd8dd"}
+
+    @staticmethod
+    def policy(name, m):
+        if name == "open_loop":
+            return OpenLoopPolicy(([0.0, 0.4], [1, 0]), {(0,): ([0.0, 0.7], [0, 1])})
+        cfg = hjb.GridConfig(x_lo=-4, x_hi=4, n_x=81, n_t=1, horizon=1.0)
+        cfg = hjb.GridConfig(x_lo=-4, x_hi=4, n_x=81,
+                             n_t=hjb.required_time_steps_for(m, cfg), horizon=1.0)
+        return hjb.extract_feedback(hjb.solve(m, cfg))
+
+    @pytest.mark.parametrize("name", ["open_loop", "feedback"])
+    def test_tracks_pinned(self, name):
+        m = two_control_motion()
+        pol = self.policy(name, m)
+        paths = [simulate(0.0, ROOT_START, pol, m, 0.05, 1.0, seed)
+                 for seed in range(20)]
+        used = {int(a) for p in paths for tr in p.tracks.values() for a in tr.controls}
+        assert used == {0, 1}
+        assert track_digest(paths) == self.PINNED[name]
 
 
 def test_write_path_csv(tmp_path):
