@@ -29,8 +29,10 @@ from .simulator import (
     ConstantPolicy,
     OpenLoopPolicy,
     PopulationPath,
+    SimulationSetup,
     pathwise_cost,
     pathwise_cost_log_form,
+    prepare_simulation,
     simulate,
     simulate_coupled,
 )

@@ -131,13 +131,35 @@ class Experiment:
         if not isinstance(particles, list) or not particles:
             _fail("initial.particles", "expected a non-empty list")
         self.initial = {}
+        index = {}     # label -> its particle's index in the list
         for i, p in enumerate(particles):
-            p = dict(_require_mapping(p, f"initial.particles[{i}]"))
-            lab = label_from_str(str(_take(p, "label", f"initial.particles[{i}]",
-                                           required=False, default="")))
-            pos = _take(p, "position", f"initial.particles[{i}]")
-            _check_empty(p, f"initial.particles[{i}]")
+            where = f"initial.particles[{i}]"
+            p = dict(_require_mapping(p, where))
+            text = _take(p, "label", where, required=False, default="")
+            if isinstance(text, bool) or not isinstance(text, (str, int)):
+                # YAML reads an unquoted 0.10 as the number 0.1
+                _fail(f"{where}.label", f"expected a quoted label such as \"0.1\", "
+                                        f"got {text!r}")
+            text = str(text)
+            try:
+                lab = label_from_str(text)
+            except ValueError as err:
+                _fail(f"{where}.label", str(err))
+            if lab in index:
+                _fail(f"{where}.label", f"label {text!r} repeats the label of "
+                                        f"initial.particles[{index[lab]}]")
+            index[lab] = i
+            pos = _take(p, "position", where)
+            _check_empty(p, where)
             self.initial[lab] = np.asarray(pos, dtype=float)
+        # sorted, a label is followed by its descendants (as in is_antichain)
+        ordered = sorted(index)
+        for a, b in zip(ordered, ordered[1:]):
+            if b[:len(a)] == a:
+                i, j = sorted((index[a], index[b]))
+                _fail(f"initial.particles[{j}].label",
+                      f"the founders violate the antichain condition: one of "
+                      f"initial.particles[{i}] and [{j}] descends from the other")
 
         grid_node = _take(doc, "grid", "experiment", required=False)
         self.grid_doc = None

@@ -6,9 +6,10 @@ against a solved value surface, the population moment bound, and the
 coupling-success probability of perturbed models.
 
 Every estimate is a deterministic function of its inputs and the seed base;
-replication k uses seed ``seed_base + k``.  Replications may fan out over
-worker processes; results are keyed by replication index, so the reduction
-does not depend on completion order.
+replication k uses seed ``seed_base + k``.  Each estimator call builds the
+simulation set-up of its inputs once and hands it to every replication.
+Replications may fan out over worker processes; results are keyed by
+replication index, so the reduction does not depend on completion order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 from .errors import ConfigurationError, ExplosionGuardError
 from .hjb import ValueGrid, evaluate, evaluate_many
 from .model import ModelParams, generator
-from .simulator import PopulationPath, pathwise_cost, simulate, simulate_coupled
+from .simulator import (PopulationPath, pathwise_cost, prepare_simulation, simulate,
+                        simulate_coupled)
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +109,10 @@ def _fan_out(worker, args, n_reps: int, threads: int) -> list:
 
 
 def _cost_worker(args, k):
-    (t, mu, policy, params, step, horizon, seed_base, cap) = args
-    path = simulate(t, mu, policy, params, step, horizon, seed_base + k,
-                    population_cap=cap, record_paths=False)
-    return RepSummary(seed=seed_base + k, cost=pathwise_cost(path, params),
+    (setup, seed_base, cap) = args
+    path = simulate(*setup.inputs, seed_base + k, population_cap=cap,
+                    record_paths=False, setup=setup)
+    return RepSummary(seed=seed_base + k, cost=pathwise_cost(path, setup.params),
                       sup_population=path.sup_population,
                       n_events=len(path.events), extinct=path.extinct)
 
@@ -119,8 +121,8 @@ def run_replications(t, mu, policy, params: ModelParams, n_reps: int, step: floa
                      horizon: float, seed_base: int, *, population_cap: int = 10**6,
                      threads: int = 1) -> list[RepSummary]:
     """Simulate independent replications and collect per-path summaries."""
-    args = (t, dict(mu), policy, params, step, horizon, seed_base, population_cap)
-    return _fan_out(_cost_worker, args, n_reps, threads)
+    setup = prepare_simulation(t, mu, policy, params, step, horizon)
+    return _fan_out(_cost_worker, (setup, seed_base, population_cap), n_reps, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +342,10 @@ def _path_operator_integral(path: PopulationPath, u: SmoothTestFunction,
 
 
 def _dynkin_worker(args, k):
-    (t, mu, policy, params, u, s, step, seed_base, cap) = args
-    path = simulate(t, mu, policy, params, step, s, seed_base + k,
-                    population_cap=cap, record_paths=True)
+    (setup, u, seed_base, cap) = args
+    t, s, params = setup.t, setup.horizon, setup.params
+    path = simulate(*setup.inputs, seed_base + k, population_cap=cap,
+                    record_paths=True, setup=setup)
     terminal = math.exp(-path.cost_integral)
     for x in path.final.values():
         terminal *= float(u.value(s, x))
@@ -361,7 +364,8 @@ def dynkin_residual(u: SmoothTestFunction, t, mu, policy, params: ModelParams,
     quadrature bias."""
     if not t <= s:
         raise ConfigurationError("need t <= s")
-    args = (t, dict(mu), policy, params, u, s, step, seed_base, population_cap)
+    setup = prepare_simulation(t, mu, policy, params, step, s)
+    args = (setup, u, seed_base, population_cap)
     residuals = np.array(_fan_out(_dynkin_worker, args, n_reps, threads))
     return estimate_from_samples(residuals, seed_base)
 
@@ -380,9 +384,10 @@ class DppReport:
 
 
 def _dpp_worker(args, k):
-    (t, mu, policy, params, grid, tau_kind, s, step, seed_base, cap) = args
-    path = simulate(t, mu, policy, params, step, s, seed_base + k,
-                    population_cap=cap, record_paths=True)
+    (setup, grid, tau_kind, seed_base, cap) = args
+    s, params = setup.horizon, setup.params
+    path = simulate(*setup.inputs, seed_base + k, population_cap=cap,
+                    record_paths=True, setup=setup)
     if tau_kind == "first-event":
         for idx, ev in enumerate(path.events):
             if ev.kind != "phantom":
@@ -416,8 +421,8 @@ def dpp_check(t, mu, policy, params: ModelParams, tau_rule, value_grid: ValueGri
         raise ConfigurationError(f"unknown stopping rule {kind!r}")
     if not t <= s <= value_grid.horizon + 1e-12:
         raise ConfigurationError("stopping time must lie in [t, horizon]")
-    args = (t, dict(mu), policy, params, value_grid, kind, s, step, seed_base,
-            population_cap)
+    setup = prepare_simulation(t, mu, policy, params, step, s)
+    args = (setup, value_grid, kind, seed_base, population_cap)
     values = np.array(_fan_out(_dpp_worker, args, n_reps, threads))
     est = estimate_from_samples(values, seed_base)
     reference = 1.0
@@ -469,9 +474,11 @@ class CouplingReport:
 
 
 def _coupling_worker(args, k):
-    (t, mu, policy, params, params_tilde, delta, step, horizon, seed_base, cap) = args
-    _, _, ok = simulate_coupled(t, mu, policy, params, params_tilde, delta,
-                                step, horizon, seed_base + k, population_cap=cap)
+    (setups, delta, seed_base, cap) = args
+    t, mu, policy, params, step, horizon = setups[0].inputs
+    _, _, ok = simulate_coupled(t, mu, policy, params, setups[1].params, delta,
+                                step, horizon, seed_base + k, population_cap=cap,
+                                setups=setups)
     return bool(ok)
 
 
@@ -481,8 +488,9 @@ def coupling_probe(t, mu, policy, params: ModelParams, params_tilde: ModelParams
                    threads: int = 1) -> CouplingReport:
     """Empirical probability that two models driven by identical randomness
     keep the same genealogy and stay within ``delta`` of each other."""
-    args = (t, dict(mu), policy, params, params_tilde, delta, step, horizon,
-            seed_base, population_cap)
+    setups = tuple(prepare_simulation(t, mu, policy, p, step, horizon)
+                   for p in (params, params_tilde))
+    args = (setups, delta, seed_base, population_cap)
     flags = _fan_out(_coupling_worker, args, n_reps, threads)
     n_success = int(sum(flags))
     rate = n_success / n_reps

@@ -34,10 +34,15 @@ def label_to_str(i: Label) -> str:
 
 
 def label_from_str(s: str) -> Label:
-    """Inverse of :func:`label_to_str`."""
+    """Inverse of :func:`label_to_str`; raises ValueError unless ``s`` is
+    empty or dot-joined non-negative integers."""
     if s == "":
         return ROOT
-    return tuple(int(part) for part in s.split("."))
+    parts = s.split(".")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"malformed label {s!r}: expected dot-joined "
+                         "non-negative integers, or \"\" for the root")
+    return tuple(int(part) for part in parts)
 
 
 def is_antichain(labels) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -296,6 +296,97 @@ def _make_plan(policy, params: ModelParams) -> _MotionPlan:
     return plan
 
 
+@dataclass(frozen=True, eq=False)
+class SimulationSetup:
+    """Everything a path needs that does not depend on its seed: the inputs
+    it was built for, the motion plan, the position-free event geometry of
+    each control and whether running costs vanish.  Build it once per
+    estimator call with :func:`prepare_simulation` and hand it to every
+    :func:`simulate` call; its arrays are read-only, in the workers too."""
+
+    t: float
+    initial: dict[Label, np.ndarray]   # founders' positions as float arrays
+    policy: object
+    params: ModelParams
+    step: float
+    horizon: float
+    plan: _MotionPlan
+    static_geom: dict[int, tuple[float, np.ndarray]]   # control -> (death rate, boundaries)
+    cost_free: bool
+
+    def __post_init__(self):
+        arrays = [*self.initial.values(), *(b for _, b in self.static_geom.values()),
+                  self.plan.b_const, self.plan.sig_const]
+        for arr in arrays:
+            if arr is not None:
+                arr.flags.writeable = False
+
+    def __reduce__(self):
+        # unpickling goes through __init__, so the copy in a worker is
+        # read-only as well
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    @property
+    def inputs(self) -> tuple:
+        """The leading arguments of :func:`simulate` this set-up was built
+        for: (t, initial, policy, params, step, horizon)."""
+        return self.t, self.initial, self.policy, self.params, self.step, self.horizon
+
+    def check(self, t, initial, policy, params, step, horizon) -> None:
+        """Raise :class:`ConfigurationError` unless these are the inputs the
+        set-up was built for (the same policy object, an equal model)."""
+        same = (float(t) == self.t and float(step) == self.step
+                and float(horizon) == self.horizon
+                and policy is self.policy
+                and (params is self.params or params == self.params))
+        if same and initial is not self.initial:
+            given = _founders(initial, self.params.dim)
+            same = (given.keys() == self.initial.keys()
+                    and all(np.array_equal(x, self.initial[lab])
+                            for lab, x in given.items()))
+        if not same:
+            raise ConfigurationError(
+                "simulation set-up was built for other inputs: start time, "
+                "founders, policy, model, step size or horizon differ")
+
+
+def _founders(initial: dict, dim: int) -> dict[Label, np.ndarray]:
+    """Founders' positions as fresh float arrays of shape (dim,)."""
+    out = {}
+    for lab, x in initial.items():
+        pos = np.array(x, dtype=float, ndmin=1)
+        if pos.shape != (dim,):
+            raise ConfigurationError(
+                f"position for label {lab!r} has shape {pos.shape}, "
+                f"expected ({dim},)")
+        out[tuple(lab)] = pos
+    return out
+
+
+def prepare_simulation(t: float, initial: dict, policy, params: ModelParams,
+                       step: float, horizon: float) -> SimulationSetup:
+    """Check the inputs of :func:`simulate` and build their
+    :class:`SimulationSetup`."""
+    if step <= 0:
+        raise ConfigurationError("step size must be positive")
+    if t > horizon:
+        raise ConfigurationError("start time exceeds horizon")
+    founders = _founders(initial, params.dim)
+    assert_antichain(founders.keys())
+    # event geometry is position-free for many models; cache it per control
+    static_geom = {}
+    origin = np.zeros(params.dim)
+    for a in params.controls.indices:
+        if (params.death_rate[a].state_independent
+                and all(p.state_independent for p in params.offspring[a])):
+            static_geom[a] = (params.death_rate_at(origin, a),
+                              offspring_boundaries(origin, a, params))
+    return SimulationSetup(
+        t=float(t), initial=founders, policy=policy, params=params,
+        step=float(step), horizon=float(horizon), plan=_make_plan(policy, params),
+        static_geom=static_geom, cost_free=params.cost_is_zero())
+
+
 def particle_grid(t0: float, start: float, end: float, step: float) -> np.ndarray:
     """Euler grid of one particle on [start, end] for a path started at t0.
 
@@ -342,49 +433,33 @@ def _join_pieces(pieces: list[tuple]) -> Track:
 
 
 class _Simulation:
-    def __init__(self, t, initial, policy, params: ModelParams, step, horizon, seed,
-                 population_cap, record_paths):
-        if step <= 0:
-            raise ConfigurationError("step size must be positive")
-        if t > horizon:
-            raise ConfigurationError("start time exceeds horizon")
-        init = {}
-        for lab, x in initial.items():
-            pos = np.atleast_1d(np.asarray(x, dtype=float))
-            if pos.shape != (params.dim,):
-                raise ConfigurationError(
-                    f"position for label {lab!r} has shape {pos.shape}, "
-                    f"expected ({params.dim},)")
-            init[tuple(lab)] = pos
-        assert_antichain(init.keys())
-        self.params = params
-        self.policy = policy
-        self.step = float(step)
-        self.start = float(t)
-        self.horizon = float(horizon)
+    def __init__(self, setup: SimulationSetup, seed, population_cap, record_paths):
+        self.params = setup.params
+        self.policy = setup.policy
+        self.step = setup.step
+        self.start = setup.t
+        self.horizon = setup.horizon
         self.cap = int(population_cap)
         self.seed = int(seed)
-        self.plan = _make_plan(policy, params)
-        self.cost_free = params.cost_is_zero()
+        self.plan = setup.plan
+        self.cost_free = setup.cost_free
+        self._static_geom = setup.static_geom
+        # only the constant control is read when no step cost or track needs
+        # the control of every step
+        self.per_step_controls = not self.cost_free or record_paths
         self.driver = RandomDriver(seed)
-        self.pop = init                                      # label -> position at its own time
-        self.clock = {lab: self.start for lab in init}      # label -> its own time
+        # label -> position at its own time; positions are replaced, never
+        # written into, so the founders' read-only arrays can start it
+        self.pop = dict(setup.initial)
+        self.clock = {lab: self.start for lab in self.pop}  # label -> its own time
         self.rings: list[tuple[float, Label]] = []          # heap of pending rings
         self.cost = 0.0
         self.events: list[JumpEvent] = []
         self.pieces: dict[Label, list] | None = (
-            {lab: [] for lab in init} if record_paths else None)
-        self.sup_n = len(init)
+            {lab: [] for lab in self.pop} if record_paths else None)
+        self.sup_n = len(self.pop)
         self.n_steps = 0
-        self.initial_snapshot = {lab: pos.copy() for lab, pos in init.items()}
-        # event geometry is position-free for many models; cache it per control
-        self._static_geom: dict[int, tuple[float, np.ndarray]] = {}
-        origin = np.zeros(params.dim)
-        for a in params.controls.indices:
-            if (params.death_rate[a].state_independent
-                    and all(p.state_independent for p in params.offspring[a])):
-                self._static_geom[a] = (params.death_rate_at(origin, a),
-                                        offspring_boundaries(origin, a, params))
+        self.initial_snapshot = {lab: pos.copy() for lab, pos in self.pop.items()}
 
     def _spawn_clock(self, label: Label, now: float) -> None:
         if self.params.rate_bound > 0.0:
@@ -422,7 +497,7 @@ class _Simulation:
         """Step particle ``lab`` from its own time to ``target`` on its own
         grid; returns the control of its last step."""
         grid = particle_grid(self.start, self.clock[lab], target, self.step)
-        deltas = np.diff(grid)
+        deltas = grid[1:] - grid[:-1]
         xs, ctrls = self._motion(lab, self.pop[lab], grid, deltas)
         if not np.isfinite(xs).all():
             bad = int(np.argmin(np.isfinite(xs).all(axis=1)))
@@ -443,10 +518,12 @@ class _Simulation:
             if step_cost is None:
                 step_cost = np.zeros(len(deltas))
             self.pieces[lab].append((grid, xs, ctrls, step_cost))
-        return int(ctrls[-1])
+        return self.plan.const_control if ctrls is None else int(ctrls[-1])
 
     def _motion(self, lab, x0, grid, deltas):
-        """Euler-Maruyama positions on ``grid`` and the control of each step."""
+        """Euler-Maruyama positions on ``grid`` and the control of each step,
+        or None for the latter when the control is constant and nothing reads
+        it per step."""
         params, plan = self.params, self.plan
         n_steps = len(deltas)
         dw = None
@@ -475,11 +552,13 @@ class _Simulation:
                 xs[k + 1] = x
             if queried is not None:
                 return xs, queried
-        if plan.const_control is not None:
-            ctrls = np.full(n_steps, plan.const_control, dtype=np.int64)
-        else:
+        if plan.const_control is None:
             ctrls = np.asarray(
                 self.policy.controls_along(grid[:-1], xs[:-1], lab), dtype=np.int64)
+        elif self.per_step_controls:
+            ctrls = np.full(n_steps, plan.const_control, dtype=np.int64)
+        else:
+            ctrls = None
         return xs, ctrls
 
     # -- events ----------------------------------------------------------------
@@ -489,7 +568,8 @@ class _Simulation:
         the control in force on its last Euler step."""
         params = self.params
         x = self.pop[lab]
-        mark = float(self.driver.event_stream(lab).uniform(0.0, params.rate_bound))
+        # the draw of uniform(0, rate_bound), which computes 0 + rate_bound * u
+        mark = float(self.driver.event_stream(lab).random() * params.rate_bound)
         geom = self._static_geom.get(a)
         if geom is not None:
             gamma, bounds = geom
@@ -556,23 +636,30 @@ def write_path_csv(path: PopulationPath, file) -> None:
 
 def simulate(t: float, initial: dict, policy, params: ModelParams, step: float,
              horizon: float, seed: int, *, population_cap: int = 10**6,
-             record_paths: bool = True) -> PopulationPath:
+             record_paths: bool = True, setup: SimulationSetup | None = None
+             ) -> PopulationPath:
     """Simulate one path of the controlled branching diffusion on [t, horizon].
 
     ``initial`` maps labels to positions and must satisfy the antichain
     condition.  Fixed seed and inputs give a bit-identical path on every call.
+    ``setup``, from :func:`prepare_simulation` on the same inputs, saves
+    rebuilding their set-up on every call; one built for other inputs raises
+    :class:`ConfigurationError`.
     Raises :class:`ExplosionGuardError` when the population exceeds
     ``population_cap`` and :class:`NumericalFailureError` when a particle's
     position stops being finite.
     """
-    sim = _Simulation(t, initial, policy, params, step, horizon, seed,
-                      population_cap, record_paths)
-    return sim.run()
+    if setup is None:
+        setup = prepare_simulation(t, initial, policy, params, step, horizon)
+    else:
+        setup.check(t, initial, policy, params, step, horizon)
+    return _Simulation(setup, seed, population_cap, record_paths).run()
 
 
 def simulate_coupled(t: float, initial: dict, policy, params: ModelParams,
                      params_tilde: ModelParams, delta: float, step: float,
-                     horizon: float, seed: int, *, population_cap: int = 10**6
+                     horizon: float, seed: int, *, population_cap: int = 10**6,
+                     setups: tuple[SimulationSetup, SimulationSetup] | None = None
                      ) -> tuple[PopulationPath, PopulationPath, bool]:
     """Run two models on identical randomness and compare their paths.
 
@@ -580,7 +667,8 @@ def simulate_coupled(t: float, initial: dict, policy, params: ModelParams,
     Success means the event outcome sequences agree event by event (each
     system classifying marks against its own intervals at its own positions)
     and the particle positions never drift more than ``delta`` apart.  After
-    a divergence the runs simply continue independently.
+    a divergence the runs simply continue independently.  ``setups`` holds
+    the two models' set-ups, as :func:`simulate` takes them.
     """
     if (params.rate_bound != params_tilde.rate_bound
             or params.max_children != params_tilde.max_children
@@ -588,10 +676,12 @@ def simulate_coupled(t: float, initial: dict, policy, params: ModelParams,
             or params.noise_dim != params_tilde.noise_dim):
         raise ConfigurationError(
             "coupled models must share rate bound, offspring support and dimensions")
+    setup, setup_tilde = setups if setups is not None else (None, None)
     path = simulate(t, initial, policy, params, step, horizon, seed,
-                    population_cap=population_cap, record_paths=True)
+                    population_cap=population_cap, record_paths=True, setup=setup)
     path_tilde = simulate(t, initial, policy, params_tilde, step, horizon, seed,
-                          population_cap=population_cap, record_paths=True)
+                          population_cap=population_cap, record_paths=True,
+                          setup=setup_tilde)
     return path, path_tilde, _coupling_success(path, path_tilde, delta)
 
 

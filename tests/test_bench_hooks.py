@@ -33,3 +33,21 @@ def test_setup_probe_on_bundled_experiment():
     setup_probe = load("setup_probe")
     config = REPO / "configs" / "experiments" / "dpp_two_control.yaml"
     assert setup_probe.main(str(config)) == 0
+
+
+def test_tracer_sees_every_path():
+    """Workers reach the engine through the patched ``simulate``: a refactor
+    that routes around it would leave the traced path metrics empty."""
+    tracing = load("tracing")
+    params = modelio.load_model(REPO / "configs" / "models" / "subcritical_drift.yaml")
+    start = {(): [0.0]}
+    policy = simulator.ConstantPolicy(0)
+    tracer = tracing.Tracer()
+    with tracer.installed(branchdiff):
+        estimator.estimate_value(0.0, start, policy, params, 50, 0.05, 7, horizon=1.0)
+        assert len(tracer.path_rows) == 50
+        estimator.coupling_probe(0.0, start, policy, params,
+                                 model.perturbed_copy(params, 0.01), 0.05, 20,
+                                 0.05, 1.0, 8)
+    assert len(tracer.path_rows) == 50 + 2 * 20
+    assert tracer.violations == []

@@ -1,0 +1,146 @@
+"""Bit-for-bit pins of the engine's output.
+
+Each digest hashes, path by path, the event log (time, label, kind, number of
+children, mark, position), the final positions, the cost integral, the step
+and population counters and, when they are recorded, the tracks.  A change
+that is meant to leave the engine's results alone must leave these digests
+alone; one that changes the streams or the order of float operations shows
+up here first.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from branchdiff import model as M
+from branchdiff.modelio import load_model
+from branchdiff.simulator import (ConstantPolicy, OpenLoopPolicy, simulate,
+                                  simulate_coupled)
+
+MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
+SEEDS = range(20)
+STEP, HORIZON = 0.05, 1.0
+
+ROOT = {(): np.zeros(1)}
+FOUNDERS_16 = {(i,): np.array([0.2 * i - 1.5]) for i in range(16)}
+
+
+def state_dependent():
+    """Motion, death rate and offspring all depend on the position, so no
+    part of the event geometry or the motion can be cached."""
+    affine = M.VectorSpec((M.CoefficientSpec(family="affine", intercept=0.1,
+                                             slope=(-0.4,)),))
+    logistic = M.CoefficientSpec(family="logistic", lo=0.2, hi=0.9, slope=(2.0,),
+                                 center=(0.0,))
+    bump = M.CoefficientSpec(family="gaussian-bump", offset=0.2, amplitude=0.3,
+                             center=(0.5,), width=0.7)
+    return M.ModelParams(
+        dim=1, noise_dim=1, controls=M.ControlSet.of_size(1),
+        drift=(affine,),
+        diffusion=(M.VectorSpec((M.CoefficientSpec(
+            family="affine", intercept=0.3, slope=(0.05,)),)),),
+        death_rate=(logistic,), offspring=((bump, M.constant(0.1)),),
+        running_cost=(M.constant(0.2),),
+        terminal=M.constant(0.5),
+        rate_bound=1.0, mean_offspring_bound=1.5, max_children=2)
+
+
+def case(name):
+    if name == "state_dependent":
+        return state_dependent(), ConstantPolicy(0)
+    model_name, policy = {
+        "critical_binary": ("critical_binary", ConstantPolicy(0)),
+        "subcritical_drift": ("subcritical_drift", ConstantPolicy(0)),
+        "harvest_c0": ("two_control_harvest", ConstantPolicy(0)),
+        "harvest_c1": ("two_control_harvest", ConstantPolicy(1)),
+        "harvest_open_loop": ("two_control_harvest",
+                              OpenLoopPolicy(([0.0, 0.5], [1, 0]))),
+    }[name]
+    return load_model(MODELS / f"{model_name}.yaml"), policy
+
+
+def update_path(h, path):
+    for ev in path.events:
+        h.update(f"{ev.time.hex()} {ev.label} {ev.kind} {ev.n_children} "
+                 f"{ev.mark.hex()} {ev.pop_size_after}\n".encode())
+        h.update(ev.position.tobytes())
+    for lab in sorted(path.final):
+        h.update(f"final {lab}\n".encode())
+        h.update(path.final[lab].tobytes())
+    h.update(f"{path.cost_integral.hex()} {path.n_steps} "
+             f"{path.sup_population}\n".encode())
+    if path.tracks is not None:
+        for lab in sorted(path.tracks):
+            tr = path.tracks[lab]
+            h.update(f"track {lab}\n".encode())
+            for arr in (tr.times, tr.positions, tr.controls.astype(np.int64),
+                        tr.cost_cum):
+                h.update(arr.tobytes())
+
+
+def digest(name, start, record):
+    params, policy = case(name)
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        path = simulate(0.0, start, policy, params, STEP, HORIZON, seed,
+                        record_paths=record)
+        assert (path.tracks is not None) == record
+        update_path(h, path)
+    return h.hexdigest()[:16]
+
+
+# recorded from the engine that rebuilt every path's set-up per call
+PINNED = {
+    # (model case, start, record_paths): digest over seeds 0..19
+    ("critical_binary", "root", False): "72f2932895a6915d",
+    ("critical_binary", "root", True): "3f0983a40f357139",
+    ("critical_binary", "founders16", False): "ee38a4ff1fcbaf5d",
+    ("critical_binary", "founders16", True): "15eff6c49917e962",
+    ("subcritical_drift", "root", False): "e2efd5d5a2715b64",
+    ("subcritical_drift", "root", True): "d84dff6d8fd37d2c",
+    ("subcritical_drift", "founders16", False): "16fbd10d1ad23cd6",
+    ("subcritical_drift", "founders16", True): "84f3589b0bdd638d",
+    ("harvest_c0", "root", False): "7eb201a75d346719",
+    ("harvest_c0", "root", True): "4114551f530d02c6",
+    ("harvest_c0", "founders16", False): "1feadee1f7f48d51",
+    ("harvest_c0", "founders16", True): "48af9b7c59dc272b",
+    ("harvest_c1", "root", False): "c2f91af2cee1d414",
+    ("harvest_c1", "root", True): "4e495e069f5e03fb",
+    ("harvest_c1", "founders16", False): "78008cd17497b304",
+    ("harvest_c1", "founders16", True): "ee3e5cb412df306c",
+    ("harvest_open_loop", "root", False): "9bc86f3d3cc9b094",
+    ("harvest_open_loop", "root", True): "1a0d1da2b2cdf359",
+    ("harvest_open_loop", "founders16", False): "9c5ca4352c089d90",
+    ("harvest_open_loop", "founders16", True): "2816baf189bab351",
+    ("state_dependent", "root", False): "8d502a23f5c42e8a",
+    ("state_dependent", "root", True): "112e32d827a2dceb",
+    ("state_dependent", "founders16", False): "6dce2cc606d22720",
+    ("state_dependent", "founders16", True): "69930d7c6b961eed",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED), ids=lambda k: "-".join(map(str, k)))
+def test_paths_pinned(key):
+    name, start, record = key
+    assert digest(name, {"root": ROOT, "founders16": FOUNDERS_16}[start],
+                  record) == PINNED[key]
+
+
+COUPLED_PINNED = "e73e01f5b135daf3"
+
+
+def test_coupled_pair_pinned():
+    params = load_model(MODELS / "subcritical_drift.yaml")
+    tilde = M.perturbed_copy(params, 0.1)
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        for start in (ROOT, FOUNDERS_16):
+            path, path_tilde, ok = simulate_coupled(
+                0.0, start, ConstantPolicy(0), params, tilde, 0.05, STEP, HORIZON,
+                seed)
+            update_path(h, path)
+            update_path(h, path_tilde)
+            h.update(b"1" if ok else b"0")
+    assert h.hexdigest()[:16] == COUPLED_PINNED

@@ -345,3 +345,32 @@ tasks:
     report = read_json(tmp_path / "out" / "task_00_dpp.json")
     assert len(report["results"]["inequalities"]) == 8
     assert report["passed"] is True
+
+
+TWO_FOUNDERS = EXPERIMENT.replace(
+    '    - {{label: "", position: [0.0]}}',
+    '    - {{label: "{a}", position: [0.0]}}\n    - {{label: "{b}", position: [0.5]}}')
+
+
+@pytest.mark.parametrize("first, second, bad", [
+    ("x", "1", 0),          # not a number
+    ("0", "1..2", 1),       # empty part
+    ("-1", "0", 0),         # negative
+    ("0", "0.1", 1),        # a founder descends from another
+    ("0", "0", 1),          # the same label twice
+], ids=["not_a_number", "empty_part", "negative", "not_antichain", "duplicate"])
+def test_bad_initial_label_exits_parse(tmp_path, capsys, first, second, bad):
+    body = TWO_FOUNDERS.replace("{a}", first).replace("{b}", second)
+    cfg = write_experiment(tmp_path, body=body)
+    assert cli.run(cfg) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"initial.particles[{bad}].label" in err
+    assert "internal error" not in err
+
+
+def test_unquoted_dotted_label_exits_parse(tmp_path, capsys):
+    # unquoted, YAML reads 0.10 as the number 0.1, which would be label (0, 1)
+    body = TWO_FOUNDERS.replace('"{a}"', "0.10").replace("{b}", "1")
+    cfg = write_experiment(tmp_path, body=body)
+    assert cli.run(cfg) == cli.EXIT_PARSE
+    assert "initial.particles[0].label" in capsys.readouterr().err

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from branchdiff import estimator, hjb, model as M
+from branchdiff import estimator, hjb, model as M, simulator
 from branchdiff.errors import ConfigurationError, ExplosionGuardError
 from branchdiff.simulator import ConstantPolicy, simulate, pathwise_cost
 
@@ -242,3 +243,71 @@ def test_summary_fields():
         assert s.cost in (0.0, 1.0)  # g == 0: cost is the extinction indicator
         assert s.extinct == (s.cost == 1.0)
         assert s.sup_population >= 1
+
+
+# motion, two controls with different death rates and running costs: every
+# part of the simulation set-up is in use
+HARVEST = M.ModelParams(
+    dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
+    drift=(M.constant_vector([0.0]),) * 2,
+    diffusion=(M.constant_vector([0.45]),) * 2,
+    death_rate=(M.constant(0.8), M.constant(0.3)),
+    offspring=((M.constant(0.5), M.constant(0.0)),) * 2,
+    running_cost=(M.constant(0.4), M.constant(0.05)),
+    terminal=BUMP, rate_bound=1.0, mean_offspring_bound=1.0, max_children=2)
+PAIR = {(0,): np.array([-0.3]), (1,): np.array([0.4])}
+U = estimator.SmoothTestFunction(family="gaussian-bump", base=0.2, scale=0.6,
+                                 decay=0.3, center=(0.0,), width=0.8)
+
+
+def harvest_grid():
+    cfg = hjb.GridConfig(x_lo=-4, x_hi=4, n_x=81, n_t=1, horizon=1.0)
+    cfg = hjb.GridConfig(x_lo=-4, x_hi=4, n_x=81,
+                         n_t=hjb.required_time_steps_for(HARVEST, cfg), horizon=1.0)
+    return hjb.solve(HARVEST, cfg)
+
+
+def run_estimator(name, n_reps, threads, grid=None):
+    pol = ConstantPolicy(1)
+    if name == "estimate":
+        return estimator.estimate_value(0.0, PAIR, pol, HARVEST, n_reps, 0.1, 40,
+                                        horizon=1.0, threads=threads)
+    if name == "dynkin":
+        return estimator.dynkin_residual(U, 0.0, PAIR, pol, HARVEST, 0.7, n_reps,
+                                         0.1, 41, threads=threads)
+    if name == "dpp":
+        return estimator.dpp_check(0.0, PAIR, pol, HARVEST, ("first-event", 0.8),
+                                   grid, n_reps, 0.1, 42, threads=threads)
+    tilde = M.perturbed_copy(HARVEST, 0.05)
+    return estimator.coupling_probe(0.0, PAIR, pol, HARVEST, tilde, 0.05, n_reps,
+                                    0.1, 1.0, 43, threads=threads)
+
+
+ESTIMATORS = ["estimate", "dynkin", "dpp", "couple"]
+
+
+class TestSetupBuiltOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("_make_plan", "offspring_boundaries"):
+            def counted(*args, _fn=getattr(simulator, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(simulator, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    def test_once_per_call(self, name, calls):
+        grid = harvest_grid() if name == "dpp" else None
+        run_estimator(name, 200, threads=1, grid=grid)
+        builds = 2 if name == "couple" else 1     # coupling: one per model
+        # the event geometry is position-free: one boundary set per control
+        assert calls == {"_make_plan": builds, "offspring_boundaries": 2 * builds}
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+def test_threads_do_not_change_estimators(name):
+    grid = harvest_grid() if name == "dpp" else None
+    assert (run_estimator(name, 120, threads=1, grid=grid)
+            == run_estimator(name, 120, threads=2, grid=grid))

@@ -61,6 +61,12 @@ def test_string_round_trip():
     assert labels.label_from_str("1.2.0") == (1, 2, 0)
 
 
+@pytest.mark.parametrize("text", ["x", "1..2", "-1", "1.", " 1", "+1", "1.\u00b2"])
+def test_malformed_label_string_rejected(text):
+    with pytest.raises(ValueError, match="malformed label"):
+        labels.label_from_str(text)
+
+
 def test_antichain_detection():
     assert labels.is_antichain([(0,), (1,), (2, 0)])
     assert not labels.is_antichain([(0,), (0, 1)])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from branchdiff.simulator import (
     particle_grid,
     pathwise_cost,
     pathwise_cost_log_form,
+    prepare_simulation,
     simulate,
     write_path_csv,
 )
@@ -449,6 +451,58 @@ class TestInputChecks:
     def test_open_loop_schedule_validation(self):
         with pytest.raises(ConfigurationError):
             OpenLoopPolicy(([0.0, 0.0], [0, 1]))
+
+
+class TestSimulationSetup:
+    m = make_model(b=0.2, sigma=0.3, gamma=0.8, rate_bound=1.0, p0=0.4, p1=0.1,
+                   c=0.2, mean_bound=1.1)
+
+    def inputs(self):
+        return (0.0, dict(FOUNDERS), ConstantPolicy(0), self.m, 0.1, 1.0)
+
+    def test_same_path_with_and_without_setup(self):
+        args = self.inputs()
+        setup = prepare_simulation(*args)
+        for seed in range(5):
+            for record in (False, True):
+                a = simulate(*args, seed, record_paths=record)
+                b = simulate(*args, seed, record_paths=record, setup=setup)
+                c = simulate(*setup.inputs, seed, record_paths=record, setup=setup)
+                assert a.equals(b) and a.equals(c)
+
+    def test_setup_for_other_inputs_rejected(self):
+        t, mu, pol, m, step, horizon = args = self.inputs()
+        setup = prepare_simulation(*args)
+        moved = dict(mu)
+        moved[(0,)] = mu[(0,)] + 0.1
+        other_model = make_model(b=0.3, sigma=0.3, gamma=0.8, rate_bound=1.0,
+                                 p0=0.4, p1=0.1, c=0.2, mean_bound=1.1)
+        for wrong in ((0.1, mu, pol, m, step, horizon),
+                      (t, moved, pol, m, step, horizon),
+                      (t, {(0,): mu[(0,)]}, pol, m, step, horizon),
+                      (t, mu, ConstantPolicy(0), m, step, horizon),
+                      (t, mu, pol, other_model, step, horizon),
+                      (t, mu, pol, m, 0.05, horizon),
+                      (t, mu, pol, m, step, 2.0)):
+            with pytest.raises(ConfigurationError, match="other inputs"):
+                simulate(*wrong, 1, setup=setup)
+        # equal inputs in other objects are the same inputs
+        same = (0, {lab: list(x) for lab, x in mu.items()}, pol,
+                make_model(b=0.2, sigma=0.3, gamma=0.8, rate_bound=1.0, p0=0.4,
+                           p1=0.1, c=0.2, mean_bound=1.1), step, horizon)
+        assert simulate(*same, 1, setup=setup).equals(simulate(*args, 1))
+
+    def test_arrays_read_only_and_callers_untouched(self):
+        args = self.inputs()
+        setup = prepare_simulation(*args)
+        for copy in (setup, pickle.loads(pickle.dumps(setup))):
+            arrays = [*copy.initial.values(), copy.plan.b_const, copy.plan.sig_const]
+            arrays += [bounds for _, bounds in copy.static_geom.values()]
+            assert arrays and not any(a.flags.writeable for a in arrays)
+        assert all(x.flags.writeable for x in args[1].values())
+        path = simulate(*args, 3, setup=setup)
+        assert all(x.flags.writeable for x in path.initial.values())
+        assert all(x.flags.writeable for x in path.final.values())
 
 
 def test_open_loop_policy_lookup():
