@@ -715,23 +715,24 @@ def run(config_path, *, out=None, seed=None, reps=None, threads=1) -> int:
                   file=sys.stderr)
             return EXIT_VALIDATION
 
-        for idx, (kind, task) in enumerate(exp.tasks):
-            body = _TASK_FUNCS[kind](runner, idx, dict(task), exp.output_dir)
-            passed = all(c["passed"] for c in body["checks"])
-            report = {
-                "task": idx, "kind": kind,
-                "config_digest": exp.digest,
-                "model": exp.model_path.name,
-                "seed_base": exp.seed_base,
-                "step": exp.step, "horizon": exp.horizon,
-                "results": body["results"], "checks": body["checks"],
-                "passed": passed,
-            }
-            fname = f"task_{idx:02d}_{kind.replace('-', '_')}.json"
-            (exp.output_dir / fname).write_text(dump_json(report) + "\n")
-            report_files.append((idx, kind, passed, fname))
-            status = "pass" if passed else "FAIL"
-            print(f"[{status}] task {idx} {kind}")
+        with estimator.worker_pool(exp.threads):   # one pool for every task
+            for idx, (kind, task) in enumerate(exp.tasks):
+                body = _TASK_FUNCS[kind](runner, idx, dict(task), exp.output_dir)
+                passed = all(c["passed"] for c in body["checks"])
+                report = {
+                    "task": idx, "kind": kind,
+                    "config_digest": exp.digest,
+                    "model": exp.model_path.name,
+                    "seed_base": exp.seed_base,
+                    "step": exp.step, "horizon": exp.horizon,
+                    "results": body["results"], "checks": body["checks"],
+                    "passed": passed,
+                }
+                fname = f"task_{idx:02d}_{kind.replace('-', '_')}.json"
+                (exp.output_dir / fname).write_text(dump_json(report) + "\n")
+                report_files.append((idx, kind, passed, fname))
+                status = "pass" if passed else "FAIL"
+                print(f"[{status}] task {idx} {kind}")
     except ConfigurationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -10,12 +10,16 @@ replication k uses seed ``seed_base + k``.  Each estimator call builds the
 simulation set-up of its inputs once and hands it to every replication.
 Replications may fan out over worker processes; results are keyed by
 replication index, so the reduction does not depend on completion order.
+Inside a :func:`worker_pool` block every fan-out shares that block's pool;
+elsewhere each call opens a pool of its own.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +76,26 @@ _estimate_from = estimate_from_samples
 # ---------------------------------------------------------------------------
 # replication fan-out
 
+_POOL: ContextVar[ProcessPoolExecutor | None] = ContextVar("branchdiff_pool",
+                                                          default=None)
+
+
+@contextlib.contextmanager
+def worker_pool(threads: int):
+    """Run the block with one pool of ``threads`` worker processes, shared by
+    every fan-out inside it and shut down when it ends.  Within a block that
+    already holds a pool, and for ``threads <= 1``, it does nothing."""
+    if threads <= 1 or _POOL.get() is not None:
+        yield
+        return
+    with ProcessPoolExecutor(max_workers=threads) as ex:
+        token = _POOL.set(ex)
+        try:
+            yield
+        finally:
+            _POOL.reset(token)
+
+
 def _run_chunk(worker, args, lo, hi):
     return [worker(args, i) for i in range(lo, hi)]
 
@@ -90,21 +114,21 @@ def _fan_out(worker, args, n_reps: int, threads: int) -> list:
         return out
     n_chunks = threads * 8
     bounds = np.linspace(0, n_reps, n_chunks + 1).astype(int)
-    futures = []
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                futures.append(ex.submit(_run_chunk, worker, args, int(lo), int(hi)))
+    with worker_pool(threads):
+        ex = _POOL.get()
+        futures = [ex.submit(_run_chunk, worker, args, int(lo), int(hi))
+                   for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         results = []
-        done = 0
-        for fut in futures:
-            try:
-                chunk = fut.result()
-            except ExplosionGuardError as err:
-                err.completed_replications = done
-                raise
-            results.extend(chunk)
-            done += len(chunk)
+        try:
+            for fut in futures:
+                results.extend(fut.result())
+        except ExplosionGuardError as err:
+            err.completed_replications = len(results)
+            raise
+        finally:
+            # a failed call leaves no chunk queued, in a shared pool too
+            for fut in futures:
+                fut.cancel()
     return results
 
 

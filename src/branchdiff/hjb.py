@@ -94,10 +94,14 @@ class ValueGrid:
 # CFL
 
 def _coefficient_tables(params: ModelParams, nodes: np.ndarray) -> Coefficients:
-    """Coefficients over the node set, stacked over the controls."""
+    """Coefficients over the node set, stacked over the controls; position-free
+    rows are broadcast to the nodes first."""
+    n = len(nodes)
     per_control = [params.coefficients(nodes[:, None], a)
                    for a in params.controls.indices]
-    return Coefficients(*map(np.stack, zip(*per_control)))
+    return Coefficients(*(np.stack([np.broadcast_to(f, (n,) + f.shape[1:])
+                                    for f in fields])
+                          for fields in zip(*per_control)))
 
 
 def cfl_ratio(params: ModelParams, grid: GridConfig) -> float:
@@ -206,15 +210,17 @@ def evaluate_many(grid: ValueGrid, t: float, xs: np.ndarray) -> np.ndarray:
         raise ValueError(f"time {t} outside [0, {horizon}]")
     t = min(max(t, 0.0), horizon)
     xs = np.asarray(xs, dtype=float)
-    xq = np.clip(xs[:, 0], grid.nodes[0], grid.nodes[-1])
+    # np.minimum/np.maximum compute np.clip at a lower cost per call
+    xq = np.minimum(np.maximum(xs[:, 0], grid.nodes[0]), grid.nodes[-1])
     dt = grid.times[1] - grid.times[0]
     kf = min(int(t / dt), len(grid.times) - 2)
     wt = (t - grid.times[kf]) / dt
-    j = np.clip(np.searchsorted(grid.nodes, xq, side="right") - 1, 0, len(grid.nodes) - 2)
+    j = np.minimum(np.maximum(np.searchsorted(grid.nodes, xq, side="right") - 1, 0),
+                   len(grid.nodes) - 2)
     wx = (xq - grid.nodes[j]) / (grid.nodes[j + 1] - grid.nodes[j])
     lo = grid.values[kf, j] * (1 - wx) + grid.values[kf, j + 1] * wx
     hi = grid.values[kf + 1, j] * (1 - wx) + grid.values[kf + 1, j + 1] * wx
-    return np.clip(lo * (1 - wt) + hi * wt, 0.0, 1.0)
+    return np.minimum(np.maximum(lo * (1 - wt) + hi * wt, 0.0), 1.0)
 
 
 def _derivative_tables(values: np.ndarray, dx: float):
@@ -241,7 +247,10 @@ class FeedbackPolicy:
         self.params = grid.params
         dx = float(grid.nodes[1] - grid.nodes[0])
         self._dx = dx
-        self._du, self._d2u = _derivative_tables(grid.values, dx)
+        # value, slope and curvature side by side: a query gathers each of
+        # its two bracketing nodes once
+        self._table = np.stack([grid.values, *_derivative_tables(grid.values, dx)],
+                               axis=-1)
 
     def constant_control(self) -> int | None:
         return 0 if len(self.params.controls) == 1 else None
@@ -254,15 +263,13 @@ class FeedbackPolicy:
         if n == 0:
             return np.empty(0, dtype=np.int64)
         dt = grid.times[1] - grid.times[0]
-        k = np.clip(np.rint((times - grid.times[0]) / dt).astype(int),
-                    0, len(grid.times) - 1)
-        xq = np.clip(xs[:, 0], grid.nodes[0], grid.nodes[-1])
-        j = np.clip(np.searchsorted(grid.nodes, xq, side="right") - 1,
-                    0, len(grid.nodes) - 2)
-        wx = (xq - grid.nodes[j]) / self._dx
-        r = grid.values[k, j] * (1 - wx) + grid.values[k, j + 1] * wx
-        p = self._du[k, j] * (1 - wx) + self._du[k, j + 1] * wx
-        m2 = self._d2u[k, j] * (1 - wx) + self._d2u[k, j + 1] * wx
+        k = np.minimum(np.maximum(np.rint((times - grid.times[0]) / dt).astype(int), 0),
+                       len(grid.times) - 1)
+        xq = np.minimum(np.maximum(xs[:, 0], grid.nodes[0]), grid.nodes[-1])
+        j = np.minimum(np.maximum(np.searchsorted(grid.nodes, xq, side="right") - 1, 0),
+                       len(grid.nodes) - 2)
+        wx = ((xq - grid.nodes[j]) / self._dx)[:, None]
+        r, p, m2 = (self._table[k, j] * (1 - wx) + self._table[k, j + 1] * wx).T
         pts, grad, hess = xq[:, None], p[:, None], m2[:, None, None]
         vals = np.empty((len(self.params.controls), n))
         for a in self.params.controls.indices:

@@ -17,6 +17,7 @@ out in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -315,7 +316,9 @@ class ModelParams:
         """(n, d) points -> (n, max_children + 1) probabilities."""
         cols = [p.eval_many(xs) for p in self.offspring[a]]
         if self.offspring_residual_last:
-            residual = 1.0 - (np.sum(cols, axis=0) if cols else np.zeros(len(xs)))
+            # summed in order at any n (np.sum pairs terms up on one point),
+            # so a position-free row equals the rows of many points
+            residual = 1.0 - (sum(cols[1:], cols[0]) if cols else np.zeros(len(xs)))
             cols.append(residual)
         return np.stack(cols, axis=1)
 
@@ -326,13 +329,40 @@ class ModelParams:
         return self.terminal.eval_many(xs)
 
     def coefficients(self, xs: np.ndarray, a: int) -> "Coefficients":
-        """Every coefficient of control ``a`` at the (n, d) points ``xs``."""
+        """Every coefficient of control ``a`` at the (n, d) points ``xs``.  A
+        control whose coefficients are all position-free gets one read-only
+        row of shape (1, ...), computed once per model, which broadcasts
+        against the n points in :func:`generator`."""
+        row = self._position_free_rows[a]
+        return row if row is not None else self._coefficients_at(xs, a)
+
+    def _coefficients_at(self, xs: np.ndarray, a: int) -> "Coefficients":
         sig = self.diffusion_many(xs, a)
         return Coefficients(drift=self.drift_many(xs, a),
                             cov=sig @ sig.transpose(0, 2, 1),
                             death_rate=self.death_rate_many(xs, a),
                             probs=self.offspring_probs_many(xs, a),
                             cost=self.running_cost_many(xs, a))
+
+    @functools.cached_property
+    def _position_free_rows(self) -> tuple[Coefficients | None, ...]:
+        rows = []
+        for a in self.controls.indices:
+            specs = (self.drift[a], self.diffusion[a], self.death_rate[a],
+                     *self.offspring[a], self.running_cost[a])
+            row = None
+            if all(spec.state_independent for spec in specs):
+                row = self._coefficients_at(np.zeros((1, self.dim)), a)
+                for arr in row:
+                    arr.flags.writeable = False
+            rows.append(row)
+        return tuple(rows)
+
+    def __getstate__(self):
+        # a copy rebuilds its own rows, read-only like these
+        state = dict(self.__dict__)
+        state.pop("_position_free_rows", None)
+        return state
 
     # -- structure queries used by the simulator fast paths -------------------
 
@@ -353,8 +383,9 @@ class ModelParams:
 
 
 class Coefficients(NamedTuple):
-    """Coefficients of one control at n points (:meth:`ModelParams.coefficients`).
-    Stacking each field over controls adds a leading control axis."""
+    """Coefficients of one control at n points (:meth:`ModelParams.coefficients`),
+    or one row of them (n = 1) that holds at every point.  Stacking each field
+    over controls adds a leading control axis."""
 
     drift: np.ndarray       # (n, d)
     cov: np.ndarray         # (n, d, d): sigma sigma^T
@@ -371,8 +402,9 @@ def generator(coef: Coefficients, r, grad, hess) -> np.ndarray:
 
     with rc = r clipped to [-1, 1].  ``r`` has shape (n,), ``grad`` (n, d) and
     ``hess`` (n, d, d); leading axes (one per control, say) broadcast against
-    those of ``coef``.  The zero-order term carries the branching: the summand
-    form (rc^k - rc) vanishes at r = 1 exactly, probability rounding
+    those of ``coef``, and so does a position-free row of ``coef`` (n = 1).
+    The zero-order term carries the branching: the summand form
+    (rc^k - rc) vanishes at r = 1 exactly, probability rounding
     notwithstanding.
     """
     rc = np.minimum(np.maximum(r, -1.0), 1.0)   # np.clip costs more per call

@@ -22,6 +22,23 @@ _EVENT_TAG = 0x65766E74   # "evnt"
 _BRIDGE_TAG = 0x62726467  # "brdg"
 
 _SEED_MASK = 2**63 - 1
+_WORD_MASK = 2**32 - 1
+
+
+def _words(values) -> list[int]:
+    """The 32-bit words ``SeedSequence`` reads a sequence of non-negative
+    ints as: each int little-endian, 0 as one word.  Handing it these words
+    as a uint32 array derives the same stream without its slow conversion."""
+    out = []
+    for v in values:
+        if v < 0:
+            raise ValueError(f"expected non-negative integer, got {v}")
+        out.append(v & _WORD_MASK)
+        v >>= 32
+        while v:
+            out.append(v & _WORD_MASK)
+            v >>= 32
+    return out
 
 
 class RandomDriver:
@@ -29,11 +46,13 @@ class RandomDriver:
 
     def __init__(self, master_seed: int):
         self.master_seed = int(master_seed) & _SEED_MASK
+        self._seed_words = _words((self.master_seed,))
         self._motion: dict[Label, np.random.Generator] = {}
         self._events: dict[Label, np.random.Generator] = {}
 
     def _derive(self, tag: int, label: Label) -> np.random.Generator:
-        entropy = (self.master_seed, tag) + encode_words(label)
+        entropy = np.array(self._seed_words + [tag] + _words(encode_words(label)),
+                           dtype=np.uint32)
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
     def motion_stream(self, label: Label) -> np.random.Generator:

@@ -4,6 +4,7 @@ config parser.  These tests fail when a rename or deletion in the package
 would break either."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import branchdiff
@@ -51,3 +52,53 @@ def test_tracer_sees_every_path():
                                  0.05, 1.0, 8)
     assert len(tracer.path_rows) == 50 + 2 * 20
     assert tracer.violations == []
+
+
+def one_pool_config(tmp_path):
+    """Three estimator calls under the feedback policy: two DPP stopping
+    rules and one Dynkin residual."""
+    doc = {
+        "model": str(REPO / "configs" / "models" / "two_control_harvest.yaml"),
+        "output_dir": str(tmp_path / "out"),
+        "initial": {"time": 0.0, "particles": [{"label": "", "position": [0.0]}]},
+        "simulation": {"step": 0.05, "horizon": 1.0, "replications": 60,
+                       "seed_base": 11},
+        "grid": {"x_lo": -4.0, "x_hi": 4.0, "n_x": 161, "n_t": 90},
+        "tasks": [
+            {"kind": "dpp", "allowance": 0.05,
+             "policies": [{"kind": "feedback", "role": "optimal"}],
+             "stopping": [{"rule": "fixed", "time": 0.5},
+                          {"rule": "first-event", "time": 0.5}]},
+            {"kind": "dynkin", "policy": {"kind": "feedback"}, "times": [0.5],
+             "functions": [{"family": "gaussian-bump", "base": 0.2, "scale": 0.6,
+                            "center": [0.0], "width": 0.8}]},
+        ],
+    }
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def report_bytes(out_dir):
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    manifest = json.loads(files.pop("manifest.json"))
+    manifest.pop("generated_at")
+    return files, manifest
+
+
+def test_cli_run_builds_one_pool(tmp_path):
+    """A CLI run shares one worker pool across its estimator calls, and
+    sharing it changes no report."""
+    tracing = load("tracing")
+    tracer = tracing.Tracer()
+    cfg = one_pool_config(tmp_path)
+    with tracer.installed(branchdiff):
+        code = cli.run(cfg, out=tmp_path / "two", threads=2)
+    assert code == cli.run(cfg, out=tmp_path / "one", threads=1)
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECKS_FAILED)
+    assert len(tracer.top_level_durations("estimator")) == 3
+    name_id, _, dur, _ = tracer.arrays()
+    pools = name_id == tracer._ids["estimator.pool"]
+    assert pools.sum() == 1
+    assert dur[pools][0] > 0 and not tracer._stack      # closed
+    assert report_bytes(tmp_path / "two") == report_bytes(tmp_path / "one")

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from branchdiff import cli
+from branchdiff import cli, estimator
 
 REPO = Path(__file__).resolve().parents[1]
 MODELS = REPO / "configs" / "models"
@@ -43,6 +43,47 @@ def write_experiment(tmp_path, out_name="out", body=None):
     shutil.copy(MODELS / "critical_binary.yaml", tmp_path / "critical_binary.yaml")
     cfg = tmp_path / "exp.yaml"
     cfg.write_text((body or EXPERIMENT).format(out=tmp_path / out_name))
+    return cfg
+
+
+# pure binary splitting: every path outgrows any population cap
+BOOM_MODEL = """
+dim: 1
+noise_dim: 1
+rate_bound: 1.0
+max_children: 2
+mean_offspring_bound: 2.0
+controls: {count: 1}
+coefficients:
+  drift: [{family: constant, value: 0.0}]
+  diffusion: [{family: constant, value: 0.0}]
+  death_rate: {family: constant, value: 1.0}
+  offspring:
+    probs:
+      - {family: constant, value: 0.0}
+      - {family: constant, value: 0.0}
+  running_cost: {family: constant, value: 0.0}
+  terminal: {family: constant, value: 0.5}
+"""
+
+
+def write_explosion(tmp_path, population_cap):
+    (tmp_path / "boom.yaml").write_text(BOOM_MODEL)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(f"""
+model: boom.yaml
+output_dir: {tmp_path / 'out'}
+initial:
+  particles: [{{label: "", position: [0.0]}}]
+simulation:
+  step: 1.0
+  horizon: 40.0
+  replications: 50
+  seed_base: 1
+  population_cap: {population_cap}
+tasks:
+  - kind: estimate
+""")
     return cfg
 
 
@@ -153,41 +194,23 @@ class TestRun:
         assert cli.run(cfg) == cli.EXIT_VALIDATION
 
     def test_explosion_guard_exits_4(self, tmp_path):
-        model_text = """
-dim: 1
-noise_dim: 1
-rate_bound: 1.0
-max_children: 2
-mean_offspring_bound: 2.0
-controls: {count: 1}
-coefficients:
-  drift: [{family: constant, value: 0.0}]
-  diffusion: [{family: constant, value: 0.0}]
-  death_rate: {family: constant, value: 1.0}
-  offspring:
-    probs:
-      - {family: constant, value: 0.0}
-      - {family: constant, value: 0.0}
-  running_cost: {family: constant, value: 0.0}
-  terminal: {family: constant, value: 0.5}
-"""
-        (tmp_path / "boom.yaml").write_text(model_text)
-        cfg = tmp_path / "exp.yaml"
-        cfg.write_text(f"""
-model: boom.yaml
-output_dir: {tmp_path / 'out'}
-initial:
-  particles: [{{label: "", position: [0.0]}}]
-simulation:
-  step: 1.0
-  horizon: 40.0
-  replications: 50
-  seed_base: 1
-  population_cap: 64
-tasks:
-  - kind: estimate
-""")
-        assert cli.run(cfg) == cli.EXIT_EXPLOSION
+        assert cli.run(write_explosion(tmp_path, 64)) == cli.EXIT_EXPLOSION
+
+    def test_explosion_cancels_pending_chunks(self, tmp_path, monkeypatch):
+        # every replication trips the guard; the chunks still queued when the
+        # first failure arrives must never run
+        submitted = []
+
+        class RecordingPool(estimator.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(super().submit(*args, **kwargs))
+                return submitted[-1]
+
+        monkeypatch.setattr(estimator, "ProcessPoolExecutor", RecordingPool)
+        cfg = write_explosion(tmp_path, 400)
+        assert cli.run(cfg, threads=2) == cli.EXIT_EXPLOSION
+        ran = [fut for fut in submitted if not fut.cancelled()]
+        assert 0 < len(ran) < len(submitted)
 
     def test_numerical_blowup_exits_validation(self, tmp_path, capsys):
         # explicit Euler on x' = -200 x at step 0.05 multiplies x by -9 per

@@ -1,10 +1,15 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from branchdiff import hjb, model as M
 from branchdiff.errors import ConfigurationError
+from branchdiff.modelio import load_model
+
+MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
 
 X0 = np.zeros(1)
 
@@ -328,3 +333,97 @@ def test_grid_csv_export(tmp_path):
     lines = dest.read_text().strip().splitlines()
     assert lines[0] == "t,x,u,control"
     assert len(lines) == 1 + 21 * 5
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit pins: recorded from the solver and feedback query that
+# evaluated every coefficient at every point
+
+def state_dependent_two_control():
+    """Control 0 has a position-dependent drift and running cost; control 1
+    is position-free.  Neither dominates, so both are chosen."""
+    bump = M.CoefficientSpec(family="gaussian-bump", offset=0.05, amplitude=0.5,
+                             center=(0.5,), width=0.7)
+    return M.ModelParams(
+        dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
+        drift=(M.VectorSpec((M.CoefficientSpec(family="affine", intercept=0.1,
+                                               slope=(-0.4,)),)),
+               M.constant_vector([0.0])),
+        diffusion=(M.constant_vector([0.45]),),
+        death_rate=(M.constant(0.8), M.constant(0.3)),
+        offspring=((M.constant(0.5), M.constant(0.0)),),
+        running_cost=(bump, M.constant(0.2)),
+        terminal=M.CoefficientSpec(family="gaussian-bump", offset=0.15,
+                                   amplitude=0.7, center=(0.0,), width=0.8),
+        rate_bound=0.8, mean_offspring_bound=1.0, max_children=2)
+
+
+FEEDBACK_CASES = {
+    # the grid of the bundled dpp_two_control experiment
+    "harvest": (lambda: load_model(MODELS / "two_control_harvest.yaml"),
+                hjb.GridConfig(x_lo=-4.0, x_hi=4.0, n_x=161, n_t=90, horizon=1.0)),
+    "state_dependent": (state_dependent_two_control,
+                        hjb.GridConfig(x_lo=-4.0, x_hi=4.0, n_x=161, n_t=400,
+                                       horizon=1.0)),
+}
+FEEDBACK_PINNED = {
+    "harvest": "0b9dcf00bed542e5",
+    "state_dependent": "43be48c9f094275b",
+}
+
+
+def feedback_digest(params, cfg, n_queries=5000):
+    """Hash of the controls chosen over seeded random batches of (t, x)
+    queries of 1 to 32 points: positions reach 2 beyond the domain, and
+    about a tenth of the times each sit at 0 and at the horizon."""
+    pol = hjb.extract_feedback(hjb.solve(params, cfg))
+    rng = np.random.default_rng(2026)
+    h = hashlib.sha256()
+    counts = np.zeros(len(params.controls), dtype=np.int64)
+    done = 0
+    while done < n_queries:
+        n = int(rng.integers(1, 33))
+        times = rng.uniform(0.0, cfg.horizon, n)
+        times[rng.random(n) < 0.1] = 0.0
+        times[rng.random(n) < 0.1] = cfg.horizon
+        xs = rng.uniform(cfg.x_lo - 2.0, cfg.x_hi + 2.0, (n, 1))
+        chosen = np.asarray(pol.controls_along(times, xs, ()), dtype=np.int64)
+        h.update(chosen.tobytes())
+        counts += np.bincount(chosen, minlength=len(counts))
+        done += n
+    return h.hexdigest()[:16], counts
+
+
+@pytest.mark.parametrize("name", sorted(FEEDBACK_CASES))
+def test_feedback_queries_pinned(name):
+    make, cfg = FEEDBACK_CASES[name]
+    got, counts = feedback_digest(make(), cfg)
+    assert counts.min() > 0          # the pin covers both controls
+    assert got == FEEDBACK_PINNED[name]
+
+
+# the grids of the pde_sweep benchmark workload: the harvest grid, the doubled
+# domain its boundary sensitivity solves, and the long critical grid
+SOLVE_CASES = {
+    "harvest": ("two_control_harvest",
+                hjb.GridConfig(x_lo=-8.0, x_hi=8.0, n_x=1601, n_t=2040, horizon=1.0)),
+    "harvest_wide": ("two_control_harvest",
+                     hjb.GridConfig(x_lo=-16.0, x_hi=16.0, n_x=3201, n_t=2040,
+                                    horizon=1.0)),
+    "critical": ("critical_binary",
+                 hjb.GridConfig(x_lo=-1.0, x_hi=1.0, n_x=21, n_t=6000, horizon=2.0)),
+}
+SOLVE_PINNED = {
+    "harvest": "41526e24372553d3",
+    "harvest_wide": "365f629202b482c1",
+    "critical": "df994fb34282fffb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_CASES))
+def test_solve_pinned(name):
+    model_name, cfg = SOLVE_CASES[name]
+    out = hjb.solve(load_model(MODELS / f"{model_name}.yaml"), cfg)
+    h = hashlib.sha256(out.values.tobytes())
+    h.update(out.argmin_control.astype(np.int64).tobytes())
+    assert h.hexdigest()[:16] == SOLVE_PINNED[name]

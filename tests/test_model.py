@@ -1,4 +1,6 @@
 import math
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from branchdiff import model as M
 from branchdiff.errors import ConfigurationError
+from branchdiff.modelio import load_model
 
 X0 = np.zeros(1)
 
@@ -225,3 +228,85 @@ def test_offspring_distribution_normalizes_by_construction():
     probs = m.offspring_probs_at(X0, 0)
     assert probs.sum() == pytest.approx(1.0, abs=1e-15)
     np.testing.assert_allclose(probs, [0.3, 0.0, 0.7])
+
+
+# ---------------------------------------------------------------------------
+# position-free coefficient rows
+
+MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
+
+FLAT_SPECS = {
+    "constant": M.constant(0.35),
+    "affine": M.CoefficientSpec(family="affine", intercept=0.3, slope=(0.0, 0.0)),
+    "logistic": M.CoefficientSpec(family="logistic", lo=0.1, hi=0.5, slope=(0.0, 0.0),
+                                  center=(0.2, -0.1)),
+    "gaussian-bump": M.CoefficientSpec(family="gaussian-bump", offset=0.25,
+                                       amplitude=0.0, center=(0.3, 0.3), width=0.6),
+}
+
+
+def flat_model(spec, max_children=2):
+    """A two-dimensional model whose every coefficient is ``spec``."""
+    return M.ModelParams(
+        dim=2, noise_dim=2, controls=M.ControlSet.of_size(1),
+        drift=(M.VectorSpec((spec,) * 2),), diffusion=(M.VectorSpec((spec,) * 4),),
+        death_rate=(spec,), offspring=((spec,) * max_children,),
+        running_cost=(spec,), terminal=M.constant(0.5), rate_bound=1.0,
+        mean_offspring_bound=float(max_children), max_children=max_children)
+
+
+ROW_CASES = {
+    **{name: (lambda n=name: load_model(MODELS / f"{n}.yaml"))
+       for name in ("critical_binary", "subcritical_drift", "two_control_harvest")},
+    **{f"flat_{fam}": (lambda s=spec: flat_model(s)) for fam, spec in FLAT_SPECS.items()},
+    # enough children that a pairwise sum of the probabilities would differ
+    "ten_children": lambda: flat_model(M.constant(0.0713), max_children=10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CASES))
+def test_rows_match_per_point_coefficients(name):
+    params = ROW_CASES[name]()
+    rng = np.random.default_rng(5)
+    n, d = 257, params.dim
+    xs = rng.uniform(-5.0, 5.0, (n, d))
+    r = rng.uniform(-1.5, 1.5, n)
+    grad, hess = rng.normal(size=(n, d)), rng.normal(size=(n, d, d))
+    for a in params.controls.indices:
+        row = params.coefficients(xs, a)
+        every = params._coefficients_at(xs, a)
+        assert row.drift.shape == (1, d)
+        for f_row, f_every in zip(row, every):
+            assert np.broadcast_to(f_row, f_every.shape).tobytes() == f_every.tobytes()
+        assert (M.generator(row, r, grad, hess).tobytes()
+                == M.generator(every, r, grad, hess).tobytes())
+
+
+def test_rows_read_only_after_pickle():
+    params = load_model(MODELS / "two_control_harvest.yaml")
+    xs = np.zeros((3, 1))
+    params.coefficients(xs, 0)             # the rows exist before pickling
+    for copy in (params, pickle.loads(pickle.dumps(params))):
+        assert copy == params
+        for a in copy.controls.indices:
+            for arr in copy.coefficients(xs, a):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+
+
+def test_position_dependent_control_gets_every_point():
+    base = load_model(MODELS / "two_control_harvest.yaml")
+    sloped = M.VectorSpec((M.CoefficientSpec(family="affine", intercept=0.1,
+                                             slope=(0.2,)),))
+    params = M.ModelParams(
+        dim=1, noise_dim=1, controls=base.controls, drift=(sloped, base.drift[1]),
+        diffusion=base.diffusion, death_rate=base.death_rate, offspring=base.offspring,
+        running_cost=base.running_cost, terminal=base.terminal,
+        rate_bound=base.rate_bound, mean_offspring_bound=base.mean_offspring_bound,
+        max_children=base.max_children)
+    xs = np.linspace(-1.0, 1.0, 5)[:, None]
+    dependent, free = params.coefficients(xs, 0), params.coefficients(xs, 1)
+    assert [f.shape[0] for f in dependent] == [5] * 5
+    assert [f.shape[0] for f in free] == [1] * 5
+    np.testing.assert_array_equal(dependent.drift[:, 0], 0.1 + 0.2 * xs[:, 0])
