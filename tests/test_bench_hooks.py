@@ -102,3 +102,31 @@ def test_cli_run_builds_one_pool(tmp_path):
     assert pools.sum() == 1
     assert dur[pools][0] > 0 and not tracer._stack      # closed
     assert report_bytes(tmp_path / "two") == report_bytes(tmp_path / "one")
+
+
+def test_tracer_sees_every_solve(tmp_path):
+    """The solve task reaches the solver and the CSV export through the
+    patched ``hjb.solve`` and ``hjb.write_grid_csv``, the boundary
+    sensitivity's doubled domain included."""
+    tracing = load("tracing")
+    doc = {
+        "model": str(REPO / "configs" / "models" / "two_control_harvest.yaml"),
+        "output_dir": str(tmp_path / "out"),
+        "initial": {"time": 0.0, "particles": [{"label": "", "position": [0.0]}]},
+        "simulation": {"step": 0.05, "horizon": 1.0, "replications": 10,
+                       "seed_base": 11},
+        "grid": {"x_lo": -4.0, "x_hi": 4.0, "n_x": 81, "n_t": 90},
+        "tasks": [{"kind": "solve", "probe_points": [0.0],
+                   "boundary_sensitivity": True}],
+    }
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    tracer = tracing.Tracer()
+    with tracer.installed(branchdiff):
+        code = cli.run(cfg, out=tmp_path / "traced")
+    assert code == cli.run(cfg, out=tmp_path / "plain") == cli.EXIT_OK
+    name_id, _, _, _ = tracer.arrays()
+    assert (name_id == tracer._ids["hjb.solve"]).sum() == 2
+    assert (name_id == tracer._ids["hjb.csv"]).sum() == 1
+    assert tracer.grids == [(90, 81), (90, 161)]
+    assert report_bytes(tmp_path / "traced") == report_bytes(tmp_path / "plain")

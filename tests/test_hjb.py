@@ -1,12 +1,13 @@
 import hashlib
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from branchdiff import hjb, model as M
-from branchdiff.errors import ConfigurationError
+from branchdiff.errors import ConfigurationError, NumericalFailureError
 from branchdiff.modelio import load_model
 
 MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
@@ -335,6 +336,51 @@ def test_grid_csv_export(tmp_path):
     assert len(lines) == 1 + 21 * 5
 
 
+class TestLayerGuards:
+    """The per-layer guards of ``solve``: a layer operator patched to push one
+    chosen layer off [0, 1] by a set amount, on a model whose own operator
+    is zero and whose terminal value is 0.5."""
+
+    N_T = 5
+
+    def solve_with_step(self, monkeypatch, layer, offsets):
+        """Solve with the step onto ``layer`` moved by ``offsets`` (per node;
+        dt = 1) and every other step zero."""
+        calls = []
+
+        def patched(u, coef, forward, dx):
+            calls.append(None)
+            # call i steps onto layer N_T - 1 - i; the last one is layer 0's argmin
+            on_layer = self.N_T - len(calls) == layer
+            return np.asarray(offsets if on_layer else np.zeros_like(u))[None, :]
+
+        monkeypatch.setattr(hjb, "_layer_operator", patched)
+        params = single_control(g=M.constant(0.5))
+        cfg = hjb.GridConfig(x_lo=-1.0, x_hi=1.0, n_x=5, n_t=self.N_T,
+                             horizon=float(self.N_T))
+        return hjb.solve(params, cfg)
+
+    def test_within_tolerance_clipped_not_counted(self, monkeypatch):
+        out = self.solve_with_step(monkeypatch, 2, [0.0, 0.5 + 1e-13, 0.0, 0.0, 0.0])
+        assert out.values[2].tolist() == [0.5, 1.0, 0.5, 0.5, 0.5]
+        assert out.clamp_events == 0
+
+    def test_beyond_tolerance_clipped_and_counted(self, monkeypatch):
+        out = self.solve_with_step(monkeypatch, 3,
+                                   [0.0, 0.5 + 1e-6, 0.0, -0.5 - 1e-6, 0.0])
+        assert out.values[3].tolist() == [0.5, 1.0, 0.5, 0.0, 0.5]
+        assert out.values[0].tolist() == [0.5, 1.0, 0.5, 0.0, 0.5]
+        assert out.clamp_events == 2
+
+    def test_nan_raises_with_layer(self, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalFailureError) as info:
+                self.solve_with_step(monkeypatch, 1, [0.0, 0.0, np.nan, 0.0, 0.0])
+        assert info.value.layer == 1
+        assert str(info.value) == "non-finite values while stepping onto layer 1"
+
+
 # ---------------------------------------------------------------------------
 # bit-for-bit pins: recorded from the solver and feedback query that
 # evaluated every coefficient at every point
@@ -427,3 +473,31 @@ def test_solve_pinned(name):
     h = hashlib.sha256(out.values.tobytes())
     h.update(out.argmin_control.astype(np.int64).tobytes())
     assert h.hexdigest()[:16] == SOLVE_PINNED[name]
+
+
+# the bytes of write_grid_csv: pde_sweep's critical grid, the bundled
+# dpp_two_control grid (both controls in the control column) and a grid whose
+# nodes are not round decimals
+CSV_CASES = {
+    "critical": (lambda: load_model(MODELS / "critical_binary.yaml"),
+                 SOLVE_CASES["critical"][1]),
+    "harvest": FEEDBACK_CASES["harvest"],
+    "off_decimal": (lambda: CRITICAL,
+                    hjb.GridConfig(x_lo=-1.0, x_hi=1.0, n_x=7, n_t=20, horizon=1.0)),
+}
+CSV_PINNED = {
+    "critical": "e02f3b25cad55282",
+    "harvest": "8ac195c0d4ee8618",
+    "off_decimal": "42f1833d38d1823b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_grid_csv_pinned(name, tmp_path):
+    make, cfg = CSV_CASES[name]
+    out = hjb.solve(make(), cfg)
+    if name == "harvest":
+        assert set(np.unique(out.argmin_control)) == {0, 1}
+    dest = tmp_path / "grid.csv"
+    hjb.write_grid_csv(out, dest)
+    assert hashlib.sha256(dest.read_bytes()).hexdigest()[:16] == CSV_PINNED[name]
