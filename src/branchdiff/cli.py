@@ -264,19 +264,20 @@ def _task_solve(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
     cfg = exp.grid_config()
     ratio = hjb.cfl_ratio(exp.params, cfg)
     grid = runner.solved_grid()
+    u_min, u_max = float(grid.values.min()), float(grid.values.max())
     checks = [
         runner.check(idx, "solve", "cfl_ratio", ratio, 1.0, 0.0, ratio <= 1.0),
         runner.check(idx, "solve", "clamp_events", float(grid.clamp_events),
                      0.0, 0.0, grid.clamp_events == 0),
-        runner.check(idx, "solve", "range", float(grid.values.min()), 0.0, 0.0,
-                     0.0 <= grid.values.min() and grid.values.max() <= 1.0),
+        runner.check(idx, "solve", "range", u_min, 0.0, 0.0,
+                     0.0 <= u_min and u_max <= 1.0),
     ]
     results = {
         "cfl_ratio": ratio,
         "clamp_events": grid.clamp_events,
         "degenerate_diffusion": grid.degenerate_diffusion,
-        "u_min": float(grid.values.min()),
-        "u_max": float(grid.values.max()),
+        "u_min": u_min,
+        "u_max": u_max,
     }
     if probes is not None:
         results["probes"] = [

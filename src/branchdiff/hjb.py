@@ -22,7 +22,6 @@ the edge rule does not influence values at probe points, which
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -79,7 +78,7 @@ class ValueGrid:
     times: np.ndarray
     nodes: np.ndarray
     values: np.ndarray          # (n_t + 1, n_x), within [0, 1]
-    argmin_control: np.ndarray  # (n_t + 1, n_x) int
+    argmin_control: np.ndarray  # (n_t + 1, n_x), smallest unsigned int holding the indices
     params: ModelParams
     clamp_events: int
     degenerate_diffusion: bool
@@ -156,6 +155,17 @@ def _layer_operator(u: np.ndarray, coef: Coefficients, forward: np.ndarray,
     return generator(coef, u, upwind, _second_difference(u, dx)[:, None, None])
 
 
+def _minimize(stacked: np.ndarray, argmin_row: np.ndarray) -> np.ndarray:
+    """Minimum over the controls (axis 0) of ``stacked``, overwriting it; the
+    minimizing index goes into ``argmin_row`` (zeros on entry), the lowest
+    index on ties as in np.argmin."""
+    best = stacked[0]
+    for a in range(1, len(stacked)):
+        np.copyto(argmin_row, a, where=stacked[a] < best)
+        np.minimum(best, stacked[a], out=best)
+    return best
+
+
 def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
     """Backward explicit sweep from the terminal layer; rejects grids that
     violate the CFL bound and reports clamp events (layer values that left
@@ -172,22 +182,26 @@ def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
     terminal = np.clip(terminal, 0.0, 1.0)
     n_t = grid.n_t
     values = np.empty((n_t + 1, grid.n_x))
-    argmin = np.zeros((n_t + 1, grid.n_x), dtype=np.int64)
+    argmin = np.zeros((n_t + 1, grid.n_x),
+                      dtype=np.min_scalar_type(len(params.controls) - 1))
     values[n_t] = terminal
     clamp_events = 0
     dt = grid.dt
     for k in range(n_t - 1, -1, -1):
-        stacked = _layer_operator(values[k + 1], coef, forward, grid.dx)
-        argmin[k + 1] = np.argmin(stacked, axis=0)
-        u_new = values[k + 1] + dt * np.minimum.reduce(stacked, axis=0)
-        if np.isnan(u_new).any():
-            raise NumericalFailureError(
-                f"non-finite values while stepping onto layer {k}", layer=k)
-        clamp_events += int(np.count_nonzero(
-            (u_new < -CLAMP_TOL) | (u_new > 1.0 + CLAMP_TOL)))
-        np.clip(u_new, 0.0, 1.0, out=u_new)
-        values[k] = u_new
-    argmin[0] = np.argmin(_layer_operator(values[0], coef, forward, grid.dx), axis=0)
+        best = _minimize(_layer_operator(values[k + 1], coef, forward, grid.dx),
+                         argmin[k + 1])
+        u_new = values[k]
+        np.add(np.multiply(best, dt, out=best), values[k + 1], out=u_new)
+        # a NaN fails both comparisons; clipping in-range values (-0.0
+        # included) changes nothing
+        if not (u_new.min() >= 0.0 and u_new.max() <= 1.0):
+            if np.isnan(u_new).any():
+                raise NumericalFailureError(
+                    f"non-finite values while stepping onto layer {k}", layer=k)
+            clamp_events += int(np.count_nonzero(
+                (u_new < -CLAMP_TOL) | (u_new > 1.0 + CLAMP_TOL)))
+            np.clip(u_new, 0.0, 1.0, out=u_new)
+    _minimize(_layer_operator(values[0], coef, forward, grid.dx), argmin[0])
     degenerate = bool(np.any(coef.cov == 0.0))
     return ValueGrid(times=grid.times, nodes=nodes, values=values,
                      argmin_control=argmin, params=params,
@@ -306,12 +320,12 @@ def boundary_sensitivity(base: ValueGrid, probe_xs, t: float = 0.0) -> float:
 
 
 def write_grid_csv(grid: ValueGrid, path) -> None:
-    """Export (t, x, u, argmin control index) rows."""
+    """Export (t, x, u, argmin control index) rows, comma-separated with
+    CRLF line ends and 17 significant digits, one layer at a time."""
+    xs = [format(x, ".17g") for x in grid.nodes.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "u", "control"])
-        for k, t in enumerate(grid.times):
-            for j, x in enumerate(grid.nodes):
-                writer.writerow([format(t, ".17g"), format(x, ".17g"),
-                                 format(grid.values[k, j], ".17g"),
-                                 int(grid.argmin_control[k, j])])
+        fh.write("t,x,u,control\r\n")
+        for k, t in enumerate(grid.times.tolist()):
+            ts = format(t, ".17g")
+            fh.write("".join([f"{ts},{x},{u:.17g},{c}\r\n" for x, u, c in zip(
+                xs, grid.values[k].tolist(), grid.argmin_control[k].tolist())]))

@@ -475,6 +475,13 @@ def test_solve_pinned(name):
     assert h.hexdigest()[:16] == SOLVE_PINNED[name]
 
 
+@pytest.mark.parametrize("model_name", ["critical_binary", "two_control_harvest"])
+def test_argmin_control_smallest_unsigned(model_name):
+    params = load_model(MODELS / f"{model_name}.yaml")
+    out = hjb.solve(params, grid_for(params, -2.0, 2.0, 21, 1.0))
+    assert out.argmin_control.dtype == np.uint8
+
+
 # the bytes of write_grid_csv: pde_sweep's critical grid, the bundled
 # dpp_two_control grid (both controls in the control column) and a grid whose
 # nodes are not round decimals
