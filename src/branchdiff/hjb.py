@@ -78,7 +78,7 @@ class ValueGrid:
     times: np.ndarray
     nodes: np.ndarray
     values: np.ndarray          # (n_t + 1, n_x), within [0, 1]
-    argmin_control: np.ndarray  # (n_t + 1, n_x), smallest unsigned int holding the indices
+    argmin_control: np.ndarray  # (n_t + 1, n_x), np.min_scalar_type(n_controls - 1)
     params: ModelParams
     clamp_events: int
     degenerate_diffusion: bool
