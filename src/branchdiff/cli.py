@@ -349,13 +349,16 @@ def _task_estimate(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
                     "n_events": s.n_events, "extinct": s.extinct,
                 }).replace("\n", " ") + "\n")
         results["replications_jsonl"] = jl_path.name
-    for k in range(dump_paths):
-        p = simulator.simulate(exp.start_time, exp.initial, policy, exp.params,
-                               exp.step, exp.horizon, exp.seed_base + k,
-                               population_cap=exp.population_cap)
-        csv_path = out_dir / f"task_{idx:02d}_path_{k}.csv"
-        with open(csv_path, "w", newline="") as fh:
-            simulator.write_path_csv(p, fh)
+    if dump_paths:
+        setup = simulator.prepare_simulation(
+            exp.start_time, exp.initial, policy, exp.params, exp.step, exp.horizon,
+            seeds=range(exp.seed_base, exp.seed_base + dump_paths))
+        for k in range(dump_paths):
+            p = simulator.simulate(*setup.inputs, exp.seed_base + k,
+                                   population_cap=exp.population_cap, setup=setup)
+            csv_path = out_dir / f"task_{idx:02d}_path_{k}.csv"
+            with open(csv_path, "w", newline="") as fh:
+                simulator.write_path_csv(p, fh)
     return {"results": results, "checks": checks}
 
 
@@ -634,12 +637,14 @@ def _task_verify_all(runner: Runner, idx: int, task: dict, out_dir: Path) -> dic
     g_lo, _ = exp.params.terminal.bounds()
     if g_lo > 0.0:
         worst = 0.0
-        for k in range(min(200, n_small)):
-            p = simulator.simulate(exp.start_time, exp.initial, policy,
-                                   exp.params, exp.step, exp.horizon,
-                                   exp.seed_base + 6 + k,
+        n_paths = min(200, n_small)
+        setup = simulator.prepare_simulation(
+            exp.start_time, exp.initial, policy, exp.params, exp.step, exp.horizon,
+            seeds=range(exp.seed_base + 6, exp.seed_base + 6 + n_paths))
+        for k in range(n_paths):
+            p = simulator.simulate(*setup.inputs, exp.seed_base + 6 + k,
                                    population_cap=exp.population_cap,
-                                   record_paths=False)
+                                   record_paths=False, setup=setup)
             a = simulator.pathwise_cost(p, exp.params)
             b = simulator.pathwise_cost_log_form(p, exp.params)
             denom = max(abs(a), 1e-300)

@@ -7,7 +7,8 @@ coupling-success probability of perturbed models.
 
 Every estimate is a deterministic function of its inputs and the seed base;
 replication k uses seed ``seed_base + k``.  Each estimator call builds the
-simulation set-up of its inputs once and hands it to every replication.
+simulation set-up of its inputs and seeds once and hands it to every
+replication.
 Replications may fan out over worker processes; results are keyed by
 replication index, so the reduction does not depend on completion order.
 Inside a :func:`worker_pool` block every fan-out shares that block's pool;
@@ -145,7 +146,8 @@ def run_replications(t, mu, policy, params: ModelParams, n_reps: int, step: floa
                      horizon: float, seed_base: int, *, population_cap: int = 10**6,
                      threads: int = 1) -> list[RepSummary]:
     """Simulate independent replications and collect per-path summaries."""
-    setup = prepare_simulation(t, mu, policy, params, step, horizon)
+    setup = prepare_simulation(t, mu, policy, params, step, horizon,
+                               seeds=range(seed_base, seed_base + n_reps))
     return _fan_out(_cost_worker, (setup, seed_base, population_cap), n_reps, threads)
 
 
@@ -388,7 +390,8 @@ def dynkin_residual(u: SmoothTestFunction, t, mu, policy, params: ModelParams,
     quadrature bias."""
     if not t <= s:
         raise ConfigurationError("need t <= s")
-    setup = prepare_simulation(t, mu, policy, params, step, s)
+    setup = prepare_simulation(t, mu, policy, params, step, s,
+                               seeds=range(seed_base, seed_base + n_reps))
     args = (setup, u, seed_base, population_cap)
     residuals = np.array(_fan_out(_dynkin_worker, args, n_reps, threads))
     return estimate_from_samples(residuals, seed_base)
@@ -445,7 +448,8 @@ def dpp_check(t, mu, policy, params: ModelParams, tau_rule, value_grid: ValueGri
         raise ConfigurationError(f"unknown stopping rule {kind!r}")
     if not t <= s <= value_grid.horizon + 1e-12:
         raise ConfigurationError("stopping time must lie in [t, horizon]")
-    setup = prepare_simulation(t, mu, policy, params, step, s)
+    setup = prepare_simulation(t, mu, policy, params, step, s,
+                               seeds=range(seed_base, seed_base + n_reps))
     args = (setup, value_grid, kind, seed_base, population_cap)
     values = np.array(_fan_out(_dpp_worker, args, n_reps, threads))
     est = estimate_from_samples(values, seed_base)
@@ -512,7 +516,8 @@ def coupling_probe(t, mu, policy, params: ModelParams, params_tilde: ModelParams
                    threads: int = 1) -> CouplingReport:
     """Empirical probability that two models driven by identical randomness
     keep the same genealogy and stay within ``delta`` of each other."""
-    setups = tuple(prepare_simulation(t, mu, policy, p, step, horizon)
+    seeds = range(seed_base, seed_base + n_reps)
+    setups = tuple(prepare_simulation(t, mu, policy, p, step, horizon, seeds=seeds)
                    for p in (params, params_tilde))
     args = (setups, delta, seed_base, population_cap)
     flags = _fan_out(_coupling_worker, args, n_reps, threads)

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigurationError, ExplosionGuardError, NumericalFailureError
 from .labels import Label, assert_antichain, children, label_to_str
 from .model import ModelParams, offspring_boundaries
-from .rng import RandomDriver
+from .rng import RandomDriver, StreamTable
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,10 @@ class SimulationSetup:
     it was built for, the motion plan, the position-free event geometry of
     each control and whether running costs vanish.  Build it once per
     estimator call with :func:`prepare_simulation` and hand it to every
-    :func:`simulate` call; its arrays are read-only, in the workers too."""
+    :func:`simulate` call; its arrays are read-only, in the workers too.
+    ``streams``, in a set-up built for known seeds, holds the seed words of
+    the founders' and their children's streams
+    (:class:`~branchdiff.rng.StreamTable`)."""
 
     t: float
     initial: dict[Label, np.ndarray]   # founders' positions as float arrays
@@ -313,6 +316,7 @@ class SimulationSetup:
     plan: _MotionPlan
     static_geom: dict[int, tuple[float, np.ndarray]]   # control -> (death rate, boundaries)
     cost_free: bool
+    streams: StreamTable | None = None
 
     def __post_init__(self):
         arrays = [*self.initial.values(), *(b for _, b in self.static_geom.values()),
@@ -364,9 +368,13 @@ def _founders(initial: dict, dim: int) -> dict[Label, np.ndarray]:
 
 
 def prepare_simulation(t: float, initial: dict, policy, params: ModelParams,
-                       step: float, horizon: float) -> SimulationSetup:
+                       step: float, horizon: float, *, seeds: range | None = None
+                       ) -> SimulationSetup:
     """Check the inputs of :func:`simulate` and build their
-    :class:`SimulationSetup`."""
+    :class:`SimulationSetup`.  With ``seeds``, the paths of those seeds take
+    the streams of their founders and first generation from a
+    :class:`~branchdiff.rng.StreamTable`; every path is the same as
+    without."""
     if step <= 0:
         raise ConfigurationError("step size must be positive")
     if t > horizon:
@@ -381,10 +389,15 @@ def prepare_simulation(t: float, initial: dict, policy, params: ModelParams,
                 and all(p.state_independent for p in params.offspring[a])):
             static_geom[a] = (params.death_rate_at(origin, a),
                               offspring_boundaries(origin, a, params))
+    streams = None
+    if seeds is not None:
+        labels = [lab for f in founders
+                  for lab in [f, *children(f, params.max_children)]]
+        streams = StreamTable(seeds, labels)
     return SimulationSetup(
         t=float(t), initial=founders, policy=policy, params=params,
         step=float(step), horizon=float(horizon), plan=_make_plan(policy, params),
-        static_geom=static_geom, cost_free=params.cost_is_zero())
+        static_geom=static_geom, cost_free=params.cost_is_zero(), streams=streams)
 
 
 def particle_grid(t0: float, start: float, end: float, step: float) -> np.ndarray:
@@ -447,7 +460,7 @@ class _Simulation:
         # only the constant control is read when no step cost or track needs
         # the control of every step
         self.per_step_controls = not self.cost_free or record_paths
-        self.driver = RandomDriver(seed)
+        self.driver = RandomDriver(seed, setup.streams)
         # label -> position at its own time; positions are replaced, never
         # written into, so the founders' read-only arrays can start it
         self.pop = dict(setup.initial)

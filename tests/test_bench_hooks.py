@@ -54,6 +54,27 @@ def test_tracer_sees_every_path():
     assert tracer.violations == []
 
 
+def test_tracer_counts_every_stream():
+    """Streams served from an estimator call's table still pass through
+    ``RandomDriver._derive``: one ``rng.derive`` span per stream a path uses,
+    a motion and an event stream per particle ever alive."""
+    tracing = load("tracing")
+    params = modelio.load_model(REPO / "configs" / "models" / "subcritical_drift.yaml")
+    start = {(): [0.0]}
+    policy = simulator.ConstantPolicy(0)
+    tracer = tracing.Tracer()
+    with tracer.installed(branchdiff):
+        estimator.estimate_value(0.0, start, policy, params, 200, 0.05, 7, horizon=1.0)
+    name_id, _, _, _ = tracer.arrays()
+    spans = int((name_id == tracer._ids["rng.derive"]).sum())
+    expected = 0
+    for seed in range(7, 207):
+        path = simulator.simulate(0.0, start, policy, params, 0.05, 1.0, seed)
+        expected += 2 * (len(path.initial) + sum(ev.n_children for ev in path.events))
+    assert spans == tracer.derived == expected
+    assert tracer.violations == []
+
+
 def one_pool_config(tmp_path):
     """Three estimator calls under the feedback policy: two DPP stopping
     rules and one Dynkin residual."""

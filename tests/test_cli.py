@@ -1,10 +1,11 @@
+import io
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from branchdiff import cli, estimator
+from branchdiff import cli, estimator, modelio, simulator
 
 REPO = Path(__file__).resolve().parents[1]
 MODELS = REPO / "configs" / "models"
@@ -111,7 +112,15 @@ class TestRun:
         first = json.loads(jsonl[0])
         assert set(first) == {"seed", "cost", "sup_population", "n_events",
                               "extinct"}
-        assert (out / "task_01_path_0.csv").exists()
+        # dumped paths are the paths simulate gives without a set-up
+        params = modelio.load_model(MODELS / "critical_binary.yaml")
+        for k in range(2):
+            path = simulator.simulate(0.0, {(): [0.0]}, simulator.ConstantPolicy(0),
+                                      params, 0.5, 2.0, 4242 + k)
+            expected = io.StringIO(newline="")
+            simulator.write_path_csv(path, expected)
+            assert ((out / f"task_01_path_{k}.csv").read_bytes()
+                    == expected.getvalue().encode())
         grid_csv = (out / "task_00_grid.csv").read_text().splitlines()
         assert grid_csv[0] == "t,x,u,control"
 

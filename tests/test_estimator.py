@@ -65,6 +65,23 @@ class TestEstimateValue:
                                      400, 1.0, 5, horizon=2.0, threads=2)
         assert a == b
 
+    def test_replications_equal_setup_free_paths(self):
+        """The estimator's set-up tables its seeds' streams; each replication
+        is still the path ``simulate`` gives without a set-up, on one worker
+        or two."""
+        m = make_model(b=0.1, sigma=0.3, gamma=0.8, rate_bound=1.0, p0=0.4,
+                       mean_bound=1.2)
+        expected = []
+        for seed in range(21, 61):
+            path = simulate(0.0, START, ConstantPolicy(0), m, 0.1, 1.0, seed)
+            expected.append((seed, pathwise_cost(path, m), path.sup_population,
+                             len(path.events), path.extinct))
+        for threads in (1, 2):
+            reps = estimator.run_replications(0.0, START, ConstantPolicy(0), m, 40,
+                                              0.1, 1.0, 21, threads=threads)
+            assert [(r.seed, r.cost, r.sup_population, r.n_events, r.extinct)
+                    for r in reps] == expected
+
     def test_needs_two_replications(self):
         with pytest.raises(ConfigurationError):
             estimator.estimate_value(0.0, START, ConstantPolicy(0), CRITICAL,

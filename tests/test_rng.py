@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchdiff.labels import encode_words
-from branchdiff.rng import _EVENT_TAG, _MOTION_TAG, RandomDriver, _words
+from branchdiff.rng import (_BLOCK_KEYS, _EVENT_TAG, _FIRST_BLOCK_KEYS,
+                            _MOTION_TAG, RandomDriver, StreamTable, _SeedWords,
+                            _words, seed_state, stream_words)
 
 
 def test_streams_reproducible_across_drivers():
@@ -73,9 +82,11 @@ def reference_stream(seed, tag, label):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
+LABELS = [(), (0,), (3, 0), (2**32, 0), (2**70, 5, 0), (2**63 - 1, 2**32 - 1)]
+
+
 @pytest.mark.parametrize("seed", EDGE_INTS[:4])
-@pytest.mark.parametrize("label", [(), (0,), (3, 0), (2**32, 0), (2**70, 5, 0),
-                                   (2**63 - 1, 2**32 - 1)])
+@pytest.mark.parametrize("label", LABELS)
 def test_derivation_matches_tuple_entropy(seed, label):
     driver = RandomDriver(seed)
     for tag in (_MOTION_TAG, _EVENT_TAG):
@@ -88,3 +99,116 @@ def test_negative_elements_refused():
         RandomDriver(3).motion_stream((0, -1))
     with pytest.raises(ValueError):
         RandomDriver(3).bridge_stream((0,), -1)
+
+
+def assert_table_streams(seeds, labels):
+    """Every (seed, purpose, label) the table covers derives the reference
+    stream through the table's words."""
+    table = StreamTable(seeds, labels)
+    for seed in seeds:
+        driver = RandomDriver(seed, table)
+        for tag in (_MOTION_TAG, _EVENT_TAG):
+            for label in labels:
+                assert (tag, label) in driver._index
+                np.testing.assert_array_equal(
+                    driver._derive(tag, label).random(6),
+                    reference_stream(seed, tag, label).random(6))
+        assert driver._table is not None and driver._table.flags.c_contiguous
+
+
+@pytest.mark.parametrize("seed", EDGE_INTS)
+def test_table_streams_match_reference(seed):
+    assert_table_streams(range(seed, seed + 2), LABELS)
+
+
+def test_table_block_mixes_one_and_two_word_seeds():
+    seeds = range(2**32 - 3, 2**32 + 3)
+    assert_table_streams(seeds, LABELS)
+    assert {len(_words((s,))) for s in seeds} == {1, 2}
+
+
+def test_table_masks_negative_seeds():
+    """Seeds are masked to 63 bits before they key a stream, in the table
+    as in ``RandomDriver``."""
+    assert_table_streams(range(-3, 3), [(), (0,), (1,)])
+    np.testing.assert_array_equal(stream_words(range(-2, -1), [()]),
+                                  stream_words(range(2**63 - 2, 2**63 - 1), [()]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64),
+       label=st.lists(st.integers(0, 2**70), max_size=6).map(tuple))
+def test_table_words_are_seed_sequence_words(seed, label):
+    words = stream_words([seed], [label])
+    for t, tag in enumerate((_MOTION_TAG, _EVENT_TAG)):
+        entropy = np.array(_words((seed & (2**63 - 1), tag)
+                                  + encode_words(label)), dtype=np.uint32)
+        np.testing.assert_array_equal(
+            words[0, t, 0], np.random.SeedSequence(entropy).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+def test_seed_state_matches_seed_sequence(length):
+    entropy = np.random.default_rng(length).integers(
+        0, 2**32, size=(40, length), dtype=np.uint64).astype(np.uint32)
+    entropy[:3] = 0
+    entropy[3:6] = 2**32 - 1
+    expected = [np.random.SeedSequence(row).generate_state(4, np.uint64)
+                for row in entropy]
+    np.testing.assert_array_equal(seed_state(entropy), expected)
+
+
+def test_table_seed_words_serve_pcg64_only():
+    words = _SeedWords(np.zeros(4, dtype=np.uint64))
+    with pytest.raises(ValueError):
+        words.generate_state(8, np.uint32)
+
+
+def test_uncovered_keys_take_seed_sequence():
+    """Bridge streams, labels outside the table and seeds outside its range
+    derive the reference streams without a table block."""
+    table = StreamTable(range(10, 20), [(), (0,), (1,)])
+    driver = RandomDriver(12, table)
+    np.testing.assert_array_equal(
+        driver._derive(_MOTION_TAG, (0, 1)).random(6),
+        reference_stream(12, _MOTION_TAG, (0, 1)).random(6))
+    driver.bridge_stream((), 0)
+    assert driver._table is None
+    outside = RandomDriver(20, table)
+    np.testing.assert_array_equal(outside._derive(_EVENT_TAG, ()).random(6),
+                                  reference_stream(20, _EVENT_TAG, ()).random(6))
+    assert outside._table is None and table._block is None
+
+
+def test_table_holds_one_bounded_block():
+    """A table for a million seeds holds one block at a time; blocks start
+    at the seed that needs them and double up to a fixed number of keys."""
+    labels = [(), (0,), (1,)]
+    table = StreamTable(range(10**6), labels)
+    keys = 2 * len(labels)
+    sizes = []
+    for seed in range(5000):
+        words = table.words(seed)
+        assert words.shape == (keys, 4)
+        if table._block[0][0] == seed:
+            sizes.append(len(table._block[0]))
+    first = _FIRST_BLOCK_KEYS // keys
+    assert sizes[:4] == [first, 2 * first, 4 * first, 8 * first]
+    assert max(sizes) == sizes[-1] == table.seeds_per_block == _BLOCK_KEYS // keys
+    # a block ends with the range; a seed away from the block starts a new one
+    table.words(999_998)
+    assert table._block[0] == range(999_998, 10**6)
+    # labels beyond the bound leave the table empty, not the block unbounded
+    assert not StreamTable(range(5), [(i,) for i in range(_BLOCK_KEYS)]).covers(0)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """Importing the CLI does not import numpy.random: the table's seed
+    class is registered with numpy at its first block."""
+    code = "import sys, branchdiff.cli; print('numpy.random' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

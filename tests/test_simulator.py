@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from branchdiff import hjb, model as M
 from branchdiff.errors import (ConfigurationError, ExplosionGuardError,
                                NumericalFailureError)
 from branchdiff.labels import is_antichain
+from branchdiff.modelio import load_model
 from branchdiff.rng import RandomDriver
 from branchdiff.simulator import (
     ConstantPolicy,
@@ -503,6 +505,41 @@ class TestSimulationSetup:
         path = simulate(*args, 3, setup=setup)
         assert all(x.flags.writeable for x in path.initial.values())
         assert all(x.flags.writeable for x in path.final.values())
+
+
+class TestStreamTable:
+    """A set-up built for known seeds serves its founders' and first
+    generation's streams from a table; every path is the same as without."""
+
+    MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
+
+    @pytest.mark.parametrize("name", ["critical_binary", "subcritical_drift",
+                                      "two_control_harvest"])
+    def test_paths_equal_setup_free_paths(self, name):
+        m = load_model(self.MODELS / f"{name}.yaml")
+        for founders in (ROOT_START, FOUNDERS):
+            args = (0.0, founders, ConstantPolicy(0), m, 0.05, 1.5)
+            setup = prepare_simulation(*args, seeds=range(3, 43))
+            founder_depth = len(next(iter(founders)))
+            deepest = 0
+            for seed in [*range(3, 43), 2, 43, 10**6]:   # and three outside
+                a = simulate(*args, seed)
+                b = simulate(*args, seed, setup=setup)
+                assert a.equals(b)
+                deepest = max(deepest, *(len(lab) - founder_depth for lab in a.tracks))
+            assert deepest >= 2     # labels beyond the tabled generation
+
+    def test_pickled_setup_carries_no_block(self):
+        args = (0.0, dict(FOUNDERS), ConstantPolicy(0),
+                TestSimulationSetup.m, 0.1, 1.0)
+        setup = prepare_simulation(*args, seeds=range(100, 200))
+        before = pickle.dumps(setup)
+        simulate(*args, 100, setup=setup)
+        assert setup.streams._block is not None
+        assert pickle.dumps(setup) == before
+        copy = pickle.loads(before)
+        assert copy.streams._block is None
+        assert simulate(*copy.inputs, 150, setup=copy).equals(simulate(*args, 150))
 
 
 def test_open_loop_policy_lookup():
