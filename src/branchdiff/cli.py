@@ -7,16 +7,8 @@ a summary.csv table of all checks, and manifest.json carrying the config
 digest, versions and seeds.  Reports contain no timestamps, so identical
 configs and seeds reproduce them byte for byte; the manifest's
 ``generated_at`` field is the one value excluded from comparison.  All floats
-serialize with 17 significant digits.
-
-Exit codes (also shown by --help):
-  0  all tasks ran and every verification check passed
-  1  unexpected internal error
-  2  config or model file parse error
-  3  validation failure (model invariants, CFL bound, numerical failure)
-  4  explosion guard tripped
-  5  tasks ran but at least one verification check failed
-  6  I/O error (missing file, unwritable output)
+serialize with 17 significant digits.  ``branchdiff --help`` lists the exit
+codes.
 """
 
 from __future__ import annotations
@@ -187,7 +179,6 @@ class Experiment:
             self.tasks.append((kind, task))
 
         self.params = modelio.load_model(self.model_path)
-        self.threads = overrides.threads
 
     def grid_config(self) -> hjb.GridConfig:
         if self.grid_doc is None:
@@ -202,7 +193,6 @@ class Runner:
     def __init__(self, exp: Experiment):
         self.exp = exp
         self._solved: hjb.ValueGrid | None = None
-        self.reports = []
         self.checks_rows = []
 
     def solved_grid(self) -> hjb.ValueGrid:
@@ -254,7 +244,7 @@ def _probe_lattice(exp: Experiment, n: int = 21):
 # ---------------------------------------------------------------------------
 # task implementations (each returns a report dict)
 
-def _task_solve(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
+def _task_solve(runner: Runner, idx: int, task: dict) -> dict:
     exp = runner.exp
     export = _take(task, "export_csv", f"tasks[{idx}]", required=False, default=True)
     probes = _take(task, "probe_points", f"tasks[{idx}]", required=False)
@@ -290,13 +280,13 @@ def _task_solve(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
             [[0.5 * (cfg.x_lo + cfg.x_hi)]])
         results["boundary_sensitivity"] = sens
     if export:
-        csv_path = out_dir / f"task_{idx:02d}_grid.csv"
+        csv_path = exp.output_dir / f"task_{idx:02d}_grid.csv"
         hjb.write_grid_csv(grid, csv_path)
         results["grid_csv"] = csv_path.name
     return {"results": results, "checks": checks}
 
 
-def _task_estimate(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
+def _task_estimate(runner: Runner, idx: int, task: dict) -> dict:
     exp = runner.exp
     path = f"tasks[{idx}]"
     policy = runner.policy_from(_take(task, "policy", path, required=False), f"{path}.policy")
@@ -309,8 +299,7 @@ def _task_estimate(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
     _check_empty(task, path)
     summaries = estimator.run_replications(
         exp.start_time, exp.initial, policy, exp.params, n_reps, exp.step,
-        exp.horizon, exp.seed_base, population_cap=exp.population_cap,
-        threads=exp.threads)
+        exp.horizon, exp.seed_base, population_cap=exp.population_cap)
     costs = np.array([s.cost for s in summaries])
     est = estimator.estimate_from_samples(costs, exp.seed_base)
     results = {"mean": est.mean, "stderr": est.stderr, "replications": n_reps,
@@ -340,7 +329,7 @@ def _task_estimate(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
                                    est.mean, ref, band,
                                    abs(est.mean - ref) <= band))
     if dump_summaries:
-        jl_path = out_dir / f"task_{idx:02d}_replications.jsonl"
+        jl_path = exp.output_dir / f"task_{idx:02d}_replications.jsonl"
         with open(jl_path, "w") as fh:
             for s in summaries:
                 fh.write(dump_json({
@@ -356,13 +345,13 @@ def _task_estimate(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
         for k in range(dump_paths):
             p = simulator.simulate(*setup.inputs, exp.seed_base + k,
                                    population_cap=exp.population_cap, setup=setup)
-            csv_path = out_dir / f"task_{idx:02d}_path_{k}.csv"
+            csv_path = exp.output_dir / f"task_{idx:02d}_path_{k}.csv"
             with open(csv_path, "w", newline="") as fh:
                 simulator.write_path_csv(p, fh)
     return {"results": results, "checks": checks}
 
 
-def _task_branching(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
+def _task_branching(runner: Runner, idx: int, task: dict) -> dict:
     exp = runner.exp
     path = f"tasks[{idx}]"
     positions = _take(task, "positions", path)
@@ -375,8 +364,7 @@ def _task_branching(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict
         exp.start_time, [np.atleast_1d(np.asarray(p, dtype=float))
                          for p in positions],
         policy, exp.params, n_reps, exp.step, exp.seed_base,
-        horizon=exp.horizon, population_cap=exp.population_cap,
-        threads=exp.threads)
+        horizon=exp.horizon, population_cap=exp.population_cap)
     checks = [runner.check(idx, "branching", "product_factorization",
                            report.multi.mean, report.product_of_singles,
                            report.band, report.passed)]
@@ -401,7 +389,7 @@ def _parse_test_function(node, path) -> estimator.SmoothTestFunction:
     return estimator.SmoothTestFunction(**kwargs)
 
 
-def _task_dynkin(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
+def _task_dynkin(runner: Runner, idx: int, task: dict) -> dict:
     exp = runner.exp
     path = f"tasks[{idx}]"
     fn_nodes = _take(task, "functions", path)
@@ -421,7 +409,7 @@ def _task_dynkin(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
             est = estimator.dynkin_residual(
                 fn, exp.start_time, exp.initial, policy, exp.params, float(s),
                 n_reps, exp.step, exp.seed_base + 1000 * fi,
-                population_cap=exp.population_cap, threads=exp.threads)
+                population_cap=exp.population_cap)
             band = 3.0 * est.stderr + allow_coef * exp.step
             ok = abs(est.mean) <= band
             rows.append({"function": fi, "family": fn.family, "time": float(s),
@@ -433,7 +421,7 @@ def _task_dynkin(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
     return {"results": {"residuals": rows}, "checks": checks}
 
 
-def _task_dpp(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
+def _task_dpp(runner: Runner, idx: int, task: dict) -> dict:
     exp = runner.exp
     path = f"tasks[{idx}]"
     policy_nodes = _take(task, "policies", path)
@@ -458,7 +446,7 @@ def _task_dpp(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
                 exp.start_time, exp.initial, policy, exp.params,
                 (skind, stime), grid, n_reps, exp.step,
                 exp.seed_base + 7000 * pi + 100 * si, allowance=allowance,
-                population_cap=exp.population_cap, threads=exp.threads)
+                population_cap=exp.population_cap)
             if role == "optimal":
                 ok = report.within_band
             elif role == "suboptimal":
@@ -476,7 +464,7 @@ def _task_dpp(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
     return {"results": {"inequalities": rows}, "checks": checks}
 
 
-def _task_moment(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
+def _task_moment(runner: Runner, idx: int, task: dict) -> dict:
     exp = runner.exp
     path = f"tasks[{idx}]"
     policy = runner.policy_from(_take(task, "policy", path, required=False),
@@ -486,8 +474,7 @@ def _task_moment(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
     _check_empty(task, path)
     summaries = estimator.run_replications(
         exp.start_time, exp.initial, policy, exp.params, n_reps, exp.step,
-        exp.horizon, exp.seed_base, population_cap=exp.population_cap,
-        threads=exp.threads)
+        exp.horizon, exp.seed_base, population_cap=exp.population_cap)
     report = estimator.moment_check(summaries, exp.params, len(exp.initial),
                                     exp.start_time, exp.horizon)
     checks = [runner.check(idx, "moment", "mean_sup_population",
@@ -499,7 +486,7 @@ def _task_moment(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
     }, "checks": checks}
 
 
-def _task_couple(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
+def _task_couple(runner: Runner, idx: int, task: dict) -> dict:
     exp = runner.exp
     path = f"tasks[{idx}]"
     perturbations = _take(task, "perturbations", path)
@@ -518,8 +505,7 @@ def _task_couple(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
         rep = estimator.coupling_probe(
             exp.start_time, exp.initial, policy, exp.params, tilde,
             exp.coupling_delta, n_reps, exp.step, exp.horizon,
-            exp.seed_base + 30000 * li, population_cap=exp.population_cap,
-            threads=exp.threads)
+            exp.seed_base + 30000 * li, population_cap=exp.population_cap)
         distance = model_mod.coefficient_distance(exp.params, tilde)
         rows.append({"perturbation": eps, "coefficient_distance": distance,
                      "rate": rep.rate, "stderr": rep.stderr,
@@ -535,7 +521,7 @@ def _task_couple(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
     return {"results": {"ladder": rows}, "checks": checks}
 
 
-def _task_verify_all(runner: Runner, idx: int, task: dict, out_dir: Path) -> dict:
+def _task_verify_all(runner: Runner, idx: int, task: dict) -> dict:
     """Canned composition: solve, MC estimate vs the PDE value, moment bound,
     branching factorization, martingale residual, DPP with the feedback
     policy, determinism, and (when g is positive) cost-form identity."""
@@ -562,8 +548,7 @@ def _task_verify_all(runner: Runner, idx: int, task: dict, out_dir: Path) -> dic
     policy = hjb.extract_feedback(grid)
     est = estimator.estimate_value(
         exp.start_time, exp.initial, policy, exp.params, n_est, exp.step,
-        exp.seed_base, horizon=exp.horizon, population_cap=exp.population_cap,
-        threads=exp.threads)
+        exp.seed_base, horizon=exp.horizon, population_cap=exp.population_cap)
     ref = 1.0
     for x in exp.initial.values():
         ref *= hjb.evaluate(grid, exp.start_time, x)
@@ -579,8 +564,7 @@ def _task_verify_all(runner: Runner, idx: int, task: dict, out_dir: Path) -> dic
 
     summaries = estimator.run_replications(
         exp.start_time, exp.initial, policy, exp.params, n_small, exp.step,
-        exp.horizon, exp.seed_base + 1, population_cap=exp.population_cap,
-        threads=exp.threads)
+        exp.horizon, exp.seed_base + 1, population_cap=exp.population_cap)
     mom = estimator.moment_check(summaries, exp.params, len(exp.initial),
                                  exp.start_time, exp.horizon)
     checks.append(runner.check(idx, "verify-all", "moment_bound", mom.mean_sup,
@@ -594,8 +578,7 @@ def _task_verify_all(runner: Runner, idx: int, task: dict, out_dir: Path) -> dic
         exp.start_time, [np.atleast_1d(np.asarray(p, dtype=float))
                          for p in positions],
         policy, exp.params, n_small, exp.step, exp.seed_base + 2,
-        horizon=exp.horizon, population_cap=exp.population_cap,
-        threads=exp.threads)
+        horizon=exp.horizon, population_cap=exp.population_cap)
     checks.append(runner.check(idx, "verify-all", "branching",
                                branch.multi.mean, branch.product_of_singles,
                                branch.band, branch.passed))
@@ -609,7 +592,7 @@ def _task_verify_all(runner: Runner, idx: int, task: dict, out_dir: Path) -> dic
         fn, exp.start_time, exp.initial, policy, exp.params,
         exp.start_time + 0.5 * (exp.horizon - exp.start_time),
         n_small, exp.step, exp.seed_base + 3,
-        population_cap=exp.population_cap, threads=exp.threads)
+        population_cap=exp.population_cap)
     dband = 3.0 * dyn.stderr + 0.5 * exp.step
     checks.append(runner.check(idx, "verify-all", "dynkin_residual", dyn.mean,
                                0.0, dband, abs(dyn.mean) <= dband))
@@ -619,18 +602,18 @@ def _task_verify_all(runner: Runner, idx: int, task: dict, out_dir: Path) -> dic
         rep = estimator.dpp_check(
             exp.start_time, exp.initial, policy, exp.params, (rule, s_mid),
             grid, n_small, exp.step, exp.seed_base + 4, allowance=allowance,
-            population_cap=exp.population_cap, threads=exp.threads)
+            population_cap=exp.population_cap)
         checks.append(runner.check(idx, "verify-all", f"dpp_{rule}", rep.slack,
                                    0.0, rep.band, rep.within_band))
 
     est2 = estimator.estimate_value(
         exp.start_time, exp.initial, policy, exp.params,
         min(n_small, 1000), exp.step, exp.seed_base + 5, horizon=exp.horizon,
-        population_cap=exp.population_cap, threads=exp.threads)
+        population_cap=exp.population_cap)
     est2b = estimator.estimate_value(
         exp.start_time, exp.initial, policy, exp.params,
         min(n_small, 1000), exp.step, exp.seed_base + 5, horizon=exp.horizon,
-        population_cap=exp.population_cap, threads=exp.threads)
+        population_cap=exp.population_cap)
     checks.append(runner.check(idx, "verify-all", "determinism", est2.mean,
                                est2b.mean, 0.0, est2.mean == est2b.mean))
 
@@ -654,8 +637,7 @@ def _task_verify_all(runner: Runner, idx: int, task: dict, out_dir: Path) -> dic
 
     if perturbations:
         couple_report = _task_couple(
-            runner, idx, {"perturbations": perturbations, "replications": n_small},
-            out_dir)
+            runner, idx, {"perturbations": perturbations, "replications": n_small})
         checks.extend(couple_report["checks"])
         results["coupling"] = couple_report["results"]
 
@@ -680,7 +662,7 @@ _TASK_FUNCS = {
 def run(config_path, *, out=None, seed=None, reps=None, threads=1) -> int:
     """Execute an experiment file; returns the process exit code."""
     config_path = Path(config_path)
-    ov = SimpleNamespace(out=out, seed=seed, reps=reps, threads=threads)
+    ov = SimpleNamespace(out=out, seed=seed, reps=reps)
 
     try:
         text = config_path.read_text()
@@ -721,9 +703,9 @@ def run(config_path, *, out=None, seed=None, reps=None, threads=1) -> int:
                   file=sys.stderr)
             return EXIT_VALIDATION
 
-        with estimator.worker_pool(exp.threads):   # one pool for every task
+        with estimator.worker_pool(threads):   # one pool for every task
             for idx, (kind, task) in enumerate(exp.tasks):
-                body = _TASK_FUNCS[kind](runner, idx, dict(task), exp.output_dir)
+                body = _TASK_FUNCS[kind](runner, idx, dict(task))
                 passed = all(c["passed"] for c in body["checks"])
                 report = {
                     "task": idx, "kind": kind,

@@ -9,10 +9,15 @@ Every estimate is a deterministic function of its inputs and the seed base;
 replication k uses seed ``seed_base + k``.  Each estimator call builds the
 simulation set-up of its inputs and seeds once and hands it to every
 replication.
-Replications may fan out over worker processes; results are keyed by
-replication index, so the reduction does not depend on completion order.
-Inside a :func:`worker_pool` block every fan-out shares that block's pool;
-elsewhere each call opens a pool of its own.
+Replications run in process, or, inside a :func:`worker_pool` block, fan
+out over that block's worker processes::
+
+    with worker_pool(4):
+        est = estimate_value(t, mu, policy, params, n_reps, step, seed_base,
+                             horizon=horizon)
+
+Results are keyed by replication index, so the reduction does not depend on
+completion order or on the number of workers.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,8 +82,9 @@ _estimate_from = estimate_from_samples
 # ---------------------------------------------------------------------------
 # replication fan-out
 
-_POOL: ContextVar[ProcessPoolExecutor | None] = ContextVar("branchdiff_pool",
-                                                          default=None)
+# (executor, workers) of the enclosing worker_pool block
+_POOL: ContextVar[tuple[ProcessPoolExecutor, int] | None] = ContextVar(
+    "branchdiff_pool", default=None)
 
 
 @contextlib.contextmanager
@@ -90,7 +96,7 @@ def worker_pool(threads: int):
         yield
         return
     with ProcessPoolExecutor(max_workers=threads) as ex:
-        token = _POOL.set(ex)
+        token = _POOL.set((ex, threads))
         try:
             yield
         finally:
@@ -101,10 +107,12 @@ def _run_chunk(worker, args, lo, hi):
     return [worker(args, i) for i in range(lo, hi)]
 
 
-def _fan_out(worker, args, n_reps: int, threads: int) -> list:
-    """Map ``worker(args, k)`` over replication indices, optionally across
-    processes.  Results come back in index order regardless of scheduling."""
-    if threads <= 1:
+def _fan_out(worker, args, n_reps: int) -> list:
+    """Map ``worker(args, k)`` over replication indices, across the enclosing
+    :func:`worker_pool` if there is one.  Results come back in index order
+    regardless of scheduling."""
+    pool = _POOL.get()
+    if pool is None:
         out = []
         for k in range(n_reps):
             try:
@@ -113,23 +121,21 @@ def _fan_out(worker, args, n_reps: int, threads: int) -> list:
                 err.completed_replications = k
                 raise
         return out
-    n_chunks = threads * 8
-    bounds = np.linspace(0, n_reps, n_chunks + 1).astype(int)
-    with worker_pool(threads):
-        ex = _POOL.get()
-        futures = [ex.submit(_run_chunk, worker, args, int(lo), int(hi))
-                   for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        results = []
-        try:
-            for fut in futures:
-                results.extend(fut.result())
-        except ExplosionGuardError as err:
-            err.completed_replications = len(results)
-            raise
-        finally:
-            # a failed call leaves no chunk queued, in a shared pool too
-            for fut in futures:
-                fut.cancel()
+    ex, threads = pool
+    bounds = np.linspace(0, n_reps, threads * 8 + 1).astype(int)
+    futures = [ex.submit(_run_chunk, worker, args, int(lo), int(hi))
+               for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    results = []
+    try:
+        for fut in futures:
+            results.extend(fut.result())
+    except ExplosionGuardError as err:
+        err.completed_replications = len(results)
+        raise
+    finally:
+        # a failed call leaves no chunk queued in the shared pool
+        for fut in futures:
+            fut.cancel()
     return results
 
 
@@ -143,27 +149,26 @@ def _cost_worker(args, k):
 
 
 def run_replications(t, mu, policy, params: ModelParams, n_reps: int, step: float,
-                     horizon: float, seed_base: int, *, population_cap: int = 10**6,
-                     threads: int = 1) -> list[RepSummary]:
+                     horizon: float, seed_base: int, *, population_cap: int = 10**6
+                     ) -> list[RepSummary]:
     """Simulate independent replications and collect per-path summaries."""
     setup = prepare_simulation(t, mu, policy, params, step, horizon,
                                seeds=range(seed_base, seed_base + n_reps))
-    return _fan_out(_cost_worker, (setup, seed_base, population_cap), n_reps, threads)
+    return _fan_out(_cost_worker, (setup, seed_base, population_cap), n_reps)
 
 
 # ---------------------------------------------------------------------------
 # value estimation
 
 def estimate_value(t, mu, policy, params: ModelParams, n_reps: int, step: float,
-                   seed_base: int, *, horizon: float, population_cap: int = 10**6,
-                   threads: int = 1) -> Estimate:
+                   seed_base: int, *, horizon: float, population_cap: int = 10**6
+                   ) -> Estimate:
     """Sample mean and standard error of the pathwise cost over independent
     replications seeded ``seed_base + k``."""
     if n_reps < 2:
         raise ConfigurationError("need at least 2 replications")
     summaries = run_replications(t, mu, policy, params, n_reps, step, horizon,
-                                 seed_base, population_cap=population_cap,
-                                 threads=threads)
+                                 seed_base, population_cap=population_cap)
     costs = np.array([s.cost for s in summaries])
     return estimate_from_samples(costs, seed_base)
 
@@ -179,8 +184,8 @@ class BranchingReport:
 
 
 def check_branching(t, x_list, policy, params: ModelParams, n_reps: int, step: float,
-                    seed_base: int, *, horizon: float, population_cap: int = 10**6,
-                    threads: int = 1) -> BranchingReport:
+                    seed_base: int, *, horizon: float, population_cap: int = 10**6
+                    ) -> BranchingReport:
     """Compare the value of a multi-particle start against the product of the
     single-particle values at the same positions.
 
@@ -195,14 +200,13 @@ def check_branching(t, x_list, policy, params: ModelParams, n_reps: int, step: f
     multi_mu = {(i,): pos for i, pos in enumerate(positions)}
     stride = n_reps
     multi = estimate_value(t, multi_mu, policy, params, n_reps, step, seed_base,
-                           horizon=horizon, population_cap=population_cap,
-                           threads=threads)
+                           horizon=horizon, population_cap=population_cap)
     singles = []
     for i, pos in enumerate(positions):
         singles.append(estimate_value(
             t, {(): pos}, policy, params, n_reps, step,
             seed_base + (i + 1) * stride, horizon=horizon,
-            population_cap=population_cap, threads=threads))
+            population_cap=population_cap))
     means = np.array([e.mean for e in singles])
     errs = np.array([e.stderr for e in singles])
     prod = float(np.prod(means))
@@ -383,7 +387,7 @@ def _dynkin_worker(args, k):
 
 def dynkin_residual(u: SmoothTestFunction, t, mu, policy, params: ModelParams,
                     s: float, n_reps: int, step: float, seed_base: int, *,
-                    population_cap: int = 10**6, threads: int = 1) -> Estimate:
+                    population_cap: int = 10**6) -> Estimate:
     """Monte Carlo mean of the martingale bracket at time ``s``: discounted
     terminal product minus initial product minus the pathwise integral of the
     operator applied to the test function.  Zero in expectation up to O(step)
@@ -393,7 +397,7 @@ def dynkin_residual(u: SmoothTestFunction, t, mu, policy, params: ModelParams,
     setup = prepare_simulation(t, mu, policy, params, step, s,
                                seeds=range(seed_base, seed_base + n_reps))
     args = (setup, u, seed_base, population_cap)
-    residuals = np.array(_fan_out(_dynkin_worker, args, n_reps, threads))
+    residuals = np.array(_fan_out(_dynkin_worker, args, n_reps))
     return estimate_from_samples(residuals, seed_base)
 
 
@@ -433,7 +437,7 @@ def _dpp_worker(args, k):
 
 def dpp_check(t, mu, policy, params: ModelParams, tau_rule, value_grid: ValueGrid,
               n_reps: int, step: float, seed_base: int, *, allowance: float = 0.0,
-              population_cap: int = 10**6, threads: int = 1) -> DppReport:
+              population_cap: int = 10**6) -> DppReport:
     """Estimate the expected discounted product of interpolated values at a
     stopping time and compare with the initial product.
 
@@ -451,7 +455,7 @@ def dpp_check(t, mu, policy, params: ModelParams, tau_rule, value_grid: ValueGri
     setup = prepare_simulation(t, mu, policy, params, step, s,
                                seeds=range(seed_base, seed_base + n_reps))
     args = (setup, value_grid, kind, seed_base, population_cap)
-    values = np.array(_fan_out(_dpp_worker, args, n_reps, threads))
+    values = np.array(_fan_out(_dpp_worker, args, n_reps))
     est = estimate_from_samples(values, seed_base)
     reference = 1.0
     for x in mu.values():
@@ -512,15 +516,17 @@ def _coupling_worker(args, k):
 
 def coupling_probe(t, mu, policy, params: ModelParams, params_tilde: ModelParams,
                    delta: float, n_reps: int, step: float, horizon: float,
-                   seed_base: int, *, population_cap: int = 10**6,
-                   threads: int = 1) -> CouplingReport:
+                   seed_base: int, *, population_cap: int = 10**6
+                   ) -> CouplingReport:
     """Empirical probability that two models driven by identical randomness
     keep the same genealogy and stay within ``delta`` of each other."""
-    seeds = range(seed_base, seed_base + n_reps)
-    setups = tuple(prepare_simulation(t, mu, policy, p, step, horizon, seeds=seeds)
-                   for p in (params, params_tilde))
-    args = (setups, delta, seed_base, population_cap)
-    flags = _fan_out(_coupling_worker, args, n_reps, threads)
+    setup = prepare_simulation(t, mu, policy, params, step, horizon,
+                               seeds=range(seed_base, seed_base + n_reps))
+    # the stream words depend on (seed, label) only: both models share them
+    tilde = replace(prepare_simulation(t, mu, policy, params_tilde, step, horizon),
+                    streams=setup.streams)
+    args = ((setup, tilde), delta, seed_base, population_cap)
+    flags = _fan_out(_coupling_worker, args, n_reps)
     n_success = int(sum(flags))
     rate = n_success / n_reps
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-300) / n_reps)

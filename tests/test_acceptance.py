@@ -24,6 +24,13 @@ from branchdiff.simulator import (
 THREADS = min(2, os.cpu_count() or 1)
 MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
 
+
+@pytest.fixture(autouse=True, scope="module")
+def shared_workers():
+    """Every estimator call of the suite fans out over one pool."""
+    with estimator.worker_pool(THREADS):
+        yield
+
 X0 = np.zeros(1)
 START = {(): X0}
 BUMP = M.CoefficientSpec(family="gaussian-bump", offset=0.1, amplitude=0.8,
@@ -58,7 +65,7 @@ def test_criterion_1_extinction_oracle():
     # closed form: gamma * T / (2 + gamma * T) = 0.5 at gamma = 1, T = 2
     est = estimator.estimate_value(0.0, START, ConstantPolicy(0),
                                    CRITICAL_BINARY, 100_000, 0.5, 20260801,
-                                   horizon=2.0, threads=THREADS)
+                                   horizon=2.0)
     assert est.stderr < 2e-3
     assert abs(est.mean - 0.5) <= 3 * est.stderr
 
@@ -77,7 +84,7 @@ def test_criterion_2_moment_bound():
         params = load_model(MODELS / f"{name}.yaml")
         summaries = estimator.run_replications(
             0.0, START, ConstantPolicy(0), params, 10_000, 0.5, 1.5,
-            seed_base=1000, threads=THREADS)
+            seed_base=1000)
         report = estimator.moment_check(summaries, params, 1, 0.0, 1.5)
         assert report.passed, name
         lines.append(f"{name}: mean sup {report.mean_sup:.3f} <= "
@@ -92,7 +99,7 @@ def test_criterion_3_branching_property():
     policy = hjb.extract_feedback(grid)
     report = estimator.check_branching(
         0.0, [np.array([-0.3]), np.array([0.4])], policy, drifted,
-        100_000, 0.5, 555, horizon=1.0, threads=THREADS)
+        100_000, 0.5, 555, horizon=1.0)
     assert report.passed
     print(f"ACCEPTANCE 3 branching property: PASS "
           f"(|{report.multi.mean:.5f} - {report.product_of_singles:.5f}| "
@@ -122,7 +129,7 @@ def test_criterion_4_dynkin_residual():
             for s in (0.3, 0.6):
                 est = estimator.dynkin_residual(
                     fn, 0.0, START, ConstantPolicy(0), params, s,
-                    10_000, h, 9000 + 37 * combo, threads=THREADS)
+                    10_000, h, 9000 + 37 * combo)
                 band = 3 * est.stderr + 0.5 * h
                 assert abs(est.mean) <= band, (mname, fi, s, est)
                 worst = max(worst, abs(est.mean) / band if band else 0.0)
@@ -148,7 +155,7 @@ def test_criterion_5_dpp_inequalities():
         for rule in ("fixed", "first-event"):
             rep = estimator.dpp_check(
                 0.0, START, policy, params, (rule, 0.5), grid, n_reps, 0.02,
-                4200 + 59 * pi, allowance=allowance, threads=THREADS)
+                4200 + 59 * pi, allowance=allowance)
             assert rep.lower_bound_ok, (pname, rule, rep)
             if role == "optimal":
                 assert rep.within_band, (pname, rule, rep)
@@ -170,7 +177,7 @@ def test_criterion_6_mc_pde_agreement():
     for i, x in enumerate((-1.0, -0.5, 0.0, 0.5, 1.0)):
         est = estimator.estimate_value(
             0.0, {(): np.array([x])}, ConstantPolicy(0), params, 100_000,
-            0.25, 31000 + 17 * i, horizon=1.0, threads=THREADS)
+            0.25, 31000 + 17 * i, horizon=1.0)
         ref = hjb.evaluate(grid, 0.0, [x])
         band = 3 * est.stderr + 0.02
         diff = abs(est.mean - ref)
@@ -228,7 +235,7 @@ def test_criterion_8_coupling_stability():
         tilde = M.perturbed_copy(params, eps)
         rep = estimator.coupling_probe(
             0.0, START, ConstantPolicy(0), params, tilde, delta, 10_000,
-            0.05, 1.0, 60000 + 1000 * li, threads=THREADS)
+            0.05, 1.0, 60000 + 1000 * li)
         rates.append(rep.rate)
     assert rates[0] <= rates[1] <= rates[2]
     assert rates[2] >= 0.99

@@ -273,6 +273,12 @@ class TestMainEntry:
         text = capsys.readouterr().out
         for token in ("exit codes", "parse error", "explosion guard"):
             assert token in text
+        # every exit code is one line of the table: its number, then its meaning
+        codes = {int(line.split()[0]) for line in text.splitlines()
+                 if line.strip() and line.split()[0].isdigit()}
+        exits = {getattr(cli, name) for name in dir(cli) if name.startswith("EXIT_")}
+        assert len(exits) == 7
+        assert exits <= codes
 
     def test_main_runs_experiment(self, tmp_path):
         cfg = write_experiment(tmp_path)

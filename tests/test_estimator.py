@@ -1,10 +1,12 @@
 import math
+import os
+import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from branchdiff import estimator, hjb, model as M, simulator
+from branchdiff import estimator, hjb, model as M, rng, simulator
 from branchdiff.errors import ConfigurationError, ExplosionGuardError
 from branchdiff.simulator import ConstantPolicy, simulate, pathwise_cost
 
@@ -30,6 +32,10 @@ def make_model(b=0.0, sigma=0.0, gamma=0.0, rate_bound=0.0, p0=1.0, p1=0.0,
 
 CRITICAL = make_model(gamma=1.0, rate_bound=1.0, p0=0.5)
 PURE_DEATH = make_model(gamma=1.0, rate_bound=1.0, p0=1.0)
+
+# no pool (a block of one worker opens none), a pool of 2 and a pool of 3,
+# which cuts a call into 24 chunks
+WORKERS = (1, 2, 3)
 
 
 class TestEstimateValue:
@@ -59,11 +65,12 @@ class TestEstimateValue:
         assert a == b
 
     def test_threads_do_not_change_result(self):
-        a = estimator.estimate_value(0.0, START, ConstantPolicy(0), CRITICAL,
-                                     400, 1.0, 5, horizon=2.0, threads=1)
-        b = estimator.estimate_value(0.0, START, ConstantPolicy(0), CRITICAL,
-                                     400, 1.0, 5, horizon=2.0, threads=2)
-        assert a == b
+        results = []
+        for workers in WORKERS:
+            with estimator.worker_pool(workers):
+                results.append(estimator.estimate_value(
+                    0.0, START, ConstantPolicy(0), CRITICAL, 400, 1.0, 5, horizon=2.0))
+        assert results == [results[0]] * len(WORKERS)
 
     def test_replications_equal_setup_free_paths(self):
         """The estimator's set-up tables its seeds' streams; each replication
@@ -76,9 +83,10 @@ class TestEstimateValue:
             path = simulate(0.0, START, ConstantPolicy(0), m, 0.1, 1.0, seed)
             expected.append((seed, pathwise_cost(path, m), path.sup_population,
                              len(path.events), path.extinct))
-        for threads in (1, 2):
-            reps = estimator.run_replications(0.0, START, ConstantPolicy(0), m, 40,
-                                              0.1, 1.0, 21, threads=threads)
+        for workers in (1, 2):
+            with estimator.worker_pool(workers):
+                reps = estimator.run_replications(0.0, START, ConstantPolicy(0), m,
+                                                  40, 0.1, 1.0, 21)
             assert [(r.seed, r.cost, r.sup_population, r.n_events, r.extinct)
                     for r in reps] == expected
 
@@ -284,20 +292,20 @@ def harvest_grid():
     return hjb.solve(HARVEST, cfg)
 
 
-def run_estimator(name, n_reps, threads, grid=None):
+def run_estimator(name, n_reps, grid=None):
     pol = ConstantPolicy(1)
     if name == "estimate":
         return estimator.estimate_value(0.0, PAIR, pol, HARVEST, n_reps, 0.1, 40,
-                                        horizon=1.0, threads=threads)
+                                        horizon=1.0)
     if name == "dynkin":
         return estimator.dynkin_residual(U, 0.0, PAIR, pol, HARVEST, 0.7, n_reps,
-                                         0.1, 41, threads=threads)
+                                         0.1, 41)
     if name == "dpp":
         return estimator.dpp_check(0.0, PAIR, pol, HARVEST, ("first-event", 0.8),
-                                   grid, n_reps, 0.1, 42, threads=threads)
+                                   grid, n_reps, 0.1, 42)
     tilde = M.perturbed_copy(HARVEST, 0.05)
     return estimator.coupling_probe(0.0, PAIR, pol, HARVEST, tilde, 0.05, n_reps,
-                                    0.1, 1.0, 43, threads=threads)
+                                    0.1, 1.0, 43)
 
 
 ESTIMATORS = ["estimate", "dynkin", "dpp", "couple"]
@@ -317,14 +325,97 @@ class TestSetupBuiltOnce:
     @pytest.mark.parametrize("name", ESTIMATORS)
     def test_once_per_call(self, name, calls):
         grid = harvest_grid() if name == "dpp" else None
-        run_estimator(name, 200, threads=1, grid=grid)
+        run_estimator(name, 200, grid=grid)
         builds = 2 if name == "couple" else 1     # coupling: one per model
         # the event geometry is position-free: one boundary set per control
         assert calls == {"_make_plan": builds, "offspring_boundaries": 2 * builds}
+
+    def test_coupled_models_share_one_stream_table(self, monkeypatch):
+        """The stream words depend on (seed, label) only: a coupling call
+        computes each block of them once for both models, and a worker gets
+        the pair with one table."""
+        blocks, fanned = Counter(), []
+
+        def counted(seeds, labels, _fn=rng.stream_words):
+            blocks[(seeds.start, seeds.stop)] += 1
+            return _fn(seeds, labels)
+
+        def recorded(worker, args, n_reps, _fn=estimator._fan_out):
+            fanned.append(args)
+            return _fn(worker, args, n_reps)
+
+        monkeypatch.setattr(rng, "stream_words", counted)
+        monkeypatch.setattr(estimator, "_fan_out", recorded)
+        run_estimator("couple", 400)
+        ranges = sorted(blocks)
+        assert set(blocks.values()) == {1}
+        assert ranges[0][0] == 43 and ranges[-1][1] == 443
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        setup, tilde = pickle.loads(pickle.dumps(fanned[0][0]))
+        assert setup.streams is tilde.streams
+        assert setup.params == HARVEST and tilde.params != HARVEST
 
 
 @pytest.mark.parametrize("name", ESTIMATORS)
 def test_threads_do_not_change_estimators(name):
     grid = harvest_grid() if name == "dpp" else None
-    assert (run_estimator(name, 120, threads=1, grid=grid)
-            == run_estimator(name, 120, threads=2, grid=grid))
+    results = []
+    for workers in WORKERS:
+        with estimator.worker_pool(workers):
+            results.append(run_estimator(name, 120, grid=grid))
+    assert results == [results[0]] * len(WORKERS)
+
+
+def _worker_pid(args, k):
+    return os.getpid()
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every pool built, with the futures submitted to it."""
+        built = []
+
+        class RecordingPool(estimator.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.submitted = []
+                built.append(self)
+
+            def submit(self, *args, **kwargs):
+                self.submitted.append(super().submit(*args, **kwargs))
+                return self.submitted[-1]
+
+        monkeypatch.setattr(estimator, "ProcessPoolExecutor", RecordingPool)
+        return built
+
+    def test_no_block_runs_in_process(self, pools):
+        assert estimator._fan_out(_worker_pid, None, 5) == [os.getpid()] * 5
+        with estimator.worker_pool(1):
+            assert estimator._fan_out(_worker_pid, None, 5) == [os.getpid()] * 5
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_eight_chunks_per_worker(self, pools, workers):
+        with estimator.worker_pool(workers):
+            pids = estimator._fan_out(_worker_pid, None, 100)
+        assert len(pids) == 100 and os.getpid() not in pids
+        assert [len(p.submitted) for p in pools] == [8 * workers]
+
+    def test_nested_block_reuses_outer_pool(self, pools):
+        with estimator.worker_pool(2):
+            outer = estimator._POOL.get()
+            with estimator.worker_pool(3):
+                assert estimator._POOL.get() is outer
+                estimator._fan_out(_worker_pid, None, 100)
+            assert estimator._POOL.get() is outer
+        assert estimator._POOL.get() is None
+        assert [len(p.submitted) for p in pools] == [16]
+
+    def test_serial_again_after_failed_block(self, pools):
+        with pytest.raises(RuntimeError):
+            with estimator.worker_pool(2):
+                raise RuntimeError("body failed")
+        assert estimator._POOL.get() is None
+        assert estimator._fan_out(_worker_pid, None, 5) == [os.getpid()] * 5
+        assert len(pools) == 1 and pools[0].submitted == []
