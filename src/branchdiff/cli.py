@@ -2,6 +2,10 @@
 list (solve / estimate / branching / dpp / dynkin / moment / couple /
 verify-all), and write reproducible artifacts.
 
+The whole file is parsed before any task runs: each task is checked against
+the spec of its kind (``_TASKS``) and turned into plain values, so a bad key
+in the last task stops the run before the first one starts.
+
 Outputs land in the experiment's output directory: one JSON report per task,
 a summary.csv table of all checks, and manifest.json carrying the config
 digest, versions and seeds.  Reports contain no timestamps, so identical
@@ -27,8 +31,9 @@ import yaml
 
 from . import __version__, estimator, hjb, model as model_mod, modelio, simulator
 from .errors import ConfigurationError, ExplosionGuardError, NumericalFailureError
-from .labels import label_from_str
-from .modelio import _check_empty, _fail, _require_mapping, _take
+from .labels import label_from_str, label_to_str
+from .modelio import (REQUIRED, _build, _fail, _fields, _flag, _items, _list_of, _of_kind,
+                      _one_of, _raw, _real, _reals, _require_mapping, _section, _whole)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -37,9 +42,6 @@ EXIT_VALIDATION = 3
 EXIT_EXPLOSION = 4
 EXIT_CHECKS_FAILED = 5
 EXIT_IO = 6
-
-_TASK_KINDS = ("solve", "estimate", "branching", "dpp", "dynkin", "moment",
-               "couple", "verify-all")
 
 
 # ---------------------------------------------------------------------------
@@ -85,105 +87,218 @@ def config_digest(doc) -> str:
 
 
 # ---------------------------------------------------------------------------
-# experiment config parsing
+# experiment config parsing: one spec per task kind (see modelio._fields), its
+# parsers taking the experiment parsed so far as their context
+
+FEEDBACK = "feedback"   # a parsed feedback policy: built from the solved grid
+_count = _whole(1)
+
+
+def _some_reals(exp, value, path) -> tuple[float, ...]:
+    _items(value, path)
+    return modelio._float_list(value, path)
+
+
+def _text(exp, value, path) -> str:
+    if not isinstance(value, str) or not value:
+        _fail(path, f"expected a file path, got {value!r}")
+    return value
+
+
+def _position(exp, value, path) -> np.ndarray:
+    x = modelio._float_list(value, path)
+    if len(x) != exp.params.dim:
+        _fail(path, f"expected {exp.params.dim} coordinate(s), got {len(x)}")
+    return np.array(x)
+
+
+def _label(exp, text, path):
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
+        # YAML reads an unquoted 0.10 as the number 0.1
+        _fail(path, f"expected a quoted label such as \"0.1\", got {text!r}")
+    try:
+        return label_from_str(str(text))
+    except ValueError as err:
+        _fail(path, str(err))
+
+
+_PARTICLE = {"label": (_label, ()), "position": (_position, REQUIRED)}
+
+
+def _particles(exp, value, path) -> dict:
+    """{label: position} of the founders, which must form an antichain."""
+    initial, index = {}, {}     # index: label -> its particle's index in the list
+    for i, particle in enumerate(_list_of(_section(_PARTICLE))(exp, value, path)):
+        lab = particle["label"]
+        if lab in index:
+            _fail(f"{path}[{i}].label", f"label {label_to_str(lab)!r} repeats the "
+                                        f"label of {path}[{index[lab]}]")
+        index[lab] = i
+        initial[lab] = particle["position"]
+    # sorted, a label is followed by its descendants (as in is_antichain)
+    ordered = sorted(index)
+    for a, b in zip(ordered, ordered[1:]):
+        if b[:len(a)] == a:
+            i, j = sorted((index[a], index[b]))
+            _fail(f"{path}[{j}].label",
+                  f"the founders violate the antichain condition: one of "
+                  f"{path}[{i}] and [{j}] descends from the other")
+    return initial
+
+
+def _control(exp, value, path) -> int:
+    c = modelio._int(value, path)
+    n = len(exp.params.controls)
+    if not 0 <= c < n:
+        _fail(path, f"control index {c} is out of range: the model has {n} control(s)")
+    return c
+
+
+_POLICIES = {
+    "constant": {"control": (_control, 0)},
+    "feedback": {},
+    "open-loop": {"switch_times": (_reals, REQUIRED),
+                  "controls": (_list_of(_control), REQUIRED)},
+}
+
+
+def _policy(exp, node, path):
+    """A constant or open-loop policy, or FEEDBACK."""
+    kind, v = _of_kind(exp, node, _POLICIES, path)
+    if kind == "constant":
+        return simulator.ConstantPolicy(v["control"])
+    if kind == "open-loop":
+        return _build(f"{path}.switch_times", simulator.OpenLoopPolicy,
+                      (v["switch_times"], v["controls"]))
+    if exp.grid is None:
+        _fail(path, "a feedback policy needs a grid section")
+    return FEEDBACK
+
+
+def _dpp_policy(exp, node, path):
+    """(role, policy): a policy with an optional role."""
+    node = dict(_require_mapping(node, path))
+    role = _one_of("admissible", "optimal", "suboptimal")(
+        exp, node.pop("role", "admissible"), f"{path}.role")
+    return role, _policy(exp, node, path)
+
+
+_TEST_FUNCTION = {
+    "family": (_one_of("constant", "gaussian-bump", "polynomial-times-bump"), REQUIRED),
+    **{key: (_real, None) for key in ("base", "scale", "decay", "width")},
+    **{key: (_reals, None) for key in ("center", "direction")},
+}
+
+
+def _test_function(exp, node, path) -> estimator.SmoothTestFunction:
+    given = _fields(exp, node, _TEST_FUNCTION, path)
+    return _build(path, estimator.SmoothTestFunction,
+                  **{k: v for k, v in given.items() if v is not None})
+
+
+def _times(exp, value, path) -> list:
+    """(time as written, time) pairs: a check is named by its time as written."""
+    return list(zip(map(str, value), _some_reals(exp, value, path)))
+
+
+def _ladder(exp, value, path) -> list:
+    return sorted(_some_reals(exp, value, path), reverse=True)
+
+
+def _reps(cap=None):
+    """A replication count, by default simulation.replications capped at ``cap``."""
+    return (_count, lambda exp, _: exp.n_reps if cap is None else min(exp.n_reps, cap))
+
+
+_POLICY = (_policy, simulator.ConstantPolicy(0))
+_STOPPING = {"rule": (_one_of("fixed", "first-event"), REQUIRED), "time": (_real, REQUIRED)}
+_ORACLE = {"value": (_real, REQUIRED), "sigmas": (_real, 3.0), "allowance": (_real, 0.0)}
+
+_TASKS = {
+    "solve": {"export_csv": (_flag, True), "probe_points": (_reals, None),
+              "boundary_sensitivity": (_flag, False)},
+    "estimate": {"policy": _POLICY, "replications": _reps(),
+                 "oracle": (_section(_ORACLE), None), "compare_pde": (_flag, False),
+                 "allowance": (_real, 0.01), "dump_summaries": (_flag, False),
+                 "dump_paths": (_whole(0), 0)},
+    "branching": {"positions": (_list_of(_position), REQUIRED), "policy": _POLICY,
+                  "replications": _reps()},
+    "dpp": {"policies": (_list_of(_dpp_policy), REQUIRED),
+            "stopping": (_list_of(_section(_STOPPING)), REQUIRED),
+            "replications": _reps(20000), "allowance": (_real, 0.01)},
+    "dynkin": {"functions": (_list_of(_test_function), REQUIRED),
+               "times": (_times, REQUIRED), "policy": _POLICY,
+               "replications": _reps(10000), "allowance_per_step": (_real, 0.5)},
+    "moment": {"policy": _POLICY, "replications": _reps()},
+    "couple": {"perturbations": (_ladder, REQUIRED), "policy": _POLICY,
+               "replications": _reps(10000), "final_rate_min": (_real, 0.99)},
+    "verify-all": {"replications": _reps(),
+                   "check_replications": (_count,
+                                          lambda exp, v: min(5000, v["replications"])),
+                   "allowance": (_real, 0.01), "oracle": (_real, None),
+                   "perturbations": (_raw, None),
+                   "branching_positions": (_list_of(_position), None)},
+}
+_NEEDS_GRID = ("solve", "dpp", "verify-all")
+
+_EXPERIMENT = {"model": (_text, REQUIRED), "output_dir": (_text, REQUIRED),
+               "initial": (_raw, REQUIRED), "simulation": (_raw, REQUIRED),
+               "grid": (_raw, None), "tasks": (_raw, REQUIRED)}
+_SIMULATION = {"step": (_real, REQUIRED), "horizon": (_real, REQUIRED),
+               "replications": (_count, REQUIRED), "seed_base": (_whole(0), REQUIRED),
+               "population_cap": (_count, 10**6), "coupling_delta": (_real, 0.05)}
+_INITIAL = {"time": (_real, 0.0), "particles": (_particles, REQUIRED)}
+_GRID = {"x_lo": (_real, REQUIRED), "x_hi": (_real, REQUIRED),
+         "n_x": (_whole(3), REQUIRED), "n_t": (_count, REQUIRED)}
+
 
 class Experiment:
-    """Parsed experiment: model, initial family, numerics, tasks."""
+    """A parsed experiment: model, initial family, numerics, and every task
+    as its kind and plain values, all checked before any task runs."""
 
     def __init__(self, doc: dict, config_path: Path, overrides):
         self.digest = config_digest(doc)
-        doc = dict(_require_mapping(doc, "experiment"))
-        base = config_path.parent
-        model_ref = _take(doc, "model", "experiment")
-        self.model_path = (base / model_ref).resolve()
-        file_out = _take(doc, "output_dir", "experiment")
+        top = _fields(self, _require_mapping(doc, "experiment"), _EXPERIMENT, "")
+        self.model_path = (config_path.parent / top["model"]).resolve()
         self.output_dir = Path(overrides.out if overrides.out is not None
-                               else file_out)
-
-        sim = dict(_require_mapping(_take(doc, "simulation", "experiment"),
-                                    "simulation"))
-        self.step = float(_take(sim, "step", "simulation"))
-        self.horizon = float(_take(sim, "horizon", "simulation"))
-        file_reps = _take(sim, "replications", "simulation")
-        self.n_reps = int(overrides.reps if overrides.reps is not None else file_reps)
-        file_seed = _take(sim, "seed_base", "simulation")
-        self.seed_base = int(overrides.seed if overrides.seed is not None
-                             else file_seed)
-        self.population_cap = int(_take(sim, "population_cap", "simulation",
-                                        required=False, default=10**6))
-        self.coupling_delta = float(_take(sim, "coupling_delta", "simulation",
-                                          required=False, default=0.05))
-        _check_empty(sim, "simulation")
-
-        init = dict(_require_mapping(_take(doc, "initial", "experiment"), "initial"))
-        self.start_time = float(_take(init, "time", "initial", required=False,
-                                      default=0.0))
-        particles = _take(init, "particles", "initial")
-        _check_empty(init, "initial")
-        if not isinstance(particles, list) or not particles:
-            _fail("initial.particles", "expected a non-empty list")
-        self.initial = {}
-        index = {}     # label -> its particle's index in the list
-        for i, p in enumerate(particles):
-            where = f"initial.particles[{i}]"
-            p = dict(_require_mapping(p, where))
-            text = _take(p, "label", where, required=False, default="")
-            if isinstance(text, bool) or not isinstance(text, (str, int)):
-                # YAML reads an unquoted 0.10 as the number 0.1
-                _fail(f"{where}.label", f"expected a quoted label such as \"0.1\", "
-                                        f"got {text!r}")
-            text = str(text)
-            try:
-                lab = label_from_str(text)
-            except ValueError as err:
-                _fail(f"{where}.label", str(err))
-            if lab in index:
-                _fail(f"{where}.label", f"label {text!r} repeats the label of "
-                                        f"initial.particles[{index[lab]}]")
-            index[lab] = i
-            pos = _take(p, "position", where)
-            _check_empty(p, where)
-            self.initial[lab] = np.asarray(pos, dtype=float)
-        # sorted, a label is followed by its descendants (as in is_antichain)
-        ordered = sorted(index)
-        for a, b in zip(ordered, ordered[1:]):
-            if b[:len(a)] == a:
-                i, j = sorted((index[a], index[b]))
-                _fail(f"initial.particles[{j}].label",
-                      f"the founders violate the antichain condition: one of "
-                      f"initial.particles[{i}] and [{j}] descends from the other")
-
-        grid_node = _take(doc, "grid", "experiment", required=False)
-        self.grid_doc = None
-        if grid_node is not None:
-            g = dict(_require_mapping(grid_node, "grid"))
-            self.grid_doc = {
-                "x_lo": float(_take(g, "x_lo", "grid")),
-                "x_hi": float(_take(g, "x_hi", "grid")),
-                "n_x": int(_take(g, "n_x", "grid")),
-                "n_t": int(_take(g, "n_t", "grid")),
-            }
-            _check_empty(g, "grid")
-
-        tasks = _take(doc, "tasks", "experiment")
-        _check_empty(doc, "experiment")
-        if not isinstance(tasks, list) or not tasks:
-            _fail("tasks", "expected a non-empty task list")
-        self.tasks = []
-        for i, task in enumerate(tasks):
-            task = dict(_require_mapping(task, f"tasks[{i}]"))
-            kind = _take(task, "kind", f"tasks[{i}]")
-            if kind not in _TASK_KINDS:
-                _fail(f"tasks[{i}].kind", f"unknown task kind {kind!r}; "
-                                          f"known: {list(_TASK_KINDS)}")
-            self.tasks.append((kind, task))
-
+                               else top["output_dir"])
+        # loaded first: positions and control indices are checked against it
         self.params = modelio.load_model(self.model_path)
 
-    def grid_config(self) -> hjb.GridConfig:
-        if self.grid_doc is None:
-            _fail("grid", "this task needs a grid section")
-        return hjb.GridConfig(horizon=self.horizon, **self.grid_doc)
+        sim = _fields(self, top["simulation"], _SIMULATION, "simulation")
+        self.step, self.horizon = sim["step"], sim["horizon"]
+        self.population_cap, self.coupling_delta = sim["population_cap"], sim["coupling_delta"]
+        if self.step <= 0:
+            _fail("simulation.step", f"must be positive, got {self.step!r}")
+        self.n_reps = (sim["replications"] if overrides.reps is None
+                       else _count(self, overrides.reps, "--reps"))
+        self.seed_base = (sim["seed_base"] if overrides.seed is None
+                          else _whole(0)(self, overrides.seed, "--seed"))
+
+        init = _fields(self, top["initial"], _INITIAL, "initial")
+        self.start_time, self.initial = init["time"], init["particles"]
+        if self.horizon < self.start_time:
+            _fail("simulation.horizon", f"{self.horizon!r} lies before the start "
+                                        f"time initial.time = {self.start_time!r}")
+
+        self.grid = None
+        if top["grid"] is not None:
+            self.grid = _build("grid", hjb.GridConfig, horizon=self.horizon,
+                               **_fields(self, top["grid"], _GRID, "grid"))
+        self.tasks = [self._task(node, where) for where, node in _items(top["tasks"], "tasks")]
+
+    def _task(self, node, path):
+        kind, values = _of_kind(self, node, _TASKS, path)
+        if self.grid is None and (kind in _NEEDS_GRID or values.get("compare_pde")):
+            _fail(path, "this task needs a grid section")
+        if kind == "verify-all":
+            # the coupling ladder is a couple task at the check replications
+            ladder = values.pop("perturbations")
+            values["couple"] = None if ladder is None else _fields(
+                self, {"perturbations": ladder,
+                       "replications": values["check_replications"]},
+                _TASKS["couple"], path)
+        return kind, values
 
 
 # ---------------------------------------------------------------------------
@@ -197,44 +312,24 @@ class Runner:
 
     def solved_grid(self) -> hjb.ValueGrid:
         if self._solved is None:
-            self._solved = hjb.solve(self.exp.params, self.exp.grid_config())
+            self._solved = hjb.solve(self.exp.params, self.exp.grid)
         return self._solved
 
-    def policy_from(self, node, path) -> object:
-        if node is None:
-            return simulator.ConstantPolicy(0)
-        node = dict(_require_mapping(node, path))
-        kind = _take(node, "kind", path)
-        if kind == "constant":
-            ctrl = int(_take(node, "control", path, required=False, default=0))
-            _check_empty(node, path)
-            return simulator.ConstantPolicy(ctrl)
-        if kind == "feedback":
-            _check_empty(node, path)
-            return hjb.extract_feedback(self.solved_grid())
-        if kind == "open-loop":
-            times = _take(node, "switch_times", path)
-            ctrls = _take(node, "controls", path)
-            _check_empty(node, path)
-            return simulator.OpenLoopPolicy((times, ctrls))
-        _fail(path, f"unknown policy kind {kind!r}")
+    def policy(self, policy):
+        """The parsed policy, with FEEDBACK built from the solved grid."""
+        return hjb.extract_feedback(self.solved_grid()) if policy is FEEDBACK else policy
 
     def check(self, task_idx, kind, name, value, reference, band, passed):
-        self.checks_rows.append({
-            "task": task_idx, "kind": kind, "check": name,
-            "value": value, "reference": reference, "band": band,
-            "passed": bool(passed)})
-        return {"name": name, "value": value, "reference": reference,
-                "band": band, "passed": bool(passed)}
+        row = {"name": name, "value": value, "reference": reference, "band": band,
+               "passed": bool(passed)}
+        self.checks_rows.append((task_idx, kind, row))
+        return row
 
 
 def _probe_lattice(exp: Experiment, n: int = 21):
-    if exp.grid_doc is not None:
-        xs = np.linspace(exp.grid_doc["x_lo"], exp.grid_doc["x_hi"], n)
-        pts = [np.array([x]) for x in xs] if exp.params.dim == 1 else None
+    if exp.grid is not None and exp.params.dim == 1:
+        pts = [np.array([x]) for x in np.linspace(exp.grid.x_lo, exp.grid.x_hi, n)]
     else:
-        pts = None
-    if pts is None:
         anchor = np.stack(list(exp.initial.values()))
         lo, hi = anchor.min(axis=0) - 2.0, anchor.max(axis=0) + 2.0
         pts = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
@@ -242,16 +337,12 @@ def _probe_lattice(exp: Experiment, n: int = 21):
 
 
 # ---------------------------------------------------------------------------
-# task implementations (each returns a report dict)
+# task implementations: each takes its task's parsed values and returns a
+# report dict
 
-def _task_solve(runner: Runner, idx: int, task: dict) -> dict:
-    exp = runner.exp
-    export = _take(task, "export_csv", f"tasks[{idx}]", required=False, default=True)
-    probes = _take(task, "probe_points", f"tasks[{idx}]", required=False)
-    sensitivity = _take(task, "boundary_sensitivity", f"tasks[{idx}]",
-                        required=False, default=False)
-    _check_empty(task, f"tasks[{idx}]")
-    cfg = exp.grid_config()
+def _task_solve(runner: Runner, idx: int, *, export_csv, probe_points,
+                boundary_sensitivity) -> dict:
+    exp, cfg = runner.exp, runner.exp.grid
     ratio = hjb.cfl_ratio(exp.params, cfg)
     grid = runner.solved_grid()
     u_min, u_max = float(grid.values.min()), float(grid.values.max())
@@ -262,68 +353,47 @@ def _task_solve(runner: Runner, idx: int, task: dict) -> dict:
         runner.check(idx, "solve", "range", u_min, 0.0, 0.0,
                      0.0 <= u_min and u_max <= 1.0),
     ]
-    results = {
-        "cfl_ratio": ratio,
-        "clamp_events": grid.clamp_events,
-        "degenerate_diffusion": grid.degenerate_diffusion,
-        "u_min": u_min,
-        "u_max": u_max,
-    }
-    if probes is not None:
-        results["probes"] = [
-            {"x": float(x), "u0": hjb.evaluate(grid, 0.0, [float(x)])}
-            for x in probes]
-    if sensitivity:
+    results = {"cfl_ratio": ratio, "clamp_events": grid.clamp_events,
+               "degenerate_diffusion": grid.degenerate_diffusion,
+               "u_min": u_min, "u_max": u_max}
+    if probe_points is not None:
+        results["probes"] = [{"x": x, "u0": hjb.evaluate(grid, 0.0, [x])}
+                             for x in probe_points]
+    if boundary_sensitivity:
         sens = hjb.boundary_sensitivity(
             grid,
-            [[float(p["x"])] for p in results.get("probes", [])] or
+            [[p["x"]] for p in results.get("probes", [])] or
             [[0.5 * (cfg.x_lo + cfg.x_hi)]])
         results["boundary_sensitivity"] = sens
-    if export:
+    if export_csv:
         csv_path = exp.output_dir / f"task_{idx:02d}_grid.csv"
         hjb.write_grid_csv(grid, csv_path)
         results["grid_csv"] = csv_path.name
     return {"results": results, "checks": checks}
 
 
-def _task_estimate(runner: Runner, idx: int, task: dict) -> dict:
+def _task_estimate(runner: Runner, idx: int, *, policy, replications, oracle,
+                   compare_pde, allowance, dump_summaries, dump_paths) -> dict:
     exp = runner.exp
-    path = f"tasks[{idx}]"
-    policy = runner.policy_from(_take(task, "policy", path, required=False), f"{path}.policy")
-    n_reps = int(_take(task, "replications", path, required=False, default=exp.n_reps))
-    oracle = _take(task, "oracle", path, required=False)
-    compare_pde = _take(task, "compare_pde", path, required=False, default=False)
-    allowance = float(_take(task, "allowance", path, required=False, default=0.01))
-    dump_summaries = _take(task, "dump_summaries", path, required=False, default=False)
-    dump_paths = int(_take(task, "dump_paths", path, required=False, default=0))
-    _check_empty(task, path)
+    policy = runner.policy(policy)
     summaries = estimator.run_replications(
-        exp.start_time, exp.initial, policy, exp.params, n_reps, exp.step,
+        exp.start_time, exp.initial, policy, exp.params, replications, exp.step,
         exp.horizon, exp.seed_base, population_cap=exp.population_cap)
     costs = np.array([s.cost for s in summaries])
     est = estimator.estimate_from_samples(costs, exp.seed_base)
-    results = {"mean": est.mean, "stderr": est.stderr, "replications": n_reps,
+    results = {"mean": est.mean, "stderr": est.stderr, "replications": replications,
                "mean_sup_population": float(np.mean([s.sup_population
                                                      for s in summaries])),
                "extinct_fraction": float(np.mean([s.extinct for s in summaries]))}
     checks = []
     if oracle is not None:
-        onode = dict(_require_mapping(oracle, f"{path}.oracle"))
-        target = float(_take(onode, "value", f"{path}.oracle"))
-        sigmas = float(_take(onode, "sigmas", f"{path}.oracle", required=False,
-                             default=3.0))
-        o_allow = float(_take(onode, "allowance", f"{path}.oracle",
-                              required=False, default=0.0))
-        _check_empty(onode, f"{path}.oracle")
-        band = sigmas * est.stderr + o_allow
+        band = oracle["sigmas"] * est.stderr + oracle["allowance"]
         checks.append(runner.check(idx, "estimate", "oracle",
-                                   est.mean, target, band,
-                                   abs(est.mean - target) <= band))
+                                   est.mean, oracle["value"], band,
+                                   abs(est.mean - oracle["value"]) <= band))
     if compare_pde:
         grid = runner.solved_grid()
-        ref = 1.0
-        for x in exp.initial.values():
-            ref *= hjb.evaluate(grid, exp.start_time, x)
+        ref = math.prod(hjb.evaluate(grid, exp.start_time, x) for x in exp.initial.values())
         band = 3.0 * est.stderr + allowance
         checks.append(runner.check(idx, "estimate", "pde_agreement",
                                    est.mean, ref, band,
@@ -351,20 +421,13 @@ def _task_estimate(runner: Runner, idx: int, task: dict) -> dict:
     return {"results": results, "checks": checks}
 
 
-def _task_branching(runner: Runner, idx: int, task: dict) -> dict:
+def _task_branching(runner: Runner, idx: int, *, positions, policy,
+                    replications) -> dict:
     exp = runner.exp
-    path = f"tasks[{idx}]"
-    positions = _take(task, "positions", path)
-    policy = runner.policy_from(_take(task, "policy", path, required=False),
-                                f"{path}.policy")
-    n_reps = int(_take(task, "replications", path, required=False,
-                       default=exp.n_reps))
-    _check_empty(task, path)
     report = estimator.check_branching(
-        exp.start_time, [np.atleast_1d(np.asarray(p, dtype=float))
-                         for p in positions],
-        policy, exp.params, n_reps, exp.step, exp.seed_base,
-        horizon=exp.horizon, population_cap=exp.population_cap)
+        exp.start_time, positions, runner.policy(policy), exp.params, replications,
+        exp.step, exp.seed_base, horizon=exp.horizon,
+        population_cap=exp.population_cap)
     checks = [runner.check(idx, "branching", "product_factorization",
                            report.multi.mean, report.product_of_singles,
                            report.band, report.passed)]
@@ -376,105 +439,61 @@ def _task_branching(runner: Runner, idx: int, task: dict) -> dict:
     }, "checks": checks}
 
 
-def _parse_test_function(node, path) -> estimator.SmoothTestFunction:
-    node = dict(_require_mapping(node, path))
-    kwargs = {"family": _take(node, "family", path)}
-    for key in ("base", "scale", "decay", "width"):
-        if key in node:
-            kwargs[key] = float(node.pop(key))
-    for key in ("center", "direction"):
-        if key in node:
-            kwargs[key] = tuple(float(v) for v in node.pop(key))
-    _check_empty(node, path)
-    return estimator.SmoothTestFunction(**kwargs)
-
-
-def _task_dynkin(runner: Runner, idx: int, task: dict) -> dict:
+def _task_dynkin(runner: Runner, idx: int, *, functions, times, policy,
+                 replications, allowance_per_step) -> dict:
     exp = runner.exp
-    path = f"tasks[{idx}]"
-    fn_nodes = _take(task, "functions", path)
-    times = _take(task, "times", path)
-    policy = runner.policy_from(_take(task, "policy", path, required=False),
-                                f"{path}.policy")
-    n_reps = int(_take(task, "replications", path, required=False,
-                       default=min(exp.n_reps, 10000)))
-    allow_coef = float(_take(task, "allowance_per_step", path, required=False,
-                             default=0.5))
-    _check_empty(task, path)
-    functions = [_parse_test_function(n, f"{path}.functions[{i}]")
-                 for i, n in enumerate(fn_nodes)]
+    policy = runner.policy(policy)
     rows, checks = [], []
     for fi, fn in enumerate(functions):
-        for s in times:
+        for written, s in times:
             est = estimator.dynkin_residual(
-                fn, exp.start_time, exp.initial, policy, exp.params, float(s),
-                n_reps, exp.step, exp.seed_base + 1000 * fi,
+                fn, exp.start_time, exp.initial, policy, exp.params, s,
+                replications, exp.step, exp.seed_base + 1000 * fi,
                 population_cap=exp.population_cap)
-            band = 3.0 * est.stderr + allow_coef * exp.step
+            band = 3.0 * est.stderr + allowance_per_step * exp.step
             ok = abs(est.mean) <= band
-            rows.append({"function": fi, "family": fn.family, "time": float(s),
+            rows.append({"function": fi, "family": fn.family, "time": s,
                          "mean": est.mean, "stderr": est.stderr, "band": band,
                          "passed": ok})
             checks.append(runner.check(idx, "dynkin",
-                                       f"residual_f{fi}_s{s}",
+                                       f"residual_f{fi}_s{written}",
                                        est.mean, 0.0, band, ok))
     return {"results": {"residuals": rows}, "checks": checks}
 
 
-def _task_dpp(runner: Runner, idx: int, task: dict) -> dict:
+def _task_dpp(runner: Runner, idx: int, *, policies, stopping, replications,
+              allowance) -> dict:
     exp = runner.exp
-    path = f"tasks[{idx}]"
-    policy_nodes = _take(task, "policies", path)
-    stopping = _take(task, "stopping", path)
-    n_reps = int(_take(task, "replications", path, required=False,
-                       default=min(exp.n_reps, 20000)))
-    allowance = float(_take(task, "allowance", path, required=False, default=0.01))
-    _check_empty(task, path)
     grid = runner.solved_grid()
     rows, checks = [], []
-    for pi, pnode in enumerate(policy_nodes):
-        pnode = dict(_require_mapping(pnode, f"{path}.policies[{pi}]"))
-        role = _take(pnode, "role", f"{path}.policies[{pi}]", required=False,
-                     default="admissible")
-        policy = runner.policy_from(pnode, f"{path}.policies[{pi}]")
-        for si, snode in enumerate(stopping):
-            snode = dict(_require_mapping(snode, f"{path}.stopping[{si}]"))
-            skind = _take(snode, "rule", f"{path}.stopping[{si}]")
-            stime = float(_take(snode, "time", f"{path}.stopping[{si}]"))
-            _check_empty(snode, f"{path}.stopping[{si}]")
+    for pi, (role, policy) in enumerate(policies):
+        policy = runner.policy(policy)
+        for si, stop in enumerate(stopping):
+            rule, s = stop["rule"], stop["time"]
             report = estimator.dpp_check(
                 exp.start_time, exp.initial, policy, exp.params,
-                (skind, stime), grid, n_reps, exp.step,
+                (rule, s), grid, replications, exp.step,
                 exp.seed_base + 7000 * pi + 100 * si, allowance=allowance,
                 population_cap=exp.population_cap)
-            if role == "optimal":
-                ok = report.within_band
-            elif role == "suboptimal":
-                ok = report.slack > 3.0 * report.estimate.stderr
-            else:
-                ok = report.lower_bound_ok
-            rows.append({"policy": pi, "role": role, "rule": skind,
-                         "time": stime, "estimate": report.estimate.mean,
+            ok = {"optimal": report.within_band,
+                  "suboptimal": report.slack > 3.0 * report.estimate.stderr,
+                  "admissible": report.lower_bound_ok}[role]
+            rows.append({"policy": pi, "role": role, "rule": rule,
+                         "time": s, "estimate": report.estimate.mean,
                          "stderr": report.estimate.stderr,
                          "reference": report.reference, "slack": report.slack,
                          "band": report.band, "passed": ok})
             checks.append(runner.check(
-                idx, "dpp", f"p{pi}_{role}_{skind}", report.slack,
+                idx, "dpp", f"p{pi}_{role}_{rule}", report.slack,
                 0.0, report.band, ok))
     return {"results": {"inequalities": rows}, "checks": checks}
 
 
-def _task_moment(runner: Runner, idx: int, task: dict) -> dict:
+def _task_moment(runner: Runner, idx: int, *, policy, replications) -> dict:
     exp = runner.exp
-    path = f"tasks[{idx}]"
-    policy = runner.policy_from(_take(task, "policy", path, required=False),
-                                f"{path}.policy")
-    n_reps = int(_take(task, "replications", path, required=False,
-                       default=exp.n_reps))
-    _check_empty(task, path)
     summaries = estimator.run_replications(
-        exp.start_time, exp.initial, policy, exp.params, n_reps, exp.step,
-        exp.horizon, exp.seed_base, population_cap=exp.population_cap)
+        exp.start_time, exp.initial, runner.policy(policy), exp.params, replications,
+        exp.step, exp.horizon, exp.seed_base, population_cap=exp.population_cap)
     report = estimator.moment_check(summaries, exp.params, len(exp.initial),
                                     exp.start_time, exp.horizon)
     checks = [runner.check(idx, "moment", "mean_sup_population",
@@ -486,25 +505,16 @@ def _task_moment(runner: Runner, idx: int, task: dict) -> dict:
     }, "checks": checks}
 
 
-def _task_couple(runner: Runner, idx: int, task: dict) -> dict:
+def _task_couple(runner: Runner, idx: int, *, perturbations, policy, replications,
+                 final_rate_min) -> dict:
     exp = runner.exp
-    path = f"tasks[{idx}]"
-    perturbations = _take(task, "perturbations", path)
-    policy = runner.policy_from(_take(task, "policy", path, required=False),
-                                f"{path}.policy")
-    n_reps = int(_take(task, "replications", path, required=False,
-                       default=min(exp.n_reps, 10000)))
-    final_min = float(_take(task, "final_rate_min", path, required=False,
-                            default=0.99))
-    _check_empty(task, path)
-    ladder = sorted((float(e) for e in perturbations), reverse=True)
-    rows = []
-    rates = []
-    for li, eps in enumerate(ladder):
+    policy = runner.policy(policy)
+    rows, rates = [], []
+    for li, eps in enumerate(perturbations):
         tilde = model_mod.perturbed_copy(exp.params, eps)
         rep = estimator.coupling_probe(
             exp.start_time, exp.initial, policy, exp.params, tilde,
-            exp.coupling_delta, n_reps, exp.step, exp.horizon,
+            exp.coupling_delta, replications, exp.step, exp.horizon,
             exp.seed_base + 30000 * li, population_cap=exp.population_cap)
         distance = model_mod.coefficient_distance(exp.params, tilde)
         rows.append({"perturbation": eps, "coefficient_distance": distance,
@@ -515,31 +525,21 @@ def _task_couple(runner: Runner, idx: int, task: dict) -> dict:
     checks = [
         runner.check(idx, "couple", "rate_nondecreasing",
                      float(min(np.diff(rates), default=0.0)), 0.0, 0.0, monotone),
-        runner.check(idx, "couple", "final_rate", rates[-1], final_min, 0.0,
-                     rates[-1] >= final_min),
+        runner.check(idx, "couple", "final_rate", rates[-1], final_rate_min, 0.0,
+                     rates[-1] >= final_rate_min),
     ]
     return {"results": {"ladder": rows}, "checks": checks}
 
 
-def _task_verify_all(runner: Runner, idx: int, task: dict) -> dict:
+def _task_verify_all(runner: Runner, idx: int, *, replications, check_replications,
+                     allowance, oracle, branching_positions, couple) -> dict:
     """Canned composition: solve, MC estimate vs the PDE value, moment bound,
     branching factorization, martingale residual, DPP with the feedback
-    policy, determinism, and (when g is positive) cost-form identity."""
+    policy, determinism, (when g is positive) cost-form identity, and the
+    coupling ladder, whose parsed couple task is ``couple``."""
     exp = runner.exp
-    path = f"tasks[{idx}]"
-    n_est = int(_take(task, "replications", path, required=False,
-                      default=exp.n_reps))
-    n_small = int(_take(task, "check_replications", path, required=False,
-                        default=min(5000, n_est)))
-    allowance = float(_take(task, "allowance", path, required=False, default=0.01))
-    oracle = _take(task, "oracle", path, required=False)
-    perturbations = _take(task, "perturbations", path, required=False)
-    positions = _take(task, "branching_positions", path, required=False)
-    _check_empty(task, path)
-
-    checks = []
-    results = {}
-
+    n_small = check_replications
+    checks, results = [], {}
     grid = runner.solved_grid()
     checks.append(runner.check(idx, "verify-all", "clamp_events",
                                float(grid.clamp_events), 0.0, 0.0,
@@ -547,20 +547,17 @@ def _task_verify_all(runner: Runner, idx: int, task: dict) -> dict:
 
     policy = hjb.extract_feedback(grid)
     est = estimator.estimate_value(
-        exp.start_time, exp.initial, policy, exp.params, n_est, exp.step,
+        exp.start_time, exp.initial, policy, exp.params, replications, exp.step,
         exp.seed_base, horizon=exp.horizon, population_cap=exp.population_cap)
-    ref = 1.0
-    for x in exp.initial.values():
-        ref *= hjb.evaluate(grid, exp.start_time, x)
+    ref = math.prod(hjb.evaluate(grid, exp.start_time, x) for x in exp.initial.values())
     band = 3.0 * est.stderr + allowance
     checks.append(runner.check(idx, "verify-all", "mc_pde_agreement",
                                est.mean, ref, band, abs(est.mean - ref) <= band))
     results["estimate"] = {"mean": est.mean, "stderr": est.stderr,
                            "pde_value": ref}
     if oracle is not None:
-        target = float(oracle)
         checks.append(runner.check(idx, "verify-all", "oracle", est.mean,
-                                   target, band, abs(est.mean - target) <= band))
+                                   oracle, band, abs(est.mean - oracle) <= band))
 
     summaries = estimator.run_replications(
         exp.start_time, exp.initial, policy, exp.params, n_small, exp.step,
@@ -570,21 +567,17 @@ def _task_verify_all(runner: Runner, idx: int, task: dict) -> dict:
     checks.append(runner.check(idx, "verify-all", "moment_bound", mom.mean_sup,
                                mom.bound, 3.0 * mom.stderr, mom.passed))
 
-    if positions is None:
-        mid = 0.5 * (grid.nodes[0] + grid.nodes[-1])
-        span = grid.nodes[-1] - grid.nodes[0]
-        positions = [[mid - span / 8.0], [mid + span / 8.0]]
+    mid = 0.5 * (grid.nodes[0] + grid.nodes[-1])
+    span = grid.nodes[-1] - grid.nodes[0]
+    if branching_positions is None:
+        branching_positions = [[mid - span / 8.0], [mid + span / 8.0]]
     branch = estimator.check_branching(
-        exp.start_time, [np.atleast_1d(np.asarray(p, dtype=float))
-                         for p in positions],
-        policy, exp.params, n_small, exp.step, exp.seed_base + 2,
-        horizon=exp.horizon, population_cap=exp.population_cap)
+        exp.start_time, branching_positions, policy, exp.params, n_small, exp.step,
+        exp.seed_base + 2, horizon=exp.horizon, population_cap=exp.population_cap)
     checks.append(runner.check(idx, "verify-all", "branching",
                                branch.multi.mean, branch.product_of_singles,
                                branch.band, branch.passed))
 
-    mid = 0.5 * (grid.nodes[0] + grid.nodes[-1])
-    span = grid.nodes[-1] - grid.nodes[0]
     fn = estimator.SmoothTestFunction(
         family="gaussian-bump", base=0.2, scale=0.6, decay=0.3,
         center=(float(mid),) * exp.params.dim, width=float(span) / 4.0)
@@ -606,14 +599,10 @@ def _task_verify_all(runner: Runner, idx: int, task: dict) -> dict:
         checks.append(runner.check(idx, "verify-all", f"dpp_{rule}", rep.slack,
                                    0.0, rep.band, rep.within_band))
 
-    est2 = estimator.estimate_value(
-        exp.start_time, exp.initial, policy, exp.params,
-        min(n_small, 1000), exp.step, exp.seed_base + 5, horizon=exp.horizon,
-        population_cap=exp.population_cap)
-    est2b = estimator.estimate_value(
-        exp.start_time, exp.initial, policy, exp.params,
-        min(n_small, 1000), exp.step, exp.seed_base + 5, horizon=exp.horizon,
-        population_cap=exp.population_cap)
+    est2, est2b = (estimator.estimate_value(
+        exp.start_time, exp.initial, policy, exp.params, min(n_small, 1000), exp.step,
+        exp.seed_base + 5, horizon=exp.horizon, population_cap=exp.population_cap)
+        for _ in range(2))
     checks.append(runner.check(idx, "verify-all", "determinism", est2.mean,
                                est2b.mean, 0.0, est2.mean == est2b.mean))
 
@@ -635,9 +624,8 @@ def _task_verify_all(runner: Runner, idx: int, task: dict) -> dict:
         checks.append(runner.check(idx, "verify-all", "cost_form_identity",
                                    worst, 0.0, 1e-10, worst < 1e-10))
 
-    if perturbations:
-        couple_report = _task_couple(
-            runner, idx, {"perturbations": perturbations, "replications": n_small})
+    if couple is not None:
+        couple_report = _task_couple(runner, idx, **couple)
         checks.extend(couple_report["checks"])
         results["coupling"] = couple_report["results"]
 
@@ -704,8 +692,8 @@ def run(config_path, *, out=None, seed=None, reps=None, threads=1) -> int:
             return EXIT_VALIDATION
 
         with estimator.worker_pool(threads):   # one pool for every task
-            for idx, (kind, task) in enumerate(exp.tasks):
-                body = _TASK_FUNCS[kind](runner, idx, dict(task))
+            for idx, (kind, values) in enumerate(exp.tasks):
+                body = _TASK_FUNCS[kind](runner, idx, **values)
                 passed = all(c["passed"] for c in body["checks"])
                 report = {
                     "task": idx, "kind": kind,
@@ -719,8 +707,7 @@ def run(config_path, *, out=None, seed=None, reps=None, threads=1) -> int:
                 fname = f"task_{idx:02d}_{kind.replace('-', '_')}.json"
                 (exp.output_dir / fname).write_text(dump_json(report) + "\n")
                 report_files.append((idx, kind, passed, fname))
-                status = "pass" if passed else "FAIL"
-                print(f"[{status}] task {idx} {kind}")
+                print(f"[{'pass' if passed else 'FAIL'}] task {idx} {kind}")
     except ConfigurationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -737,10 +724,9 @@ def run(config_path, *, out=None, seed=None, reps=None, threads=1) -> int:
         writer = csv.writer(fh)
         writer.writerow(["task", "kind", "check", "value", "reference",
                          "band", "passed"])
-        for row in runner.checks_rows:
-            writer.writerow([row["task"], row["kind"], row["check"],
-                             _fmt(row["value"]), _fmt(row["reference"]),
-                             _fmt(row["band"]), row["passed"]])
+        for task, kind, row in runner.checks_rows:
+            writer.writerow([task, kind, row["name"], _fmt(row["value"]),
+                             _fmt(row["reference"]), _fmt(row["band"]), row["passed"]])
 
     all_passed = all(p for (_, _, p, _) in report_files)
     manifest = {
@@ -761,7 +747,8 @@ def run(config_path, *, out=None, seed=None, reps=None, threads=1) -> int:
 _EPILOG = """exit codes:
   0  all tasks ran and every verification check passed
   1  unexpected internal error
-  2  config or model file parse error
+  2  config or model file parse error: an unknown or missing key, a wrong type or
+     an out-of-range value, named by its key path (checked before any task runs)
   3  validation failure (model invariants, CFL bound, numerical failure)
   4  explosion guard tripped (population exceeded the configured cap)
   5  tasks ran but at least one verification check failed

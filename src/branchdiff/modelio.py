@@ -1,4 +1,5 @@
-"""Strict parsing of declarative model definition files.
+"""Strict parsing of declarative model definition files, and the spec-driven
+parser that experiment files share.
 
 A model file is a single YAML (or JSON) document naming the dimensions, the
 global bounds, the control set and one coefficient spec per coefficient per
@@ -17,14 +18,6 @@ import yaml
 from .errors import ConfigurationError
 from .model import CoefficientSpec, ControlSet, ModelParams, VectorSpec
 
-_SPEC_FIELDS = {
-    "constant": {"required": {"value"}, "optional": set()},
-    "affine": {"required": {"intercept", "slope"}, "optional": set()},
-    "gaussian-bump": {"required": {"amplitude", "center", "width"},
-                      "optional": {"offset"}},
-    "logistic": {"required": {"lo", "hi", "slope", "center"}, "optional": set()},
-}
-
 
 def _fail(path: str, message: str):
     raise ConfigurationError(f"{path}: {message}")
@@ -34,19 +27,6 @@ def _require_mapping(node, path: str) -> dict:
     if not isinstance(node, dict):
         _fail(path, f"expected a mapping, got {type(node).__name__}")
     return node
-
-
-def _take(node: dict, key: str, path: str, *, required=True, default=None):
-    if key in node:
-        return node.pop(key)
-    if required:
-        _fail(path, f"missing required key {key!r}")
-    return default
-
-
-def _check_empty(node: dict, path: str):
-    if node:
-        _fail(path, f"unknown key(s): {sorted(node)}")
 
 
 def _number(value, path: str) -> float:
@@ -69,130 +49,186 @@ def _float_list(value, path: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def parse_spec(node, path: str) -> CoefficientSpec:
-    node = dict(_require_mapping(node, path))
-    family = _take(node, "family", path)
-    if family not in _SPEC_FIELDS:
-        _fail(path, f"unknown family {family!r}; known: {sorted(_SPEC_FIELDS)}")
-    fields = _SPEC_FIELDS[family]
-    kwargs = {}
-    for key in fields["required"]:
-        kwargs[key] = node.pop(key, None)
-        if kwargs[key] is None:
-            _fail(path, f"family {family!r} requires key {key!r}")
-    for key in fields["optional"]:
+# A spec maps each key of a mapping to (parser, default).  A parser takes a
+# context (the experiment parsed so far, for the CLI), the value and its key
+# path, and returns a plain value or fails naming the path.  A default is a
+# value, REQUIRED, or a function of the context and the values parsed before
+# it.
+
+REQUIRED = object()
+
+
+def _key(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _fields(ctx, node, spec: dict, path: str) -> dict:
+    """The parsed values of mapping ``node``, one per key of ``spec``."""
+    _require_mapping(node, path)
+    for key in node:
+        if key not in spec:
+            _fail(_key(path, key), f"unknown key; known: {sorted(spec)}")
+    values = {}
+    for key, (parse, default) in spec.items():
+        where = _key(path, key)
         if key in node:
-            kwargs[key] = node.pop(key)
-    _check_empty(node, path)
-    for key in ("slope", "center"):
-        if key in kwargs:
-            kwargs[key] = _float_list(kwargs[key], f"{path}.{key}")
-    for key in ("value", "intercept", "offset", "amplitude", "width", "lo", "hi"):
-        if key in kwargs:
-            kwargs[key] = _number(kwargs[key], f"{path}.{key}")
-    return CoefficientSpec(family=family, **kwargs)
+            values[key] = parse(ctx, node[key], where)
+        elif default is REQUIRED:
+            _fail(where, "missing required key")
+        else:
+            values[key] = default(ctx, values) if callable(default) else default
+    return values
 
 
-def _parse_spec_list(node, path: str) -> tuple[CoefficientSpec, ...]:
-    if not isinstance(node, list) or not all(isinstance(e, dict) for e in node):
-        _fail(path, "expected a list of coefficient specs")
-    return tuple(parse_spec(e, f"{path}[{i}]") for i, e in enumerate(node))
+def _of_kind(ctx, node, specs: dict, path: str, key: str = "kind"):
+    """(kind, values) of a mapping whose ``key`` entry picks its spec."""
+    node = dict(_require_mapping(node, path))
+    kind = node.pop(key, None)
+    if not isinstance(kind, str) or kind not in specs:
+        _fail(_key(path, key), f"expected one of {list(specs)}, got {kind!r}")
+    return kind, _fields(ctx, node, specs[kind], path)
 
 
-def _per_control_scalar(node, path: str, n: int) -> tuple[CoefficientSpec, ...]:
-    """A single spec (shared) or a list of one spec per control."""
-    if isinstance(node, dict):
-        return (parse_spec(node, path),) * n
-    if isinstance(node, list):
-        specs = _parse_spec_list(node, path)
-        if len(specs) != n:
-            _fail(path, f"expected {n} per-control specs, got {len(specs)}")
-        return specs
-    _fail(path, "expected a spec or a list of per-control specs")
-
-
-def _per_control_vector(node, path: str, n: int) -> tuple[VectorSpec, ...]:
-    """A component list (shared) or a per-control list of component lists."""
-    if not isinstance(node, list) or not node:
+def _items(value, path: str) -> list:
+    """(key path, entry) of each entry of a non-empty list."""
+    if not isinstance(value, list) or not value:
         _fail(path, "expected a non-empty list")
-    if all(isinstance(e, dict) for e in node):
-        shared = VectorSpec(_parse_spec_list(node, path))
-        return (shared,) * n
-    if all(isinstance(e, list) for e in node):
-        if len(node) != n:
-            _fail(path, f"expected {n} per-control component lists, got {len(node)}")
-        return tuple(VectorSpec(_parse_spec_list(e, f"{path}[{i}]"))
-                     for i, e in enumerate(node))
-    _fail(path, "mixed list: use either one component list or one list per control")
+    return [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+
+
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ConfigurationError reported at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigurationError as err:
+        _fail(path, str(err))
+
+
+def _plain(check):
+    """The parser of a check of (value, path) that needs no context."""
+    return lambda ctx, value, path: check(value, path)
+
+
+def _section(spec: dict):
+    return lambda ctx, value, path: _fields(ctx, value, spec, path)
+
+
+def _list_of(parse):
+    """The parser of a non-empty list whose entries ``parse`` parses."""
+    return lambda ctx, value, path: [parse(ctx, v, where) for where, v in _items(value, path)]
+
+
+def _whole(low: int):
+    """The parser of the integers from ``low`` up."""
+    def parse(ctx, value, path: str) -> int:
+        n = _int(value, path)
+        if n < low:
+            _fail(path, f"must be at least {low}, got {n}")
+        return n
+    return parse
+
+
+def _one_of(*options):
+    def parse(ctx, value, path: str) -> str:
+        if not isinstance(value, str) or value not in options:
+            _fail(path, f"expected one of {list(options)}, got {value!r}")
+        return value
+    return parse
+
+
+def _flag(ctx, value, path: str) -> bool:
+    if not isinstance(value, bool):
+        _fail(path, f"expected true or false, got {value!r}")
+    return value
+
+
+_real = _plain(_number)
+_reals = _plain(_float_list)
+_integer = _plain(_int)
+_raw = _plain(lambda value, path: value)
+
+_FAMILIES = {
+    "constant": {"value": (_real, REQUIRED)},
+    "affine": {"intercept": (_real, REQUIRED), "slope": (_reals, REQUIRED)},
+    "gaussian-bump": {"amplitude": (_real, REQUIRED), "center": (_reals, REQUIRED),
+                      "width": (_real, REQUIRED), "offset": (_real, None)},
+    "logistic": {"lo": (_real, REQUIRED), "hi": (_real, REQUIRED),
+                 "slope": (_reals, REQUIRED), "center": (_reals, REQUIRED)},
+}
+
+
+def parse_spec(ctx, node, path: str) -> CoefficientSpec:
+    family, given = _of_kind(ctx, node, _FAMILIES, path, key="family")
+    return _build(path, CoefficientSpec, family=family,
+                  **{k: v for k, v in given.items() if v is not None})
+
+
+def _spec_list(ctx, node, path: str) -> tuple[CoefficientSpec, ...]:
+    return tuple(_list_of(parse_spec)(ctx, node, path))
+
+
+def _is_spec_list(node) -> bool:
+    return isinstance(node, list) and all(isinstance(e, dict) for e in node)
+
+
+def _per_control(parse_one, shared):
+    """The parser of one entry shared by every control (when ``shared(node)``)
+    or a list of one entry per control; its context is the control count."""
+    def parse(n: int, node, path: str) -> tuple:
+        if shared(node):
+            return (parse_one(n, node, path),) * n
+        entries = _list_of(parse_one)(n, node, path)
+        if len(entries) != n:
+            _fail(path, f"expected {n} per-control entries, got {len(entries)}")
+        return tuple(entries)
+    return parse
+
+
+def _vector(n, node, path: str) -> VectorSpec:
+    return VectorSpec(_spec_list(n, node, path))
+
+
+_scalar_per_control = _per_control(parse_spec, lambda node: isinstance(node, dict))
+_vector_per_control = _per_control(_vector, _is_spec_list)
+_COEFFICIENTS = {
+    "drift": (_vector_per_control, REQUIRED),
+    "diffusion": (_vector_per_control, REQUIRED),
+    "death_rate": (_scalar_per_control, REQUIRED),
+    "offspring": (_section({"residual_last": (_flag, True),
+                            "probs": (_per_control(_spec_list, _is_spec_list), REQUIRED)}),
+                  REQUIRED),
+    "running_cost": (_scalar_per_control, REQUIRED),
+    "terminal": (parse_spec, REQUIRED),
+}
+_MODEL = {
+    "dim": (_integer, REQUIRED), "noise_dim": (_integer, REQUIRED),
+    "rate_bound": (_real, REQUIRED), "max_children": (_integer, REQUIRED),
+    "mean_offspring_bound": (_real, REQUIRED),
+    "controls": (_section({"count": (_integer, REQUIRED),
+                           "payloads": (_list_of(_reals), None)}), REQUIRED),
+    "coefficients": (_raw, REQUIRED),
+}
 
 
 def parse_model(doc, source: str = "<model>") -> ModelParams:
-    doc = dict(_require_mapping(doc, source))
-    dim = _int(_take(doc, "dim", source), f"{source}.dim")
-    noise_dim = _int(_take(doc, "noise_dim", source), f"{source}.noise_dim")
-    rate_bound = _number(_take(doc, "rate_bound", source), f"{source}.rate_bound")
-    max_children = _int(_take(doc, "max_children", source), f"{source}.max_children")
-    mean_bound = _number(_take(doc, "mean_offspring_bound", source),
-                         f"{source}.mean_offspring_bound")
-
-    controls_node = dict(_require_mapping(_take(doc, "controls", source),
-                                          f"{source}.controls"))
-    count = _int(_take(controls_node, "count", f"{source}.controls"),
-                 f"{source}.controls.count")
-    payloads_node = _take(controls_node, "payloads", f"{source}.controls",
-                          required=False)
-    _check_empty(controls_node, f"{source}.controls")
-    if payloads_node is None:
-        controls = ControlSet.of_size(count)
+    m = _fields(None, _require_mapping(doc, source), _MODEL, source)
+    count, payloads = m["controls"]["count"], m["controls"]["payloads"]
+    if payloads is None:
+        controls = _build(f"{source}.controls.count", ControlSet.of_size, count)
+    elif len(payloads) != count:
+        _fail(f"{source}.controls.payloads", f"expected {count} payload vectors")
     else:
-        if not isinstance(payloads_node, list) or len(payloads_node) != count:
-            _fail(f"{source}.controls.payloads", f"expected {count} payload vectors")
-        controls = ControlSet(tuple(
-            _float_list(p, f"{source}.controls.payloads[{i}]")
-            for i, p in enumerate(payloads_node)))
-
-    coeffs = dict(_require_mapping(_take(doc, "coefficients", source),
-                                   f"{source}.coefficients"))
-    cpath = f"{source}.coefficients"
-    drift = _per_control_vector(_take(coeffs, "drift", cpath), f"{cpath}.drift", count)
-    diffusion = _per_control_vector(_take(coeffs, "diffusion", cpath),
-                                    f"{cpath}.diffusion", count)
-    death = _per_control_scalar(_take(coeffs, "death_rate", cpath),
-                                f"{cpath}.death_rate", count)
-    cost = _per_control_scalar(_take(coeffs, "running_cost", cpath),
-                               f"{cpath}.running_cost", count)
-    terminal = parse_spec(_take(coeffs, "terminal", cpath), f"{cpath}.terminal")
-
-    off_node = dict(_require_mapping(_take(coeffs, "offspring", cpath),
-                                     f"{cpath}.offspring"))
-    off_path = f"{cpath}.offspring"
-    residual_last = _take(off_node, "residual_last", off_path, required=False,
-                          default=True)
-    if not isinstance(residual_last, bool):
-        _fail(f"{off_path}.residual_last", "expected a boolean")
-    probs_node = _take(off_node, "probs", off_path)
-    _check_empty(off_node, off_path)
-    if not isinstance(probs_node, list) or not probs_node:
-        _fail(f"{off_path}.probs", "expected a non-empty list")
-    if all(isinstance(e, dict) for e in probs_node):
-        shared = _parse_spec_list(probs_node, f"{off_path}.probs")
-        offspring = (shared,) * count
-    elif all(isinstance(e, list) for e in probs_node):
-        if len(probs_node) != count:
-            _fail(f"{off_path}.probs", f"expected {count} per-control lists")
-        offspring = tuple(_parse_spec_list(e, f"{off_path}.probs[{i}]")
-                          for i, e in enumerate(probs_node))
-    else:
-        _fail(f"{off_path}.probs", "mixed list: use one spec list or one per control")
-
-    _check_empty(coeffs, cpath)
-    _check_empty(doc, source)
-    return ModelParams(
-        dim=dim, noise_dim=noise_dim, controls=controls, drift=drift,
-        diffusion=diffusion, death_rate=death, offspring=offspring,
-        running_cost=cost, terminal=terminal, rate_bound=rate_bound,
-        mean_offspring_bound=mean_bound, max_children=max_children,
-        offspring_residual_last=residual_last)
+        controls = ControlSet(tuple(payloads))
+    # the context of the coefficients' parsers is the control count
+    c = _fields(count, m["coefficients"], _COEFFICIENTS, f"{source}.coefficients")
+    return _build(source, ModelParams,
+                  dim=m["dim"], noise_dim=m["noise_dim"], controls=controls,
+                  drift=c["drift"], diffusion=c["diffusion"], death_rate=c["death_rate"],
+                  offspring=c["offspring"]["probs"], running_cost=c["running_cost"],
+                  terminal=c["terminal"], rate_bound=m["rate_bound"],
+                  mean_offspring_bound=m["mean_offspring_bound"],
+                  max_children=m["max_children"],
+                  offspring_residual_last=c["offspring"]["residual_last"])
 
 
 def load_model(path) -> ModelParams:

@@ -54,38 +54,28 @@ class ConstantPolicy:
 
 
 class OpenLoopPolicy:
-    """Deterministic piecewise-constant control schedules, optionally per label.
+    """A deterministic piecewise-constant control schedule, the same for every
+    particle.
 
-    A schedule is (switch_times, controls) with switch_times ascending;
-    controls[j] applies on [switch_times[j], switch_times[j+1]).  Labels
-    without their own schedule use the default one.
+    The schedule is (switch_times, controls) with switch_times strictly
+    increasing; controls[j] applies on [switch_times[j], switch_times[j+1]).
     """
 
-    def __init__(self, default: tuple, per_label: dict[Label, tuple] | None = None):
-        self.default = self._check(default)
-        self.per_label = {k: self._check(v) for k, v in (per_label or {}).items()}
-
-    @staticmethod
-    def _check(schedule):
+    def __init__(self, schedule: tuple):
         times, ctrls = schedule
-        times = np.asarray(times, dtype=float)
-        ctrls = np.asarray(ctrls, dtype=np.int64)
-        if len(times) != len(ctrls) or len(times) == 0:
+        self.times = np.asarray(times, dtype=float)
+        self.controls = np.asarray(ctrls, dtype=np.int64)
+        if len(self.times) != len(self.controls) or len(self.times) == 0:
             raise ConfigurationError("schedule needs matching, non-empty times and controls")
-        if np.any(np.diff(times) <= 0):
+        if np.any(np.diff(self.times) <= 0):
             raise ConfigurationError("schedule switch times must be strictly increasing")
-        return times, ctrls
 
     def constant_control(self) -> int | None:
         return None
 
-    def _schedule(self, label: Label):
-        return self.per_label.get(label, self.default)
-
     def controls_along(self, times_q: np.ndarray, xs: np.ndarray, label: Label) -> np.ndarray:
-        times, ctrls = self._schedule(label)
-        idx = np.searchsorted(times, times_q, side="right") - 1
-        return ctrls[np.clip(idx, 0, len(ctrls) - 1)]
+        idx = np.searchsorted(self.times, times_q, side="right") - 1
+        return self.controls[np.clip(idx, 0, len(self.controls) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +105,6 @@ class Track:
     positions: np.ndarray    # (K+1, d)
     controls: np.ndarray     # (K,) control indices
     cost_cum: np.ndarray     # (K+1,)
-
-    def equals(self, other: "Track") -> bool:
-        return (np.array_equal(self.times, other.times)
-                and np.array_equal(self.positions, other.positions)
-                and np.array_equal(self.controls, other.controls)
-                and np.array_equal(self.cost_cum, other.cost_cum))
 
 
 @dataclass
@@ -174,36 +158,6 @@ class PopulationPath:
                                             lambda: driver.bridge_stream(lab, idx))
         cost = sum(float(np.interp(tau, tr.times, tr.cost_cum)) for tr in tracks.values())
         return tau, pop, cost
-
-    def equals(self, other: "PopulationPath") -> bool:
-        """Bitwise path equality (the determinism contract)."""
-        if (self.start_time != other.start_time or self.horizon != other.horizon
-                or self.cost_integral != other.cost_integral
-                or self.sup_population != other.sup_population
-                or self.n_steps != other.n_steps
-                or len(self.events) != len(other.events)
-                or sorted(self.initial) != sorted(other.initial)
-                or sorted(self.final) != sorted(other.final)):
-            return False
-        for lab in self.initial:
-            if not np.array_equal(self.initial[lab], other.initial[lab]):
-                return False
-        for lab in self.final:
-            if not np.array_equal(self.final[lab], other.final[lab]):
-                return False
-        for a, b in zip(self.events, other.events):
-            if (a.time != b.time or a.label != b.label or a.mark != b.mark
-                    or a.kind != b.kind or a.n_children != b.n_children
-                    or a.pop_size_after != b.pop_size_after
-                    or not np.array_equal(a.position, b.position)):
-                return False
-        if (self.tracks is None) != (other.tracks is None):
-            return False
-        if self.tracks is not None:
-            if sorted(self.tracks) != sorted(other.tracks):
-                return False
-            return all(tr.equals(other.tracks[lab]) for lab, tr in self.tracks.items())
-        return True
 
 
 def _bridge_position(track: Track, tau: float, params: ModelParams,

@@ -20,6 +20,7 @@ from branchdiff.simulator import (
     pathwise_cost_log_form,
     simulate,
 )
+from path_equality import paths_equal
 
 THREADS = min(2, os.cpu_count() or 1)
 MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
@@ -250,7 +251,7 @@ def test_criterion_9_determinism_and_identities():
                            p1=0.2, c=0.2, mean_bound=1.2, g=BUMP)
     a = simulate(0.0, START, ConstantPolicy(0), noisy, 0.05, 2.0, seed=99)
     b = simulate(0.0, START, ConstantPolicy(0), noisy, 0.05, 2.0, seed=99)
-    assert a.equals(b)
+    assert paths_equal(a, b)
     ea = estimator.estimate_value(0.0, START, ConstantPolicy(0), noisy, 500,
                                   0.1, 31, horizon=1.0)
     eb = estimator.estimate_value(0.0, START, ConstantPolicy(0), noisy, 500,
@@ -291,7 +292,7 @@ def test_criterion_9_determinism_and_identities():
     fa = simulate(0.0, START, hjb.extract_feedback(grid), noisy, 0.05, 1.0,
                   seed=7)
     fb = simulate(0.0, START, ConstantPolicy(0), noisy, 0.05, 1.0, seed=7)
-    assert fa.equals(fb)
+    assert paths_equal(fa, fb)
     print("ACCEPTANCE 9 determinism and identities: PASS "
           "(bit-identical reruns, cost-form identity to 1e-10, antichain over "
           "1e6 events, single-control feedback == constant)")

@@ -5,7 +5,11 @@ would break either."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import yaml
 
 import branchdiff
 # the tracer reaches the layers as attributes of the package
@@ -18,6 +22,7 @@ def load(name):
     spec = importlib.util.spec_from_file_location(
         f"perfbench_{name}", REPO / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -34,6 +39,23 @@ def test_setup_probe_on_bundled_experiment():
     setup_probe = load("setup_probe")
     config = REPO / "configs" / "experiments" / "dpp_two_control.yaml"
     assert setup_probe.main(str(config)) == 0
+
+
+def test_shipped_configs_parse(tmp_path):
+    """The bundled experiments and every config a benchmark workload writes
+    parse: a spec too strict for a shipped config fails here, not at
+    benchmark time."""
+    workloads = load("workloads")
+    configs = sorted((REPO / "configs" / "experiments").glob("*.yaml"))
+    for name in workloads.WORKLOADS:
+        built = workloads.build(name, 1, 0, REPO, tmp_path / name)
+        configs += [inv.config for inv in built.invocations]
+    assert len(configs) == 3 + 5
+    overrides = SimpleNamespace(out=None, seed=None, reps=None, threads=1)
+    for path in configs:
+        exp = cli.Experiment(yaml.safe_load(path.read_text()), path, overrides)
+        assert exp.tasks
+    assert not any(p.name == "out" for p in tmp_path.rglob("*"))
 
 
 def test_tracer_sees_every_path():

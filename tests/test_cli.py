@@ -1,7 +1,9 @@
 import io
 import json
+import re
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -412,3 +414,191 @@ def test_unquoted_dotted_label_exits_parse(tmp_path, capsys):
     cfg = write_experiment(tmp_path, body=body)
     assert cli.run(cfg) == cli.EXIT_PARSE
     assert "initial.particles[0].label" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the whole experiment is parsed before any task runs
+
+def base_doc(tmp_path, model="two_control_harvest.yaml", tasks=None):
+    return {
+        "model": str(MODELS / model),
+        "output_dir": str(tmp_path / "out"),
+        "initial": {"time": 0.0, "particles": [{"label": "", "position": [0.0]}]},
+        "simulation": {"step": 0.05, "horizon": 1.0, "replications": 200,
+                       "seed_base": 5},
+        "grid": {"x_lo": -4.0, "x_hi": 4.0, "n_x": 41, "n_t": 90},
+        "tasks": tasks or [{"kind": "estimate", "replications": 100}],
+    }
+
+
+def run_rejected(tmp_path, capsys, doc, path, *argv):
+    """Run ``doc`` and assert it exits 2 naming ``path`` before any output."""
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(cfg), *argv]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert path in err and "internal error" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# a valid second task of each kind, a key of it to misspell, and a key with a
+# wrongly typed value
+SECOND_TASKS = {
+    "solve": ({"probe_points": [0.0]}, "probe_points", ("export_csv", "no")),
+    "estimate": ({"replications": 100}, "replications", ("replications", "lots")),
+    "branching": ({"positions": [[0.0], [0.5]]}, "positions",
+                  ("positions", [["zero"]])),
+    "dpp": ({"policies": [{"kind": "feedback", "role": "optimal"}],
+             "stopping": [{"rule": "fixed", "time": 0.5}]}, "stopping",
+            ("allowance", "wide")),
+    "dynkin": ({"functions": [{"family": "constant"}], "times": [0.5]}, "functions",
+               ("times", "soon")),
+    "moment": ({"replications": 200}, "replications", ("replications", 200.5)),
+    "couple": ({"perturbations": [0.1]}, "perturbations", ("final_rate_min", "high")),
+    "verify-all": ({"check_replications": 200}, "check_replications",
+                   ("oracle", "half")),
+}
+
+
+def test_second_task_kinds_cover_every_kind():
+    assert set(SECOND_TASKS) == set(cli._TASKS)
+
+
+@pytest.mark.parametrize("fault", ["misspelled", "wrong_type"])
+@pytest.mark.parametrize("kind", list(SECOND_TASKS))
+def test_bad_second_task_exits_parse_before_any_task(tmp_path, capsys, kind, fault):
+    task, key, (typed_key, bad_value) = SECOND_TASKS[kind]
+    task = {"kind": kind, **task}
+    if fault == "misspelled":
+        key = key[:-3] + key[-2] + key[-3] + key[-1]    # swap two letters
+        task[key] = task.pop(SECOND_TASKS[kind][1])
+    else:
+        key = typed_key
+        task[key] = bad_value
+    doc = base_doc(tmp_path, tasks=[{"kind": "estimate", "replications": 100}, task])
+    run_rejected(tmp_path, capsys, doc, f"tasks[1].{key}")
+
+
+def set_in(doc, keys, value):
+    for k in keys[:-1]:
+        doc = doc[k]
+    doc[keys[-1]] = value
+
+
+DPP = {"kind": "dpp", "policies": [{"kind": "feedback"}],
+       "stopping": [{"rule": "fixed", "time": 0.5}]}
+
+BAD_INPUTS = {
+    "step_zero": (lambda d: set_in(d, ["simulation", "step"], 0), "simulation.step"),
+    "step_fast": (lambda d: set_in(d, ["simulation", "step"], "fast"),
+                  "simulation.step"),
+    "fractional_replications": (lambda d: set_in(d, ["tasks", 0, "replications"], 200.5),
+                                "tasks[0].replications"),
+    "reps_override_zero": (None, "--reps"),
+    "negative_seed_override": (None, "--seed"),
+    "horizon_before_start": (lambda d: set_in(d, ["initial", "time"], 1.5),
+                             "simulation.horizon"),
+    "position_not_a_number": (
+        lambda d: set_in(d, ["initial", "particles", 0, "position"], ["zero"]),
+        "initial.particles[0].position"),
+    "position_wrong_dimension": (
+        lambda d: set_in(d, ["initial", "particles", 0, "position"], [0.0, 1.0]),
+        "initial.particles[0].position"),
+    "feedback_without_grid": (
+        lambda d: (d.pop("grid"), set_in(d, ["tasks", 0, "policy"], {"kind": "feedback"})),
+        "tasks[0].policy"),
+    "solve_without_grid": (
+        lambda d: (d.pop("grid"), set_in(d, ["tasks"], [{"kind": "solve"}])), "tasks[0]"),
+    "compare_pde_without_grid": (
+        lambda d: (d.pop("grid"), set_in(d, ["tasks", 0, "compare_pde"], True)),
+        "tasks[0]"),
+    "too_few_space_nodes": (lambda d: set_in(d, ["grid", "n_x"], 2), "grid.n_x"),
+    "grid_bounds_reversed": (lambda d: set_in(d, ["grid", "x_hi"], -5.0), "grid"),
+    "decreasing_switch_times": (
+        lambda d: set_in(d, ["tasks", 0, "policy"], {
+            "kind": "open-loop", "switch_times": [0.5, 0.2], "controls": [0, 1]}),
+        "tasks[0].policy.switch_times"),
+    "unknown_policy_kind": (
+        lambda d: set_in(d, ["tasks", 0, "policy"], {"kind": "greedy"}),
+        "tasks[0].policy.kind"),
+    "unknown_stopping_rule": (
+        lambda d: set_in(d, ["tasks"], [{**DPP, "stopping": [
+            {"rule": "sometime", "time": 0.5}]}]),
+        "tasks[0].stopping[0].rule"),
+    "unknown_role": (
+        lambda d: set_in(d, ["tasks"], [{**DPP, "policies": [
+            {"kind": "feedback", "role": "optimall"}]}]),
+        "tasks[0].policies[0].role"),
+    "unknown_test_function_family": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "dynkin", "times": [0.5],
+                                         "functions": [{"family": "gaussian"}]}]),
+        "tasks[0].functions[0].family"),
+    "test_function_leaves_unit_interval": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "dynkin", "times": [0.5], "functions": [
+            {"family": "gaussian-bump", "base": 0.8, "scale": 0.6}]}]),
+        "tasks[0].functions[0]"),
+    "flag_not_boolean": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "solve", "export_csv": "no"}]),
+        "tasks[0].export_csv"),
+    "negative_dump_paths": (lambda d: set_in(d, ["tasks", 0, "dump_paths"], -1),
+                            "tasks[0].dump_paths"),
+    "empty_ladder": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "couple", "perturbations": []}]),
+        "tasks[0].perturbations"),
+}
+OVERRIDES = {"reps_override_zero": ["--reps", "0"],
+             "negative_seed_override": ["--seed", "-1"]}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_parse_with_its_path(tmp_path, capsys, case):
+    mutate, path = BAD_INPUTS[case]
+    doc = base_doc(tmp_path)
+    if mutate is not None:
+        mutate(doc)
+    run_rejected(tmp_path, capsys, doc, path, *OVERRIDES.get(case, []))
+
+
+@pytest.mark.parametrize("model, policy, path", [
+    ("two_control_harvest.yaml", {"kind": "constant", "control": -1}, "policy.control"),
+    ("two_control_harvest.yaml", {"kind": "constant", "control": 7}, "policy.control"),
+    ("two_control_harvest.yaml", {"kind": "open-loop", "switch_times": [0.0],
+                                  "controls": [5]}, "policy.controls[0]"),
+    ("critical_binary.yaml", {"kind": "constant", "control": 1}, "policy.control"),
+    ("critical_binary.yaml", {"kind": "open-loop", "switch_times": [0.0, 0.5],
+                              "controls": [0, -1]}, "policy.controls[1]"),
+], ids=["negative", "too_large", "open_loop", "one_control", "one_control_open_loop"])
+def test_control_index_out_of_range_exits_parse(tmp_path, capsys, model, policy, path):
+    doc = base_doc(tmp_path, model=model,
+                   tasks=[{"kind": "estimate", "replications": 100, "policy": policy}])
+    run_rejected(tmp_path, capsys, doc, f"tasks[0].{path}")
+
+
+def test_task_defaults_follow_the_reps_override(tmp_path):
+    doc = base_doc(tmp_path, tasks=[{"kind": "verify-all", "perturbations": [0.1, 0.2]},
+                                    {"kind": "dynkin", "times": [1, 0.5],
+                                     "functions": [{"family": "constant"}]}])
+    cfg = tmp_path / "exp.json"
+    exp = cli.Experiment(doc, cfg, SimpleNamespace(out=None, seed=None, reps=7000))
+    (_, verify), (_, dynkin) = exp.tasks
+    assert (verify["replications"], verify["check_replications"]) == (7000, 5000)
+    assert verify["couple"]["perturbations"] == [0.2, 0.1]
+    assert verify["couple"]["replications"] == 5000
+    assert dynkin["replications"] == 7000
+    # a check is named by its time as written
+    assert dynkin["times"] == [("1", 1.0), ("0.5", 0.5)]
+
+
+def test_schema_doc_lists_every_task_option():
+    """Each task's section in docs/experiment_schema.md has one table row per
+    key of that kind's spec."""
+    documented, kind = {}, None
+    for line in (REPO / "docs" / "experiment_schema.md").read_text().splitlines():
+        if line.startswith("#"):
+            heading = re.fullmatch(r"### `([a-z-]+)`", line)
+            kind = heading and heading.group(1)
+            if kind:
+                documented[kind] = []
+        elif kind and (row := re.match(r"\| `(\w+)` \|", line)):
+            documented[kind].append(row.group(1))
+    assert documented == {kind: list(spec) for kind, spec in cli._TASKS.items()}

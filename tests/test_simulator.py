@@ -22,6 +22,7 @@ from branchdiff.simulator import (
     simulate,
     write_path_csv,
 )
+from path_equality import paths_equal, tracks_equal
 
 X0 = np.zeros(1)
 ROOT_START = {(): X0}
@@ -210,13 +211,13 @@ class TestDeterminism:
                        p1=0.2, c=0.2, mean_bound=1.2)
         a = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.05, 2.0, seed=21)
         b = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.05, 2.0, seed=21)
-        assert a.equals(b)
+        assert paths_equal(a, b)
 
     def test_different_seeds_differ(self):
         m = make_model(sigma=0.4)
         a = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.1, 1.0, seed=1)
         b = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.1, 1.0, seed=2)
-        assert not a.equals(b)
+        assert not paths_equal(a, b)
 
     def test_single_control_feedback_equals_constant(self):
         m = make_model(b=0.2, sigma=0.5, gamma=0.6, rate_bound=1.0, p0=0.4,
@@ -230,7 +231,7 @@ class TestDeterminism:
         feedback = hjb.extract_feedback(hjb.solve(m, cfg))
         a = simulate(0.0, ROOT_START, feedback, m, 0.05, 1.0, seed=33)
         b = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.05, 1.0, seed=33)
-        assert a.equals(b)
+        assert paths_equal(a, b)
 
 
 FOUNDERS = {(i,): np.array([0.25 * i - 0.5]) for i in range(6)}
@@ -304,7 +305,7 @@ class TestParticleLocalStepping:
             b = simulate(0.0, pair, ConstantPolicy(0), m, 0.1, 1.0, seed)
             sibling_rang += any(ev.label == (1,) for ev in b.events)
             np.testing.assert_array_equal(a.final[(0,)], b.final[(0,)])
-            assert a.tracks[(0,)].equals(b.tracks[(0,)])
+            assert tracks_equal(a.tracks[(0,)], b.tracks[(0,)])
         assert sibling_rang >= 30
 
     @pytest.mark.parametrize("name", ["critical", "thinned"])
@@ -470,7 +471,7 @@ class TestSimulationSetup:
                 a = simulate(*args, seed, record_paths=record)
                 b = simulate(*args, seed, record_paths=record, setup=setup)
                 c = simulate(*setup.inputs, seed, record_paths=record, setup=setup)
-                assert a.equals(b) and a.equals(c)
+                assert paths_equal(a, b) and paths_equal(a, c)
 
     def test_setup_for_other_inputs_rejected(self):
         t, mu, pol, m, step, horizon = args = self.inputs()
@@ -492,7 +493,7 @@ class TestSimulationSetup:
         same = (0, {lab: list(x) for lab, x in mu.items()}, pol,
                 make_model(b=0.2, sigma=0.3, gamma=0.8, rate_bound=1.0, p0=0.4,
                            p1=0.1, c=0.2, mean_bound=1.1), step, horizon)
-        assert simulate(*same, 1, setup=setup).equals(simulate(*args, 1))
+        assert paths_equal(simulate(*same, 1, setup=setup), simulate(*args, 1))
 
     def test_arrays_read_only_and_callers_untouched(self):
         args = self.inputs()
@@ -525,7 +526,7 @@ class TestStreamTable:
             for seed in [*range(3, 43), 2, 43, 10**6]:   # and three outside
                 a = simulate(*args, seed)
                 b = simulate(*args, seed, setup=setup)
-                assert a.equals(b)
+                assert paths_equal(a, b)
                 deepest = max(deepest, *(len(lab) - founder_depth for lab in a.tracks))
             assert deepest >= 2     # labels beyond the tabled generation
 
@@ -539,7 +540,7 @@ class TestStreamTable:
         assert pickle.dumps(setup) == before
         copy = pickle.loads(before)
         assert copy.streams._block is None
-        assert simulate(*copy.inputs, 150, setup=copy).equals(simulate(*args, 150))
+        assert paths_equal(simulate(*copy.inputs, 150, setup=copy), simulate(*args, 150))
 
 
 def test_open_loop_policy_lookup():
@@ -579,6 +580,21 @@ def track_digest(paths):
     return h.hexdigest()[:16]
 
 
+class PerLabelSchedule:
+    """Open-loop schedules that differ by label: a label with its own
+    schedule follows it, every other label the default one."""
+
+    def __init__(self, default, per_label):
+        self.default = OpenLoopPolicy(default)
+        self.per_label = {lab: OpenLoopPolicy(s) for lab, s in per_label.items()}
+
+    def constant_control(self):
+        return None
+
+    def controls_along(self, times, xs, label):
+        return self.per_label.get(label, self.default).controls_along(times, xs, label)
+
+
 class TestControlDependentMotion:
     # recorded from the engine that asked the policy one point at a time
     # through a separate per-point method, over seeds 0..19
@@ -587,7 +603,7 @@ class TestControlDependentMotion:
     @staticmethod
     def policy(name, m):
         if name == "open_loop":
-            return OpenLoopPolicy(([0.0, 0.4], [1, 0]), {(0,): ([0.0, 0.7], [0, 1])})
+            return PerLabelSchedule(([0.0, 0.4], [1, 0]), {(0,): ([0.0, 0.7], [0, 1])})
         cfg = hjb.GridConfig(x_lo=-4, x_hi=4, n_x=81, n_t=1, horizon=1.0)
         cfg = hjb.GridConfig(x_lo=-4, x_hi=4, n_x=81,
                              n_t=hjb.required_time_steps_for(m, cfg), horizon=1.0)
