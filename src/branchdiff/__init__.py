@@ -30,6 +30,7 @@ from .simulator import (
     OpenLoopPolicy,
     PopulationPath,
     SimulationSetup,
+    coupled_setup,
     pathwise_cost,
     pathwise_cost_log_form,
     prepare_simulation,

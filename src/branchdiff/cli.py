@@ -201,6 +201,14 @@ def _times(exp, value, path) -> list:
     return list(zip(map(str, value), _some_reals(exp, value, path)))
 
 
+def _path_time(exp, value, path) -> float:
+    s = modelio._number(value, path)
+    if not exp.start_time <= s <= exp.horizon:
+        _fail(path, f"must lie in [initial.time, simulation.horizon] = "
+                    f"[{exp.start_time!r}, {exp.horizon!r}], got {s!r}")
+    return s
+
+
 def _ladder(exp, value, path) -> list:
     return sorted(_some_reals(exp, value, path), reverse=True)
 
@@ -211,7 +219,8 @@ def _reps(cap=None):
 
 
 _POLICY = (_policy, simulator.ConstantPolicy(0))
-_STOPPING = {"rule": (_one_of("fixed", "first-event"), REQUIRED), "time": (_real, REQUIRED)}
+_STOPPING = {"rule": (_one_of("fixed", "first-event"), REQUIRED),
+             "time": (_path_time, REQUIRED)}
 _ORACLE = {"value": (_real, REQUIRED), "sigmas": (_real, 3.0), "allowance": (_real, 0.0)}
 
 _TASKS = {
@@ -411,10 +420,10 @@ def _task_estimate(runner: Runner, idx: int, *, policy, replications, oracle,
     if dump_paths:
         setup = simulator.prepare_simulation(
             exp.start_time, exp.initial, policy, exp.params, exp.step, exp.horizon,
+            population_cap=exp.population_cap,
             seeds=range(exp.seed_base, exp.seed_base + dump_paths))
         for k in range(dump_paths):
-            p = simulator.simulate(*setup.inputs, exp.seed_base + k,
-                                   population_cap=exp.population_cap, setup=setup)
+            p = simulator.simulate(setup, exp.seed_base + k)
             csv_path = exp.output_dir / f"task_{idx:02d}_path_{k}.csv"
             with open(csv_path, "w", newline="") as fh:
                 simulator.write_path_csv(p, fh)
@@ -612,11 +621,10 @@ def _task_verify_all(runner: Runner, idx: int, *, replications, check_replicatio
         n_paths = min(200, n_small)
         setup = simulator.prepare_simulation(
             exp.start_time, exp.initial, policy, exp.params, exp.step, exp.horizon,
+            population_cap=exp.population_cap,
             seeds=range(exp.seed_base + 6, exp.seed_base + 6 + n_paths))
         for k in range(n_paths):
-            p = simulator.simulate(*setup.inputs, exp.seed_base + 6 + k,
-                                   population_cap=exp.population_cap,
-                                   record_paths=False, setup=setup)
+            p = simulator.simulate(setup, exp.seed_base + 6 + k, record_paths=False)
             a = simulator.pathwise_cost(p, exp.params)
             b = simulator.pathwise_cost_log_form(p, exp.params)
             denom = max(abs(a), 1e-300)

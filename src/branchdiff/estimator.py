@@ -5,10 +5,10 @@ test functions along simulated paths, dynamic-programming inequalities
 against a solved value surface, the population moment bound, and the
 coupling-success probability of perturbed models.
 
-Every estimate is a deterministic function of its inputs and the seed base;
-replication k uses seed ``seed_base + k``.  Each estimator call builds the
-simulation set-up of its inputs and seeds once and hands it to every
-replication.
+Every estimate is a deterministic function of its inputs and the seed base.
+Each estimator call checks its path inputs and population cap once, in the
+set-up :func:`~branchdiff.simulator.prepare_simulation` builds for its seeds;
+replication k is ``simulate(setup, seed_base + k)``.
 Replications run in process, or, inside a :func:`worker_pool` block, fan
 out over that block's worker processes::
 
@@ -26,15 +26,15 @@ import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, ExplosionGuardError
 from .hjb import ValueGrid, evaluate, evaluate_many
 from .model import ModelParams, generator
-from .simulator import (PopulationPath, pathwise_cost, prepare_simulation, simulate,
-                        simulate_coupled)
+from .simulator import (PopulationPath, coupled_setup, pathwise_cost, prepare_simulation,
+                        simulate, simulate_coupled)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +140,8 @@ def _fan_out(worker, args, n_reps: int) -> list:
 
 
 def _cost_worker(args, k):
-    (setup, seed_base, cap) = args
-    path = simulate(*setup.inputs, seed_base + k, population_cap=cap,
-                    record_paths=False, setup=setup)
+    (setup, seed_base) = args
+    path = simulate(setup, seed_base + k, record_paths=False)
     return RepSummary(seed=seed_base + k, cost=pathwise_cost(path, setup.params),
                       sup_population=path.sup_population,
                       n_events=len(path.events), extinct=path.extinct)
@@ -153,8 +152,9 @@ def run_replications(t, mu, policy, params: ModelParams, n_reps: int, step: floa
                      ) -> list[RepSummary]:
     """Simulate independent replications and collect per-path summaries."""
     setup = prepare_simulation(t, mu, policy, params, step, horizon,
+                               population_cap=population_cap,
                                seeds=range(seed_base, seed_base + n_reps))
-    return _fan_out(_cost_worker, (setup, seed_base, population_cap), n_reps)
+    return _fan_out(_cost_worker, (setup, seed_base), n_reps)
 
 
 # ---------------------------------------------------------------------------
@@ -189,22 +189,19 @@ def check_branching(t, x_list, policy, params: ModelParams, n_reps: int, step: f
     """Compare the value of a multi-particle start against the product of the
     single-particle values at the same positions.
 
-    The policy must be label-independent (constant or feedback), so the same
-    rule drives every subfamily.  The pass band is three combined standard
-    errors: the multi estimate's own plus the delta-method error of the
-    product of singles.
+    The policy must not depend on the particle's label (no policy in the
+    package does), so the same rule drives every subfamily.  The pass band is
+    three combined standard errors: the multi estimate's own plus the
+    delta-method error of the product of singles.
     """
-    if policy.constant_control() is None and not hasattr(policy, "grid"):
-        raise ConfigurationError("branching check needs a label-independent policy")
-    positions = [np.atleast_1d(np.asarray(x, dtype=float)) for x in x_list]
-    multi_mu = {(i,): pos for i, pos in enumerate(positions)}
+    multi_mu = {(i,): x for i, x in enumerate(x_list)}
     stride = n_reps
     multi = estimate_value(t, multi_mu, policy, params, n_reps, step, seed_base,
                            horizon=horizon, population_cap=population_cap)
     singles = []
-    for i, pos in enumerate(positions):
+    for i, x in enumerate(x_list):
         singles.append(estimate_value(
-            t, {(): pos}, policy, params, n_reps, step,
+            t, {(): x}, policy, params, n_reps, step,
             seed_base + (i + 1) * stride, horizon=horizon,
             population_cap=population_cap))
     means = np.array([e.mean for e in singles])
@@ -372,10 +369,9 @@ def _path_operator_integral(path: PopulationPath, u: SmoothTestFunction,
 
 
 def _dynkin_worker(args, k):
-    (setup, u, seed_base, cap) = args
+    (setup, u, seed_base) = args
     t, s, params = setup.t, setup.horizon, setup.params
-    path = simulate(*setup.inputs, seed_base + k, population_cap=cap,
-                    record_paths=True, setup=setup)
+    path = simulate(setup, seed_base + k)
     terminal = math.exp(-path.cost_integral)
     for x in path.final.values():
         terminal *= float(u.value(s, x))
@@ -392,11 +388,10 @@ def dynkin_residual(u: SmoothTestFunction, t, mu, policy, params: ModelParams,
     terminal product minus initial product minus the pathwise integral of the
     operator applied to the test function.  Zero in expectation up to O(step)
     quadrature bias."""
-    if not t <= s:
-        raise ConfigurationError("need t <= s")
     setup = prepare_simulation(t, mu, policy, params, step, s,
+                               population_cap=population_cap,
                                seeds=range(seed_base, seed_base + n_reps))
-    args = (setup, u, seed_base, population_cap)
+    args = (setup, u, seed_base)
     residuals = np.array(_fan_out(_dynkin_worker, args, n_reps))
     return estimate_from_samples(residuals, seed_base)
 
@@ -415,10 +410,9 @@ class DppReport:
 
 
 def _dpp_worker(args, k):
-    (setup, grid, tau_kind, seed_base, cap) = args
+    (setup, grid, tau_kind, seed_base) = args
     s, params = setup.horizon, setup.params
-    path = simulate(*setup.inputs, seed_base + k, population_cap=cap,
-                    record_paths=True, setup=setup)
+    path = simulate(setup, seed_base + k)
     if tau_kind == "first-event":
         for idx, ev in enumerate(path.events):
             if ev.kind != "phantom":
@@ -450,16 +444,17 @@ def dpp_check(t, mu, policy, params: ModelParams, tau_rule, value_grid: ValueGri
     kind, s = tau_rule
     if kind not in ("fixed", "first-event"):
         raise ConfigurationError(f"unknown stopping rule {kind!r}")
-    if not t <= s <= value_grid.horizon + 1e-12:
-        raise ConfigurationError("stopping time must lie in [t, horizon]")
+    if s > value_grid.horizon + 1e-12:
+        raise ConfigurationError("stopping time lies past the value grid's horizon")
     setup = prepare_simulation(t, mu, policy, params, step, s,
+                               population_cap=population_cap,
                                seeds=range(seed_base, seed_base + n_reps))
-    args = (setup, value_grid, kind, seed_base, population_cap)
+    args = (setup, value_grid, kind, seed_base)
     values = np.array(_fan_out(_dpp_worker, args, n_reps))
     est = estimate_from_samples(values, seed_base)
     reference = 1.0
-    for x in mu.values():
-        reference *= evaluate(value_grid, t, np.atleast_1d(np.asarray(x, dtype=float)))
+    for x in setup.initial.values():
+        reference *= evaluate(value_grid, t, x)
     band = est.band(3.0, allowance)
     slack = est.mean - reference
     return DppReport(estimate=est, reference=reference, slack=slack, band=band,
@@ -506,11 +501,8 @@ class CouplingReport:
 
 
 def _coupling_worker(args, k):
-    (setups, delta, seed_base, cap) = args
-    t, mu, policy, params, step, horizon = setups[0].inputs
-    _, _, ok = simulate_coupled(t, mu, policy, params, setups[1].params, delta,
-                                step, horizon, seed_base + k, population_cap=cap,
-                                setups=setups)
+    (setup, setup_tilde, delta, seed_base) = args
+    _, _, ok = simulate_coupled(setup, setup_tilde, delta, seed_base + k)
     return bool(ok)
 
 
@@ -521,11 +513,9 @@ def coupling_probe(t, mu, policy, params: ModelParams, params_tilde: ModelParams
     """Empirical probability that two models driven by identical randomness
     keep the same genealogy and stay within ``delta`` of each other."""
     setup = prepare_simulation(t, mu, policy, params, step, horizon,
+                               population_cap=population_cap,
                                seeds=range(seed_base, seed_base + n_reps))
-    # the stream words depend on (seed, label) only: both models share them
-    tilde = replace(prepare_simulation(t, mu, policy, params_tilde, step, horizon),
-                    streams=setup.streams)
-    args = ((setup, tilde), delta, seed_base, population_cap)
+    args = (setup, coupled_setup(setup, params_tilde), delta, seed_base)
     flags = _fan_out(_coupling_worker, args, n_reps)
     n_success = int(sum(flags))
     rate = n_success / n_reps

@@ -416,17 +416,24 @@ def generator(coef: Coefficients, r, grad, hess) -> np.ndarray:
             + coef.death_rate * branching - coef.cost * r)
 
 
+def check_comparable(params: ModelParams, other: ModelParams) -> None:
+    """Raise :class:`ConfigurationError` unless the models share rate bound,
+    offspring support, dimensions and control count."""
+    if (params.rate_bound != other.rate_bound
+            or params.max_children != other.max_children
+            or params.dim != other.dim or params.noise_dim != other.noise_dim
+            or len(params.controls) != len(other.controls)):
+        raise ConfigurationError("models are not comparable: they must share rate "
+                                 "bound, offspring support, dimensions and control count")
+
+
 def coefficient_distance(params: ModelParams, other: ModelParams) -> float:
     """Sup-norm distance between two models' dynamics coefficients:
     drift + diffusion + death rate + 2^-k weighted offspring probabilities.
 
     This is the quantity the coupling-success probability is controlled by.
     """
-    if (params.rate_bound != other.rate_bound
-            or params.max_children != other.max_children
-            or params.dim != other.dim or params.noise_dim != other.noise_dim
-            or len(params.controls) != len(other.controls)):
-        raise ConfigurationError("models are not comparable")
+    check_comparable(params, other)
     ctrls = params.controls.indices
     d_b = max(vector_sup_distance(params.drift[a], other.drift[a]) for a in ctrls)
     d_s = max(vector_sup_distance(params.diffusion[a], other.diffusion[a]) for a in ctrls)

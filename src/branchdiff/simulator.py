@@ -13,12 +13,15 @@ interval is a death, interval l replaces the particle by l children at its
 position.  At the horizon every survivor steps on to the horizon.  Event times
 are exact in law; only the diffusion carries O(step) weak bias.
 
+A path has two inputs: the set-up that :func:`prepare_simulation` checks and
+builds from the problem data (start time, founders, policy, model, step size,
+horizon, population cap), and the seed; ``simulate(setup, seed)`` runs it.
 A particle's path depends only on (seed, its label, its own history): its
 Brownian increments come from its own keyed stream (see
 :mod:`branchdiff.rng`) and its grid from its own birth and rings.  So a rerun
 with the same seed reproduces the path bit for bit, adding an unrelated
-particle leaves every other particle's path unchanged, and two runs with
-different coefficients but one seed are coupled through identical Brownian
+particle leaves every other particle's path unchanged, and two models run on
+one seed (:func:`coupled_setup`) are coupled through identical Brownian
 increments, clocks and marks.  An event costs one particle advance, whatever
 the population size.
 """
@@ -27,13 +30,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, ExplosionGuardError, NumericalFailureError
 from .labels import Label, assert_antichain, children, label_to_str
-from .model import ModelParams, offspring_boundaries
+from .model import ModelParams, check_comparable, offspring_boundaries
 from .rng import RandomDriver, StreamTable
 
 
@@ -218,7 +221,6 @@ class _MotionPlan:
     motion_control: int | None   # control used for motion when control-independent
     linear: bool
     draw_noise: bool
-    query_in_loop: bool
     b_const: np.ndarray | None = None
     sig_const: np.ndarray | None = None
 
@@ -241,7 +243,6 @@ def _make_plan(policy, params: ModelParams) -> _MotionPlan:
         motion_control=motion_ctrl,
         linear=linear,
         draw_noise=draw_noise,
-        query_in_loop=motion_ctrl is None,
     )
     if linear:
         origin = np.zeros(params.dim)
@@ -252,11 +253,11 @@ def _make_plan(policy, params: ModelParams) -> _MotionPlan:
 
 @dataclass(frozen=True, eq=False)
 class SimulationSetup:
-    """Everything a path needs that does not depend on its seed: the inputs
-    it was built for, the motion plan, the position-free event geometry of
-    each control and whether running costs vanish.  Build it once per
-    estimator call with :func:`prepare_simulation` and hand it to every
-    :func:`simulate` call; its arrays are read-only, in the workers too.
+    """A path's checked inputs (start time, founders, policy, model, step
+    size, horizon, population cap) and what it needs that does not depend on
+    its seed: the motion plan, each control's position-free event geometry
+    and whether running costs vanish.  Built once per estimator call by
+    :func:`prepare_simulation`; its arrays are read-only, in the workers too.
     ``streams``, in a set-up built for known seeds, holds the seed words of
     the founders' and their children's streams
     (:class:`~branchdiff.rng.StreamTable`)."""
@@ -267,6 +268,7 @@ class SimulationSetup:
     params: ModelParams
     step: float
     horizon: float
+    population_cap: int
     plan: _MotionPlan
     static_geom: dict[int, tuple[float, np.ndarray]]   # control -> (death rate, boundaries)
     cost_free: bool
@@ -284,57 +286,9 @@ class SimulationSetup:
         # read-only as well
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-    @property
-    def inputs(self) -> tuple:
-        """The leading arguments of :func:`simulate` this set-up was built
-        for: (t, initial, policy, params, step, horizon)."""
-        return self.t, self.initial, self.policy, self.params, self.step, self.horizon
 
-    def check(self, t, initial, policy, params, step, horizon) -> None:
-        """Raise :class:`ConfigurationError` unless these are the inputs the
-        set-up was built for (the same policy object, an equal model)."""
-        same = (float(t) == self.t and float(step) == self.step
-                and float(horizon) == self.horizon
-                and policy is self.policy
-                and (params is self.params or params == self.params))
-        if same and initial is not self.initial:
-            given = _founders(initial, self.params.dim)
-            same = (given.keys() == self.initial.keys()
-                    and all(np.array_equal(x, self.initial[lab])
-                            for lab, x in given.items()))
-        if not same:
-            raise ConfigurationError(
-                "simulation set-up was built for other inputs: start time, "
-                "founders, policy, model, step size or horizon differ")
-
-
-def _founders(initial: dict, dim: int) -> dict[Label, np.ndarray]:
-    """Founders' positions as fresh float arrays of shape (dim,)."""
-    out = {}
-    for lab, x in initial.items():
-        pos = np.array(x, dtype=float, ndmin=1)
-        if pos.shape != (dim,):
-            raise ConfigurationError(
-                f"position for label {lab!r} has shape {pos.shape}, "
-                f"expected ({dim},)")
-        out[tuple(lab)] = pos
-    return out
-
-
-def prepare_simulation(t: float, initial: dict, policy, params: ModelParams,
-                       step: float, horizon: float, *, seeds: range | None = None
-                       ) -> SimulationSetup:
-    """Check the inputs of :func:`simulate` and build their
-    :class:`SimulationSetup`.  With ``seeds``, the paths of those seeds take
-    the streams of their founders and first generation from a
-    :class:`~branchdiff.rng.StreamTable`; every path is the same as
-    without."""
-    if step <= 0:
-        raise ConfigurationError("step size must be positive")
-    if t > horizon:
-        raise ConfigurationError("start time exceeds horizon")
-    founders = _founders(initial, params.dim)
-    assert_antichain(founders.keys())
+def _model_fields(policy, params: ModelParams) -> dict:
+    """The set-up fields that depend on the model."""
     # event geometry is position-free for many models; cache it per control
     static_geom = {}
     origin = np.zeros(params.dim)
@@ -343,15 +297,52 @@ def prepare_simulation(t: float, initial: dict, policy, params: ModelParams,
                 and all(p.state_independent for p in params.offspring[a])):
             static_geom[a] = (params.death_rate_at(origin, a),
                               offspring_boundaries(origin, a, params))
+    return dict(params=params, plan=_make_plan(policy, params),
+                static_geom=static_geom, cost_free=params.cost_is_zero())
+
+
+def prepare_simulation(t: float, initial: dict, policy, params: ModelParams,
+                       step: float, horizon: float, *, population_cap: int = 10**6,
+                       seeds: range | None = None) -> SimulationSetup:
+    """Check the inputs of a path and build their :class:`SimulationSetup`.
+
+    ``initial`` maps labels to positions and must satisfy the antichain
+    condition.  A path stops with :class:`ExplosionGuardError` once its
+    population exceeds ``population_cap``.  With ``seeds``, the paths of
+    those seeds take the streams of their founders and first generation from
+    a :class:`~branchdiff.rng.StreamTable`; every path is the same as without.
+    """
+    if step <= 0:
+        raise ConfigurationError("step size must be positive")
+    if t > horizon:
+        raise ConfigurationError("start time exceeds horizon")
+    founders = {}    # fresh float arrays, made read-only by the set-up
+    for lab, x in initial.items():
+        pos = np.array(x, dtype=float, ndmin=1)
+        if pos.shape != (params.dim,):
+            raise ConfigurationError(
+                f"position for label {lab!r} has shape {pos.shape}, "
+                f"expected ({params.dim},)")
+        founders[tuple(lab)] = pos
+    assert_antichain(founders.keys())
     streams = None
     if seeds is not None:
         labels = [lab for f in founders
                   for lab in [f, *children(f, params.max_children)]]
         streams = StreamTable(seeds, labels)
     return SimulationSetup(
-        t=float(t), initial=founders, policy=policy, params=params,
-        step=float(step), horizon=float(horizon), plan=_make_plan(policy, params),
-        static_geom=static_geom, cost_free=params.cost_is_zero(), streams=streams)
+        t=float(t), initial=founders, policy=policy, step=float(step),
+        horizon=float(horizon), population_cap=int(population_cap), streams=streams,
+        **_model_fields(policy, params))
+
+
+def coupled_setup(setup: SimulationSetup, params_tilde: ModelParams) -> SimulationSetup:
+    """``setup`` under the comparable model ``params_tilde``
+    (:func:`~branchdiff.model.check_comparable`): same founders, policy, step
+    size, horizon, population cap and stream table, whose words depend on
+    (seed, label) only."""
+    check_comparable(setup.params, params_tilde)
+    return replace(setup, **_model_fields(setup.policy, params_tilde))
 
 
 def particle_grid(t0: float, start: float, end: float, step: float) -> np.ndarray:
@@ -400,13 +391,13 @@ def _join_pieces(pieces: list[tuple]) -> Track:
 
 
 class _Simulation:
-    def __init__(self, setup: SimulationSetup, seed, population_cap, record_paths):
+    def __init__(self, setup: SimulationSetup, seed, record_paths):
         self.params = setup.params
         self.policy = setup.policy
         self.step = setup.step
         self.start = setup.t
         self.horizon = setup.horizon
-        self.cap = int(population_cap)
+        self.cap = setup.population_cap
         self.seed = int(seed)
         self.plan = setup.plan
         self.cost_free = setup.cost_free
@@ -509,7 +500,7 @@ class _Simulation:
             a = plan.motion_control
             # control-dependent motion: the control of each step is read at
             # its left end, where the position is known only inside the loop
-            queried = np.empty(n_steps, dtype=np.int64) if plan.query_in_loop else None
+            queried = np.empty(n_steps, dtype=np.int64) if a is None else None
             for k in range(n_steps):
                 if queried is not None:
                     a = queried[k] = self.policy.controls_along(grid[k:k + 1], x[None], lab)[0]
@@ -601,54 +592,29 @@ def write_path_csv(path: PopulationPath, file) -> None:
                         + [format(v, ".17g") for v in path.final[lab]])
 
 
-def simulate(t: float, initial: dict, policy, params: ModelParams, step: float,
-             horizon: float, seed: int, *, population_cap: int = 10**6,
-             record_paths: bool = True, setup: SimulationSetup | None = None
+def simulate(setup: SimulationSetup, seed: int, *, record_paths: bool = True
              ) -> PopulationPath:
-    """Simulate one path of the controlled branching diffusion on [t, horizon].
-
-    ``initial`` maps labels to positions and must satisfy the antichain
-    condition.  Fixed seed and inputs give a bit-identical path on every call.
-    ``setup``, from :func:`prepare_simulation` on the same inputs, saves
-    rebuilding their set-up on every call; one built for other inputs raises
-    :class:`ConfigurationError`.
-    Raises :class:`ExplosionGuardError` when the population exceeds
-    ``population_cap`` and :class:`NumericalFailureError` when a particle's
-    position stops being finite.
-    """
-    if setup is None:
-        setup = prepare_simulation(t, initial, policy, params, step, horizon)
-    else:
-        setup.check(t, initial, policy, params, step, horizon)
-    return _Simulation(setup, seed, population_cap, record_paths).run()
+    """The path of sample ``seed`` on [setup.t, setup.horizon], bit-identical
+    on every call.  Raises :class:`ExplosionGuardError` when the population
+    exceeds the set-up's ``population_cap`` and :class:`NumericalFailureError`
+    when a particle's position stops being finite."""
+    return _Simulation(setup, seed, record_paths).run()
 
 
-def simulate_coupled(t: float, initial: dict, policy, params: ModelParams,
-                     params_tilde: ModelParams, delta: float, step: float,
-                     horizon: float, seed: int, *, population_cap: int = 10**6,
-                     setups: tuple[SimulationSetup, SimulationSetup] | None = None
+def simulate_coupled(setup: SimulationSetup, setup_tilde: SimulationSetup,
+                     delta: float, seed: int
                      ) -> tuple[PopulationPath, PopulationPath, bool]:
     """Run two models on identical randomness and compare their paths.
 
-    Both runs see the same per-label Brownian increments, clocks and marks.
-    Success means the event outcome sequences agree event by event (each
-    system classifying marks against its own intervals at its own positions)
-    and the particle positions never drift more than ``delta`` apart.  After
-    a divergence the runs simply continue independently.  ``setups`` holds
-    the two models' set-ups, as :func:`simulate` takes them.
+    ``setup_tilde`` is ``coupled_setup(setup, params_tilde)``.  Both runs see
+    the same per-label Brownian increments, clocks and marks.  Success means
+    the event outcome sequences agree event by event (each system
+    classifying marks against its own intervals at its own positions) and
+    the particle positions never drift more than ``delta`` apart.  After a
+    divergence the runs simply continue independently.
     """
-    if (params.rate_bound != params_tilde.rate_bound
-            or params.max_children != params_tilde.max_children
-            or params.dim != params_tilde.dim
-            or params.noise_dim != params_tilde.noise_dim):
-        raise ConfigurationError(
-            "coupled models must share rate bound, offspring support and dimensions")
-    setup, setup_tilde = setups if setups is not None else (None, None)
-    path = simulate(t, initial, policy, params, step, horizon, seed,
-                    population_cap=population_cap, record_paths=True, setup=setup)
-    path_tilde = simulate(t, initial, policy, params_tilde, step, horizon, seed,
-                          population_cap=population_cap, record_paths=True,
-                          setup=setup_tilde)
+    path = simulate(setup, seed)
+    path_tilde = simulate(setup_tilde, seed)
     return path, path_tilde, _coupling_success(path, path_tilde, delta)
 
 
@@ -659,13 +625,10 @@ def _coupling_success(p1: PopulationPath, p2: PopulationPath, delta: float) -> b
         if (a.time != b.time or a.label != b.label or a.kind != b.kind
                 or a.n_children != b.n_children):
             return False
-    # equal event logs give every particle the same grid in both runs
-    if p1.tracks.keys() != p2.tracks.keys():
-        return False
+    # coupled set-ups share founders and step size, so equal event logs give
+    # both runs the same particles, each on the same grid
     for lab, track in p1.tracks.items():
         xa, xb = track.positions, p2.tracks[lab].positions
-        if xa.shape != xb.shape:
-            return False
         if np.linalg.norm(xa - xb, axis=1).max() > delta:
             return False
     return True

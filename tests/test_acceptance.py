@@ -18,6 +18,7 @@ from branchdiff.simulator import (
     OpenLoopPolicy,
     pathwise_cost,
     pathwise_cost_log_form,
+    prepare_simulation,
     simulate,
 )
 from path_equality import paths_equal
@@ -249,8 +250,8 @@ def test_criterion_9_determinism_and_identities():
     # bit-identical reruns
     noisy = single_control(b=0.1, sigma=0.4, gamma=0.8, rate_bound=1.0, p0=0.3,
                            p1=0.2, c=0.2, mean_bound=1.2, g=BUMP)
-    a = simulate(0.0, START, ConstantPolicy(0), noisy, 0.05, 2.0, seed=99)
-    b = simulate(0.0, START, ConstantPolicy(0), noisy, 0.05, 2.0, seed=99)
+    a = simulate(prepare_simulation(0.0, START, ConstantPolicy(0), noisy, 0.05, 2.0), 99)
+    b = simulate(prepare_simulation(0.0, START, ConstantPolicy(0), noisy, 0.05, 2.0), 99)
     assert paths_equal(a, b)
     ea = estimator.estimate_value(0.0, START, ConstantPolicy(0), noisy, 500,
                                   0.1, 31, horizon=1.0)
@@ -259,9 +260,9 @@ def test_criterion_9_determinism_and_identities():
     assert ea == eb
 
     # product-form vs log-form cost to 1e-10 relative
+    setup = prepare_simulation(0.0, START, ConstantPolicy(0), noisy, 0.1, 2.0)
     for seed in range(500):
-        p = simulate(0.0, START, ConstantPolicy(0), noisy, 0.1, 2.0, seed,
-                     record_paths=False)
+        p = simulate(setup, seed, record_paths=False)
         u = pathwise_cost(p, noisy)
         v = pathwise_cost_log_form(p, noisy)
         assert abs(u - v) <= 1e-10 * max(abs(u), 1e-30)
@@ -289,9 +290,9 @@ def test_criterion_9_determinism_and_identities():
 
     # single-control feedback policy equals the constant policy bit for bit
     grid = hjb.solve(noisy, cfl_grid(noisy, -4, 4, 81, 1.0))
-    fa = simulate(0.0, START, hjb.extract_feedback(grid), noisy, 0.05, 1.0,
-                  seed=7)
-    fb = simulate(0.0, START, ConstantPolicy(0), noisy, 0.05, 1.0, seed=7)
+    fa = simulate(prepare_simulation(0.0, START, hjb.extract_feedback(grid), noisy,
+                                     0.05, 1.0), 7)
+    fb = simulate(prepare_simulation(0.0, START, ConstantPolicy(0), noisy, 0.05, 1.0), 7)
     assert paths_equal(fa, fb)
     print("ACCEPTANCE 9 determinism and identities: PASS "
           "(bit-identical reruns, cost-form identity to 1e-10, antichain over "

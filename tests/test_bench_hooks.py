@@ -59,20 +59,36 @@ def test_shipped_configs_parse(tmp_path):
 
 
 def test_tracer_sees_every_path():
-    """Workers reach the engine through the patched ``simulate``: a refactor
-    that routes around it would leave the traced path metrics empty."""
+    """Every estimator worker reaches the engine through the patched
+    ``simulate``: a refactor that routes around it would leave the traced path
+    metrics empty."""
     tracing = load("tracing")
     params = modelio.load_model(REPO / "configs" / "models" / "subcritical_drift.yaml")
     start = {(): [0.0]}
     policy = simulator.ConstantPolicy(0)
+    cfg = hjb.GridConfig(x_lo=-4.0, x_hi=4.0, n_x=41, n_t=1, horizon=1.0)
+    grid = hjb.solve(params, hjb.GridConfig(
+        x_lo=-4.0, x_hi=4.0, n_x=41, n_t=hjb.required_time_steps_for(params, cfg),
+        horizon=1.0))
+    u = estimator.SmoothTestFunction(family="gaussian-bump", base=0.2, scale=0.6,
+                                     center=(0.0,), width=0.8)
+    calls = [
+        (lambda: estimator.estimate_value(0.0, start, policy, params, 50, 0.05, 7,
+                                          horizon=1.0), 50),
+        (lambda: estimator.coupling_probe(0.0, start, policy, params,
+                                          model.perturbed_copy(params, 0.01), 0.05, 20,
+                                          0.05, 1.0, 8), 2 * 20),
+        (lambda: estimator.dpp_check(0.0, start, policy, params, ("first-event", 0.5),
+                                     grid, 30, 0.05, 9), 30),
+        (lambda: estimator.dynkin_residual(u, 0.0, start, policy, params, 0.5, 30, 0.05,
+                                           10), 30),
+    ]
     tracer = tracing.Tracer()
     with tracer.installed(branchdiff):
-        estimator.estimate_value(0.0, start, policy, params, 50, 0.05, 7, horizon=1.0)
-        assert len(tracer.path_rows) == 50
-        estimator.coupling_probe(0.0, start, policy, params,
-                                 model.perturbed_copy(params, 0.01), 0.05, 20,
-                                 0.05, 1.0, 8)
-    assert len(tracer.path_rows) == 50 + 2 * 20
+        for call, paths in calls:
+            before = len(tracer.path_rows)
+            call()
+            assert len(tracer.path_rows) == before + paths
     assert tracer.violations == []
 
 
@@ -90,8 +106,9 @@ def test_tracer_counts_every_stream():
     name_id, _, _, _ = tracer.arrays()
     spans = int((name_id == tracer._ids["rng.derive"]).sum())
     expected = 0
+    setup = simulator.prepare_simulation(0.0, start, policy, params, 0.05, 1.0)
     for seed in range(7, 207):
-        path = simulator.simulate(0.0, start, policy, params, 0.05, 1.0, seed)
+        path = simulator.simulate(setup, seed)
         expected += 2 * (len(path.initial) + sum(ev.n_children for ev in path.events))
     assert spans == tracer.derived == expected
     assert tracer.violations == []

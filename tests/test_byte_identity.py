@@ -16,8 +16,8 @@ import pytest
 
 from branchdiff import model as M
 from branchdiff.modelio import load_model
-from branchdiff.simulator import (ConstantPolicy, OpenLoopPolicy, simulate,
-                                  simulate_coupled)
+from branchdiff.simulator import (ConstantPolicy, OpenLoopPolicy, coupled_setup,
+                                  prepare_simulation, simulate, simulate_coupled)
 
 MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
 SEEDS = range(20)
@@ -83,9 +83,9 @@ def update_path(h, path):
 def digest(name, start, record):
     params, policy = case(name)
     h = hashlib.sha256()
+    setup = prepare_simulation(0.0, start, policy, params, STEP, HORIZON)
     for seed in SEEDS:
-        path = simulate(0.0, start, policy, params, STEP, HORIZON, seed,
-                        record_paths=record)
+        path = simulate(setup, seed, record_paths=record)
         assert (path.tracks is not None) == record
         update_path(h, path)
     return h.hexdigest()[:16]
@@ -134,12 +134,14 @@ COUPLED_PINNED = "e73e01f5b135daf3"
 def test_coupled_pair_pinned():
     params = load_model(MODELS / "subcritical_drift.yaml")
     tilde = M.perturbed_copy(params, 0.1)
+    setups = []
+    for start in (ROOT, FOUNDERS_16):
+        setup = prepare_simulation(0.0, start, ConstantPolicy(0), params, STEP, HORIZON)
+        setups.append((setup, coupled_setup(setup, tilde)))
     h = hashlib.sha256()
     for seed in SEEDS:
-        for start in (ROOT, FOUNDERS_16):
-            path, path_tilde, ok = simulate_coupled(
-                0.0, start, ConstantPolicy(0), params, tilde, 0.05, STEP, HORIZON,
-                seed)
+        for setup, setup_tilde in setups:
+            path, path_tilde, ok = simulate_coupled(setup, setup_tilde, 0.05, seed)
             update_path(h, path)
             update_path(h, path_tilde)
             h.update(b"1" if ok else b"0")

@@ -114,11 +114,12 @@ class TestRun:
         first = json.loads(jsonl[0])
         assert set(first) == {"seed", "cost", "sup_population", "n_events",
                               "extinct"}
-        # dumped paths are the paths simulate gives without a set-up
+        # dumped paths are the paths of a set-up without a stream table
         params = modelio.load_model(MODELS / "critical_binary.yaml")
+        setup = simulator.prepare_simulation(0.0, {(): [0.0]}, simulator.ConstantPolicy(0),
+                                             params, 0.5, 2.0)
         for k in range(2):
-            path = simulator.simulate(0.0, {(): [0.0]}, simulator.ConstantPolicy(0),
-                                      params, 0.5, 2.0, 4242 + k)
+            path = simulator.simulate(setup, 4242 + k)
             expected = io.StringIO(newline="")
             simulator.write_path_csv(path, expected)
             assert ((out / f"task_01_path_{k}.csv").read_bytes()
@@ -525,6 +526,15 @@ BAD_INPUTS = {
         lambda d: set_in(d, ["tasks"], [{**DPP, "stopping": [
             {"rule": "sometime", "time": 0.5}]}]),
         "tasks[0].stopping[0].rule"),
+    "stopping_time_before_start": (
+        lambda d: set_in(d, ["tasks"], [{**DPP, "stopping": [
+            {"rule": "fixed", "time": -0.1}]}]),
+        "tasks[0].stopping[0].time"),
+    "stopping_time_after_horizon": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "estimate", "replications": 100}, {
+            **DPP, "stopping": [{"rule": "first-event", "time": 0.5},
+                                {"rule": "fixed", "time": 2.0}]}]),
+        "tasks[1].stopping[1].time"),
     "unknown_role": (
         lambda d: set_in(d, ["tasks"], [{**DPP, "policies": [
             {"kind": "feedback", "role": "optimall"}]}]),
@@ -572,6 +582,20 @@ def test_control_index_out_of_range_exits_parse(tmp_path, capsys, model, policy,
     doc = base_doc(tmp_path, model=model,
                    tasks=[{"kind": "estimate", "replications": 100, "policy": policy}])
     run_rejected(tmp_path, capsys, doc, f"tasks[0].{path}")
+
+
+def test_branching_accepts_open_loop_policy(tmp_path):
+    """No policy depends on the particle's label, so the product
+    factorization holds under an open-loop schedule too."""
+    policy = {"kind": "open-loop", "switch_times": [0.0, 0.5], "controls": [1, 0]}
+    doc = base_doc(tmp_path, tasks=[{"kind": "branching", "positions": [[-0.5], [0.5]],
+                                     "policy": policy}])
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.run(cfg) == cli.EXIT_OK
+    report = read_json(tmp_path / "out" / "task_00_branching.json")
+    assert [c["name"] for c in report["checks"]] == ["product_factorization"]
+    assert report["passed"] is True
 
 
 def test_task_defaults_follow_the_reps_override(tmp_path):

@@ -8,7 +8,8 @@ import pytest
 
 from branchdiff import estimator, hjb, model as M, rng, simulator
 from branchdiff.errors import ConfigurationError, ExplosionGuardError
-from branchdiff.simulator import ConstantPolicy, simulate, pathwise_cost
+from branchdiff.simulator import (ConstantPolicy, pathwise_cost, prepare_simulation,
+                                  simulate)
 
 X0 = np.zeros(1)
 START = {(): X0}
@@ -74,13 +75,14 @@ class TestEstimateValue:
 
     def test_replications_equal_setup_free_paths(self):
         """The estimator's set-up tables its seeds' streams; each replication
-        is still the path ``simulate`` gives without a set-up, on one worker
-        or two."""
+        is still the path of a set-up without a table, on one worker or
+        two."""
         m = make_model(b=0.1, sigma=0.3, gamma=0.8, rate_bound=1.0, p0=0.4,
                        mean_bound=1.2)
         expected = []
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), m, 0.1, 1.0)
         for seed in range(21, 61):
-            path = simulate(0.0, START, ConstantPolicy(0), m, 0.1, 1.0, seed)
+            path = simulate(setup, seed)
             expected.append((seed, pathwise_cost(path, m), path.sup_population,
                              len(path.events), path.extinct))
         for workers in (1, 2):
@@ -110,11 +112,11 @@ class TestCommonRandomNumberMonotonicity:
                         c=0.1, g=BUMP, mean_bound=1.1)
         hi = make_model(sigma=0.4, gamma=0.8, rate_bound=1.0, p0=0.4, p1=0.1,
                         c=0.5, g=BUMP, mean_bound=1.1)
+        setup_lo = prepare_simulation(0.0, START, ConstantPolicy(0), lo, 0.1, 1.5)
+        setup_hi = prepare_simulation(0.0, START, ConstantPolicy(0), hi, 0.1, 1.5)
         for seed in range(200):
-            a = pathwise_cost(simulate(0.0, START, ConstantPolicy(0), lo, 0.1,
-                                       1.5, seed, record_paths=False), lo)
-            b = pathwise_cost(simulate(0.0, START, ConstantPolicy(0), hi, 0.1,
-                                       1.5, seed, record_paths=False), hi)
+            a = pathwise_cost(simulate(setup_lo, seed, record_paths=False), lo)
+            b = pathwise_cost(simulate(setup_hi, seed, record_paths=False), hi)
             assert b <= a + 1e-15
 
     def test_monotone_in_terminal_cost(self):
@@ -124,11 +126,11 @@ class TestCommonRandomNumberMonotonicity:
                         g=g_lo, mean_bound=1.1)
         hi = make_model(sigma=0.4, gamma=0.8, rate_bound=1.0, p0=0.4, p1=0.1,
                         g=BUMP, mean_bound=1.1)
+        setup_lo = prepare_simulation(0.0, START, ConstantPolicy(0), lo, 0.1, 1.5)
+        setup_hi = prepare_simulation(0.0, START, ConstantPolicy(0), hi, 0.1, 1.5)
         for seed in range(200):
-            a = pathwise_cost(simulate(0.0, START, ConstantPolicy(0), lo, 0.1,
-                                       1.5, seed, record_paths=False), lo)
-            b = pathwise_cost(simulate(0.0, START, ConstantPolicy(0), hi, 0.1,
-                                       1.5, seed, record_paths=False), hi)
+            a = pathwise_cost(simulate(setup_lo, seed, record_paths=False), lo)
+            b = pathwise_cost(simulate(setup_hi, seed, record_paths=False), hi)
             assert a <= b + 1e-15
 
 
@@ -153,12 +155,14 @@ class TestBranching:
                                         horizon=1.0)
         assert rep.passed
 
-    def test_open_loop_policy_rejected(self):
+    def test_open_loop_policy_accepted(self):
+        """An open-loop schedule is the same for every label; on a one-control
+        model it gives the constant policy's report."""
         from branchdiff.simulator import OpenLoopPolicy
-        pol = OpenLoopPolicy(([0.0], [0]))
-        with pytest.raises(ConfigurationError):
-            estimator.check_branching(0.0, [X0], pol, CRITICAL, 100, 1.0, 0,
-                                      horizon=1.0)
+        reports = [estimator.check_branching(0.0, [X0, X0 + 0.5], pol, CRITICAL, 100,
+                                             1.0, 0, horizon=1.0)
+                   for pol in (OpenLoopPolicy(([0.0], [0])), ConstantPolicy(0))]
+        assert reports[0] == reports[1]
 
 
 class TestDynkinResidual:
@@ -351,7 +355,7 @@ class TestSetupBuiltOnce:
         assert set(blocks.values()) == {1}
         assert ranges[0][0] == 43 and ranges[-1][1] == 443
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        setup, tilde = pickle.loads(pickle.dumps(fanned[0][0]))
+        setup, tilde = pickle.loads(pickle.dumps(fanned[0][:2]))
         assert setup.streams is tilde.streams
         assert setup.params == HARVEST and tilde.params != HARVEST
 

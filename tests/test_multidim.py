@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from branchdiff import estimator, model as M
-from branchdiff.simulator import ConstantPolicy, simulate
+from branchdiff.simulator import ConstantPolicy, prepare_simulation, simulate
 
 
 def planar_model(gamma=0.0, rate_bound=0.0, c=0.0):
@@ -29,10 +29,9 @@ START = {(): np.zeros(2)}
 
 def test_terminal_law_in_two_dimensions():
     m = planar_model()
-    ends = np.array([
-        simulate(0.0, START, ConstantPolicy(0), m, 0.25, 1.0, seed,
-                 record_paths=False).final[()]
-        for seed in range(3000)])
+    setup = prepare_simulation(0.0, START, ConstantPolicy(0), m, 0.25, 1.0)
+    ends = np.array([simulate(setup, seed, record_paths=False).final[()]
+                     for seed in range(3000)])
     assert np.allclose(ends.mean(axis=0), [0.1, -0.2], atol=0.05)
     assert abs(ends[:, 0].std() - 0.5) < 0.03
     assert abs(ends[:, 1].std() - 0.3) < 0.03
@@ -40,7 +39,7 @@ def test_terminal_law_in_two_dimensions():
 
 def test_branching_positions_are_vectors():
     m = planar_model(gamma=1.0, rate_bound=1.0)
-    p = simulate(0.0, START, ConstantPolicy(0), m, 0.1, 2.0, seed=5)
+    p = simulate(prepare_simulation(0.0, START, ConstantPolicy(0), m, 0.1, 2.0), 5)
     for lab, x in p.final.items():
         assert x.shape == (2,)
 

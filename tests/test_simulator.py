@@ -51,10 +51,16 @@ CRITICAL_BINARY = make_model(gamma=1.0, rate_bound=1.0, p0=0.5, p1=0.0)
 PURE_DEATH = make_model(gamma=1.0, rate_bound=1.0, p0=1.0)
 
 
+def root_setup(m, step, horizon, **kwargs):
+    """The set-up of one founder at the origin at time 0, under control 0."""
+    return prepare_simulation(0.0, ROOT_START, ConstantPolicy(0), m, step, horizon,
+                              **kwargs)
+
+
 class TestSingleDiffusion:
     def test_no_branching_single_particle(self):
         m = make_model(b=0.2, sigma=0.5, gamma=0.0, rate_bound=1.0, p0=0.5)
-        path = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.05, 1.0, seed=3)
+        path = simulate(root_setup(m, 0.05, 1.0), 3)
         assert all(ev.kind == "phantom" for ev in path.events)
         assert set(path.final) == {()}
         assert path.sup_population == 1
@@ -64,7 +70,7 @@ class TestSingleDiffusion:
         # the left-endpoint recursion on the same stream, bit for bit
         m = make_model(sigma=0.3, affine_drift=(0.1, -0.5))
         h, horizon, seed = 0.1, 1.0, 77
-        path = simulate(0.0, ROOT_START, ConstantPolicy(0), m, h, horizon, seed)
+        path = simulate(root_setup(m, h, horizon), seed)
         grid = particle_grid(0.0, 0.0, horizon, h)
         deltas = np.diff(grid)
         z = RandomDriver(seed).motion_stream(()).standard_normal((len(deltas), 1))
@@ -79,8 +85,7 @@ class TestSingleDiffusion:
         m = make_model(b=0.3, sigma=0.7)
         ends = []
         for seed in range(4000):
-            p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.25, 1.0, seed,
-                         record_paths=False)
+            p = simulate(root_setup(m, 0.25, 1.0), seed, record_paths=False)
             ends.append(p.final[()][0])
         ends = np.array(ends)
         assert abs(ends.mean() - 0.3) < 4 * 0.7 / math.sqrt(len(ends))
@@ -91,7 +96,7 @@ class TestSingleDiffusion:
         exact = 1.0 - math.exp(-1.0)
         errs = []
         for h in (0.2, 0.05):
-            p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, h, 1.0, seed=0)
+            p = simulate(root_setup(m, h, 1.0), 0)
             errs.append(abs(p.final[()][0] - exact))
         assert errs[1] < errs[0]
         assert errs[1] < 0.02
@@ -101,8 +106,7 @@ class TestBranchingLaw:
     def test_pure_death_extinction_fraction(self):
         n = 20000
         extinct = sum(
-            simulate(0.0, ROOT_START, ConstantPolicy(0), PURE_DEATH, 1.0, 1.0,
-                     seed, record_paths=False).extinct
+            simulate(root_setup(PURE_DEATH, 1.0, 1.0), seed, record_paths=False).extinct
             for seed in range(n))
         target = 1.0 - math.exp(-1.0)
         se = math.sqrt(target * (1 - target) / n)
@@ -111,16 +115,15 @@ class TestBranchingLaw:
     def test_critical_binary_extinction_fraction(self):
         n = 20000
         extinct = sum(
-            simulate(0.0, ROOT_START, ConstantPolicy(0), CRITICAL_BINARY,
-                     2.0, 2.0, seed, record_paths=False).extinct
+            simulate(root_setup(CRITICAL_BINARY, 2.0, 2.0), seed,
+                     record_paths=False).extinct
             for seed in range(n))
         se = math.sqrt(0.25 / n)
         assert abs(extinct / n - 0.5) <= 3 * se
 
     def test_moment_bound(self):
         m = make_model(gamma=1.0, rate_bound=1.0, p0=0.0, p1=0.0, mean_bound=2.0)
-        sups = [simulate(0.0, ROOT_START, ConstantPolicy(0), m, 1.0, 1.0, seed,
-                         record_paths=False).sup_population
+        sups = [simulate(root_setup(m, 1.0, 1.0), seed, record_paths=False).sup_population
                 for seed in range(2000)]
         sups = np.array(sups, dtype=float)
         bound = math.exp(1.0 * 2.0 * 1.0)
@@ -129,8 +132,7 @@ class TestBranchingLaw:
     def test_population_changes_by_children_minus_one(self):
         sizes = {(): 1}
         for seed in range(200):
-            p = simulate(0.0, ROOT_START, ConstantPolicy(0), CRITICAL_BINARY,
-                         2.0, 2.0, seed)
+            p = simulate(root_setup(CRITICAL_BINARY, 2.0, 2.0), seed)
             n = 1
             for ev in p.events:
                 if ev.kind == "phantom":
@@ -143,7 +145,7 @@ class TestBranchingLaw:
     def test_antichain_after_every_event(self):
         m = make_model(gamma=1.0, rate_bound=1.0, p0=0.4, p1=0.2, mean_bound=1.2)
         for seed in range(100):
-            p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 1.0, 3.0, seed)
+            p = simulate(root_setup(m, 1.0, 3.0), seed)
             for idx in range(len(p.events)):
                 _, pop, _ = p.state_after_event(idx, m)
                 assert is_antichain(pop.keys())
@@ -151,7 +153,7 @@ class TestBranchingLaw:
     def test_children_born_at_death_position(self):
         m = make_model(sigma=0.4, gamma=1.0, rate_bound=1.0, p0=0.0, p1=0.0,
                        mean_bound=2.0)
-        p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.1, 1.5, seed=11)
+        p = simulate(root_setup(m, 0.1, 1.5), 11)
         for idx, ev in enumerate(p.events):
             if ev.kind != "branch":
                 continue
@@ -163,7 +165,7 @@ class TestBranchingLaw:
     def test_trajectories_continuous_across_segments(self):
         m = make_model(sigma=0.4, gamma=0.8, rate_bound=1.0, p0=0.3, p1=0.1,
                        mean_bound=1.5)
-        p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.05, 2.0, seed=5)
+        p = simulate(root_setup(m, 0.05, 2.0), 5)
         for lab in {ev.label for ev in p.events} | set(p.final):
             ts, xs = p.tracks[lab].times, p.tracks[lab].positions
             assert np.all(np.diff(ts) >= 0)
@@ -173,21 +175,20 @@ class TestBranchingLaw:
         boom = make_model(gamma=1.0, rate_bound=1.0, p0=0.0, p1=0.0,
                           mean_bound=2.0)
         with pytest.raises(ExplosionGuardError) as err:
-            simulate(0.0, ROOT_START, ConstantPolicy(0), boom, 1.0, 40.0,
-                     seed=1, population_cap=64)
+            simulate(root_setup(boom, 1.0, 40.0, population_cap=64), 1)
         assert err.value.population > 64
 
 
 class TestThinning:
     def test_all_marks_phantom_when_rate_zero(self):
         m = make_model(gamma=0.0, rate_bound=2.0, p0=0.5)
-        p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 1.0, 20.0, seed=4)
+        p = simulate(root_setup(m, 1.0, 20.0), 4)
         assert p.events and all(ev.kind == "phantom" for ev in p.events)
 
     def test_interevent_gaps_exponential_chisquare(self):
         # population pinned at one particle; ring gaps are iid Exp(rate_bound)
         m = make_model(gamma=0.0, rate_bound=2.0, p0=0.5)
-        p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 10.0, 600.0, seed=12)
+        p = simulate(root_setup(m, 10.0, 600.0), 12)
         times = np.array([ev.time for ev in p.events])
         gaps = np.diff(np.concatenate(([0.0], times)))
         n_bins = 10
@@ -199,8 +200,7 @@ class TestThinning:
         assert stat < 21.67  # chi-square 99th percentile, 9 degrees of freedom
 
     def test_marks_lie_in_rate_band(self):
-        p = simulate(0.0, ROOT_START, ConstantPolicy(0), CRITICAL_BINARY,
-                     1.0, 2.0, seed=9)
+        p = simulate(root_setup(CRITICAL_BINARY, 1.0, 2.0), 9)
         for ev in p.events:
             assert 0.0 <= ev.mark <= 1.0
 
@@ -209,14 +209,14 @@ class TestDeterminism:
     def test_bit_identical_rerun(self):
         m = make_model(b=0.1, sigma=0.4, gamma=0.7, rate_bound=1.0, p0=0.3,
                        p1=0.2, c=0.2, mean_bound=1.2)
-        a = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.05, 2.0, seed=21)
-        b = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.05, 2.0, seed=21)
+        a = simulate(root_setup(m, 0.05, 2.0), 21)
+        b = simulate(root_setup(m, 0.05, 2.0), 21)
         assert paths_equal(a, b)
 
     def test_different_seeds_differ(self):
         m = make_model(sigma=0.4)
-        a = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.1, 1.0, seed=1)
-        b = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.1, 1.0, seed=2)
+        a = simulate(root_setup(m, 0.1, 1.0), 1)
+        b = simulate(root_setup(m, 0.1, 1.0), 2)
         assert not paths_equal(a, b)
 
     def test_single_control_feedback_equals_constant(self):
@@ -229,8 +229,8 @@ class TestDeterminism:
         cfg = hjb.GridConfig(x_lo=-4, x_hi=4, n_x=81,
                              n_t=hjb.required_time_steps_for(m, cfg), horizon=1.0)
         feedback = hjb.extract_feedback(hjb.solve(m, cfg))
-        a = simulate(0.0, ROOT_START, feedback, m, 0.05, 1.0, seed=33)
-        b = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.05, 1.0, seed=33)
+        a = simulate(prepare_simulation(0.0, ROOT_START, feedback, m, 0.05, 1.0), 33)
+        b = simulate(root_setup(m, 0.05, 1.0), 33)
         assert paths_equal(a, b)
 
 
@@ -282,9 +282,10 @@ class TestParticleLocalStepping:
 
     @pytest.mark.parametrize("name", ["critical", "thinned"])
     def test_event_log_pinned(self, name):
+        setup = prepare_simulation(0.0, FOUNDERS, ConstantPolicy(0), self.MODELS[name],
+                                   0.1, 3.0)
         for seed, want in enumerate(self.PINNED[name]):
-            p = simulate(0.0, FOUNDERS, ConstantPolicy(0), self.MODELS[name],
-                         0.1, 3.0, seed, record_paths=False)
+            p = simulate(setup, seed, record_paths=False)
             assert event_digest(p) == want, seed
 
     def test_sibling_leaves_particle_path_unchanged(self):
@@ -300,9 +301,11 @@ class TestParticleLocalStepping:
         alone = {(0,): np.zeros(1)}
         pair = {(0,): np.zeros(1), (1,): np.array([0.7])}
         sibling_rang = 0
+        setup_alone = prepare_simulation(0.0, alone, ConstantPolicy(0), m, 0.1, 1.0)
+        setup_pair = prepare_simulation(0.0, pair, ConstantPolicy(0), m, 0.1, 1.0)
         for seed in range(50):
-            a = simulate(0.0, alone, ConstantPolicy(0), m, 0.1, 1.0, seed)
-            b = simulate(0.0, pair, ConstantPolicy(0), m, 0.1, 1.0, seed)
+            a = simulate(setup_alone, seed)
+            b = simulate(setup_pair, seed)
             sibling_rang += any(ev.label == (1,) for ev in b.events)
             np.testing.assert_array_equal(a.final[(0,)], b.final[(0,)])
             assert tracks_equal(a.tracks[(0,)], b.tracks[(0,)])
@@ -310,9 +313,10 @@ class TestParticleLocalStepping:
 
     @pytest.mark.parametrize("name", ["critical", "thinned"])
     def test_counter_identities(self, name):
-        m = self.MODELS[name]
+        setup = prepare_simulation(0.0, FOUNDERS, ConstantPolicy(0), self.MODELS[name],
+                                   0.1, 3.0)
         for seed in range(20):
-            p = simulate(0.0, FOUNDERS, ConstantPolicy(0), m, 0.1, 3.0, seed)
+            p = simulate(setup, seed)
             kinds = [ev.kind for ev in p.events]
             assert len(p.events) == (kinds.count("phantom") + kinds.count("death")
                                      + kinds.count("branch"))
@@ -329,13 +333,13 @@ class TestParticleLocalStepping:
         m = make_model(b=0.2, sigma=0.3)
         for t, horizon, step in ((0.0, 3.0, 0.1), (0.1, 1.0, 0.2), (0.0, 0.6, 0.05),
                                  (0.3, 2.0, 0.07)):
-            p = simulate(t, FOUNDERS, ConstantPolicy(0), m, step, horizon, seed=1,
-                         record_paths=False)
+            setup = prepare_simulation(t, FOUNDERS, ConstantPolicy(0), m, step, horizon)
+            p = simulate(setup, 1, record_paths=False)
             assert p.n_steps == len(FOUNDERS) * math.ceil((horizon - t) / step)
 
     def test_own_grid_is_global_grid_plus_rings(self):
         m = self.MODELS["thinned"]
-        p = simulate(0.0, FOUNDERS, ConstantPolicy(0), m, 0.1, 3.0, seed=2)
+        p = simulate(prepare_simulation(0.0, FOUNDERS, ConstantPolicy(0), m, 0.1, 3.0), 2)
         for lab, track in p.tracks.items():
             rings = {ev.time for ev in p.events if ev.label == lab}
             born = track.times[0]
@@ -349,8 +353,9 @@ class TestParticleLocalStepping:
         # population-time integral, exact under the left-endpoint rule
         m = make_model(sigma=0.3, gamma=1.0, rate_bound=1.0, p0=0.4, p1=0.1,
                        c=1.0, mean_bound=1.2)
+        setup = prepare_simulation(0.0, FOUNDERS, ConstantPolicy(0), m, 0.1, 2.0)
         for seed in range(20):
-            p = simulate(0.0, FOUNDERS, ConstantPolicy(0), m, 0.1, 2.0, seed)
+            p = simulate(setup, seed)
             area, last, n = 0.0, 0.0, len(FOUNDERS)
             for idx, ev in enumerate(p.events):
                 area += n * (ev.time - last)
@@ -367,9 +372,10 @@ class TestParticleLocalStepping:
         sigma = 0.5
         m = make_model(sigma=sigma, gamma=1.0, rate_bound=1.0, p0=1.0)
         zs = []
+        setup = prepare_simulation(0.0, {(0,): X0, (1,): X0}, ConstantPolicy(0), m,
+                                   0.5, 3.0)
         for seed in range(2000):
-            p = simulate(0.0, {(0,): X0, (1,): X0}, ConstantPolicy(0), m, 0.5,
-                         3.0, seed)
+            p = simulate(setup, seed)
             if not p.events:
                 continue
             tau, pop, _ = p.state_after_event(0, m)
@@ -386,35 +392,33 @@ class TestParticleLocalStepping:
     def test_non_finite_position_raises(self):
         m = make_model(sigma=0.3, affine_drift=(0.0, -200.0))
         with pytest.raises(NumericalFailureError, match="non-finite position"):
-            simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.05, 20.0, seed=1,
-                     record_paths=False)
+            simulate(root_setup(m, 0.05, 20.0), 1, record_paths=False)
 
 
 class TestPathwiseCost:
     def test_extinct_empty_product_is_one(self):
-        p = simulate(0.0, ROOT_START, ConstantPolicy(0), PURE_DEATH, 1.0, 50.0,
-                     seed=2)
+        p = simulate(root_setup(PURE_DEATH, 1.0, 50.0), 2)
         assert p.extinct
         assert pathwise_cost(p, PURE_DEATH) == 1.0
 
     def test_single_survivor_terminal_cost(self):
         m = make_model(g=M.constant(0.3))
-        p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.5, 1.0, seed=0)
+        p = simulate(root_setup(m, 0.5, 1.0), 0)
         assert pathwise_cost(p, m) == pytest.approx(0.3)
 
     def test_unit_running_cost_discount(self):
         m = make_model(c=1.0, g=M.constant(1.0))
-        p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.25, 2.0, seed=0)
+        p = simulate(root_setup(m, 0.25, 2.0), 0)
         assert pathwise_cost(p, m) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_log_form_trivial(self):
         m = make_model(g=M.constant(1.0))
-        p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.5, 1.0, seed=0)
+        p = simulate(root_setup(m, 0.5, 1.0), 0)
         assert pathwise_cost_log_form(p, m) == pytest.approx(1.0)
 
     def test_log_form_half(self):
         m = make_model(g=M.constant(0.5))
-        p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.5, 1.0, seed=0)
+        p = simulate(root_setup(m, 0.5, 1.0), 0)
         assert pathwise_cost_log_form(p, m) == pytest.approx(0.5, rel=1e-12)
 
     def test_log_form_matches_product_form_on_random_paths(self):
@@ -424,15 +428,14 @@ class TestPathwiseCost:
                                            amplitude=0.6, center=(0.0,),
                                            width=1.0))
         for seed in range(300):
-            p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.1, 2.0, seed,
-                         record_paths=False)
+            p = simulate(root_setup(m, 0.1, 2.0), seed, record_paths=False)
             a = pathwise_cost(p, m)
             b = pathwise_cost_log_form(p, m)
             assert abs(a - b) <= 1e-10 * max(abs(a), 1e-30)
 
     def test_log_form_rejects_zero_terminal(self):
         m = make_model(g=M.constant(0.0))
-        p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.5, 1.0, seed=0)
+        p = simulate(root_setup(m, 0.5, 1.0), 0)
         with pytest.raises(ValueError):
             pathwise_cost_log_form(p, m)
 
@@ -440,16 +443,16 @@ class TestPathwiseCost:
 class TestInputChecks:
     def test_bad_step_rejected(self):
         with pytest.raises(ConfigurationError):
-            simulate(0.0, ROOT_START, ConstantPolicy(0), PURE_DEATH, 0.0, 1.0, 1)
+            root_setup(PURE_DEATH, 0.0, 1.0)
 
     def test_start_after_horizon_rejected(self):
         with pytest.raises(ConfigurationError):
-            simulate(2.0, ROOT_START, ConstantPolicy(0), PURE_DEATH, 0.1, 1.0, 1)
+            prepare_simulation(2.0, ROOT_START, ConstantPolicy(0), PURE_DEATH, 0.1, 1.0)
 
     def test_non_antichain_initials_rejected(self):
         with pytest.raises(ValueError):
-            simulate(0.0, {(): X0, (0,): X0}, ConstantPolicy(0), PURE_DEATH,
-                     0.1, 1.0, 1)
+            prepare_simulation(0.0, {(): X0, (0,): X0}, ConstantPolicy(0), PURE_DEATH,
+                               0.1, 1.0)
 
     def test_open_loop_schedule_validation(self):
         with pytest.raises(ConfigurationError):
@@ -463,37 +466,13 @@ class TestSimulationSetup:
     def inputs(self):
         return (0.0, dict(FOUNDERS), ConstantPolicy(0), self.m, 0.1, 1.0)
 
-    def test_same_path_with_and_without_setup(self):
-        args = self.inputs()
-        setup = prepare_simulation(*args)
+    def test_shared_and_fresh_setup_give_same_path(self):
+        shared = prepare_simulation(*self.inputs())
         for seed in range(5):
             for record in (False, True):
-                a = simulate(*args, seed, record_paths=record)
-                b = simulate(*args, seed, record_paths=record, setup=setup)
-                c = simulate(*setup.inputs, seed, record_paths=record, setup=setup)
-                assert paths_equal(a, b) and paths_equal(a, c)
-
-    def test_setup_for_other_inputs_rejected(self):
-        t, mu, pol, m, step, horizon = args = self.inputs()
-        setup = prepare_simulation(*args)
-        moved = dict(mu)
-        moved[(0,)] = mu[(0,)] + 0.1
-        other_model = make_model(b=0.3, sigma=0.3, gamma=0.8, rate_bound=1.0,
-                                 p0=0.4, p1=0.1, c=0.2, mean_bound=1.1)
-        for wrong in ((0.1, mu, pol, m, step, horizon),
-                      (t, moved, pol, m, step, horizon),
-                      (t, {(0,): mu[(0,)]}, pol, m, step, horizon),
-                      (t, mu, ConstantPolicy(0), m, step, horizon),
-                      (t, mu, pol, other_model, step, horizon),
-                      (t, mu, pol, m, 0.05, horizon),
-                      (t, mu, pol, m, step, 2.0)):
-            with pytest.raises(ConfigurationError, match="other inputs"):
-                simulate(*wrong, 1, setup=setup)
-        # equal inputs in other objects are the same inputs
-        same = (0, {lab: list(x) for lab, x in mu.items()}, pol,
-                make_model(b=0.2, sigma=0.3, gamma=0.8, rate_bound=1.0, p0=0.4,
-                           p1=0.1, c=0.2, mean_bound=1.1), step, horizon)
-        assert paths_equal(simulate(*same, 1, setup=setup), simulate(*args, 1))
+                a = simulate(prepare_simulation(*self.inputs()), seed, record_paths=record)
+                b = simulate(shared, seed, record_paths=record)
+                assert paths_equal(a, b)
 
     def test_arrays_read_only_and_callers_untouched(self):
         args = self.inputs()
@@ -503,7 +482,7 @@ class TestSimulationSetup:
             arrays += [bounds for _, bounds in copy.static_geom.values()]
             assert arrays and not any(a.flags.writeable for a in arrays)
         assert all(x.flags.writeable for x in args[1].values())
-        path = simulate(*args, 3, setup=setup)
+        path = simulate(setup, 3)
         assert all(x.flags.writeable for x in path.initial.values())
         assert all(x.flags.writeable for x in path.final.values())
 
@@ -520,12 +499,13 @@ class TestStreamTable:
         m = load_model(self.MODELS / f"{name}.yaml")
         for founders in (ROOT_START, FOUNDERS):
             args = (0.0, founders, ConstantPolicy(0), m, 0.05, 1.5)
-            setup = prepare_simulation(*args, seeds=range(3, 43))
+            plain = prepare_simulation(*args)
+            tabled = prepare_simulation(*args, seeds=range(3, 43))
             founder_depth = len(next(iter(founders)))
             deepest = 0
             for seed in [*range(3, 43), 2, 43, 10**6]:   # and three outside
-                a = simulate(*args, seed)
-                b = simulate(*args, seed, setup=setup)
+                a = simulate(plain, seed)
+                b = simulate(tabled, seed)
                 assert paths_equal(a, b)
                 deepest = max(deepest, *(len(lab) - founder_depth for lab in a.tracks))
             assert deepest >= 2     # labels beyond the tabled generation
@@ -535,12 +515,12 @@ class TestStreamTable:
                 TestSimulationSetup.m, 0.1, 1.0)
         setup = prepare_simulation(*args, seeds=range(100, 200))
         before = pickle.dumps(setup)
-        simulate(*args, 100, setup=setup)
+        simulate(setup, 100)
         assert setup.streams._block is not None
         assert pickle.dumps(setup) == before
         copy = pickle.loads(before)
         assert copy.streams._block is None
-        assert paths_equal(simulate(*copy.inputs, 150, setup=copy), simulate(*args, 150))
+        assert paths_equal(simulate(copy, 150), simulate(prepare_simulation(*args), 150))
 
 
 def test_open_loop_policy_lookup():
@@ -612,9 +592,8 @@ class TestControlDependentMotion:
     @pytest.mark.parametrize("name", ["open_loop", "feedback"])
     def test_tracks_pinned(self, name):
         m = two_control_motion()
-        pol = self.policy(name, m)
-        paths = [simulate(0.0, ROOT_START, pol, m, 0.05, 1.0, seed)
-                 for seed in range(20)]
+        setup = prepare_simulation(0.0, ROOT_START, self.policy(name, m), m, 0.05, 1.0)
+        paths = [simulate(setup, seed) for seed in range(20)]
         used = {int(a) for p in paths for tr in p.tracks.values() for a in tr.controls}
         assert used == {0, 1}
         assert track_digest(paths) == self.PINNED[name]
@@ -623,7 +602,7 @@ class TestControlDependentMotion:
 def test_write_path_csv(tmp_path):
     m = make_model(sigma=0.3, gamma=0.8, rate_bound=1.0, p0=0.4, p1=0.1,
                    mean_bound=1.1, g=M.constant(0.5))
-    p = simulate(0.0, ROOT_START, ConstantPolicy(0), m, 0.1, 2.0, seed=8)
+    p = simulate(root_setup(m, 0.1, 2.0), 8)
     out = tmp_path / "path.csv"
     with open(out, "w", newline="") as fh:
         write_path_csv(p, fh)
