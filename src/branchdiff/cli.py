@@ -197,8 +197,14 @@ def _test_function(exp, node, path) -> estimator.SmoothTestFunction:
 
 
 def _times(exp, value, path) -> list:
-    """(time as written, time) pairs: a check is named by its time as written."""
-    return list(zip(map(str, value), _some_reals(exp, value, path)))
+    """(time as written, time) pairs: a check is named by its time as written.
+    No time may precede initial.time; one past the horizon is legal."""
+    times = _some_reals(exp, value, path)
+    for j, s in enumerate(times):
+        if s < exp.start_time:
+            _fail(f"{path}[{j}]", f"must not precede initial.time = "
+                                  f"{exp.start_time!r}, got {s!r}")
+    return list(zip(map(str, value), times))
 
 
 def _path_time(exp, value, path) -> float:

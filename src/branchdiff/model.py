@@ -28,7 +28,9 @@ from .errors import ConfigurationError
 
 PROB_TOL = 1e-12
 
-_FAMILIES = ("constant", "affine", "gaussian-bump", "logistic")
+# each family, with its parameters that hold one entry per coordinate of x
+_FAMILIES = {"constant": (), "affine": ("slope",), "gaussian-bump": ("center",),
+             "logistic": ("slope", "center")}
 
 
 @dataclass(frozen=True)
@@ -65,44 +67,22 @@ class CoefficientSpec:
     @property
     def state_independent(self) -> bool:
         """True when the field is constant in x."""
-        if self.family == "constant":
-            return True
-        if self.family == "affine":
-            return all(s == 0.0 for s in self.slope)
-        if self.family == "logistic":
-            return all(s == 0.0 for s in self.slope)
         if self.family == "gaussian-bump":
             return self.amplitude == 0.0
-        return False
+        return self.family == "constant" or all(s == 0.0 for s in self.slope)
 
-    def __call__(self, x: np.ndarray) -> float:
-        """Evaluate at a single point x of shape (d,)."""
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Evaluate at points x of shape (..., d); returns shape (...), a 0-d
+        value for one point.  One formula serves a point and a batch, so a
+        point's value equals its row of a batch bit for bit."""
         if self.family == "constant":
-            return self.value
+            return np.full(np.shape(x)[:-1], self.value)
         if self.family == "affine":
-            return self.intercept + float(np.dot(self.slope, x))
-        if self.family == "gaussian-bump":
-            diff = x - np.asarray(self.center, dtype=float)
-            q = float(np.dot(diff, diff)) / (2.0 * self.width * self.width)
-            return self.offset + self.amplitude * math.exp(-q)
-        # logistic
+            return self.intercept + x @ np.asarray(self.slope, dtype=float)
         diff = x - np.asarray(self.center, dtype=float)
-        s = float(np.dot(self.slope, diff))
-        return self.lo + (self.hi - self.lo) / (1.0 + math.exp(-s))
-
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate at an (n, d) array of points; returns shape (n,)."""
-        xs = np.asarray(xs, dtype=float)
-        n = xs.shape[0]
-        if self.family == "constant":
-            return np.full(n, self.value)
-        if self.family == "affine":
-            return self.intercept + xs @ np.asarray(self.slope, dtype=float)
         if self.family == "gaussian-bump":
-            diff = xs - np.asarray(self.center, dtype=float)
-            q = np.sum(diff * diff, axis=1) / (2.0 * self.width * self.width)
+            q = np.einsum("...i,...i->...", diff, diff) / (2.0 * self.width * self.width)
             return self.offset + self.amplitude * np.exp(-q)
-        diff = xs - np.asarray(self.center, dtype=float)
         s = diff @ np.asarray(self.slope, dtype=float)
         return self.lo + (self.hi - self.lo) / (1.0 + np.exp(-s))
 
@@ -154,11 +134,8 @@ class VectorSpec:
     components: tuple[CoefficientSpec, ...]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.array([c(x) for c in self.components])
-
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """(n, d) points -> (n, len(components)) values."""
-        return np.stack([c.eval_many(xs) for c in self.components], axis=1)
+        """(..., d) points -> (..., len(components)) values."""
+        return np.stack([c(x) for c in self.components], axis=-1)
 
     @property
     def state_independent(self) -> bool:
@@ -202,8 +179,6 @@ class ControlSet:
 
     @classmethod
     def of_size(cls, n: int) -> "ControlSet":
-        if n < 1:
-            raise ConfigurationError("control set must be non-empty")
         return cls(payloads=(None,) * n)
 
     def __len__(self) -> int:
@@ -269,6 +244,7 @@ class ModelParams:
             if len(probs) != want:
                 raise ConfigurationError(
                     f"offspring[{a}]: expected {want} probability specs, got {len(probs)}")
+        named = [("terminal", self.terminal)]
         for a in self.controls.indices:
             if len(self.drift[a].components) != self.dim:
                 raise ConfigurationError(f"drift[{a}]: expected {self.dim} components")
@@ -276,57 +252,60 @@ class ModelParams:
                 raise ConfigurationError(
                     f"diffusion[{a}]: expected {self.dim * self.noise_dim} components "
                     "(row-major d x m)")
+            named += [(f"drift[{a}][{i}]", c) for i, c in enumerate(self.drift[a].components)]
+            named += [(f"diffusion[{a}][{i}]", c)
+                      for i, c in enumerate(self.diffusion[a].components)]
+            named += [(f"death_rate[{a}]", self.death_rate[a]),
+                      (f"running_cost[{a}]", self.running_cost[a])]
+            named += [(f"offspring[{a}][{k}]", p) for k, p in enumerate(self.offspring[a])]
+        for name, spec in named:
+            for key in _FAMILIES[spec.family]:
+                if len(getattr(spec, key)) != self.dim:
+                    raise ConfigurationError(
+                        f"{name}: {key} has length {len(getattr(spec, key))}, "
+                        f"expected dim = {self.dim}")
 
-    # -- pointwise evaluation -------------------------------------------------
-
-    def drift_at(self, x: np.ndarray, a: int) -> np.ndarray:
-        return self.drift[a](x)
-
-    def diffusion_at(self, x: np.ndarray, a: int) -> np.ndarray:
-        return self.diffusion[a](x).reshape(self.dim, self.noise_dim)
-
-    def death_rate_at(self, x: np.ndarray, a: int) -> float:
-        return self.death_rate[a](x)
-
-    def offspring_probs_at(self, x: np.ndarray, a: int) -> np.ndarray:
-        probs = np.array([p(x) for p in self.offspring[a]])
-        if self.offspring_residual_last:
-            probs = np.append(probs, 1.0 - probs.sum())
-        return probs
-
-    def running_cost_at(self, x: np.ndarray, a: int) -> float:
-        return self.running_cost[a](x)
-
-    def terminal_at(self, x: np.ndarray) -> float:
-        return self.terminal(x)
-
-    # -- vectorized evaluation over (n, d) position arrays --------------------
+    # -- evaluation over (..., d) position arrays ------------------------------
 
     def drift_many(self, xs: np.ndarray, a: int) -> np.ndarray:
-        return self.drift[a].eval_many(xs)
+        return self.drift[a](xs)
 
     def diffusion_many(self, xs: np.ndarray, a: int) -> np.ndarray:
-        flat = self.diffusion[a].eval_many(xs)
-        return flat.reshape(len(xs), self.dim, self.noise_dim)
+        flat = self.diffusion[a](xs)
+        return flat.reshape(*flat.shape[:-1], self.dim, self.noise_dim)
 
     def death_rate_many(self, xs: np.ndarray, a: int) -> np.ndarray:
-        return self.death_rate[a].eval_many(xs)
+        return self.death_rate[a](xs)
 
     def offspring_probs_many(self, xs: np.ndarray, a: int) -> np.ndarray:
-        """(n, d) points -> (n, max_children + 1) probabilities."""
-        cols = [p.eval_many(xs) for p in self.offspring[a]]
+        """(..., d) points -> (..., max_children + 1) probabilities."""
+        cols = [p(xs) for p in self.offspring[a]]
         if self.offspring_residual_last:
-            # summed in order at any n (np.sum pairs terms up on one point),
-            # so a position-free row equals the rows of many points
-            residual = 1.0 - (sum(cols[1:], cols[0]) if cols else np.zeros(len(xs)))
-            cols.append(residual)
-        return np.stack(cols, axis=1)
+            # summed in order at any n (np.sum over the last axis pairs terms
+            # up at n = 1), so a position-free row equals the rows of many points
+            cols.append(1.0 - sum(cols, np.zeros(np.shape(xs)[:-1])))
+        return np.stack(cols, axis=-1)
 
     def running_cost_many(self, xs: np.ndarray, a: int) -> np.ndarray:
-        return self.running_cost[a].eval_many(xs)
+        return self.running_cost[a](xs)
 
     def terminal_many(self, xs: np.ndarray) -> np.ndarray:
-        return self.terminal.eval_many(xs)
+        return self.terminal(xs)
+
+    # -- the same at one point x of shape (d,), for the simulator and the tracer
+
+    drift_at = drift_many
+    diffusion_at = diffusion_many
+    offspring_probs_at = offspring_probs_many
+
+    def death_rate_at(self, x: np.ndarray, a: int) -> float:
+        return float(self.death_rate[a](x))
+
+    def running_cost_at(self, x: np.ndarray, a: int) -> float:
+        return float(self.running_cost[a](x))
+
+    def terminal_at(self, x: np.ndarray) -> float:
+        return float(self.terminal(x))
 
     def coefficients(self, xs: np.ndarray, a: int) -> "Coefficients":
         """Every coefficient of control ``a`` at the (n, d) points ``xs``.  A

@@ -535,6 +535,11 @@ BAD_INPUTS = {
             **DPP, "stopping": [{"rule": "first-event", "time": 0.5},
                                 {"rule": "fixed", "time": 2.0}]}]),
         "tasks[1].stopping[1].time"),
+    "dynkin_time_before_start": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "estimate", "replications": 100}, {
+            "kind": "dynkin", "functions": [{"family": "constant"}],
+            "times": [0.5, -0.5]}]),
+        "tasks[1].times[1]"),
     "unknown_role": (
         lambda d: set_in(d, ["tasks"], [{**DPP, "policies": [
             {"kind": "feedback", "role": "optimall"}]}]),
@@ -567,6 +572,24 @@ def test_bad_input_exits_parse_with_its_path(tmp_path, capsys, case):
     if mutate is not None:
         mutate(doc)
     run_rejected(tmp_path, capsys, doc, path, *OVERRIDES.get(case, []))
+
+
+@pytest.mark.parametrize("written, broken, message", [
+    ("center: [0.0]", "center: [0.0, 0.0]", "terminal: center has length 2"),
+    ("- {family: constant, value: 0.1}",
+     "- {family: affine, intercept: 0.1, slope: [0.0, 1.0]}",
+     "drift[0][0]: slope has length 2"),
+], ids=["terminal_center", "drift_slope"])
+def test_spec_length_other_than_dim_exits_parse(tmp_path, capsys, written, broken,
+                                                message):
+    text = (MODELS / "subcritical_drift.yaml").read_text()
+    assert written in text
+    model = tmp_path / "model.yaml"
+    model.write_text(text.replace(written, broken))
+    doc = base_doc(tmp_path, tasks=[{"kind": "solve"},
+                                    {"kind": "estimate", "replications": 100}])
+    doc["model"] = str(model)
+    run_rejected(tmp_path, capsys, doc, message)
 
 
 @pytest.mark.parametrize("model, policy, path", [

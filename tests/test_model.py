@@ -48,7 +48,9 @@ class TestValidation:
     def test_rate_bound_violation(self):
         bad = binary_model(gamma=2.0, rate_bound=1.0)
         report = M.validate_params(bad, [(X0, 0)])
-        assert any(v.kind == "rate-bound" for v in report.violations)
+        # plain floats, not 0-d array reprs, reach the message
+        assert [v.detail for v in report.violations if v.kind == "rate-bound"] == [
+            "death rate 2.0 exceeds bound 1.0"]
 
     def test_mean_offspring_violation(self):
         bad = binary_model(p0=0.1, mean_bound=1.0)  # mean = 2 * 0.9 = 1.8
@@ -162,6 +164,30 @@ class TestIntervalOverlap:
         assert gaps[2] < 0.01
 
 
+def curved_specs(d):
+    """One spec of each family, position-dependent where the family can be."""
+    return (M.constant(0.7),
+            M.CoefficientSpec(family="affine", intercept=0.5, slope=(1.0, 2.0)[:d]),
+            M.CoefficientSpec(family="gaussian-bump", offset=0.2, amplitude=0.3,
+                              center=(0.1, -0.1)[:d], width=0.8),
+            M.CoefficientSpec(family="logistic", lo=0.1, hi=0.9,
+                              slope=(0.5, -0.5)[:d], center=(0.0, 0.0)[:d]))
+
+
+def curved_model(d):
+    """A d-dimensional model whose offspring probabilities and diffusion vary
+    with position."""
+    const, affine, bump, logistic = curved_specs(d)
+    small = M.CoefficientSpec(family="logistic", lo=0.05, hi=0.3,
+                              slope=logistic.slope, center=logistic.center)
+    return M.ModelParams(
+        dim=d, noise_dim=2, controls=M.ControlSet.of_size(1),
+        drift=(M.VectorSpec((bump,) * d),),
+        diffusion=(M.VectorSpec((const, affine, bump, logistic)[:2 * d]),),
+        death_rate=(bump,), offspring=((bump, small),), running_cost=(const,),
+        terminal=bump, rate_bound=1.0, mean_offspring_bound=2.0, max_children=2)
+
+
 class TestCoefficientSpecs:
     def test_families_evaluate(self):
         x = np.array([0.3, -0.2])
@@ -175,19 +201,22 @@ class TestCoefficientSpecs:
         assert logi(np.zeros(2)) == pytest.approx(0.5)
 
     def test_eval_many_matches_scalar(self):
+        """A point's value equals its entry of any batch, bit for bit."""
         rng = np.random.default_rng(1)
-        xs = rng.normal(size=(20, 2))
-        for spec in (
-            M.constant(0.7),
-            M.CoefficientSpec(family="affine", intercept=0.5, slope=(1.0, 2.0)),
-            M.CoefficientSpec(family="gaussian-bump", offset=0.2, amplitude=0.3,
-                              center=(0.1, -0.1), width=0.8),
-            M.CoefficientSpec(family="logistic", lo=0.1, hi=0.9,
-                              slope=(0.5, -0.5), center=(0.0, 0.0)),
-        ):
-            many = spec.eval_many(xs)
-            single = np.array([spec(x) for x in xs])
-            np.testing.assert_allclose(many, single, rtol=1e-14)
+        for d in (1, 2):
+            specs = curved_specs(d)
+            params = curved_model(d)
+            xs = rng.normal(size=(4, 5, d))
+            for spec in specs:
+                assert spec(xs[0, 0]).shape == ()
+                each = np.array([[spec(x) for x in row] for row in xs])
+                assert spec(xs).tobytes() == each.tobytes()
+                assert spec(xs[1]).tobytes() == each[1].tobytes()
+            for at, many in ((params.offspring_probs_at, params.offspring_probs_many),
+                             (params.diffusion_at, params.diffusion_many)):
+                each = np.array([[at(x, 0) for x in row] for row in xs])
+                assert many(xs, 0).tobytes() == each.tobytes()
+                assert many(xs[1], 0).tobytes() == each[1].tobytes()
 
     def test_sup_distance_exact_cases(self):
         a = M.constant(0.3)
@@ -210,7 +239,7 @@ class TestCoefficientSpecs:
                                center=(-0.2,), width=0.9)
         bound = M.sup_distance(g1, g2)
         xs = rng.normal(scale=3, size=(500, 1))
-        actual = np.abs(g1.eval_many(xs) - g2.eval_many(xs)).max()
+        actual = np.abs(g1(xs) - g2(xs)).max()
         assert actual <= bound + 1e-12
 
 
