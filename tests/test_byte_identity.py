@@ -5,21 +5,27 @@ children, mark, position), the final positions, the cost integral, the step
 and population counters and, when they are recorded, the tracks.  A change
 that is meant to leave the engine's results alone must leave these digests
 alone; one that changes the streams or the order of float operations shows
-up here first.
+up here first.  The bundled experiments' reports, at capped replication
+counts, are pinned the same way.
 """
 
 import hashlib
+import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from branchdiff import cli, hjb
 from branchdiff import model as M
 from branchdiff.modelio import load_model
 from branchdiff.simulator import (ConstantPolicy, OpenLoopPolicy, coupled_setup,
                                   prepare_simulation, simulate, simulate_coupled)
 
-MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+MODELS = CONFIGS / "models"
 SEEDS = range(20)
 STEP, HORIZON = 0.05, 1.0
 
@@ -47,9 +53,21 @@ def state_dependent():
         rate_bound=1.0, mean_offspring_bound=1.5, max_children=2)
 
 
+def harvest_feedback():
+    """The feedback policy of a small solve of the two-control model: the
+    control of every step is queried at its position."""
+    params = load_model(MODELS / "two_control_harvest.yaml")
+    coarse = hjb.GridConfig(x_lo=-4.0, x_hi=4.0, n_x=41, n_t=1, horizon=HORIZON)
+    grid = hjb.GridConfig(x_lo=-4.0, x_hi=4.0, n_x=41, horizon=HORIZON,
+                          n_t=hjb.required_time_steps_for(params, coarse))
+    return params, hjb.extract_feedback(hjb.solve(params, grid))
+
+
 def case(name):
     if name == "state_dependent":
         return state_dependent(), ConstantPolicy(0)
+    if name == "harvest_feedback":
+        return harvest_feedback()
     model_name, policy = {
         "critical_binary": ("critical_binary", ConstantPolicy(0)),
         "subcritical_drift": ("subcritical_drift", ConstantPolicy(0)),
@@ -91,7 +109,9 @@ def digest(name, start, record):
     return h.hexdigest()[:16]
 
 
-# recorded from the engine that rebuilt every path's set-up per call
+# recorded from the engine that rebuilt every path's set-up per call; the
+# harvest_feedback digests from the engine that advanced every particle's
+# positions on every step
 PINNED = {
     # (model case, start, record_paths): digest over seeds 0..19
     ("critical_binary", "root", False): "72f2932895a6915d",
@@ -118,6 +138,10 @@ PINNED = {
     ("state_dependent", "root", True): "112e32d827a2dceb",
     ("state_dependent", "founders16", False): "6dce2cc606d22720",
     ("state_dependent", "founders16", True): "69930d7c6b961eed",
+    ("harvest_feedback", "root", False): "7eb201a75d346719",
+    ("harvest_feedback", "root", True): "4114551f530d02c6",
+    ("harvest_feedback", "founders16", False): "bf756e4aa560c342",
+    ("harvest_feedback", "founders16", True): "e6f5fe507075aedb",
 }
 
 
@@ -146,3 +170,53 @@ def test_coupled_pair_pinned():
             update_path(h, path_tilde)
             h.update(b"1" if ok else b"0")
     assert h.hexdigest()[:16] == COUPLED_PINNED
+
+
+# ---------------------------------------------------------------------------
+# the bundled experiments' reports
+
+REPORT_REPS = 300     # every replication count of a bundled experiment, capped
+
+
+def capped(doc):
+    """``doc`` with every replication count at most REPORT_REPS."""
+    if isinstance(doc, dict):
+        return {k: min(v, REPORT_REPS) if k in ("replications", "check_replications")
+                else capped(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [capped(v) for v in doc]
+    return doc
+
+
+def report_digest(out_dir):
+    """Digest of the task reports, summary.csv and the manifest, which enters
+    without its ``generated_at`` time and the interpreter and numpy versions."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    del manifest["generated_at"], manifest["versions"]
+    h = hashlib.sha256(json.dumps(manifest, sort_keys=True).encode())
+    reports = sorted(out_dir.glob("task_*.json"))
+    assert len(reports) == len(manifest["tasks"])
+    for path in [out_dir / "summary.csv", *reports]:
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+# (exit code, digest) of each bundled experiment at REPORT_REPS replications
+REPORTS_PINNED = {
+    "coupling_ladder": (0, "0b89f3008bc92083"),
+    "dpp_two_control": (0, "88c7dd8491f36074"),
+    "verify_critical_binary": (0, "a66db1d9e63c8e6f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS_PINNED))
+def test_bundled_reports_pinned(name, tmp_path):
+    """Each bundled experiment, run from a copy whose replication counts are
+    capped, writes the same task reports, summary.csv and manifest body."""
+    shutil.copytree(MODELS, tmp_path / "models")
+    (tmp_path / "experiments").mkdir()
+    doc = capped(yaml.safe_load((CONFIGS / "experiments" / f"{name}.yaml").read_text()))
+    config = tmp_path / "experiments" / f"{name}.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    code = cli.run(config, out=tmp_path / "out")
+    assert (code, report_digest(tmp_path / "out")) == REPORTS_PINNED[name]
