@@ -343,26 +343,30 @@ def _path_operator_integral(path: PopulationPath, u: SmoothTestFunction,
     left = union[:-1]
     if len(left) == 0:
         return 0.0
+    # the integrand at the left grid points of every track, as one batch:
+    # each value depends on its own row alone
+    tl = np.concatenate([tr.times[:-1] for tr in tracks])
+    xs = np.concatenate([tr.positions[:-1] for tr in tracks])
+    ctrls = np.concatenate([tr.controls for tr in tracks])
+    uv = u.value(tl, xs)
+    lu = u.time_derivative(tl, xs)
+    grad = u.gradient(tl, xs)
+    hess = u.hessian(tl, xs)
+    for a in np.unique(ctrls):
+        m = ctrls == a
+        coef = params.coefficients(xs[m], int(a))
+        lu[m] += generator(coef, uv[m], grad[m], hess[m])
     uvals = np.ones((len(tracks), len(left)))
     lus = np.zeros((len(tracks), len(left)))
     cost = np.zeros(len(union))
+    first = 0     # the batch row of the track's first grid point
     for i, tr in enumerate(tracks):
-        tl = tr.times[:-1]
-        xs = tr.positions[:-1]
-        ctrls = tr.controls
-        uv = u.value(tl, xs)
-        lu = u.time_derivative(tl, xs)
-        grad = u.gradient(tl, xs)
-        hess = u.hessian(tl, xs)
-        for a in np.unique(ctrls):
-            m = ctrls == a
-            coef = params.coefficients(xs[m], int(a))
-            lu[m] += generator(coef, uv[m], grad[m], hess[m])
         alive = (left >= tr.times[0]) & (left < tr.times[-1])
-        held = np.searchsorted(tr.times, left[alive], side="right") - 1
+        held = first + np.searchsorted(tr.times, left[alive], side="right") - 1
         uvals[i, alive] = uv[held]
         lus[i, alive] = lu[held]
         cost += np.interp(union, tr.times, tr.cost_cum)
+        first += len(tr.times) - 1
     gammas = np.exp(-cost[:-1])
     prod_exc = _products_excluding(uvals)
     return float(np.sum(np.diff(union) * gammas * np.sum(lus * prod_exc, axis=0)))

@@ -261,10 +261,17 @@ class FeedbackPolicy:
         self.params = grid.params
         dx = float(grid.nodes[1] - grid.nodes[0])
         self._dx = dx
-        # value, slope and curvature side by side: a query gathers each of
-        # its two bracketing nodes once
+        # value, slope and curvature side by side, one row per (layer, node):
+        # a query gathers each of its two bracketing nodes once
         self._table = np.stack([grid.values, *_derivative_tables(grid.values, dx)],
-                               axis=-1)
+                               axis=-1).reshape(-1, 3)
+        self._t0, self._dt = grid.times[0], grid.times[1] - grid.times[0]
+        # when every control's coefficients are position-free, their rows
+        # stacked over the controls: one generator call serves all controls
+        rows = self.params.position_free_rows
+        self._rows = None
+        if not any(row is None for row in rows):
+            self._rows = Coefficients(*(np.stack(field) for field in zip(*rows)))
 
     def constant_control(self) -> int | None:
         return 0 if len(self.params.controls) == 1 else None
@@ -276,19 +283,22 @@ class FeedbackPolicy:
         n = len(times)
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        dt = grid.times[1] - grid.times[0]
-        k = np.minimum(np.maximum(np.rint((times - grid.times[0]) / dt).astype(int), 0),
+        n_x = len(grid.nodes)
+        k = np.minimum(np.maximum(np.rint((times - self._t0) / self._dt).astype(int), 0),
                        len(grid.times) - 1)
         xq = np.minimum(np.maximum(xs[:, 0], grid.nodes[0]), grid.nodes[-1])
-        j = np.minimum(np.maximum(np.searchsorted(grid.nodes, xq, side="right") - 1, 0),
-                       len(grid.nodes) - 2)
+        j = np.minimum(np.maximum(grid.nodes.searchsorted(xq, "right") - 1, 0), n_x - 2)
         wx = ((xq - grid.nodes[j]) / self._dx)[:, None]
-        r, p, m2 = (self._table[k, j] * (1 - wx) + self._table[k, j + 1] * wx).T
+        row = k * n_x + j
+        r, p, m2 = (self._table[row] * (1 - wx) + self._table[row + 1] * wx).T
         pts, grad, hess = xq[:, None], p[:, None], m2[:, None, None]
-        vals = np.empty((len(self.params.controls), n))
-        for a in self.params.controls.indices:
-            vals[a] = generator(self.params.coefficients(pts, a), r, grad, hess)
-        return np.argmin(vals, axis=0)   # lowest index wins ties, as in solve
+        if self._rows is not None:
+            vals = generator(self._rows, r, grad, hess)
+        else:
+            vals = np.empty((len(self.params.controls), n))
+            for a in self.params.controls.indices:
+                vals[a] = generator(self.params.coefficients(pts, a), r, grad, hess)
+        return vals.argmin(0)   # lowest index wins ties, as in solve
 
 
 def extract_feedback(grid: ValueGrid) -> FeedbackPolicy:

@@ -63,6 +63,9 @@ class CoefficientSpec:
             raise ConfigurationError(f"unknown coefficient family {self.family!r}")
         if self.family == "gaussian-bump" and self.width <= 0:
             raise ConfigurationError("gaussian-bump width must be positive")
+        # the vector parameters as float arrays, made once instead of per call
+        object.__setattr__(self, "_slope", np.asarray(self.slope, dtype=float))
+        object.__setattr__(self, "_center", np.asarray(self.center, dtype=float))
 
     @property
     def state_independent(self) -> bool:
@@ -78,12 +81,12 @@ class CoefficientSpec:
         if self.family == "constant":
             return np.full(np.shape(x)[:-1], self.value)
         if self.family == "affine":
-            return self.intercept + x @ np.asarray(self.slope, dtype=float)
-        diff = x - np.asarray(self.center, dtype=float)
+            return self.intercept + x @ self._slope
+        diff = x - self._center
         if self.family == "gaussian-bump":
             q = np.einsum("...i,...i->...", diff, diff) / (2.0 * self.width * self.width)
             return self.offset + self.amplitude * np.exp(-q)
-        s = diff @ np.asarray(self.slope, dtype=float)
+        s = diff @ self._slope
         return self.lo + (self.hi - self.lo) / (1.0 + np.exp(-s))
 
     def bounds(self) -> tuple[float, float]:
@@ -127,6 +130,12 @@ def sup_distance(a: CoefficientSpec, b: CoefficientSpec) -> float:
     return max(hi_a - lo_b, hi_b - lo_a, 0.0)
 
 
+def _stack_last(values: list) -> np.ndarray:
+    """``np.stack(values, axis=-1)`` for numpy values of one shape, without
+    its per-call checks: a point's values cost a microsecond, not three."""
+    return np.concatenate([v[..., None] for v in values], axis=-1)
+
+
 @dataclass(frozen=True)
 class VectorSpec:
     """A vector field assembled from per-component scalar specs."""
@@ -135,7 +144,7 @@ class VectorSpec:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """(..., d) points -> (..., len(components)) values."""
-        return np.stack([c(x) for c in self.components], axis=-1)
+        return _stack_last([c(x) for c in self.components])
 
     @property
     def state_independent(self) -> bool:
@@ -284,7 +293,7 @@ class ModelParams:
             # summed in order at any n (np.sum over the last axis pairs terms
             # up at n = 1), so a position-free row equals the rows of many points
             cols.append(1.0 - sum(cols, np.zeros(np.shape(xs)[:-1])))
-        return np.stack(cols, axis=-1)
+        return _stack_last(cols)
 
     def running_cost_many(self, xs: np.ndarray, a: int) -> np.ndarray:
         return self.running_cost[a](xs)
@@ -312,7 +321,7 @@ class ModelParams:
         control whose coefficients are all position-free gets one read-only
         row of shape (1, ...), computed once per model, which broadcasts
         against the n points in :func:`generator`."""
-        row = self._position_free_rows[a]
+        row = self.position_free_rows[a]
         return row if row is not None else self._coefficients_at(xs, a)
 
     def _coefficients_at(self, xs: np.ndarray, a: int) -> "Coefficients":
@@ -324,7 +333,9 @@ class ModelParams:
                             cost=self.running_cost_many(xs, a))
 
     @functools.cached_property
-    def _position_free_rows(self) -> tuple[Coefficients | None, ...]:
+    def position_free_rows(self) -> tuple[Coefficients | None, ...]:
+        """Per control, the read-only row of :meth:`coefficients` when every
+        coefficient of the control is position-free, else None."""
         rows = []
         for a in self.controls.indices:
             specs = (self.drift[a], self.diffusion[a], self.death_rate[a],
@@ -340,7 +351,7 @@ class ModelParams:
     def __getstate__(self):
         # a copy rebuilds its own rows, read-only like these
         state = dict(self.__dict__)
-        state.pop("_position_free_rows", None)
+        state.pop("position_free_rows", None)
         return state
 
     # -- structure queries used by the simulator fast paths -------------------
@@ -391,7 +402,9 @@ def generator(coef: Coefficients, r, grad, hess) -> np.ndarray:
     branching = probs[..., 0] * (1.0 - rc)
     for k in range(1, probs.shape[-1]):
         branching += probs[..., k] * (rc**k - rc)
-    return ((coef.drift * grad).sum(-1) + 0.5 * (coef.cov * hess).sum((-2, -1))
+    # np.add.reduce is ndarray.sum without its per-call wrapper
+    return (np.add.reduce(coef.drift * grad, -1)
+            + 0.5 * np.add.reduce(coef.cov * hess, (-2, -1))
             + coef.death_rate * branching - coef.cost * r)
 
 
@@ -538,16 +551,18 @@ def validate_params(params: ModelParams, probe_points) -> ValidationReport:
         raise ConfigurationError("probe_points must be non-empty")
     report = ValidationReport()
     seen_x = []
-    for x, a in probe_points:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        seen_x.append(x)
-        controls = params.controls.indices if a is None else [a]
-        for ctrl in controls:
-            _validate_point(params, x, ctrl, report)
-    for x in seen_x:
-        g = params.terminal_at(x)
-        if not -PROB_TOL <= g <= 1.0 + PROB_TOL:
-            report.add("terminal-range", None, x, f"g(x)={g!r} outside [0, 1]")
+    # a value that overflows is reported as a violation, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, a in probe_points:
+            x = np.atleast_1d(np.asarray(x, dtype=float))
+            seen_x.append(x)
+            controls = params.controls.indices if a is None else [a]
+            for ctrl in controls:
+                _validate_point(params, x, ctrl, report)
+        for x in seen_x:
+            g = params.terminal_at(x)
+            if not -PROB_TOL <= g <= 1.0 + PROB_TOL:
+                report.add("terminal-range", None, x, f"g(x)={g!r} outside [0, 1]")
     return report
 
 
@@ -574,5 +589,7 @@ def _validate_point(params: ModelParams, x: np.ndarray, a: int,
                    f"mean offspring {mean!r} exceeds bound "
                    f"{params.mean_offspring_bound!r}")
     c = params.running_cost_at(x, a)
-    if c < -PROB_TOL:
+    if not math.isfinite(c):
+        report.add("cost-non-finite", a, x, f"running cost {c!r} is not finite")
+    elif c < -PROB_TOL:
         report.add("cost-negative", a, x, f"running cost {c!r} < 0")

@@ -16,6 +16,16 @@ are exact in law; only the diffusion carries O(step) weak bias.
 A path has two inputs: the set-up that :func:`prepare_simulation` checks and
 builds from the problem data (start time, founders, policy, model, step size,
 horizon, population cap), and the seed; ``simulate(setup, seed)`` runs it.
+The set-up also holds, computed once, whatever depends on that data alone:
+the global grid ``t0 + k*step`` (:func:`grid_times`), of which a particle's
+grid is a slice between its two ends, the motion plan, each control's
+position-free event geometry and running-cost rate.  An advance computes the
+positions of a particle's Euler steps only when something reads them: a
+recorded track, state-dependent motion, a per-step policy query or a
+state-dependent running cost.  Otherwise the motion is linear and the advance
+computes its end position alone, from the same sums (x0 + (t_end - t_start)
+b plus the last row of the cumulated increments times sigma^T), and step
+costs c_a dt; so a path is the same bits whether or not it is recorded.
 A particle's path depends only on (seed, its label, its own history): its
 Brownian increments come from its own keyed stream (see
 :mod:`branchdiff.rng`) and its grid from its own birth and rings.  So a rerun
@@ -193,8 +203,13 @@ def pathwise_cost(path: PopulationPath, params: ModelParams) -> float:
     An extinct population contributes an empty product, i.e. one.
     """
     value = math.exp(-path.cost_integral)
-    for x in path.final.values():
-        value *= params.terminal_at(x)
+    survivors = list(path.final.values())
+    if len(survivors) == 1:     # a one-point batch costs twice a point
+        return value * params.terminal_at(survivors[0])
+    if survivors:
+        # one batch; a point's terminal cost equals its row bit for bit
+        for g in params.terminal_many(np.array(survivors)).tolist():
+            value *= g
     return value
 
 
@@ -255,11 +270,12 @@ def _make_plan(policy, params: ModelParams) -> _MotionPlan:
 class SimulationSetup:
     """A path's checked inputs (start time, founders, policy, model, step
     size, horizon, population cap) and what it needs that does not depend on
-    its seed: the motion plan, each control's position-free event geometry
-    and whether running costs vanish.  Built once per estimator call by
-    :func:`prepare_simulation`; its arrays are read-only, in the workers too.
-    ``streams``, in a set-up built for known seeds, holds the seed words of
-    the founders' and their children's streams
+    its seed: the global time grid, the motion plan, each control's
+    position-free event geometry, the running-cost rates when they are
+    position-free and whether running costs vanish.  Built once per estimator
+    call by :func:`prepare_simulation`; its arrays are read-only, in the
+    workers too.  ``streams``, in a set-up built for known seeds, holds the
+    seed words of the founders' and their children's streams
     (:class:`~branchdiff.rng.StreamTable`)."""
 
     t: float
@@ -269,14 +285,16 @@ class SimulationSetup:
     step: float
     horizon: float
     population_cap: int
+    times: np.ndarray                  # the global grid t + k*step (grid_times)
     plan: _MotionPlan
     static_geom: dict[int, tuple[float, np.ndarray]]   # control -> (death rate, boundaries)
+    cost_rates: np.ndarray | None      # control -> running cost, if position-free
     cost_free: bool
     streams: StreamTable | None = None
 
     def __post_init__(self):
         arrays = [*self.initial.values(), *(b for _, b in self.static_geom.values()),
-                  self.plan.b_const, self.plan.sig_const]
+                  self.times, self.plan.b_const, self.plan.sig_const, self.cost_rates]
         for arr in arrays:
             if arr is not None:
                 arr.flags.writeable = False
@@ -297,8 +315,12 @@ def _model_fields(policy, params: ModelParams) -> dict:
                 and all(p.state_independent for p in params.offspring[a])):
             static_geom[a] = (params.death_rate_at(origin, a),
                               offspring_boundaries(origin, a, params))
-    return dict(params=params, plan=_make_plan(policy, params),
-                static_geom=static_geom, cost_free=params.cost_is_zero())
+    cost_rates = None
+    if all(params.running_cost[a].state_independent for a in params.controls.indices):
+        cost_rates = np.array([params.running_cost_at(origin, a)
+                               for a in params.controls.indices])
+    return dict(params=params, plan=_make_plan(policy, params), static_geom=static_geom,
+                cost_rates=cost_rates, cost_free=params.cost_is_zero())
 
 
 def prepare_simulation(t: float, initial: dict, policy, params: ModelParams,
@@ -332,26 +354,24 @@ def prepare_simulation(t: float, initial: dict, policy, params: ModelParams,
         streams = StreamTable(seeds, labels)
     return SimulationSetup(
         t=float(t), initial=founders, policy=policy, step=float(step),
-        horizon=float(horizon), population_cap=int(population_cap), streams=streams,
+        horizon=float(horizon), population_cap=int(population_cap),
+        times=grid_times(t, horizon, step), streams=streams,
         **_model_fields(policy, params))
 
 
 def coupled_setup(setup: SimulationSetup, params_tilde: ModelParams) -> SimulationSetup:
     """``setup`` under the comparable model ``params_tilde``
     (:func:`~branchdiff.model.check_comparable`): same founders, policy, step
-    size, horizon, population cap and stream table, whose words depend on
-    (seed, label) only."""
+    size, horizon, population cap, time grid and stream table, whose words
+    depend on (seed, label) only."""
     check_comparable(setup.params, params_tilde)
     return replace(setup, **_model_fields(setup.policy, params_tilde))
 
 
-def particle_grid(t0: float, start: float, end: float, step: float) -> np.ndarray:
-    """Euler grid of one particle on [start, end] for a path started at t0.
-
-    The global grid points ``t0 + k*step`` strictly inside the interval, plus
-    both ends; a global point within 1e-9 steps of an end merges into it.
-    Always at least one step, of length zero when ``start == end``.
-    """
+def _grid_span(t0: float, start: float, end: float, step: float) -> tuple[int, int]:
+    """The indices [lo, hi) of the global grid points ``t0 + k*step`` strictly
+    inside (start, end), where a point within 1e-9 steps of an end merges
+    into it."""
     tol = 1e-9 * step
     k_lo = math.floor((start - t0) / step)
     while t0 + step * k_lo > start + tol:
@@ -363,9 +383,32 @@ def particle_grid(t0: float, start: float, end: float, step: float) -> np.ndarra
         k_hi += 1
     while t0 + step * k_hi >= end - tol:
         k_hi -= 1
-    grid = np.empty(max(k_hi - k_lo + 1, 0) + 2)
+    return k_lo, k_hi + 1
+
+
+def grid_times(t0: float, horizon: float, step: float) -> np.ndarray:
+    """The global grid ``t0 + k*step`` for k = 0, 1, ... up to the last point
+    a particle grid on [t0, horizon] uses."""
+    return t0 + step * np.arange(_grid_span(t0, t0, horizon, step)[1])
+
+
+def particle_grid(t0: float, start: float, end: float, step: float,
+                  times: np.ndarray | None = None) -> np.ndarray:
+    """Euler grid of one particle on [start, end], t0 <= start, for a path
+    started at t0.
+
+    The global grid points ``t0 + k*step`` strictly inside the interval, plus
+    both ends; a global point within 1e-9 steps of an end merges into it.
+    Always at least one step, of length zero when ``start == end``.  The
+    inner points are read from ``times``, the global grid of a path ending
+    at ``end`` or later (:func:`grid_times`), made here when not given.
+    """
+    lo, hi = _grid_span(t0, start, end, step)
+    if times is None:
+        times = grid_times(t0, end, step)
+    grid = np.empty(max(hi - lo, 0) + 2)
     grid[0] = start
-    grid[1:-1] = t0 + step * np.arange(k_lo, k_hi + 1)
+    grid[1:-1] = times[lo:hi]
     grid[-1] = end
     return grid
 
@@ -379,71 +422,83 @@ def _segment_costs(params: ModelParams, xs_left: np.ndarray, ctrls: np.ndarray) 
     return out
 
 
-def _join_pieces(pieces: list[tuple]) -> Track:
-    """One track from the (grid, positions, controls, step costs) pieces of
-    consecutive advances, which share their end points."""
-    first = pieces[0]
-    times = np.concatenate([first[0]] + [p[0][1:] for p in pieces[1:]])
-    positions = np.concatenate([first[1]] + [p[1][1:] for p in pieces[1:]])
-    controls = np.concatenate([p[2] for p in pieces])
-    cost_cum = np.concatenate(([0.0], np.cumsum(np.concatenate([p[3] for p in pieces]))))
+def _build_track(pieces: list[tuple], const_control: int | None) -> Track:
+    """One particle's track from the (grid, positions, controls, step costs)
+    pieces of its consecutive advances, which share their end points;
+    controls are None under ``const_control`` and step costs None when
+    running costs vanish."""
+    if len(pieces) == 1:
+        times, positions = pieces[0][0], pieces[0][1]
+    else:
+        times = np.concatenate([pieces[0][0]] + [p[0][1:] for p in pieces[1:]])
+        positions = np.concatenate([pieces[0][1]] + [p[1][1:] for p in pieces[1:]])
+    n = len(times) - 1
+    if const_control is None:
+        controls = np.concatenate([p[2] for p in pieces])
+    else:
+        controls = np.full(n, const_control, dtype=np.int64)
+    cost_cum = np.zeros(n + 1)
+    if pieces[0][3] is not None:
+        np.concatenate([p[3] for p in pieces]).cumsum(out=cost_cum[1:])
     return Track(times=times, positions=positions, controls=controls, cost_cum=cost_cum)
 
 
 class _Simulation:
     def __init__(self, setup: SimulationSetup, seed, record_paths):
-        self.params = setup.params
-        self.policy = setup.policy
-        self.step = setup.step
-        self.start = setup.t
-        self.horizon = setup.horizon
-        self.cap = setup.population_cap
+        self.setup = setup
+        self.params = params = setup.params
+        self.plan = plan = setup.plan
         self.seed = int(seed)
-        self.plan = setup.plan
-        self.cost_free = setup.cost_free
-        self._static_geom = setup.static_geom
-        # only the constant control is read when no step cost or track needs
-        # the control of every step
-        self.per_step_controls = not self.cost_free or record_paths
         self.driver = RandomDriver(seed, setup.streams)
+        # the positions of a particle's Euler steps are computed only when
+        # something reads them; otherwise an advance computes its end point
+        self.reads_positions = (record_paths or not plan.linear
+                                or plan.const_control is None or setup.cost_rates is None)
         # label -> position at its own time; positions are replaced, never
         # written into, so the founders' read-only arrays can start it
         self.pop = dict(setup.initial)
-        self.clock = {lab: self.start for lab in self.pop}  # label -> its own time
-        self.rings: list[tuple[float, Label]] = []          # heap of pending rings
+        self.clock = dict.fromkeys(self.pop, setup.t)   # label -> its own time
+        self.rings: list[tuple[float, Label]] = []      # heap of pending rings
         self.cost = 0.0
         self.events: list[JumpEvent] = []
         self.pieces: dict[Label, list] | None = (
             {lab: [] for lab in self.pop} if record_paths else None)
         self.sup_n = len(self.pop)
         self.n_steps = 0
-        self.initial_snapshot = {lab: pos.copy() for lab, pos in self.pop.items()}
+        self.rate_bound = params.rate_bound
 
     def _spawn_clock(self, label: Label, now: float) -> None:
-        if self.params.rate_bound > 0.0:
-            gap = self.driver.event_stream(label).exponential(1.0 / self.params.rate_bound)
+        if self.rate_bound > 0.0:
+            gap = self.driver.event_stream(label).exponential(1.0 / self.rate_bound)
             heapq.heappush(self.rings, (now + gap, label))
 
+    # a blow-up overflows on its way to a non-finite position; the checks in
+    # _advance report it once, so numpy's warnings stay silent
+    @np.errstate(over="ignore", invalid="ignore")
     def run(self) -> PopulationPath:
-        # a blow-up overflows on its way to a non-finite position; the check
-        # in _advance reports it once, so numpy's warnings stay silent
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lab in self.pop:
-                self._spawn_clock(lab, self.start)
-            rings = self.rings
-            while rings and rings[0][0] < self.horizon:
-                now, lab = heapq.heappop(rings)
-                control = self._advance(lab, now)
-                self._fire_event(lab, now, control)
-            for lab in self.pop:
-                self._advance(lab, self.horizon)
-        final = {lab: pos.copy() for lab, pos in self.pop.items()}
+        setup = self.setup
+        horizon = setup.horizon
+        initial = {lab: pos.copy() for lab, pos in self.pop.items()}
+        for lab in self.pop:
+            self._spawn_clock(lab, setup.t)
+        rings = self.rings
+        while rings and rings[0][0] < horizon:
+            now, lab = heapq.heappop(rings)
+            control = self._advance(lab, now)
+            self._fire_event(lab, now, control)
+        for lab in self.pop:
+            self._advance(lab, horizon)
         tracks = None
-        if self.pieces is not None:
-            tracks = {lab: _join_pieces(pieces) for lab, pieces in self.pieces.items()}
+        if self.pieces is None:
+            # every survivor's last advance made its position afresh
+            final = dict(self.pop)
+        else:
+            final = {lab: pos.copy() for lab, pos in self.pop.items()}
+            const = self.plan.const_control
+            tracks = {lab: _build_track(pieces, const)
+                      for lab, pieces in self.pieces.items()}
         return PopulationPath(
-            start_time=self.start, horizon=self.horizon,
-            initial=self.initial_snapshot, final=final,
+            start_time=setup.t, horizon=horizon, initial=initial, final=final,
             events=self.events, cost_integral=self.cost,
             sup_population=self.sup_n, seed=self.seed,
             n_steps=self.n_steps, tracks=tracks,
@@ -454,47 +509,70 @@ class _Simulation:
     def _advance(self, lab: Label, target: float) -> int:
         """Step particle ``lab`` from its own time to ``target`` on its own
         grid; returns the control of its last step."""
-        grid = particle_grid(self.start, self.clock[lab], target, self.step)
+        setup, plan = self.setup, self.plan
+        start = self.clock[lab]
+        grid = particle_grid(setup.t, start, target, setup.step, setup.times)
         deltas = grid[1:] - grid[:-1]
-        xs, ctrls = self._motion(lab, self.pop[lab], grid, deltas)
-        if not np.isfinite(xs).all():
-            bad = int(np.argmin(np.isfinite(xs).all(axis=1)))
-            before = (f", one Euler step after {xs[bad - 1].tolist()} at time "
-                      f"{float(grid[bad - 1])!r}" if bad else "")
-            raise NumericalFailureError(
-                f"particle {label_to_str(lab) or '(root)'} reached the non-finite "
-                f"position {xs[bad].tolist()} at time {float(grid[bad])!r}{before}")
-        self.pop[lab] = xs[-1]
-        self.clock[lab] = target
-        self.n_steps += len(deltas)
-        if self.cost_free:
-            step_cost = None
-        else:
-            step_cost = _segment_costs(self.params, xs[:-1], ctrls) * deltas
-            self.cost += float(step_cost.sum())
-        if self.pieces is not None:
-            if step_cost is None:
-                step_cost = np.zeros(len(deltas))
-            self.pieces[lab].append((grid, xs, ctrls, step_cost))
-        return self.plan.const_control if ctrls is None else int(ctrls[-1])
-
-    def _motion(self, lab, x0, grid, deltas):
-        """Euler-Maruyama positions on ``grid`` and the control of each step,
-        or None for the latter when the control is constant and nothing reads
-        it per step."""
-        params, plan = self.params, self.plan
         n_steps = len(deltas)
+        x0 = self.pop[lab]
         dw = None
         if plan.draw_noise:
-            z = self.driver.motion_stream(lab).standard_normal((n_steps, params.noise_dim))
+            z = self.driver.motion_stream(lab).standard_normal(
+                (n_steps, self.params.noise_dim))
             dw = z * np.sqrt(deltas)[:, None]
-        xs = np.empty((n_steps + 1, params.dim))
-        if plan.linear:
-            xs[:] = x0
-            xs += (grid - grid[0])[:, None] * plan.b_const
-            if dw is not None:
-                xs[1:] += np.cumsum(dw, axis=0) @ plan.sig_const.T
+        if self.reads_positions:
+            xs, ctrls = self._motion(lab, x0, grid, deltas, dw)
+            x = xs[-1]
         else:
+            # the last row of the linear branch of _motion, from the same sums
+            xs, ctrls = None, None
+            x = x0 + (target - start) * plan.b_const
+            if dw is not None:
+                x = x + (dw.cumsum(0) @ plan.sig_const.T)[-1]
+        # a blow-up leaves the end position non-finite (an Euler recursion
+        # never leaves a non-finite value, and the linear closed form only by
+        # an overflow of values near the largest float); the steps are
+        # scanned only to name the first non-finite one
+        if not math.isfinite(sum(x.tolist())):
+            if xs is None:
+                xs = self._motion(lab, x0, grid, deltas, dw)[0]
+            self._check_positions(lab, grid, xs)
+        self.pop[lab] = x
+        self.clock[lab] = target
+        self.n_steps += n_steps
+        step_cost = None
+        if not setup.cost_free:
+            rates = setup.cost_rates
+            if rates is None:
+                if ctrls is None:
+                    ctrls_or_const = np.full(n_steps, plan.const_control, dtype=np.int64)
+                else:
+                    ctrls_or_const = ctrls
+                step_cost = _segment_costs(self.params, xs[:-1], ctrls_or_const) * deltas
+            elif ctrls is None:
+                step_cost = rates[plan.const_control] * deltas
+            else:
+                step_cost = rates[ctrls] * deltas
+            self.cost += float(np.add.reduce(step_cost))
+            if not math.isfinite(self.cost):
+                if xs is None:
+                    xs = self._motion(lab, x0, grid, deltas, dw)[0]
+                self._check_costs(lab, grid, xs, step_cost)
+        if self.pieces is not None:
+            self.pieces[lab].append((grid, xs, ctrls, step_cost))
+        return plan.const_control if ctrls is None else int(ctrls[-1])
+
+    def _motion(self, lab, x0, grid, deltas, dw):
+        """Euler-Maruyama positions on ``grid`` and the control of each step,
+        or None for the latter when the control is constant."""
+        params, plan = self.params, self.plan
+        n_steps = len(deltas)
+        if plan.linear:
+            xs = x0 + (grid - grid[0])[:, None] * plan.b_const
+            if dw is not None:
+                xs[1:] += dw.cumsum(0) @ plan.sig_const.T
+        else:
+            xs = np.empty((n_steps + 1, params.dim))
             xs[0] = x0
             x = x0
             a = plan.motion_control
@@ -503,7 +581,8 @@ class _Simulation:
             queried = np.empty(n_steps, dtype=np.int64) if a is None else None
             for k in range(n_steps):
                 if queried is not None:
-                    a = queried[k] = self.policy.controls_along(grid[k:k + 1], x[None], lab)[0]
+                    a = queried[k] = self.setup.policy.controls_along(
+                        grid[k:k + 1], x[None], lab)[0]
                 x = x + params.drift_at(x, a) * deltas[k]
                 if dw is not None:
                     x = x + params.diffusion_at(x, a) @ dw[k]
@@ -511,13 +590,38 @@ class _Simulation:
             if queried is not None:
                 return xs, queried
         if plan.const_control is None:
-            ctrls = np.asarray(
-                self.policy.controls_along(grid[:-1], xs[:-1], lab), dtype=np.int64)
-        elif self.per_step_controls:
-            ctrls = np.full(n_steps, plan.const_control, dtype=np.int64)
-        else:
-            ctrls = None
-        return xs, ctrls
+            return xs, np.asarray(
+                self.setup.policy.controls_along(grid[:-1], xs[:-1], lab), dtype=np.int64)
+        return xs, None
+
+    @staticmethod
+    def _check_positions(lab, grid, xs):
+        """Raise on the first non-finite position of ``xs``, if any."""
+        finite = np.isfinite(xs).all(axis=1)
+        if finite.all():
+            return
+        bad = int(np.argmin(finite))
+        before = (f", one Euler step after {xs[bad - 1].tolist()} at time "
+                  f"{float(grid[bad - 1])!r}" if bad else "")
+        raise NumericalFailureError(
+            f"particle {label_to_str(lab) or '(root)'} reached the non-finite "
+            f"position {xs[bad].tolist()} at time {float(grid[bad])!r}{before}")
+
+    def _check_costs(self, lab, grid, xs, step_cost):
+        """Raise once the running-cost integral stops being finite: at the
+        first non-finite step cost of this advance, or at its end when the
+        sum of finite step costs overflowed."""
+        where = f"particle {label_to_str(lab) or '(root)'}"
+        bad = np.flatnonzero(~np.isfinite(step_cost))
+        if len(bad):
+            k = int(bad[0])
+            raise NumericalFailureError(
+                f"{where} has the non-finite running cost {float(step_cost[k])!r} "
+                f"over the Euler step from time {float(grid[k])!r} at position "
+                f"{xs[k].tolist()}")
+        raise NumericalFailureError(
+            f"{where} took the running-cost integral to {self.cost!r} at time "
+            f"{float(grid[-1])!r}, position {xs[-1].tolist()}")
 
     # -- events ----------------------------------------------------------------
 
@@ -527,16 +631,16 @@ class _Simulation:
         params = self.params
         x = self.pop[lab]
         # the draw of uniform(0, rate_bound), which computes 0 + rate_bound * u
-        mark = float(self.driver.event_stream(lab).random() * params.rate_bound)
-        geom = self._static_geom.get(a)
+        mark = float(self.driver.event_stream(lab).random() * self.rate_bound)
+        geom = self.setup.static_geom.get(a)
         if geom is not None:
             gamma, bounds = geom
         else:
             gamma = params.death_rate_at(x, a)
             bounds = None
-        if gamma > params.rate_bound + 1e-9:
+        if gamma > self.rate_bound + 1e-9:
             raise ConfigurationError(
-                f"death rate {gamma} exceeds the dominating rate {params.rate_bound} "
+                f"death rate {gamma} exceeds the dominating rate {self.rate_bound} "
                 f"at x={x.tolist()}, control {a}")
         if mark >= gamma:
             kind, n_children = "phantom", 0
@@ -544,7 +648,7 @@ class _Simulation:
         else:
             if bounds is None:
                 bounds = offspring_boundaries(x, a, params)
-            k = int(np.searchsorted(bounds, mark, side="right")) - 1
+            k = int(bounds.searchsorted(mark, "right")) - 1
             k = min(max(k, 0), params.max_children)
             del self.pop[lab]
             del self.clock[lab]
@@ -553,7 +657,8 @@ class _Simulation:
             else:
                 kind, n_children = "branch", k
                 for child in children(lab, k):
-                    self.pop[child] = x.copy()
+                    # positions are never written into: the children share x
+                    self.pop[child] = x
                     self.clock[child] = now
                     if self.pieces is not None:
                         self.pieces[child] = []
@@ -564,9 +669,10 @@ class _Simulation:
             n_children=n_children, position=x.copy(),
             pop_size_after=len(self.pop),
         ))
-        if len(self.pop) > self.cap:
+        cap = self.setup.population_cap
+        if len(self.pop) > cap:
             raise ExplosionGuardError(
-                f"population {len(self.pop)} exceeded cap {self.cap} "
+                f"population {len(self.pop)} exceeded cap {cap} "
                 f"at time {now}",
                 time_reached=now, population=len(self.pop),
                 n_events=len(self.events))
@@ -626,9 +732,11 @@ def _coupling_success(p1: PopulationPath, p2: PopulationPath, delta: float) -> b
                 or a.n_children != b.n_children):
             return False
     # coupled set-ups share founders and step size, so equal event logs give
-    # both runs the same particles, each on the same grid
-    for lab, track in p1.tracks.items():
-        xa, xb = track.positions, p2.tracks[lab].positions
-        if np.linalg.norm(xa - xb, axis=1).max() > delta:
-            return False
-    return True
+    # both runs the same particles, each on the same grid; every track's
+    # positions stay within delta when the largest distance of all does
+    if not p1.tracks:
+        return True
+    tracks2 = p2.tracks
+    gap = (np.concatenate([tr.positions for tr in p1.tracks.values()])
+           - np.concatenate([tracks2[lab].positions for lab in p1.tracks]))
+    return math.sqrt(np.add.reduce(gap * gap, axis=1).max()) <= delta

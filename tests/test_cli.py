@@ -263,6 +263,31 @@ tasks:
         assert not (tmp_path / "out" / "summary.csv").exists()
 
 
+    def test_non_finite_running_cost_exits_validation(self, tmp_path, capsys):
+        # finite parameters whose sum overflows: the cost is inf at x = 0
+        model_text = (MODELS / "subcritical_drift.yaml").read_text()
+        bad = model_text.replace(
+            "running_cost: {family: constant, value: 0.0}",
+            "running_cost: {family: gaussian-bump, offset: 1.0e+308, "
+            "amplitude: 1.0e+308, center: [0.0], width: 1.0}")
+        assert bad != model_text
+        (tmp_path / "model.yaml").write_text(bad)
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(f"""
+model: model.yaml
+output_dir: {tmp_path / 'out'}
+initial:
+  particles: [{{label: "", position: [0.0]}}]
+simulation: {{step: 0.05, horizon: 1.0, replications: 20, seed_base: 1}}
+tasks:
+  - kind: estimate
+""")
+        assert cli.main(["--config", str(cfg)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "model validation failed" in err and "cost-non-finite control=0" in err
+        assert not list((tmp_path / "out").glob("task_*.json"))
+
+
 class TestMainEntry:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

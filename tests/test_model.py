@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 from pathlib import Path
@@ -56,6 +57,15 @@ class TestValidation:
         bad = binary_model(p0=0.1, mean_bound=1.0)  # mean = 2 * 0.9 = 1.8
         report = M.validate_params(bad, [(X0, 0)])
         assert any(v.kind == "mean-offspring" for v in report.violations)
+
+    def test_non_finite_running_cost_violation(self):
+        # the bump overflows to inf at its center and stays finite away from it
+        cost = M.CoefficientSpec(family="gaussian-bump", offset=1e308, amplitude=1e308,
+                                 center=(0.0,), width=1.0)
+        bad = dataclasses.replace(binary_model(), running_cost=(cost,))
+        report = M.validate_params(bad, [(X0, 0), (np.array([5.0]), 0)])
+        assert [(v.kind, v.point, v.detail) for v in report.violations] == [
+            ("cost-non-finite", (0.0,), "running cost inf is not finite")]
 
     def test_empty_probes_rejected(self):
         with pytest.raises(ConfigurationError):

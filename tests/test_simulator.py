@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -219,6 +220,20 @@ class TestDeterminism:
         b = simulate(root_setup(m, 0.1, 1.0), 2)
         assert not paths_equal(a, b)
 
+    @pytest.mark.parametrize("c", [0.0, 0.2])
+    def test_recording_changes_no_number(self, c):
+        """Unrecorded paths of constant-coefficient motion compute only each
+        advance's end position and step costs; they equal the recorded paths
+        bit for bit, from several founders, starts off the grid and a step
+        that does not divide the horizon."""
+        m = make_model(b=0.1, sigma=0.4, gamma=0.9, rate_bound=1.2, p0=0.3,
+                       p1=0.2, c=c, mean_bound=1.2)
+        setup = prepare_simulation(0.13, FOUNDERS, ConstantPolicy(0), m, 0.07, 1.6)
+        for seed in range(20):
+            recorded = simulate(setup, seed)
+            assert paths_equal(simulate(setup, seed, record_paths=False),
+                               dataclasses.replace(recorded, tracks=None))
+
     def test_single_control_feedback_equals_constant(self):
         m = make_model(b=0.2, sigma=0.5, gamma=0.6, rate_bound=1.0, p0=0.4,
                        p1=0.1, c=0.1, mean_bound=1.1,
@@ -395,6 +410,22 @@ class TestParticleLocalStepping:
             simulate(root_setup(m, 0.05, 20.0), 1, record_paths=False)
 
 
+    @pytest.mark.parametrize("cost", [
+        M.constant(math.inf),
+        M.CoefficientSpec(family="gaussian-bump", offset=1e308, amplitude=1e308,
+                          center=(0.0,), width=1.0)])
+    def test_non_finite_running_cost_raises(self, cost):
+        # position-free and position-dependent costs alike: the first step
+        # cost is inf, at the founder's position
+        m = dataclasses.replace(make_model(sigma=0.3), running_cost=(cost,))
+        for record in (False, True):
+            with pytest.raises(NumericalFailureError) as info:
+                simulate(root_setup(m, 0.05, 1.0), 1, record_paths=record)
+            assert str(info.value) == ("particle (root) has the non-finite running "
+                                       "cost inf over the Euler step from time 0.0 "
+                                       "at position [0.0]")
+
+
 class TestPathwiseCost:
     def test_extinct_empty_product_is_one(self):
         p = simulate(root_setup(PURE_DEATH, 1.0, 50.0), 2)
@@ -478,7 +509,8 @@ class TestSimulationSetup:
         args = self.inputs()
         setup = prepare_simulation(*args)
         for copy in (setup, pickle.loads(pickle.dumps(setup))):
-            arrays = [*copy.initial.values(), copy.plan.b_const, copy.plan.sig_const]
+            arrays = [*copy.initial.values(), copy.plan.b_const, copy.plan.sig_const,
+                      copy.times, copy.cost_rates]
             arrays += [bounds for _, bounds in copy.static_geom.values()]
             assert arrays and not any(a.flags.writeable for a in arrays)
         assert all(x.flags.writeable for x in args[1].values())
