@@ -446,7 +446,7 @@ def _build_track(pieces: list[tuple], const_control: int | None) -> Track:
 class _Simulation:
     def __init__(self, setup: SimulationSetup, seed, record_paths):
         self.setup = setup
-        self.params = params = setup.params
+        self.params = setup.params
         self.plan = plan = setup.plan
         self.seed = int(seed)
         self.driver = RandomDriver(seed, setup.streams)
@@ -465,11 +465,10 @@ class _Simulation:
             {lab: [] for lab in self.pop} if record_paths else None)
         self.sup_n = len(self.pop)
         self.n_steps = 0
-        self.rate_bound = params.rate_bound
 
     def _spawn_clock(self, label: Label, now: float) -> None:
-        if self.rate_bound > 0.0:
-            gap = self.driver.event_stream(label).exponential(1.0 / self.rate_bound)
+        if self.params.rate_bound > 0.0:
+            gap = self.driver.event_stream(label).exponential(1.0 / self.params.rate_bound)
             heapq.heappush(self.rings, (now + gap, label))
 
     # a blow-up overflows on its way to a non-finite position; the checks in
@@ -542,17 +541,12 @@ class _Simulation:
         self.n_steps += n_steps
         step_cost = None
         if not setup.cost_free:
-            rates = setup.cost_rates
-            if rates is None:
-                if ctrls is None:
-                    ctrls_or_const = np.full(n_steps, plan.const_control, dtype=np.int64)
-                else:
-                    ctrls_or_const = ctrls
-                step_cost = _segment_costs(self.params, xs[:-1], ctrls_or_const) * deltas
-            elif ctrls is None:
-                step_cost = rates[plan.const_control] * deltas
+            a = plan.const_control if ctrls is None else ctrls
+            if setup.cost_rates is not None:
+                step_cost = setup.cost_rates[a] * deltas
             else:
-                step_cost = rates[ctrls] * deltas
+                step_cost = _segment_costs(
+                    self.params, xs[:-1], np.broadcast_to(a, n_steps)) * deltas
             self.cost += float(np.add.reduce(step_cost))
             if not math.isfinite(self.cost):
                 if xs is None:
@@ -631,16 +625,16 @@ class _Simulation:
         params = self.params
         x = self.pop[lab]
         # the draw of uniform(0, rate_bound), which computes 0 + rate_bound * u
-        mark = float(self.driver.event_stream(lab).random() * self.rate_bound)
+        mark = float(self.driver.event_stream(lab).random() * params.rate_bound)
         geom = self.setup.static_geom.get(a)
         if geom is not None:
             gamma, bounds = geom
         else:
             gamma = params.death_rate_at(x, a)
             bounds = None
-        if gamma > self.rate_bound + 1e-9:
+        if gamma > params.rate_bound + 1e-9:
             raise ConfigurationError(
-                f"death rate {gamma} exceeds the dominating rate {self.rate_bound} "
+                f"death rate {gamma} exceeds the dominating rate {params.rate_bound} "
                 f"at x={x.tolist()}, control {a}")
         if mark >= gamma:
             kind, n_children = "phantom", 0
