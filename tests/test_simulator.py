@@ -427,6 +427,23 @@ class TestParticleLocalStepping:
 
 
 class TestPathwiseCost:
+    def test_equals_product_over_survivors_in_order(self):
+        # the reference multiplies in one survivor's terminal cost at a time
+        m = make_model(sigma=0.4, gamma=1.0, rate_bound=1.0, p0=0.3, c=0.2,
+                       g=M.CoefficientSpec(family="gaussian-bump", offset=0.1,
+                                           amplitude=0.8, center=(0.0,), width=1.0))
+        sizes = set()
+        for start in (ROOT_START, FOUNDERS):
+            setup = prepare_simulation(0.0, start, ConstantPolicy(0), m, 0.1, 1.0)
+            for seed in range(20):
+                p = simulate(setup, seed, record_paths=False)
+                want = math.exp(-p.cost_integral)
+                for x in p.final.values():
+                    want *= m.terminal_at(x)
+                assert pathwise_cost(p, m) == want
+                sizes.add(min(len(p.final), 2))
+        assert sizes == {0, 1, 2}
+
     def test_extinct_empty_product_is_one(self):
         p = simulate(root_setup(PURE_DEATH, 1.0, 50.0), 2)
         assert p.extinct
