@@ -203,13 +203,8 @@ def pathwise_cost(path: PopulationPath, params: ModelParams) -> float:
     An extinct population contributes an empty product, i.e. one.
     """
     value = math.exp(-path.cost_integral)
-    survivors = list(path.final.values())
-    if len(survivors) == 1:     # a one-point batch costs twice a point
-        return value * params.terminal_at(survivors[0])
-    if survivors:
-        # one batch; a point's terminal cost equals its row bit for bit
-        for g in params.terminal_many(np.array(survivors)).tolist():
-            value *= g
+    for x in path.final.values():
+        value *= params.terminal_at(x)
     return value
 
 
@@ -393,7 +388,7 @@ def grid_times(t0: float, horizon: float, step: float) -> np.ndarray:
 
 
 def particle_grid(t0: float, start: float, end: float, step: float,
-                  times: np.ndarray | None = None) -> np.ndarray:
+                  times: np.ndarray) -> np.ndarray:
     """Euler grid of one particle on [start, end], t0 <= start, for a path
     started at t0.
 
@@ -401,11 +396,9 @@ def particle_grid(t0: float, start: float, end: float, step: float,
     both ends; a global point within 1e-9 steps of an end merges into it.
     Always at least one step, of length zero when ``start == end``.  The
     inner points are read from ``times``, the global grid of a path ending
-    at ``end`` or later (:func:`grid_times`), made here when not given.
+    at ``end`` or later (:func:`grid_times`).
     """
     lo, hi = _grid_span(t0, start, end, step)
-    if times is None:
-        times = grid_times(t0, end, step)
     grid = np.empty(max(hi - lo, 0) + 2)
     grid[0] = start
     grid[1:-1] = times[lo:hi]
@@ -521,6 +514,7 @@ class _Simulation:
             dw = z * np.sqrt(deltas)[:, None]
         if self.reads_positions:
             xs, ctrls = self._motion(lab, x0, grid, deltas, dw)
+            self._check_positions(lab, grid, xs)
             x = xs[-1]
         else:
             # the last row of the linear branch of _motion, from the same sums
@@ -528,14 +522,12 @@ class _Simulation:
             x = x0 + (target - start) * plan.b_const
             if dw is not None:
                 x = x + (dw.cumsum(0) @ plan.sig_const.T)[-1]
-        # a blow-up leaves the end position non-finite (an Euler recursion
-        # never leaves a non-finite value, and the linear closed form only by
-        # an overflow of values near the largest float); the steps are
-        # scanned only to name the first non-finite one
-        if not math.isfinite(sum(x.tolist())):
-            if xs is None:
-                xs = self._motion(lab, x0, grid, deltas, dw)[0]
-            self._check_positions(lab, grid, xs)
+            # only the end position is checked: an intermediate position can
+            # overflow while the end stays finite only near the largest float;
+            # the steps are made only to name the first non-finite one
+            if not math.isfinite(sum(x.tolist())):
+                self._check_positions(
+                    lab, grid, self._motion(lab, x0, grid, deltas, dw)[0])
         self.pop[lab] = x
         self.clock[lab] = target
         self.n_steps += n_steps

@@ -16,6 +16,7 @@ from branchdiff.rng import RandomDriver
 from branchdiff.simulator import (
     ConstantPolicy,
     OpenLoopPolicy,
+    grid_times,
     particle_grid,
     pathwise_cost,
     pathwise_cost_log_form,
@@ -72,7 +73,7 @@ class TestSingleDiffusion:
         m = make_model(sigma=0.3, affine_drift=(0.1, -0.5))
         h, horizon, seed = 0.1, 1.0, 77
         path = simulate(root_setup(m, h, horizon), seed)
-        grid = particle_grid(0.0, 0.0, horizon, h)
+        grid = particle_grid(0.0, 0.0, horizon, h, grid_times(0.0, horizon, h))
         deltas = np.diff(grid)
         z = RandomDriver(seed).motion_stream(()).standard_normal((len(deltas), 1))
         dw = z * np.sqrt(deltas)[:, None]
@@ -274,7 +275,8 @@ def own_grid_steps(path, step):
     for lab, t_birth in birth.items():
         ends = cuts[lab] if lab not in path.final else cuts[lab] + [path.horizon]
         points = [t_birth] + ends
-        steps[lab] = sum(len(particle_grid(path.start_time, a, b, step)) - 1
+        steps[lab] = sum(len(particle_grid(path.start_time, a, b, step,
+                                           grid_times(path.start_time, b, step))) - 1
                          for a, b in zip(points, points[1:]))
     return steps
 
@@ -409,6 +411,15 @@ class TestParticleLocalStepping:
         with pytest.raises(NumericalFailureError, match="non-finite position"):
             simulate(root_setup(m, 0.05, 20.0), 1, record_paths=False)
 
+    def test_recorded_path_checks_every_position(self):
+        # the Brownian sum leaves the float range at time 0.8 and returns by
+        # the end; a recorded track would store the overflowed position
+        m = make_model(sigma=1e308)
+        end = simulate(root_setup(m, 0.1, 1.0), 4, record_paths=False).final[()]
+        assert np.isfinite(end).all()
+        with pytest.raises(NumericalFailureError,
+                           match=r"non-finite position \[-inf\] at time 0\.8,"):
+            simulate(root_setup(m, 0.1, 1.0), 4, record_paths=True)
 
     @pytest.mark.parametrize("cost", [
         M.constant(math.inf),
@@ -427,23 +438,6 @@ class TestParticleLocalStepping:
 
 
 class TestPathwiseCost:
-    def test_equals_product_over_survivors_in_order(self):
-        # the reference multiplies in one survivor's terminal cost at a time
-        m = make_model(sigma=0.4, gamma=1.0, rate_bound=1.0, p0=0.3, c=0.2,
-                       g=M.CoefficientSpec(family="gaussian-bump", offset=0.1,
-                                           amplitude=0.8, center=(0.0,), width=1.0))
-        sizes = set()
-        for start in (ROOT_START, FOUNDERS):
-            setup = prepare_simulation(0.0, start, ConstantPolicy(0), m, 0.1, 1.0)
-            for seed in range(20):
-                p = simulate(setup, seed, record_paths=False)
-                want = math.exp(-p.cost_integral)
-                for x in p.final.values():
-                    want *= m.terminal_at(x)
-                assert pathwise_cost(p, m) == want
-                sizes.add(min(len(p.final), 2))
-        assert sizes == {0, 1, 2}
-
     def test_extinct_empty_product_is_one(self):
         p = simulate(root_setup(PURE_DEATH, 1.0, 50.0), 2)
         assert p.extinct
