@@ -31,7 +31,7 @@ import yaml
 
 from . import __version__, estimator, hjb, model as model_mod, modelio, simulator
 from .errors import ConfigurationError, ExplosionGuardError, NumericalFailureError
-from .labels import label_from_str, label_to_str
+from .labels import label_from_str, label_to_str, nested_pair
 from .modelio import (REQUIRED, _build, _fail, _fields, _flag, _items, _list_of, _of_kind,
                       _one_of, _raw, _real, _reals, _require_mapping, _section, _whole)
 
@@ -105,11 +105,15 @@ def _text(exp, value, path) -> str:
     return value
 
 
-def _position(exp, value, path) -> np.ndarray:
+def _point(exp, value, path) -> tuple[float, ...]:
     x = modelio._float_list(value, path)
     if len(x) != exp.params.dim:
         _fail(path, f"expected {exp.params.dim} coordinate(s), got {len(x)}")
-    return np.array(x)
+    return x
+
+
+def _position(exp, value, path) -> np.ndarray:
+    return np.array(_point(exp, value, path))
 
 
 def _label(exp, text, path):
@@ -135,14 +139,11 @@ def _particles(exp, value, path) -> dict:
                                         f"label of {path}[{index[lab]}]")
         index[lab] = i
         initial[lab] = particle["position"]
-    # sorted, a label is followed by its descendants (as in is_antichain)
-    ordered = sorted(index)
-    for a, b in zip(ordered, ordered[1:]):
-        if b[:len(a)] == a:
-            i, j = sorted((index[a], index[b]))
-            _fail(f"{path}[{j}].label",
-                  f"the founders violate the antichain condition: one of "
-                  f"{path}[{i}] and [{j}] descends from the other")
+    pair = nested_pair(index)
+    if pair is not None:
+        i, j = sorted(index[lab] for lab in pair)
+        _fail(f"{path}[{j}].label", f"the founders violate the antichain condition: one of "
+                                    f"{path}[{i}] and [{j}] descends from the other")
     return initial
 
 
@@ -186,7 +187,8 @@ def _dpp_policy(exp, node, path):
 _TEST_FUNCTION = {
     "family": (_one_of("constant", "gaussian-bump", "polynomial-times-bump"), REQUIRED),
     **{key: (_real, None) for key in ("base", "scale", "decay", "width")},
-    **{key: (_reals, None) for key in ("center", "direction")},
+    "center": (_point, lambda exp, _: (0.0,) * exp.params.dim),
+    "direction": (_point, lambda exp, _: (1.0,) + (0.0,) * (exp.params.dim - 1)),
 }
 
 
@@ -298,6 +300,9 @@ class Experiment:
 
         self.grid = None
         if top["grid"] is not None:
+            if self.start_time < 0:
+                _fail("initial.time", f"must not precede the grid, which spans "
+                                      f"[0, simulation.horizon], got {self.start_time!r}")
             self.grid = _build("grid", hjb.GridConfig, horizon=self.horizon,
                                **_fields(self, top["grid"], _GRID, "grid"))
         self.tasks = [self._task(node, where) for where, node in _items(top["tasks"], "tasks")]
@@ -333,6 +338,17 @@ class Runner:
     def policy(self, policy):
         """The parsed policy, with FEEDBACK built from the solved grid."""
         return hjb.extract_feedback(self.solved_grid()) if policy is FEEDBACK else policy
+
+    def setup(self, policy, *, positions=None, horizon=None) -> simulator.SimulationSetup:
+        """The set-up of a task's paths under a resolved ``policy``: from the
+        experiment's founders, or founders (i,) at ``positions``, and its
+        horizon unless another is given."""
+        exp = self.exp
+        initial = (exp.initial if positions is None
+                   else {(i,): x for i, x in enumerate(positions)})
+        return simulator.prepare_simulation(
+            exp.start_time, initial, policy, exp.params, exp.step,
+            exp.horizon if horizon is None else horizon, population_cap=exp.population_cap)
 
     def check(self, task_idx, kind, name, value, reference, band, passed):
         row = {"name": name, "value": value, "reference": reference, "band": band,
@@ -390,10 +406,8 @@ def _task_solve(runner: Runner, idx: int, *, export_csv, probe_points,
 def _task_estimate(runner: Runner, idx: int, *, policy, replications, oracle,
                    compare_pde, allowance, dump_summaries, dump_paths) -> dict:
     exp = runner.exp
-    policy = runner.policy(policy)
-    summaries = estimator.run_replications(
-        exp.start_time, exp.initial, policy, exp.params, replications, exp.step,
-        exp.horizon, exp.seed_base, population_cap=exp.population_cap)
+    setup = runner.setup(runner.policy(policy))
+    summaries = estimator.run_replications(setup, replications, exp.seed_base)
     costs = np.array([s.cost for s in summaries])
     est = estimator.estimate_from_samples(costs, exp.seed_base)
     results = {"mean": est.mean, "stderr": est.stderr, "replications": replications,
@@ -423,26 +437,19 @@ def _task_estimate(runner: Runner, idx: int, *, policy, replications, oracle,
                     "n_events": s.n_events, "extinct": s.extinct,
                 }).replace("\n", " ") + "\n")
         results["replications_jsonl"] = jl_path.name
-    if dump_paths:
-        setup = simulator.prepare_simulation(
-            exp.start_time, exp.initial, policy, exp.params, exp.step, exp.horizon,
-            population_cap=exp.population_cap,
-            seeds=range(exp.seed_base, exp.seed_base + dump_paths))
-        for k in range(dump_paths):
-            p = simulator.simulate(setup, exp.seed_base + k)
-            csv_path = exp.output_dir / f"task_{idx:02d}_path_{k}.csv"
-            with open(csv_path, "w", newline="") as fh:
-                simulator.write_path_csv(p, fh)
+    for k in range(dump_paths):
+        p = simulator.simulate(setup, exp.seed_base + k)
+        csv_path = exp.output_dir / f"task_{idx:02d}_path_{k}.csv"
+        with open(csv_path, "w", newline="") as fh:
+            simulator.write_path_csv(p, fh)
     return {"results": results, "checks": checks}
 
 
 def _task_branching(runner: Runner, idx: int, *, positions, policy,
                     replications) -> dict:
     exp = runner.exp
-    report = estimator.check_branching(
-        exp.start_time, positions, runner.policy(policy), exp.params, replications,
-        exp.step, exp.seed_base, horizon=exp.horizon,
-        population_cap=exp.population_cap)
+    report = estimator.check_branching(runner.setup(runner.policy(policy), positions=positions),
+                                       replications, exp.seed_base)
     checks = [runner.check(idx, "branching", "product_factorization",
                            report.multi.mean, report.product_of_singles,
                            report.band, report.passed)]
@@ -458,13 +465,12 @@ def _task_dynkin(runner: Runner, idx: int, *, functions, times, policy,
                  replications, allowance_per_step) -> dict:
     exp = runner.exp
     policy = runner.policy(policy)
+    setups = [runner.setup(policy, horizon=s) for _, s in times]
     rows, checks = [], []
     for fi, fn in enumerate(functions):
-        for written, s in times:
-            est = estimator.dynkin_residual(
-                fn, exp.start_time, exp.initial, policy, exp.params, s,
-                replications, exp.step, exp.seed_base + 1000 * fi,
-                population_cap=exp.population_cap)
+        for (written, s), setup in zip(times, setups):
+            est = estimator.dynkin_residual(setup, fn, replications,
+                                            exp.seed_base + 1000 * fi)
             band = 3.0 * est.stderr + allowance_per_step * exp.step
             ok = abs(est.mean) <= band
             rows.append({"function": fi, "family": fn.family, "time": s,
@@ -486,10 +492,8 @@ def _task_dpp(runner: Runner, idx: int, *, policies, stopping, replications,
         for si, stop in enumerate(stopping):
             rule, s = stop["rule"], stop["time"]
             report = estimator.dpp_check(
-                exp.start_time, exp.initial, policy, exp.params,
-                (rule, s), grid, replications, exp.step,
-                exp.seed_base + 7000 * pi + 100 * si, allowance=allowance,
-                population_cap=exp.population_cap)
+                runner.setup(policy, horizon=s), rule, grid, replications,
+                exp.seed_base + 7000 * pi + 100 * si, allowance=allowance)
             ok = {"optimal": report.within_band,
                   "suboptimal": report.slack > 3.0 * report.estimate.stderr,
                   "admissible": report.lower_bound_ok}[role]
@@ -505,12 +509,9 @@ def _task_dpp(runner: Runner, idx: int, *, policies, stopping, replications,
 
 
 def _task_moment(runner: Runner, idx: int, *, policy, replications) -> dict:
-    exp = runner.exp
-    summaries = estimator.run_replications(
-        exp.start_time, exp.initial, runner.policy(policy), exp.params, replications,
-        exp.step, exp.horizon, exp.seed_base, population_cap=exp.population_cap)
-    report = estimator.moment_check(summaries, exp.params, len(exp.initial),
-                                    exp.start_time, exp.horizon)
+    setup = runner.setup(runner.policy(policy))
+    summaries = estimator.run_replications(setup, replications, runner.exp.seed_base)
+    report = estimator.moment_check(summaries, setup)
     checks = [runner.check(idx, "moment", "mean_sup_population",
                            report.mean_sup, report.bound,
                            3.0 * report.stderr, report.passed)]
@@ -523,14 +524,12 @@ def _task_moment(runner: Runner, idx: int, *, policy, replications) -> dict:
 def _task_couple(runner: Runner, idx: int, *, perturbations, policy, replications,
                  final_rate_min) -> dict:
     exp = runner.exp
-    policy = runner.policy(policy)
+    setup = runner.setup(runner.policy(policy))
     rows, rates = [], []
     for li, eps in enumerate(perturbations):
         tilde = model_mod.perturbed_copy(exp.params, eps)
-        rep = estimator.coupling_probe(
-            exp.start_time, exp.initial, policy, exp.params, tilde,
-            exp.coupling_delta, replications, exp.step, exp.horizon,
-            exp.seed_base + 30000 * li, population_cap=exp.population_cap)
+        rep = estimator.coupling_probe(setup, tilde, exp.coupling_delta, replications,
+                                       exp.seed_base + 30000 * li)
         distance = model_mod.coefficient_distance(exp.params, tilde)
         rows.append({"perturbation": eps, "coefficient_distance": distance,
                      "rate": rep.rate, "stderr": rep.stderr,
@@ -561,9 +560,8 @@ def _task_verify_all(runner: Runner, idx: int, *, replications, check_replicatio
                                grid.clamp_events == 0))
 
     policy = hjb.extract_feedback(grid)
-    est = estimator.estimate_value(
-        exp.start_time, exp.initial, policy, exp.params, replications, exp.step,
-        exp.seed_base, horizon=exp.horizon, population_cap=exp.population_cap)
+    setup = runner.setup(policy)
+    est = estimator.estimate_value(setup, replications, exp.seed_base)
     ref = math.prod(hjb.evaluate(grid, exp.start_time, x) for x in exp.initial.values())
     band = 3.0 * est.stderr + allowance
     checks.append(runner.check(idx, "verify-all", "mc_pde_agreement",
@@ -574,11 +572,8 @@ def _task_verify_all(runner: Runner, idx: int, *, replications, check_replicatio
         checks.append(runner.check(idx, "verify-all", "oracle", est.mean,
                                    oracle, band, abs(est.mean - oracle) <= band))
 
-    summaries = estimator.run_replications(
-        exp.start_time, exp.initial, policy, exp.params, n_small, exp.step,
-        exp.horizon, exp.seed_base + 1, population_cap=exp.population_cap)
-    mom = estimator.moment_check(summaries, exp.params, len(exp.initial),
-                                 exp.start_time, exp.horizon)
+    summaries = estimator.run_replications(setup, n_small, exp.seed_base + 1)
+    mom = estimator.moment_check(summaries, setup)
     checks.append(runner.check(idx, "verify-all", "moment_bound", mom.mean_sup,
                                mom.bound, 3.0 * mom.stderr, mom.passed))
 
@@ -586,9 +581,8 @@ def _task_verify_all(runner: Runner, idx: int, *, replications, check_replicatio
     span = grid.nodes[-1] - grid.nodes[0]
     if branching_positions is None:
         branching_positions = [[mid - span / 8.0], [mid + span / 8.0]]
-    branch = estimator.check_branching(
-        exp.start_time, branching_positions, policy, exp.params, n_small, exp.step,
-        exp.seed_base + 2, horizon=exp.horizon, population_cap=exp.population_cap)
+    branch = estimator.check_branching(runner.setup(policy, positions=branching_positions),
+                                       n_small, exp.seed_base + 2)
     checks.append(runner.check(idx, "verify-all", "branching",
                                branch.multi.mean, branch.product_of_singles,
                                branch.band, branch.passed))
@@ -596,40 +590,28 @@ def _task_verify_all(runner: Runner, idx: int, *, replications, check_replicatio
     fn = estimator.SmoothTestFunction(
         family="gaussian-bump", base=0.2, scale=0.6, decay=0.3,
         center=(float(mid),) * exp.params.dim, width=float(span) / 4.0)
-    dyn = estimator.dynkin_residual(
-        fn, exp.start_time, exp.initial, policy, exp.params,
-        exp.start_time + 0.5 * (exp.horizon - exp.start_time),
-        n_small, exp.step, exp.seed_base + 3,
-        population_cap=exp.population_cap)
+    s_mid = exp.start_time + 0.5 * (exp.horizon - exp.start_time)
+    mid_setup = runner.setup(policy, horizon=s_mid)
+    dyn = estimator.dynkin_residual(mid_setup, fn, n_small, exp.seed_base + 3)
     dband = 3.0 * dyn.stderr + 0.5 * exp.step
     checks.append(runner.check(idx, "verify-all", "dynkin_residual", dyn.mean,
                                0.0, dband, abs(dyn.mean) <= dband))
 
-    s_mid = exp.start_time + 0.5 * (exp.horizon - exp.start_time)
     for rule in ("fixed", "first-event"):
-        rep = estimator.dpp_check(
-            exp.start_time, exp.initial, policy, exp.params, (rule, s_mid),
-            grid, n_small, exp.step, exp.seed_base + 4, allowance=allowance,
-            population_cap=exp.population_cap)
+        rep = estimator.dpp_check(mid_setup, rule, grid, n_small, exp.seed_base + 4,
+                                  allowance=allowance)
         checks.append(runner.check(idx, "verify-all", f"dpp_{rule}", rep.slack,
                                    0.0, rep.band, rep.within_band))
 
-    est2, est2b = (estimator.estimate_value(
-        exp.start_time, exp.initial, policy, exp.params, min(n_small, 1000), exp.step,
-        exp.seed_base + 5, horizon=exp.horizon, population_cap=exp.population_cap)
-        for _ in range(2))
+    est2, est2b = (estimator.estimate_value(setup, min(n_small, 1000), exp.seed_base + 5)
+                   for _ in range(2))
     checks.append(runner.check(idx, "verify-all", "determinism", est2.mean,
                                est2b.mean, 0.0, est2.mean == est2b.mean))
 
     g_lo, _ = exp.params.terminal.bounds()
     if g_lo > 0.0:
         worst = 0.0
-        n_paths = min(200, n_small)
-        setup = simulator.prepare_simulation(
-            exp.start_time, exp.initial, policy, exp.params, exp.step, exp.horizon,
-            population_cap=exp.population_cap,
-            seeds=range(exp.seed_base + 6, exp.seed_base + 6 + n_paths))
-        for k in range(n_paths):
+        for k in range(min(200, n_small)):
             p = simulator.simulate(setup, exp.seed_base + 6 + k, record_paths=False)
             a = simulator.pathwise_cost(p, exp.params)
             b = simulator.pathwise_cost_log_form(p, exp.params)

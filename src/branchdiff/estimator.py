@@ -5,16 +5,16 @@ test functions along simulated paths, dynamic-programming inequalities
 against a solved value surface, the population moment bound, and the
 coupling-success probability of perturbed models.
 
-Every estimate is a deterministic function of its inputs and the seed base.
-Each estimator call checks its path inputs and population cap once, in the
-set-up :func:`~branchdiff.simulator.prepare_simulation` builds for its seeds;
-replication k is ``simulate(setup, seed_base + k)``.
-Replications run in process, or, inside a :func:`worker_pool` block, fan
-out over that block's worker processes::
+Every estimate is a deterministic function of its set-up, replication count
+and seed base.  The caller checks a problem's path inputs once, building its
+set-up with :func:`~branchdiff.simulator.prepare_simulation`, and passes it
+to every estimator call on that problem; replication k is
+``simulate(setup, seed_base + k)``.  Replications run in process, or, inside
+a :func:`worker_pool` block, fan out over that block's worker processes::
 
+    setup = prepare_simulation(t, mu, policy, params, step, horizon)
     with worker_pool(4):
-        est = estimate_value(t, mu, policy, params, n_reps, step, seed_base,
-                             horizon=horizon)
+        est = estimate_value(setup, n_reps, seed_base)
 
 Results are keyed by replication index, so the reduction does not depend on
 completion order or on the number of workers.
@@ -33,8 +33,8 @@ import numpy as np
 from .errors import ConfigurationError, ExplosionGuardError
 from .hjb import ValueGrid, evaluate, evaluate_many
 from .model import ModelParams, generator
-from .simulator import (PopulationPath, coupled_setup, pathwise_cost, prepare_simulation,
-                        simulate, simulate_coupled)
+from .simulator import (PopulationPath, SimulationSetup, coupled_setup, pathwise_cost,
+                        prepare_simulation, simulate, simulate_coupled)
 
 
 # ---------------------------------------------------------------------------
@@ -147,28 +147,21 @@ def _cost_worker(args, k):
                       n_events=len(path.events), extinct=path.extinct)
 
 
-def run_replications(t, mu, policy, params: ModelParams, n_reps: int, step: float,
-                     horizon: float, seed_base: int, *, population_cap: int = 10**6
+def run_replications(setup: SimulationSetup, n_reps: int, seed_base: int
                      ) -> list[RepSummary]:
     """Simulate independent replications and collect per-path summaries."""
-    setup = prepare_simulation(t, mu, policy, params, step, horizon,
-                               population_cap=population_cap,
-                               seeds=range(seed_base, seed_base + n_reps))
     return _fan_out(_cost_worker, (setup, seed_base), n_reps)
 
 
 # ---------------------------------------------------------------------------
 # value estimation
 
-def estimate_value(t, mu, policy, params: ModelParams, n_reps: int, step: float,
-                   seed_base: int, *, horizon: float, population_cap: int = 10**6
-                   ) -> Estimate:
+def estimate_value(setup: SimulationSetup, n_reps: int, seed_base: int) -> Estimate:
     """Sample mean and standard error of the pathwise cost over independent
     replications seeded ``seed_base + k``."""
     if n_reps < 2:
         raise ConfigurationError("need at least 2 replications")
-    summaries = run_replications(t, mu, policy, params, n_reps, step, horizon,
-                                 seed_base, population_cap=population_cap)
+    summaries = run_replications(setup, n_reps, seed_base)
     costs = np.array([s.cost for s in summaries])
     return estimate_from_samples(costs, seed_base)
 
@@ -183,27 +176,23 @@ class BranchingReport:
     passed: bool
 
 
-def check_branching(t, x_list, policy, params: ModelParams, n_reps: int, step: float,
-                    seed_base: int, *, horizon: float, population_cap: int = 10**6
+def check_branching(setup: SimulationSetup, n_reps: int, seed_base: int
                     ) -> BranchingReport:
-    """Compare the value of a multi-particle start against the product of the
-    single-particle values at the same positions.
+    """Compare the value of the set-up's founders against the product of the
+    single-particle values at the same positions, each founder re-rooted at
+    ``()`` and seeded from ``seed_base + (i + 1) * n_reps``.
 
     The policy must not depend on the particle's label (no policy in the
     package does), so the same rule drives every subfamily.  The pass band is
     three combined standard errors: the multi estimate's own plus the
     delta-method error of the product of singles.
     """
-    multi_mu = {(i,): x for i, x in enumerate(x_list)}
-    stride = n_reps
-    multi = estimate_value(t, multi_mu, policy, params, n_reps, step, seed_base,
-                           horizon=horizon, population_cap=population_cap)
+    multi = estimate_value(setup, n_reps, seed_base)
     singles = []
-    for i, x in enumerate(x_list):
-        singles.append(estimate_value(
-            t, {(): x}, policy, params, n_reps, step,
-            seed_base + (i + 1) * stride, horizon=horizon,
-            population_cap=population_cap))
+    for i, x in enumerate(setup.initial.values()):
+        single = prepare_simulation(setup.t, {(): x}, setup.policy, setup.params, setup.step,
+                                    setup.horizon, population_cap=setup.population_cap)
+        singles.append(estimate_value(single, n_reps, seed_base + (i + 1) * n_reps))
     means = np.array([e.mean for e in singles])
     errs = np.array([e.stderr for e in singles])
     prod = float(np.prod(means))
@@ -385,16 +374,12 @@ def _dynkin_worker(args, k):
     return terminal - initial - _path_operator_integral(path, u, params)
 
 
-def dynkin_residual(u: SmoothTestFunction, t, mu, policy, params: ModelParams,
-                    s: float, n_reps: int, step: float, seed_base: int, *,
-                    population_cap: int = 10**6) -> Estimate:
-    """Monte Carlo mean of the martingale bracket at time ``s``: discounted
-    terminal product minus initial product minus the pathwise integral of the
-    operator applied to the test function.  Zero in expectation up to O(step)
-    quadrature bias."""
-    setup = prepare_simulation(t, mu, policy, params, step, s,
-                               population_cap=population_cap,
-                               seeds=range(seed_base, seed_base + n_reps))
+def dynkin_residual(setup: SimulationSetup, u: SmoothTestFunction, n_reps: int,
+                    seed_base: int) -> Estimate:
+    """Monte Carlo mean of the martingale bracket at the set-up's horizon:
+    discounted terminal product minus initial product minus the pathwise
+    integral of the operator applied to the test function.  Zero in
+    expectation up to O(step) quadrature bias."""
     args = (setup, u, seed_base)
     residuals = np.array(_fan_out(_dynkin_worker, args, n_reps))
     return estimate_from_samples(residuals, seed_base)
@@ -433,32 +418,27 @@ def _dpp_worker(args, k):
     return value
 
 
-def dpp_check(t, mu, policy, params: ModelParams, tau_rule, value_grid: ValueGrid,
-              n_reps: int, step: float, seed_base: int, *, allowance: float = 0.0,
-              population_cap: int = 10**6) -> DppReport:
+def dpp_check(setup: SimulationSetup, rule: str, value_grid: ValueGrid, n_reps: int,
+              seed_base: int, *, allowance: float = 0.0) -> DppReport:
     """Estimate the expected discounted product of interpolated values at a
     stopping time and compare with the initial product.
 
-    ``tau_rule`` is ("fixed", s) for the deterministic time s, or
-    ("first-event", s) for the first population-changing jump capped at s.
-    Any admissible policy must come out at or above the initial product
-    (lower_bound_ok); the feedback policy extracted from the same surface
-    should land within the band (within_band).
+    ``rule`` is "fixed" for the set-up's horizon s, or "first-event" for the
+    first population-changing jump capped at s.  Any admissible policy must
+    come out at or above the initial product (lower_bound_ok); the feedback
+    policy extracted from the same surface should land within the band
+    (within_band).
     """
-    kind, s = tau_rule
-    if kind not in ("fixed", "first-event"):
-        raise ConfigurationError(f"unknown stopping rule {kind!r}")
-    if s > value_grid.horizon + 1e-12:
+    if rule not in ("fixed", "first-event"):
+        raise ConfigurationError(f"unknown stopping rule {rule!r}")
+    if setup.horizon > value_grid.horizon + 1e-12:
         raise ConfigurationError("stopping time lies past the value grid's horizon")
-    setup = prepare_simulation(t, mu, policy, params, step, s,
-                               population_cap=population_cap,
-                               seeds=range(seed_base, seed_base + n_reps))
-    args = (setup, value_grid, kind, seed_base)
+    args = (setup, value_grid, rule, seed_base)
     values = np.array(_fan_out(_dpp_worker, args, n_reps))
     est = estimate_from_samples(values, seed_base)
     reference = 1.0
     for x in setup.initial.values():
-        reference *= evaluate(value_grid, t, x)
+        reference *= evaluate(value_grid, setup.t, x)
     band = est.band(3.0, allowance)
     slack = est.mean - reference
     return DppReport(estimate=est, reference=reference, slack=slack, band=band,
@@ -477,18 +457,19 @@ class MomentReport:
     passed: bool
 
 
-def moment_check(summaries: list[RepSummary], params: ModelParams,
-                 n_initial: int, t: float, horizon: float) -> MomentReport:
-    """Check the population moment bound: the mean running supremum of the
-    population size may not exceed initial size times
-    exp(rate_bound * mean_offspring_bound * elapsed), up to 3 standard errors."""
+def moment_check(summaries: list[RepSummary], setup: SimulationSetup) -> MomentReport:
+    """Check the population moment bound on replications of ``setup``: the
+    mean running supremum of the population size may not exceed initial size
+    times exp(rate_bound * mean_offspring_bound * elapsed), up to 3 standard
+    errors."""
     if len(summaries) < 100:
         raise ConfigurationError("moment check needs at least 100 replications")
     sups = np.array([s.sup_population for s in summaries], dtype=float)
     mean = float(np.mean(sups))
     stderr = float(np.std(sups, ddof=1) / math.sqrt(len(sups)))
-    bound = n_initial * math.exp(
-        params.rate_bound * params.mean_offspring_bound * (horizon - t))
+    params = setup.params
+    bound = len(setup.initial) * math.exp(
+        params.rate_bound * params.mean_offspring_bound * (setup.horizon - setup.t))
     return MomentReport(mean_sup=mean, stderr=stderr, bound=bound,
                         n_reps=len(sups), passed=mean <= bound + 3.0 * stderr)
 
@@ -510,15 +491,11 @@ def _coupling_worker(args, k):
     return bool(ok)
 
 
-def coupling_probe(t, mu, policy, params: ModelParams, params_tilde: ModelParams,
-                   delta: float, n_reps: int, step: float, horizon: float,
-                   seed_base: int, *, population_cap: int = 10**6
-                   ) -> CouplingReport:
-    """Empirical probability that two models driven by identical randomness
-    keep the same genealogy and stay within ``delta`` of each other."""
-    setup = prepare_simulation(t, mu, policy, params, step, horizon,
-                               population_cap=population_cap,
-                               seeds=range(seed_base, seed_base + n_reps))
+def coupling_probe(setup: SimulationSetup, params_tilde: ModelParams, delta: float,
+                   n_reps: int, seed_base: int) -> CouplingReport:
+    """Empirical probability that the set-up's model and ``params_tilde``,
+    driven by identical randomness, keep the same genealogy and stay within
+    ``delta`` of each other."""
     args = (setup, coupled_setup(setup, params_tilde), delta, seed_base)
     flags = _fan_out(_coupling_worker, args, n_reps)
     n_success = int(sum(flags))

@@ -45,8 +45,9 @@ def label_from_str(s: str) -> Label:
     return tuple(int(part) for part in parts)
 
 
-def is_antichain(labels) -> bool:
-    """Check the no-prefix condition.
+def nested_pair(labels) -> tuple[Label, Label] | None:
+    """The first (prefix, extension) pair among ``labels`` in lexicographic
+    order, or None when no label is a prefix of another.
 
     Sorting lexicographically puts any prefix immediately before one of its
     extensions, so only adjacent pairs need checking.
@@ -54,8 +55,13 @@ def is_antichain(labels) -> bool:
     ordered = sorted(labels)
     for a, b in zip(ordered, ordered[1:]):
         if b[: len(a)] == a:
-            return False
-    return True
+            return a, b
+    return None
+
+
+def is_antichain(labels) -> bool:
+    """Check the no-prefix condition."""
+    return nested_pair(labels) is None
 
 
 def assert_antichain(labels) -> None:

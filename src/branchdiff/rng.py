@@ -14,11 +14,11 @@ A stream is ``PCG64`` seeded with the four 64-bit words that
 ``SeedSequence(key words).generate_state(4, np.uint64)`` produces, and there
 are two routes to those words.  One hands the key to ``SeedSequence``, key by
 key.  The other, :class:`StreamTable`, computes them for many keys at once
-with :func:`seed_state`, an exact copy of NumPy's seed mixing on arrays; an
-estimator call knows its seeds before its paths run, so its set-up tables
-the motion and event streams of the founders and their children.  Both
-routes give the same stream, bit for bit; :meth:`RandomDriver._derive` takes
-the table's words when it has them and asks ``SeedSequence`` otherwise.
+with :func:`seed_state`, an exact copy of NumPy's seed mixing on arrays; a
+path's set-up tables the motion and event streams of its founders and their
+children, for whatever seeds its paths run under.  Both routes give the same
+stream, bit for bit; :meth:`RandomDriver._derive` takes the table's words
+when it has them and asks ``SeedSequence`` otherwise.
 """
 
 from __future__ import annotations
@@ -190,60 +190,54 @@ class _SeedWords(_Seed):
 
 
 class StreamTable:
-    """Seed words of the motion and event streams of ``labels`` under every
-    seed of ``seeds``, computed lazily, one block of consecutive seeds at a
-    time.  Each block starts at the seed that needs it and holds twice the
-    seeds of the one before, from about ``_FIRST_BLOCK_KEYS`` keys up to at
-    most ``_BLOCK_KEYS``: a process that takes a short run of the seeds, one
-    chunk of a fan-out, computes few words it does not use, and one that
-    takes them all pays a block's fixed cost rarely.  The block stays in the
-    process that built it: a pickled table carries only its seeds and
-    labels.  A table whose labels alone exceed the bound covers no seed."""
+    """Seed words of the motion and event streams of ``labels`` under any
+    seed, computed lazily, one block of consecutive seeds at a time.  Each
+    block starts at the seed that needs it and holds twice the seeds of the
+    one before, from about ``_FIRST_BLOCK_KEYS`` keys up to at most
+    ``_BLOCK_KEYS``: a process that takes a short run of seeds, one chunk of
+    a fan-out, computes few words it does not use, and one that takes many
+    pays a block's fixed cost rarely.  The block stays in the process that
+    built it: a pickled table carries only its labels.  A table whose labels
+    alone exceed the bound holds no key."""
 
-    def __init__(self, seeds: range, labels):
-        self.seeds = seeds
+    def __init__(self, labels):
         self.labels = tuple(labels)
         # (purpose tag, label) -> row of a seed's words
-        self.index = {(tag, lab): i * len(self.labels) + j
-                      for i, tag in enumerate(_TABLE_TAGS)
-                      for j, lab in enumerate(self.labels)}
-        self.seeds_per_block = _BLOCK_KEYS // max(len(self.index), 1)
+        index = {(tag, lab): i * len(self.labels) + j
+                 for i, tag in enumerate(_TABLE_TAGS)
+                 for j, lab in enumerate(self.labels)}
+        self.seeds_per_block = _BLOCK_KEYS // max(len(index), 1)
+        self.index = index if self.seeds_per_block else {}
         self._block: tuple[range, np.ndarray] | None = None
 
     def __reduce__(self):
-        return type(self), (self.seeds, self.labels)
-
-    def covers(self, seed: int) -> bool:
-        return self.seeds_per_block > 0 and seed in self.seeds
+        return type(self), (self.labels,)
 
     def words(self, seed: int) -> np.ndarray:
-        """The (len(index), 4) seed words of a covered ``seed``'s streams,
-        rows as numbered by ``index``."""
+        """The (len(index), 4) seed words of ``seed``'s streams, rows as
+        numbered by ``index``."""
         block = self._block
         if block is None or seed not in block[0]:
             from numpy.random.bit_generator import ISeedSequence
             ISeedSequence.register(_Seed)
             size = (max(_FIRST_BLOCK_KEYS // len(self.index), 1) if block is None
                     else min(2 * len(block[0]), self.seeds_per_block))
-            pos = self.seeds.index(seed)
-            seeds = self.seeds[pos:pos + size]
-            words = stream_words(seeds, self.labels).reshape(len(seeds), -1, 4)
+            seeds = range(seed, seed + size)
+            words = stream_words(seeds, self.labels).reshape(size, -1, 4)
             block = self._block = (seeds, words)
-        return block[1][block[0].index(seed)]
+        return block[1][seed - block[0].start]
 
 
 class RandomDriver:
     """Factory and cache for the per-label generators of one simulation run.
-    ``streams``, when it covers the seed, serves the seed words of the keys
-    it holds from the first derivation on."""
+    ``streams`` serves the seed words of the keys it holds from the first
+    derivation on."""
 
     def __init__(self, master_seed: int, streams: StreamTable | None = None):
-        self._seed = int(master_seed)
-        self.master_seed = self._seed & _SEED_MASK
+        self.master_seed = int(master_seed) & _SEED_MASK
         self._seed_words = _words((self.master_seed,))
-        covered = streams is not None and streams.covers(self._seed)
         self._streams = streams
-        self._index = streams.index if covered else {}
+        self._index = streams.index if streams is not None else {}
         self._table: np.ndarray | None = None    # fetched at the first table key
         self._motion: dict[Label, np.random.Generator] = {}
         self._events: dict[Label, np.random.Generator] = {}
@@ -255,7 +249,7 @@ class RandomDriver:
                 self._seed_words + [tag] + _words(encode_words(label)), dtype=np.uint32))
         else:
             if self._table is None:
-                self._table = self._streams.words(self._seed)
+                self._table = self._streams.words(self.master_seed)
             seed_seq = _SeedWords(self._table[j])
         return np.random.Generator(np.random.PCG64(seed_seq))
 

@@ -19,7 +19,9 @@ horizon, population cap), and the seed; ``simulate(setup, seed)`` runs it.
 The set-up also holds, computed once, whatever depends on that data alone:
 the global grid ``t0 + k*step`` (:func:`grid_times`), of which a particle's
 grid is a slice between its two ends, the motion plan, each control's
-position-free event geometry and running-cost rate.  An advance computes the
+position-free event geometry and running-cost rate, and the seed words of
+its founders' and first generation's streams under any seed; so a caller
+builds it once per problem and runs any seeds on it.  An advance computes the
 positions of a particle's Euler steps only when something reads them: a
 recorded track, state-dependent motion, a per-step policy query or a
 state-dependent running cost.  Otherwise the motion is linear and the advance
@@ -267,10 +269,10 @@ class SimulationSetup:
     size, horizon, population cap) and what it needs that does not depend on
     its seed: the global time grid, the motion plan, each control's
     position-free event geometry, the running-cost rates when they are
-    position-free and whether running costs vanish.  Built once per estimator
-    call by :func:`prepare_simulation`; its arrays are read-only, in the
-    workers too.  ``streams``, in a set-up built for known seeds, holds the
-    seed words of the founders' and their children's streams
+    position-free and whether running costs vanish.  Built once per problem
+    by :func:`prepare_simulation` and passed to every estimator call on it;
+    its arrays are read-only, in the workers too.  ``streams`` holds the seed
+    words of the founders' and their children's streams under any seed
     (:class:`~branchdiff.rng.StreamTable`)."""
 
     t: float
@@ -319,15 +321,15 @@ def _model_fields(policy, params: ModelParams) -> dict:
 
 
 def prepare_simulation(t: float, initial: dict, policy, params: ModelParams,
-                       step: float, horizon: float, *, population_cap: int = 10**6,
-                       seeds: range | None = None) -> SimulationSetup:
+                       step: float, horizon: float, *, population_cap: int = 10**6
+                       ) -> SimulationSetup:
     """Check the inputs of a path and build their :class:`SimulationSetup`.
 
     ``initial`` maps labels to positions and must satisfy the antichain
     condition.  A path stops with :class:`ExplosionGuardError` once its
-    population exceeds ``population_cap``.  With ``seeds``, the paths of
-    those seeds take the streams of their founders and first generation from
-    a :class:`~branchdiff.rng.StreamTable`; every path is the same as without.
+    population exceeds ``population_cap``.  Paths take the streams of their
+    founders and first generation from a :class:`~branchdiff.rng.StreamTable`;
+    every path is the same as without one.
     """
     if step <= 0:
         raise ConfigurationError("step size must be positive")
@@ -342,15 +344,11 @@ def prepare_simulation(t: float, initial: dict, policy, params: ModelParams,
                 f"expected ({params.dim},)")
         founders[tuple(lab)] = pos
     assert_antichain(founders.keys())
-    streams = None
-    if seeds is not None:
-        labels = [lab for f in founders
-                  for lab in [f, *children(f, params.max_children)]]
-        streams = StreamTable(seeds, labels)
+    labels = [lab for f in founders for lab in [f, *children(f, params.max_children)]]
     return SimulationSetup(
         t=float(t), initial=founders, policy=policy, step=float(step),
         horizon=float(horizon), population_cap=int(population_cap),
-        times=grid_times(t, horizon, step), streams=streams,
+        times=grid_times(t, horizon, step), streams=StreamTable(labels),
         **_model_fields(policy, params))
 
 

@@ -65,9 +65,8 @@ CRITICAL_BINARY = single_control(gamma=1.0, rate_bound=1.0, p0=0.5)
 
 def test_criterion_1_extinction_oracle():
     # closed form: gamma * T / (2 + gamma * T) = 0.5 at gamma = 1, T = 2
-    est = estimator.estimate_value(0.0, START, ConstantPolicy(0),
-                                   CRITICAL_BINARY, 100_000, 0.5, 20260801,
-                                   horizon=2.0)
+    setup = prepare_simulation(0.0, START, ConstantPolicy(0), CRITICAL_BINARY, 0.5, 2.0)
+    est = estimator.estimate_value(setup, 100_000, 20260801)
     assert est.stderr < 2e-3
     assert abs(est.mean - 0.5) <= 3 * est.stderr
 
@@ -84,10 +83,9 @@ def test_criterion_2_moment_bound():
     lines = []
     for name in ("critical_binary", "subcritical_drift", "two_control_harvest"):
         params = load_model(MODELS / f"{name}.yaml")
-        summaries = estimator.run_replications(
-            0.0, START, ConstantPolicy(0), params, 10_000, 0.5, 1.5,
-            seed_base=1000)
-        report = estimator.moment_check(summaries, params, 1, 0.0, 1.5)
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), params, 0.5, 1.5)
+        summaries = estimator.run_replications(setup, 10_000, seed_base=1000)
+        report = estimator.moment_check(summaries, setup)
         assert report.passed, name
         lines.append(f"{name}: mean sup {report.mean_sup:.3f} <= "
                      f"bound {report.bound:.3f}")
@@ -99,9 +97,8 @@ def test_criterion_3_branching_property():
                              p0=0.5, g=BUMP)
     grid = hjb.solve(drifted, cfl_grid(drifted, -4, 4, 161, 1.0))
     policy = hjb.extract_feedback(grid)
-    report = estimator.check_branching(
-        0.0, [np.array([-0.3]), np.array([0.4])], policy, drifted,
-        100_000, 0.5, 555, horizon=1.0)
+    setup = prepare_simulation(0.0, {(0,): [-0.3], (1,): [0.4]}, policy, drifted, 0.5, 1.0)
+    report = estimator.check_branching(setup, 100_000, 555)
     assert report.passed
     print(f"ACCEPTANCE 3 branching property: PASS "
           f"(|{report.multi.mean:.5f} - {report.product_of_singles:.5f}| "
@@ -129,9 +126,8 @@ def test_criterion_4_dynkin_residual():
     for mname, params in models.items():
         for fi, fn in enumerate(functions):
             for s in (0.3, 0.6):
-                est = estimator.dynkin_residual(
-                    fn, 0.0, START, ConstantPolicy(0), params, s,
-                    10_000, h, 9000 + 37 * combo)
+                setup = prepare_simulation(0.0, START, ConstantPolicy(0), params, h, s)
+                est = estimator.dynkin_residual(setup, fn, 10_000, 9000 + 37 * combo)
                 band = 3 * est.stderr + 0.5 * h
                 assert abs(est.mean) <= band, (mname, fi, s, est)
                 worst = max(worst, abs(est.mean) / band if band else 0.0)
@@ -154,10 +150,10 @@ def test_criterion_5_dpp_inequalities():
     n_reps = 20_000
     suboptimal_seen = False
     for pi, (pname, policy, role) in enumerate(policies):
+        setup = prepare_simulation(0.0, START, policy, params, 0.02, 0.5)
         for rule in ("fixed", "first-event"):
-            rep = estimator.dpp_check(
-                0.0, START, policy, params, (rule, 0.5), grid, n_reps, 0.02,
-                4200 + 59 * pi, allowance=allowance)
+            rep = estimator.dpp_check(setup, rule, grid, n_reps, 4200 + 59 * pi,
+                                      allowance=allowance)
             assert rep.lower_bound_ok, (pname, rule, rep)
             if role == "optimal":
                 assert rep.within_band, (pname, rule, rep)
@@ -177,9 +173,9 @@ def test_criterion_6_mc_pde_agreement():
     assert grid.clamp_events == 0
     worst = 0.0
     for i, x in enumerate((-1.0, -0.5, 0.0, 0.5, 1.0)):
-        est = estimator.estimate_value(
-            0.0, {(): np.array([x])}, ConstantPolicy(0), params, 100_000,
-            0.25, 31000 + 17 * i, horizon=1.0)
+        setup = prepare_simulation(0.0, {(): np.array([x])}, ConstantPolicy(0), params,
+                                   0.25, 1.0)
+        est = estimator.estimate_value(setup, 100_000, 31000 + 17 * i)
         ref = hjb.evaluate(grid, 0.0, [x])
         band = 3 * est.stderr + 0.02
         diff = abs(est.mean - ref)
@@ -233,11 +229,10 @@ def test_criterion_8_coupling_stability():
     params = load_model(MODELS / "subcritical_drift.yaml")
     delta = 0.05
     rates = []
+    setup = prepare_simulation(0.0, START, ConstantPolicy(0), params, 0.05, 1.0)
     for li, eps in enumerate((0.1, 0.01, 0.001)):
         tilde = M.perturbed_copy(params, eps)
-        rep = estimator.coupling_probe(
-            0.0, START, ConstantPolicy(0), params, tilde, delta, 10_000,
-            0.05, 1.0, 60000 + 1000 * li)
+        rep = estimator.coupling_probe(setup, tilde, delta, 10_000, 60000 + 1000 * li)
         rates.append(rep.rate)
     assert rates[0] <= rates[1] <= rates[2]
     assert rates[2] >= 0.99
@@ -253,10 +248,9 @@ def test_criterion_9_determinism_and_identities():
     a = simulate(prepare_simulation(0.0, START, ConstantPolicy(0), noisy, 0.05, 2.0), 99)
     b = simulate(prepare_simulation(0.0, START, ConstantPolicy(0), noisy, 0.05, 2.0), 99)
     assert paths_equal(a, b)
-    ea = estimator.estimate_value(0.0, START, ConstantPolicy(0), noisy, 500,
-                                  0.1, 31, horizon=1.0)
-    eb = estimator.estimate_value(0.0, START, ConstantPolicy(0), noisy, 500,
-                                  0.1, 31, horizon=1.0)
+    ea, eb = (estimator.estimate_value(
+        prepare_simulation(0.0, START, ConstantPolicy(0), noisy, 0.1, 1.0), 500, 31)
+        for _ in range(2))
     assert ea == eb
 
     # product-form vs log-form cost to 1e-10 relative

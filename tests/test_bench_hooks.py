@@ -72,16 +72,14 @@ def test_tracer_sees_every_path():
         horizon=1.0))
     u = estimator.SmoothTestFunction(family="gaussian-bump", base=0.2, scale=0.6,
                                      center=(0.0,), width=0.8)
+    setup = simulator.prepare_simulation(0.0, start, policy, params, 0.05, 1.0)
+    half = simulator.prepare_simulation(0.0, start, policy, params, 0.05, 0.5)
     calls = [
-        (lambda: estimator.estimate_value(0.0, start, policy, params, 50, 0.05, 7,
-                                          horizon=1.0), 50),
-        (lambda: estimator.coupling_probe(0.0, start, policy, params,
-                                          model.perturbed_copy(params, 0.01), 0.05, 20,
-                                          0.05, 1.0, 8), 2 * 20),
-        (lambda: estimator.dpp_check(0.0, start, policy, params, ("first-event", 0.5),
-                                     grid, 30, 0.05, 9), 30),
-        (lambda: estimator.dynkin_residual(u, 0.0, start, policy, params, 0.5, 30, 0.05,
-                                           10), 30),
+        (lambda: estimator.estimate_value(setup, 50, 7), 50),
+        (lambda: estimator.coupling_probe(setup, model.perturbed_copy(params, 0.01), 0.05,
+                                          20, 8), 2 * 20),
+        (lambda: estimator.dpp_check(half, "first-event", grid, 30, 9), 30),
+        (lambda: estimator.dynkin_residual(half, u, 30, 10), 30),
     ]
     tracer = tracing.Tracer()
     with tracer.installed(branchdiff):
@@ -93,20 +91,20 @@ def test_tracer_sees_every_path():
 
 
 def test_tracer_counts_every_stream():
-    """Streams served from an estimator call's table still pass through
+    """Streams served from a set-up's table still pass through
     ``RandomDriver._derive``: one ``rng.derive`` span per stream a path uses,
     a motion and an event stream per particle ever alive."""
     tracing = load("tracing")
     params = modelio.load_model(REPO / "configs" / "models" / "subcritical_drift.yaml")
     start = {(): [0.0]}
     policy = simulator.ConstantPolicy(0)
+    setup = simulator.prepare_simulation(0.0, start, policy, params, 0.05, 1.0)
     tracer = tracing.Tracer()
     with tracer.installed(branchdiff):
-        estimator.estimate_value(0.0, start, policy, params, 200, 0.05, 7, horizon=1.0)
+        estimator.estimate_value(setup, 200, 7)
     name_id, _, _, _ = tracer.arrays()
     spans = int((name_id == tracer._ids["rng.derive"]).sum())
     expected = 0
-    setup = simulator.prepare_simulation(0.0, start, policy, params, 0.05, 1.0)
     for seed in range(7, 207):
         path = simulator.simulate(setup, seed)
         expected += 2 * (len(path.initial) + sum(ev.n_children for ev in path.events))

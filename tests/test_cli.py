@@ -524,6 +524,10 @@ BAD_INPUTS = {
     "negative_seed_override": (None, "--seed"),
     "horizon_before_start": (lambda d: set_in(d, ["initial", "time"], 1.5),
                              "simulation.horizon"),
+    "start_before_grid": (
+        lambda d: (set_in(d, ["initial", "time"], -0.5),
+                   set_in(d, ["tasks", 0, "compare_pde"], True)),
+        "initial.time"),
     "position_not_a_number": (
         lambda d: set_in(d, ["initial", "particles", 0, "position"], ["zero"]),
         "initial.particles[0].position"),
@@ -573,6 +577,10 @@ BAD_INPUTS = {
         lambda d: set_in(d, ["tasks"], [{"kind": "dynkin", "times": [0.5],
                                          "functions": [{"family": "gaussian"}]}]),
         "tasks[0].functions[0].family"),
+    "test_function_center_wrong_dimension": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "dynkin", "times": [0.5], "functions": [
+            {"family": "gaussian-bump", "center": [0.0, 3.0]}]}]),
+        "tasks[0].functions[0].center"),
     "test_function_leaves_unit_interval": (
         lambda d: set_in(d, ["tasks"], [{"kind": "dynkin", "times": [0.5], "functions": [
             {"family": "gaussian-bump", "base": 0.8, "scale": 0.6}]}]),
@@ -644,6 +652,47 @@ def test_branching_accepts_open_loop_policy(tmp_path):
     report = read_json(tmp_path / "out" / "task_00_branching.json")
     assert [c["name"] for c in report["checks"]] == ["product_factorization"]
     assert report["passed"] is True
+
+
+PLANAR_MODEL = """
+dim: 2
+noise_dim: 2
+rate_bound: 1.0
+max_children: 2
+mean_offspring_bound: 1.0
+controls: {count: 1}
+coefficients:
+  drift: [{family: constant, value: 0.1}, {family: constant, value: 0.0}]
+  diffusion:
+    - {family: constant, value: 0.3}
+    - {family: constant, value: 0.0}
+    - {family: constant, value: 0.0}
+    - {family: constant, value: 0.3}
+  death_rate: {family: constant, value: 0.8}
+  offspring:
+    residual_last: true
+    probs: [{family: constant, value: 0.5}, {family: constant, value: 0.0}]
+  running_cost: {family: constant, value: 0.0}
+  terminal: {family: constant, value: 0.5}
+"""
+
+
+def test_test_function_vectors_default_at_the_model_dim(tmp_path):
+    """On a 2-d model a test function without center or direction takes the
+    origin and the first unit vector."""
+    (tmp_path / "planar.yaml").write_text(PLANAR_MODEL)
+    doc = {"model": "planar.yaml", "output_dir": str(tmp_path / "out"),
+           "initial": {"particles": [{"label": "", "position": [0.0, 0.0]}]},
+           "simulation": {"step": 0.05, "horizon": 1.0, "replications": 300,
+                          "seed_base": 3},
+           "tasks": [{"kind": "dynkin", "times": [0.5], "functions": [
+               {"family": "polynomial-times-bump", "base": 0.3, "scale": 0.5}]}]}
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    exp = cli.Experiment(doc, cfg, SimpleNamespace(out=None, seed=None, reps=None))
+    fn = exp.tasks[0][1]["functions"][0]
+    assert (fn.center, fn.direction) == ((0.0, 0.0), (1.0, 0.0))
+    assert cli.run(cfg) == cli.EXIT_OK
 
 
 def test_task_defaults_follow_the_reps_override(tmp_path):

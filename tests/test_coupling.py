@@ -62,10 +62,10 @@ def test_opposite_rates_rarely_succeed():
 def test_success_rate_monotone_in_perturbation():
     base = subcritical()
     rates = []
+    setup = prepare_simulation(0.0, START, ConstantPolicy(0), base, 0.05, 1.0)
     for eps in (0.3, 0.03, 0.003):
         tilde = M.perturbed_copy(base, eps)
-        rep = coupling_probe(0.0, START, ConstantPolicy(0), base, tilde,
-                             0.05, 1500, 0.05, 1.0, seed_base=100)
+        rep = coupling_probe(setup, tilde, 0.05, 1500, seed_base=100)
         rates.append(rep.rate)
     assert rates[0] <= rates[1] <= rates[2]
     assert rates[2] >= 0.99

@@ -2,6 +2,7 @@ import math
 import os
 import pickle
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,67 +43,64 @@ WORKERS = (1, 2, 3)
 class TestEstimateValue:
     def test_deterministic_path(self):
         m = make_model(g=M.constant(0.7))
-        est = estimator.estimate_value(0.0, START, ConstantPolicy(0), m,
-                                       50, 0.5, 1, horizon=1.0)
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), m, 0.5, 1.0)
+        est = estimator.estimate_value(setup, 50, 1)
         assert est.mean == 0.7
         assert est.stderr == 0.0
 
     def test_pure_death_oracle(self):
-        est = estimator.estimate_value(0.0, START, ConstantPolicy(0),
-                                       PURE_DEATH, 20000, 1.0, 7, horizon=1.0)
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), PURE_DEATH, 1.0, 1.0)
+        est = estimator.estimate_value(setup, 20000, 7)
         target = 1.0 - math.exp(-1.0)
         assert abs(est.mean - target) <= 3 * est.stderr
 
     def test_critical_binary_oracle(self):
-        est = estimator.estimate_value(0.0, START, ConstantPolicy(0), CRITICAL,
-                                       20000, 2.0, 11, horizon=2.0)
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), CRITICAL, 2.0, 2.0)
+        est = estimator.estimate_value(setup, 20000, 11)
         assert abs(est.mean - 0.5) <= 3 * est.stderr
 
     def test_deterministic_in_seed_base(self):
-        a = estimator.estimate_value(0.0, START, ConstantPolicy(0), CRITICAL,
-                                     500, 1.0, 99, horizon=2.0)
-        b = estimator.estimate_value(0.0, START, ConstantPolicy(0), CRITICAL,
-                                     500, 1.0, 99, horizon=2.0)
+        a, b = (estimator.estimate_value(
+            prepare_simulation(0.0, START, ConstantPolicy(0), CRITICAL, 1.0, 2.0), 500, 99)
+            for _ in range(2))
         assert a == b
 
     def test_threads_do_not_change_result(self):
         results = []
         for workers in WORKERS:
             with estimator.worker_pool(workers):
-                results.append(estimator.estimate_value(
-                    0.0, START, ConstantPolicy(0), CRITICAL, 400, 1.0, 5, horizon=2.0))
+                results.append(estimator.estimate_value(prepare_simulation(
+                    0.0, START, ConstantPolicy(0), CRITICAL, 1.0, 2.0), 400, 5))
         assert results == [results[0]] * len(WORKERS)
 
     def test_replications_equal_setup_free_paths(self):
-        """The estimator's set-up tables its seeds' streams; each replication
-        is still the path of a set-up without a table, on one worker or
-        two."""
+        """A set-up tables its founders' streams; each replication is still
+        the path of a set-up without a table, on one worker or two."""
         m = make_model(b=0.1, sigma=0.3, gamma=0.8, rate_bound=1.0, p0=0.4,
                        mean_bound=1.2)
         expected = []
         setup = prepare_simulation(0.0, START, ConstantPolicy(0), m, 0.1, 1.0)
+        plain = replace(setup, streams=None)
         for seed in range(21, 61):
-            path = simulate(setup, seed)
+            path = simulate(plain, seed)
             expected.append((seed, pathwise_cost(path, m), path.sup_population,
                              len(path.events), path.extinct))
         for workers in (1, 2):
             with estimator.worker_pool(workers):
-                reps = estimator.run_replications(0.0, START, ConstantPolicy(0), m,
-                                                  40, 0.1, 1.0, 21)
+                reps = estimator.run_replications(setup, 40, 21)
             assert [(r.seed, r.cost, r.sup_population, r.n_events, r.extinct)
                     for r in reps] == expected
 
     def test_needs_two_replications(self):
         with pytest.raises(ConfigurationError):
-            estimator.estimate_value(0.0, START, ConstantPolicy(0), CRITICAL,
-                                     1, 1.0, 0, horizon=1.0)
+            estimator.estimate_value(
+                prepare_simulation(0.0, START, ConstantPolicy(0), CRITICAL, 1.0, 1.0), 1, 0)
 
     def test_explosion_reports_partial_count(self):
         boom = make_model(gamma=1.0, rate_bound=1.0, p0=0.0, mean_bound=2.0)
         with pytest.raises(ExplosionGuardError) as err:
-            estimator.estimate_value(0.0, START, ConstantPolicy(0), boom,
-                                     200, 1.0, 0, horizon=30.0,
-                                     population_cap=128)
+            estimator.estimate_value(prepare_simulation(
+                0.0, START, ConstantPolicy(0), boom, 1.0, 30.0, population_cap=128), 200, 0)
         assert err.value.completed_replications is not None
 
 
@@ -136,31 +134,31 @@ class TestCommonRandomNumberMonotonicity:
 
 class TestBranching:
     def test_single_particle_trivial(self):
-        rep = estimator.check_branching(0.0, [X0], ConstantPolicy(0), CRITICAL,
-                                        500, 1.0, 3, horizon=1.0)
+        setup = prepare_simulation(0.0, {(0,): X0}, ConstantPolicy(0), CRITICAL, 1.0, 1.0)
+        rep = estimator.check_branching(setup, 500, 3)
         assert rep.passed
         assert rep.difference <= rep.band
 
     def test_independent_particles_factorize(self):
         m = make_model(sigma=0.5, gamma=0.0, rate_bound=1.0, p0=0.5, g=BUMP)
-        rep = estimator.check_branching(0.0, [np.array([-0.4]), np.array([0.5])],
-                                        ConstantPolicy(0), m, 4000, 0.1, 17,
-                                        horizon=1.0)
+        setup = prepare_simulation(0.0, {(0,): [-0.4], (1,): [0.5]}, ConstantPolicy(0),
+                                   m, 0.1, 1.0)
+        rep = estimator.check_branching(setup, 4000, 17)
         assert rep.passed
 
     def test_branching_model_factorizes(self):
         m = make_model(sigma=0.4, gamma=1.0, rate_bound=1.0, p0=0.5, g=BUMP)
-        rep = estimator.check_branching(0.0, [np.array([-0.3]), np.array([0.4])],
-                                        ConstantPolicy(0), m, 6000, 0.05, 23,
-                                        horizon=1.0)
+        setup = prepare_simulation(0.0, {(0,): [-0.3], (1,): [0.4]}, ConstantPolicy(0),
+                                   m, 0.05, 1.0)
+        rep = estimator.check_branching(setup, 6000, 23)
         assert rep.passed
 
     def test_open_loop_policy_accepted(self):
         """An open-loop schedule is the same for every label; on a one-control
         model it gives the constant policy's report."""
         from branchdiff.simulator import OpenLoopPolicy
-        reports = [estimator.check_branching(0.0, [X0, X0 + 0.5], pol, CRITICAL, 100,
-                                             1.0, 0, horizon=1.0)
+        reports = [estimator.check_branching(prepare_simulation(
+                       0.0, {(0,): X0, (1,): X0 + 0.5}, pol, CRITICAL, 1.0, 1.0), 100, 0)
                    for pol in (OpenLoopPolicy(([0.0], [0])), ConstantPolicy(0))]
         assert reports[0] == reports[1]
 
@@ -170,8 +168,8 @@ class TestDynkinResidual:
         m = make_model(sigma=0.4, gamma=1.0, rate_bound=1.0, p0=0.5,
                        g=M.constant(1.0))
         u = estimator.SmoothTestFunction(family="constant", base=1.0)
-        est = estimator.dynkin_residual(u, 0.0, START, ConstantPolicy(0), m,
-                                        1.0, 100, 0.1, 5)
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), m, 0.1, 1.0)
+        est = estimator.dynkin_residual(setup, u, 100, 5)
         assert est.mean == 0.0
         assert est.stderr == 0.0
 
@@ -180,8 +178,8 @@ class TestDynkinResidual:
         u = estimator.SmoothTestFunction(family="gaussian-bump", base=0.2,
                                          scale=0.6, decay=0.4, center=(0.0,),
                                          width=0.7)
-        est = estimator.dynkin_residual(u, 0.0, START, ConstantPolicy(0), m,
-                                        0.6, 4000, 2e-3, 101)
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), m, 2e-3, 0.6)
+        est = estimator.dynkin_residual(setup, u, 4000, 101)
         assert abs(est.mean) <= 3 * est.stderr + 0.5 * 2e-3
 
     def test_branching_model(self):
@@ -190,8 +188,8 @@ class TestDynkinResidual:
         u = estimator.SmoothTestFunction(family="polynomial-times-bump",
                                          base=0.3, scale=0.5, decay=0.2,
                                          center=(0.1,), width=0.8)
-        est = estimator.dynkin_residual(u, 0.0, START, ConstantPolicy(0), m,
-                                        0.5, 4000, 2e-3, 55)
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), m, 2e-3, 0.5)
+        est = estimator.dynkin_residual(setup, u, 4000, 55)
         assert abs(est.mean) <= 3 * est.stderr + 0.5 * 2e-3
 
     def test_multi_particle_start(self):
@@ -201,8 +199,8 @@ class TestDynkinResidual:
                                          scale=0.5, decay=0.1, center=(0.0,),
                                          width=1.0)
         mu = {(0,): np.array([-0.2]), (1,): np.array([0.3])}
-        est = estimator.dynkin_residual(u, 0.0, mu, ConstantPolicy(0), m,
-                                        0.5, 4000, 2e-3, 77)
+        setup = prepare_simulation(0.0, mu, ConstantPolicy(0), m, 2e-3, 0.5)
+        est = estimator.dynkin_residual(setup, u, 4000, 77)
         assert abs(est.mean) <= 3 * est.stderr + 0.5 * 2e-3
 
 
@@ -217,56 +215,55 @@ class TestDpp:
         self.grid = hjb.solve(self.m, cfg)
 
     def test_degenerate_stopping_time(self):
-        rep = estimator.dpp_check(0.0, START, ConstantPolicy(0), self.m,
-                                  ("fixed", 0.0), self.grid, 50, 0.1, 1)
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), self.m, 0.1, 0.0)
+        rep = estimator.dpp_check(setup, "fixed", self.grid, 50, 1)
         assert rep.slack == 0.0
         assert rep.estimate.stderr == 0.0
 
     def test_terminal_stopping_time(self):
-        rep = estimator.dpp_check(0.0, START, ConstantPolicy(0), self.m,
-                                  ("fixed", 1.0), self.grid, 4000, 0.05, 9,
-                                  allowance=0.01)
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), self.m, 0.05, 1.0)
+        rep = estimator.dpp_check(setup, "fixed", self.grid, 4000, 9, allowance=0.01)
         assert rep.lower_bound_ok
         assert rep.within_band  # single control: the policy is optimal
 
     def test_first_event_stopping_time(self):
-        rep = estimator.dpp_check(0.0, START, ConstantPolicy(0), self.m,
-                                  ("first-event", 0.6), self.grid, 4000, 0.05,
-                                  13, allowance=0.01)
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), self.m, 0.05, 0.6)
+        rep = estimator.dpp_check(setup, "first-event", self.grid, 4000, 13, allowance=0.01)
         assert rep.lower_bound_ok
         assert rep.within_band
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigurationError):
-            estimator.dpp_check(0.0, START, ConstantPolicy(0), self.m,
-                                ("sometimes", 0.5), self.grid, 10, 0.1, 0)
+            estimator.dpp_check(prepare_simulation(0.0, START, ConstantPolicy(0), self.m,
+                                                   0.1, 0.5), "sometimes", self.grid, 10, 0)
 
 
 class TestMoment:
     def test_no_branching_supremum_constant(self):
         m = make_model(gamma=0.0, rate_bound=0.5, p0=0.5, mean_bound=1.0)
-        sums = estimator.run_replications(0.0, START, ConstantPolicy(0), m,
-                                          200, 1.0, 1.0, 3)
-        rep = estimator.moment_check(sums, m, 1, 0.0, 1.0)
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), m, 1.0, 1.0)
+        sums = estimator.run_replications(setup, 200, 3)
+        rep = estimator.moment_check(sums, setup)
         assert rep.mean_sup == 1.0
         assert rep.passed
 
     def test_supercritical_within_bound(self):
         m = make_model(gamma=1.0, rate_bound=1.0, p0=0.0, mean_bound=2.0)
-        sums = estimator.run_replications(0.0, START, ConstantPolicy(0), m,
-                                          2000, 1.0, 1.0, 29)
-        rep = estimator.moment_check(sums, m, 1, 0.0, 1.0)
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), m, 1.0, 1.0)
+        sums = estimator.run_replications(setup, 2000, 29)
+        rep = estimator.moment_check(sums, setup)
         assert rep.bound == pytest.approx(math.exp(2.0))
         assert rep.passed
 
     def test_needs_replications(self):
         with pytest.raises(ConfigurationError):
-            estimator.moment_check([], CRITICAL, 1, 0.0, 1.0)
+            estimator.moment_check([], prepare_simulation(0.0, START, ConstantPolicy(0),
+                                                          CRITICAL, 1.0, 1.0))
 
 
 def test_summary_fields():
-    sums = estimator.run_replications(0.0, START, ConstantPolicy(0), CRITICAL,
-                                      50, 1.0, 2.0, 1000)
+    setup = prepare_simulation(0.0, START, ConstantPolicy(0), CRITICAL, 1.0, 2.0)
+    sums = estimator.run_replications(setup, 50, 1000)
     assert [s.seed for s in sums] == list(range(1000, 1050))
     for s in sums:
         assert s.cost in (0.0, 1.0)  # g == 0: cost is the extinction indicator
@@ -296,20 +293,24 @@ def harvest_grid():
     return hjb.solve(HARVEST, cfg)
 
 
-def run_estimator(name, n_reps, grid=None):
-    pol = ConstantPolicy(1)
+def harvest_setup(name):
+    """The set-up of estimator ``name``'s calls: dynkin and dpp stop early."""
+    horizon = {"dynkin": 0.7, "dpp": 0.8}.get(name, 1.0)
+    return prepare_simulation(0.0, PAIR, ConstantPolicy(1), HARVEST, 0.1, horizon)
+
+
+def run_estimator(name, n_reps, grid=None, seed_shift=0, setup=None):
+    """One call of estimator ``name``, on ``setup`` if given, else on a fresh
+    set-up."""
+    setup = harvest_setup(name) if setup is None else setup
     if name == "estimate":
-        return estimator.estimate_value(0.0, PAIR, pol, HARVEST, n_reps, 0.1, 40,
-                                        horizon=1.0)
+        return estimator.estimate_value(setup, n_reps, 40 + seed_shift)
     if name == "dynkin":
-        return estimator.dynkin_residual(U, 0.0, PAIR, pol, HARVEST, 0.7, n_reps,
-                                         0.1, 41)
+        return estimator.dynkin_residual(setup, U, n_reps, 41 + seed_shift)
     if name == "dpp":
-        return estimator.dpp_check(0.0, PAIR, pol, HARVEST, ("first-event", 0.8),
-                                   grid, n_reps, 0.1, 42)
+        return estimator.dpp_check(setup, "first-event", grid, n_reps, 42 + seed_shift)
     tilde = M.perturbed_copy(HARVEST, 0.05)
-    return estimator.coupling_probe(0.0, PAIR, pol, HARVEST, tilde, 0.05, n_reps,
-                                    0.1, 1.0, 43)
+    return estimator.coupling_probe(setup, tilde, 0.05, n_reps, 43 + seed_shift)
 
 
 ESTIMATORS = ["estimate", "dynkin", "dpp", "couple"]
@@ -353,7 +354,8 @@ class TestSetupBuiltOnce:
         run_estimator("couple", 400)
         ranges = sorted(blocks)
         assert set(blocks.values()) == {1}
-        assert ranges[0][0] == 43 and ranges[-1][1] == 443
+        # the last block may reach past the call's last seed, 442
+        assert ranges[0][0] == 43 and ranges[-1][0] <= 442 < ranges[-1][1]
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
         setup, tilde = pickle.loads(pickle.dumps(fanned[0][:2]))
         assert setup.streams is tilde.streams
@@ -368,6 +370,20 @@ def test_threads_do_not_change_estimators(name):
         with estimator.worker_pool(workers):
             results.append(run_estimator(name, 120, grid=grid))
     assert results == [results[0]] * len(WORKERS)
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+def test_reused_setup_equals_fresh_setups(name):
+    """Calls on one set-up at seed bases that run ahead of, into and behind
+    the seeds its table holds give what fresh set-ups give, in process and
+    fanned out."""
+    grid = harvest_grid() if name == "dpp" else None
+    shifts = (0, 30, -20)
+    fresh = [run_estimator(name, 60, grid, shift) for shift in shifts]
+    for workers in (1, 2):
+        setup = harvest_setup(name)
+        with estimator.worker_pool(workers):
+            assert [run_estimator(name, 60, grid, shift, setup) for shift in shifts] == fresh
 
 
 def _worker_pid(args, k):

@@ -49,15 +49,15 @@ def test_dynkin_residual_two_dimensional():
     u = estimator.SmoothTestFunction(family="gaussian-bump", base=0.2,
                                      scale=0.6, decay=0.3,
                                      center=(0.0, 0.0), width=0.9)
-    est = estimator.dynkin_residual(u, 0.0, START, ConstantPolicy(0), m,
-                                    0.5, 2000, 2e-3, 404)
+    setup = prepare_simulation(0.0, START, ConstantPolicy(0), m, 2e-3, 0.5)
+    est = estimator.dynkin_residual(setup, u, 2000, 404)
     assert abs(est.mean) <= 3 * est.stderr + 0.5 * 2e-3
 
 
 def test_moment_bound_two_dimensional():
     m = planar_model(gamma=1.0, rate_bound=1.0)
-    sums = estimator.run_replications(0.0, START, ConstantPolicy(0), m, 1000,
-                                      0.5, 1.5, 3)
-    rep = estimator.moment_check(sums, m, 1, 0.0, 1.5)
+    setup = prepare_simulation(0.0, START, ConstantPolicy(0), m, 0.5, 1.5)
+    sums = estimator.run_replications(setup, 1000, 3)
+    rep = estimator.moment_check(sums, setup)
     assert rep.bound == math.exp(1.5)
     assert rep.passed

@@ -102,9 +102,9 @@ def test_negative_elements_refused():
 
 
 def assert_table_streams(seeds, labels):
-    """Every (seed, purpose, label) the table covers derives the reference
+    """Every (seed, purpose, label) the table holds derives the reference
     stream through the table's words."""
-    table = StreamTable(seeds, labels)
+    table = StreamTable(labels)
     for seed in seeds:
         driver = RandomDriver(seed, table)
         for tag in (_MOTION_TAG, _EVENT_TAG):
@@ -165,26 +165,22 @@ def test_table_seed_words_serve_pcg64_only():
 
 
 def test_uncovered_keys_take_seed_sequence():
-    """Bridge streams, labels outside the table and seeds outside its range
-    derive the reference streams without a table block."""
-    table = StreamTable(range(10, 20), [(), (0,), (1,)])
+    """Bridge streams and labels outside the table derive the reference
+    streams without a table block."""
+    table = StreamTable([(), (0,), (1,)])
     driver = RandomDriver(12, table)
     np.testing.assert_array_equal(
         driver._derive(_MOTION_TAG, (0, 1)).random(6),
         reference_stream(12, _MOTION_TAG, (0, 1)).random(6))
     driver.bridge_stream((), 0)
-    assert driver._table is None
-    outside = RandomDriver(20, table)
-    np.testing.assert_array_equal(outside._derive(_EVENT_TAG, ()).random(6),
-                                  reference_stream(20, _EVENT_TAG, ()).random(6))
-    assert outside._table is None and table._block is None
+    assert driver._table is None and table._block is None
 
 
 def test_table_holds_one_bounded_block():
-    """A table for a million seeds holds one block at a time; blocks start
-    at the seed that needs them and double up to a fixed number of keys."""
+    """A table holds one block at a time; blocks start at the seed that
+    needs them and double up to a fixed number of keys."""
     labels = [(), (0,), (1,)]
-    table = StreamTable(range(10**6), labels)
+    table = StreamTable(labels)
     keys = 2 * len(labels)
     sizes = []
     for seed in range(5000):
@@ -195,11 +191,11 @@ def test_table_holds_one_bounded_block():
     first = _FIRST_BLOCK_KEYS // keys
     assert sizes[:4] == [first, 2 * first, 4 * first, 8 * first]
     assert max(sizes) == sizes[-1] == table.seeds_per_block == _BLOCK_KEYS // keys
-    # a block ends with the range; a seed away from the block starts a new one
+    # a seed away from the block starts a new one, of the largest size
     table.words(999_998)
-    assert table._block[0] == range(999_998, 10**6)
+    assert table._block[0] == range(999_998, 999_998 + table.seeds_per_block)
     # labels beyond the bound leave the table empty, not the block unbounded
-    assert not StreamTable(range(5), [(i,) for i in range(_BLOCK_KEYS)]).covers(0)
+    assert StreamTable([(i,) for i in range(_BLOCK_KEYS)]).index == {}
 
 
 def test_import_leaves_numpy_random_unloaded():
