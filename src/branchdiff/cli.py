@@ -82,7 +82,8 @@ def dump_json(obj, indent: int = 0) -> str:
 
 
 def config_digest(doc) -> str:
-    canonical = yaml.safe_dump(doc, sort_keys=True, default_flow_style=True)
+    canonical = yaml.dump(doc, Dumper=modelio.YAML_DUMPER, sort_keys=True,
+                          default_flow_style=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -654,7 +655,7 @@ def run(config_path, *, out=None, seed=None, reps=None, threads=1) -> int:
         print(f"error: cannot read config {config_path}: {err}", file=sys.stderr)
         return EXIT_IO
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=modelio.YAML_LOADER)
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

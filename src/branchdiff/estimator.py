@@ -225,9 +225,9 @@ class SmoothTestFunction:
     base: float = 0.5
     scale: float = 0.0
     decay: float = 0.0
-    center: tuple[float, ...] = (0.0,)
+    center: tuple[float, ...] | None = None      # unset: the origin
     width: float = 1.0
-    direction: tuple[float, ...] = (1.0,)
+    direction: tuple[float, ...] | None = None   # unset: the first unit vector
 
     def __post_init__(self):
         if self.family not in ("constant", "gaussian-bump", "polynomial-times-bump"):
@@ -236,15 +236,30 @@ class SmoothTestFunction:
             raise ConfigurationError("test function must stay inside [0, 1]")
         if self.width <= 0:
             raise ConfigurationError("width must be positive")
-        if self.family == "polynomial-times-bump":
+        if self.family == "polynomial-times-bump" and self.direction is not None:
             e = np.asarray(self.direction, dtype=float)
             norm = float(np.linalg.norm(e))
             if norm == 0.0:
                 raise ConfigurationError("direction must be non-zero")
             object.__setattr__(self, "direction", tuple(e / norm))
 
+    def check_dim(self, dim: int) -> None:
+        """Raise :class:`ConfigurationError` unless a set center and direction
+        have one entry per coordinate of the positions."""
+        for name in ("center", "direction"):
+            given = getattr(self, name)
+            if given is not None and len(given) != dim:
+                raise ConfigurationError(
+                    f"test function {name} has length {len(given)}, expected dim = {dim}")
+
+    def _direction(self, d: int) -> np.ndarray:
+        if self.direction is None:
+            return np.eye(d)[0]
+        return np.asarray(self.direction, dtype=float)
+
     def _bump(self, x: np.ndarray):
-        z = x - np.asarray(self.center, dtype=float)
+        center = np.zeros(x.shape[-1]) if self.center is None else self.center
+        z = x - np.asarray(center, dtype=float)
         q = np.sum(z * z, axis=-1) / (2.0 * self.width**2)
         return z, np.exp(-q)
 
@@ -257,7 +272,7 @@ class SmoothTestFunction:
             _, phi = self._bump(x)
             return self.base + amp * phi
         z, phi = self._bump(x)
-        s = (z @ np.asarray(self.direction, dtype=float)) / self.width
+        s = (z @ self._direction(x.shape[-1])) / self.width
         psi = s * phi * math.sqrt(math.e)
         return self.base + amp * (1.0 + psi) / 2.0
 
@@ -276,7 +291,7 @@ class SmoothTestFunction:
         w2 = self.width**2
         if self.family == "gaussian-bump":
             return -np.asarray(amp)[..., None] * phi[..., None] * z / w2
-        e = np.asarray(self.direction, dtype=float)
+        e = self._direction(x.shape[-1])
         s = (z @ e) / self.width
         grad_psi = math.sqrt(math.e) * phi[..., None] * (
             e / self.width - s[..., None] * z / w2)
@@ -295,7 +310,7 @@ class SmoothTestFunction:
         if self.family == "gaussian-bump":
             core = outer / w2**2 - eye / w2
             return np.asarray(amp)[..., None, None] * phi[..., None, None] * core
-        e = np.asarray(self.direction, dtype=float)
+        e = self._direction(d)
         s = (z @ e) / self.width
         sym = (e[:, None] * z[..., None, :] + z[..., :, None] * e[None, :]) / self.width**3
         core = -sym + s[..., None, None] * outer / w2**2 - s[..., None, None] * eye / w2
@@ -380,6 +395,7 @@ def dynkin_residual(setup: SimulationSetup, u: SmoothTestFunction, n_reps: int,
     discounted terminal product minus initial product minus the pathwise
     integral of the operator applied to the test function.  Zero in
     expectation up to O(step) quadrature bias."""
+    u.check_dim(setup.params.dim)
     args = (setup, u, seed_base)
     residuals = np.array(_fan_out(_dynkin_worker, args, n_reps))
     return estimate_from_samples(residuals, seed_base)

@@ -18,6 +18,10 @@ look outside is dropped (ghost value equal to the edge value).  This keeps
 the edge update monotone; the domain is meant to be taken wide enough that
 the edge rule does not influence values at probe points, which
 :func:`boundary_sensitivity` quantifies.
+
+A solve builds its coefficient tables once, for the CFL check and the sweep,
+and allocates the stencil's work arrays once; every layer refills them in
+place, so a layer pays for the arithmetic of its update and little else.
 """
 
 from __future__ import annotations
@@ -94,13 +98,37 @@ class ValueGrid:
 
 def _coefficient_tables(params: ModelParams, nodes: np.ndarray) -> Coefficients:
     """Coefficients over the node set, stacked over the controls; position-free
-    rows are broadcast to the nodes first."""
+    rows are broadcast to the nodes first.  Every table is contiguous, and
+    ``probs`` views a (K + 1, n_controls, n_x) array, so that each
+    ``probs[..., k]`` is contiguous too."""
     n = len(nodes)
     per_control = [params.coefficients(nodes[:, None], a)
                    for a in params.controls.indices]
-    return Coefficients(*(np.stack([np.broadcast_to(f, (n,) + f.shape[1:])
-                                    for f in fields])
-                          for fields in zip(*per_control)))
+    tables = [np.stack([np.broadcast_to(f, (n,) + f.shape[1:]) for f in fields])
+              for fields in zip(*per_control)]
+    probs = np.ascontiguousarray(np.moveaxis(tables[3], -1, 0))
+    tables[3] = np.moveaxis(probs, 0, -1)
+    return Coefficients(*tables)
+
+
+def _cfl_ratio(params: ModelParams, grid: GridConfig, coef: Coefficients) -> float:
+    per_node = (coef.cov[:, :, 0, 0].max(axis=0) / grid.dx**2
+                + np.abs(coef.drift[:, :, 0]).max(axis=0) / grid.dx
+                + params.rate_bound * (params.mean_offspring_bound + 1.0)
+                + coef.cost.max(axis=0))
+    return float(grid.dt * per_node.max())
+
+
+def _steps_for(ratio: float, grid: GridConfig) -> int:
+    return max(1, int(math.ceil(grid.n_t * ratio * (1.0 + 1e-12))))
+
+
+def _check_ratio(ratio: float, grid: GridConfig) -> None:
+    if ratio > 1.0:
+        raise ConfigurationError(
+            f"CFL violation: dt * (max sigma^2/dx^2 + max |b|/dx + "
+            f"rate_bound * (M + 1) + max cost) = {ratio:.6g} > 1; "
+            f"increase n_t to at least {_steps_for(ratio, grid)}")
 
 
 def cfl_ratio(params: ModelParams, grid: GridConfig) -> float:
@@ -109,50 +137,62 @@ def cfl_ratio(params: ModelParams, grid: GridConfig) -> float:
     The scheme is monotone when this is at most one."""
     if params.dim != 1:
         raise ConfigurationError("the PDE solver handles one-dimensional models only")
-    coef = _coefficient_tables(params, grid.nodes)
-    per_node = (coef.cov[:, :, 0, 0].max(axis=0) / grid.dx**2
-                + np.abs(coef.drift[:, :, 0]).max(axis=0) / grid.dx
-                + params.rate_bound * (params.mean_offspring_bound + 1.0)
-                + coef.cost.max(axis=0))
-    return float(grid.dt * per_node.max())
+    return _cfl_ratio(params, grid, _coefficient_tables(params, grid.nodes))
 
 
 def check_cfl(params: ModelParams, grid: GridConfig) -> None:
-    ratio = cfl_ratio(params, grid)
-    if ratio > 1.0:
-        raise ConfigurationError(
-            f"CFL violation: dt * (max sigma^2/dx^2 + max |b|/dx + "
-            f"rate_bound * (M + 1) + max cost) = {ratio:.6g} > 1; "
-            f"increase n_t to at least {required_time_steps_for(params, grid)}")
+    _check_ratio(cfl_ratio(params, grid), grid)
 
 
 def required_time_steps_for(params: ModelParams, grid: GridConfig) -> int:
     """Smallest n_t satisfying the CFL bound on this spatial grid."""
-    ratio = cfl_ratio(params, grid)
-    return max(1, int(math.ceil(grid.n_t * ratio * (1.0 + 1e-12))))
+    return _steps_for(cfl_ratio(params, grid), grid)
 
 
 # ---------------------------------------------------------------------------
 # solver
 
-def _second_difference(u: np.ndarray, dx: float) -> np.ndarray:
-    """Centered second difference along the last axis; at an edge node the
-    ghost value equals the edge value, leaving the one inward difference."""
-    m2 = np.empty_like(u)
-    m2[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx**2
-    m2[..., 0] = (u[..., 1] - u[..., 0]) / dx**2
-    m2[..., -1] = (u[..., -2] - u[..., -1]) / dx**2
-    return m2
+def _second_difference(u: np.ndarray, dx: float, out: np.ndarray = None) -> np.ndarray:
+    """Centered second difference along the first axis, into ``out`` when it
+    is given; at an edge node the ghost value equals the edge value, leaving
+    the one inward difference."""
+    m2 = np.empty_like(u) if out is None else out
+    n, inner, mid = len(u), m2[1:-1], u[1:-1]
+    np.multiply(mid, 2.0, out=inner)
+    np.subtract(u[2:], inner, out=inner)
+    np.add(inner, u[:-2], out=inner)
+    # both edges in one call: u[1] - u[0] and u[-2] - u[-1]
+    np.subtract(mid[::max(n - 3, 1)], u[::n - 1], out=m2[::n - 1])
+    return np.divide(m2, dx**2, out=m2)
 
 
-def _layer_operator(u: np.ndarray, coef: Coefficients, forward: np.ndarray,
+class _Stencil:
+    """The work arrays of one solve's layer updates, allocated once and
+    refilled in place on every layer."""
+
+    def __init__(self, forward: np.ndarray):
+        n_controls, n_x = forward.shape[:2]
+        self.slope = np.zeros(n_x + 1)   # a difference looking outside the domain is dropped
+        self.inner = self.slope[1:-1]
+        # the slope entry each (control, node) reads: forward where the
+        # drift is nonnegative, backward elsewhere
+        self.pick = np.arange(n_x)[:, None] + forward
+        self.upwind = np.empty(self.pick.shape)
+        self.m2 = np.empty(n_x)
+        self.hess = self.m2[None, :, None, None]
+        self.out = np.empty((n_controls, n_x))
+
+
+def _layer_operator(u: np.ndarray, coef: Coefficients, stencil: _Stencil,
                     dx: float) -> np.ndarray:
-    """Stacked per-control generator values (n_controls, n_x) on one layer;
-    the first difference looks forward where ``forward`` (drift >= 0) holds."""
-    slope = np.zeros(len(u) + 1)  # a difference looking outside the domain is dropped
-    slope[1:-1] = (u[1:] - u[:-1]) / dx
-    upwind = np.where(forward, slope[1:, None], slope[:-1, None])
-    return generator(coef, u, upwind, _second_difference(u, dx)[:, None, None])
+    """Stacked per-control generator values (n_controls, n_x) on one layer,
+    in ``stencil.out``; the first difference is upwinded by ``stencil.pick``."""
+    np.divide(np.subtract(u[1:], u[:-1], out=stencil.inner), dx, out=stencil.inner)
+    np.take(stencil.slope, stencil.pick, out=stencil.upwind, mode="clip")
+    _second_difference(u, dx, out=stencil.m2)
+    # u and the second difference with a control axis of one: a single
+    # control's terms are then same-shape operations, numpy's fastest
+    return generator(coef, u[None], stencil.upwind, stencil.hess, out=stencil.out)
 
 
 def _minimize(stacked: np.ndarray, argmin_row: np.ndarray) -> np.ndarray:
@@ -172,10 +212,9 @@ def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
     [0, 1] by more than a floating-point guard before clipping)."""
     if params.dim != 1:
         raise ConfigurationError("the PDE solver handles one-dimensional models only")
-    check_cfl(params, grid)
     nodes = grid.nodes
     coef = _coefficient_tables(params, nodes)
-    forward = coef.drift >= 0.0
+    _check_ratio(_cfl_ratio(params, grid, coef), grid)
     terminal = params.terminal_many(nodes[:, None])
     if terminal.min() < -CLAMP_TOL or terminal.max() > 1.0 + CLAMP_TOL:
         raise ConfigurationError("terminal cost leaves [0, 1] on the grid")
@@ -186,22 +225,24 @@ def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
                       dtype=np.min_scalar_type(len(params.controls) - 1))
     values[n_t] = terminal
     clamp_events = 0
-    dt = grid.dt
+    stencil = _Stencil(coef.drift >= 0.0)
+    dx, dt = grid.dx, grid.dt
+    u = values[n_t]
     for k in range(n_t - 1, -1, -1):
-        best = _minimize(_layer_operator(values[k + 1], coef, forward, grid.dx),
-                         argmin[k + 1])
+        best = _minimize(_layer_operator(u, coef, stencil, dx), argmin[k + 1])
         u_new = values[k]
-        np.add(np.multiply(best, dt, out=best), values[k + 1], out=u_new)
+        np.add(np.multiply(best, dt, out=best), u, out=u_new)
         # a NaN fails both comparisons; clipping in-range values (-0.0
         # included) changes nothing
-        if not (u_new.min() >= 0.0 and u_new.max() <= 1.0):
+        if not (np.minimum.reduce(u_new) >= 0.0 and np.maximum.reduce(u_new) <= 1.0):
             if np.isnan(u_new).any():
                 raise NumericalFailureError(
                     f"non-finite values while stepping onto layer {k}", layer=k)
             clamp_events += int(np.count_nonzero(
                 (u_new < -CLAMP_TOL) | (u_new > 1.0 + CLAMP_TOL)))
             np.clip(u_new, 0.0, 1.0, out=u_new)
-    _minimize(_layer_operator(values[0], coef, forward, grid.dx), argmin[0])
+        u = u_new
+    _minimize(_layer_operator(u, coef, stencil, dx), argmin[0])
     degenerate = bool(np.any(coef.cov == 0.0))
     return ValueGrid(times=grid.times, nodes=nodes, values=values,
                      argmin_control=argmin, params=params,
@@ -244,7 +285,7 @@ def _derivative_tables(values: np.ndarray, dx: float):
     du[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx)
     du[:, 0] = (values[:, 1] - values[:, 0]) / dx
     du[:, -1] = (values[:, -1] - values[:, -2]) / dx
-    return du, _second_difference(values, dx)
+    return du, _second_difference(values.T, dx).T
 
 
 class FeedbackPolicy:
@@ -332,10 +373,15 @@ def boundary_sensitivity(base: ValueGrid, probe_xs, t: float = 0.0) -> float:
 def write_grid_csv(grid: ValueGrid, path) -> None:
     """Export (t, x, u, argmin control index) rows, comma-separated with
     CRLF line ends and 17 significant digits, one layer at a time."""
-    xs = [format(x, ".17g") for x in grid.nodes.tolist()]
+    # one template per grid with the nodes written in; a layer fills it from
+    # (t, u, control) triples, one % operation per layer
+    template = "".join([f"%s,{x:.17g},%.17g,%d\r\n" for x in grid.nodes.tolist()])
+    n_x = len(grid.nodes)
+    row = [None] * (3 * n_x)
     with open(path, "w", newline="") as fh:
         fh.write("t,x,u,control\r\n")
         for k, t in enumerate(grid.times.tolist()):
-            ts = format(t, ".17g")
-            fh.write("".join([f"{ts},{x},{u:.17g},{c}\r\n" for x, u, c in zip(
-                xs, grid.values[k].tolist(), grid.argmin_control[k].tolist())]))
+            row[0::3] = [format(t, ".17g")] * n_x
+            row[1::3] = grid.values[k].tolist()
+            row[2::3] = grid.argmin_control[k].tolist()
+            fh.write(template % tuple(row))

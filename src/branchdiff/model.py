@@ -384,7 +384,7 @@ class Coefficients(NamedTuple):
     cost: np.ndarray        # (n,): running cost
 
 
-def generator(coef: Coefficients, r, grad, hess) -> np.ndarray:
+def generator(coef: Coefficients, r, grad, hess, out=None) -> np.ndarray:
     """The operator of the value equation applied at n points:
 
         L^a u = b . grad + 1/2 sum_ij (sigma sigma^T)_ij hess_ij
@@ -395,17 +395,27 @@ def generator(coef: Coefficients, r, grad, hess) -> np.ndarray:
     those of ``coef``, and so does a position-free row of ``coef`` (n = 1).
     The zero-order term carries the branching: the summand form
     (rc^k - rc) vanishes at r = 1 exactly, probability rounding
-    notwithstanding.
+    notwithstanding.  The terms are summed in the order written, in place,
+    into ``out`` when it is given (an array of the result's shape), which
+    gives the same bits as a fresh result.
     """
-    rc = np.minimum(np.maximum(r, -1.0), 1.0)   # np.clip costs more per call
+    rc = np.maximum(r, -1.0)
+    np.minimum(rc, 1.0, out=rc)   # np.clip costs more per call
     probs = coef.probs
     branching = probs[..., 0] * (1.0 - rc)
     for k in range(1, probs.shape[-1]):
-        branching += probs[..., k] * (rc**k - rc)
+        power = rc**k
+        power -= rc
+        branching += probs[..., k] * power
+    branching *= coef.death_rate
     # np.add.reduce is ndarray.sum without its per-call wrapper
-    return (np.add.reduce(coef.drift * grad, -1)
-            + 0.5 * np.add.reduce(coef.cov * hess, (-2, -1))
-            + coef.death_rate * branching - coef.cost * r)
+    result = np.add.reduce(coef.drift * grad, -1, out=out)
+    curvature = np.add.reduce(coef.cov * hess, (-2, -1))
+    curvature *= 0.5
+    result += curvature
+    result += branching
+    result -= coef.cost * r
+    return result
 
 
 def check_comparable(params: ModelParams, other: ModelParams) -> None:

@@ -18,6 +18,11 @@ import yaml
 from .errors import ConfigurationError
 from .model import CoefficientSpec, ControlSet, ModelParams, VectorSpec
 
+# libyaml's parser and emitter when PyYAML was built with them, about five
+# times faster than the pure-Python classes and giving the same objects and text
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 def _fail(path: str, message: str):
     raise ConfigurationError(f"{path}: {message}")
@@ -238,7 +243,7 @@ def load_model(path) -> ModelParams:
     except OSError as err:
         raise FileNotFoundError(f"cannot read model file {path}: {err}") from err
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -6,6 +7,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import yaml
 
 from branchdiff import cli, estimator, modelio, simulator
 
@@ -186,10 +188,11 @@ class TestRun:
         results = read_json(tmp_path / "out" / "task_00_solve.json")["results"]
         assert 0.0 <= results["boundary_sensitivity"] < 1.0
 
-    def test_yaml_syntax_error_exits_parse(self, tmp_path):
+    def test_yaml_syntax_error_exits_parse(self, tmp_path, capsys):
         cfg = tmp_path / "exp.yaml"
         cfg.write_text("tasks: [unclosed\n")
         assert cli.run(cfg) == cli.EXIT_PARSE
+        assert "YAML parse error at line 2, column 1" in capsys.readouterr().err
 
     def test_cfl_violation_exits_validation_and_names_bound(self, tmp_path, capsys):
         body = EXPERIMENT.replace("n_t: 500", "n_t: 1")
@@ -723,3 +726,15 @@ def test_schema_doc_lists_every_task_option():
         elif kind and (row := re.match(r"\| `(\w+)` \|", line)):
             documented[kind].append(row.group(1))
     assert documented == {kind: list(spec) for kind, spec in cli._TASKS.items()}
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "configs").rglob("*.yaml")),
+                         ids=lambda p: p.stem)
+def test_yaml_classes_read_and_digest_like_pure_python(path):
+    """The parser and emitter in use (libyaml's when PyYAML has it) give the
+    documents and the config digest of PyYAML's pure-Python classes."""
+    text = path.read_text()
+    doc = yaml.load(text, Loader=modelio.YAML_LOADER)
+    assert repr(doc) == repr(yaml.safe_load(text))
+    pure = yaml.safe_dump(doc, sort_keys=True, default_flow_style=True)
+    assert cli.config_digest(doc) == hashlib.sha256(pure.encode()).hexdigest()

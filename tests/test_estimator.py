@@ -204,6 +204,30 @@ class TestDynkinResidual:
         assert abs(est.mean) <= 3 * est.stderr + 0.5 * 2e-3
 
 
+class TestTestFunctionDim:
+    """Unset center and direction follow the positions' dim; set ones must
+    match the model's dim before a Dynkin call runs."""
+
+    @pytest.mark.parametrize("family", ["gaussian-bump", "polynomial-times-bump"])
+    def test_defaults_follow_positions(self, family):
+        xs = np.random.default_rng(3).normal(size=(6, 2))
+        unset = estimator.SmoothTestFunction(family=family, base=0.3, scale=0.5)
+        explicit = estimator.SmoothTestFunction(family=family, base=0.3, scale=0.5,
+                                                center=(0.0, 0.0), direction=(1.0, 0.0))
+        for name in ("value", "gradient", "hessian"):
+            got = getattr(unset, name)(0.2, xs)
+            assert got.tobytes() == getattr(explicit, name)(0.2, xs).tobytes()
+        assert unset.hessian(0.2, xs).shape == (6, 2, 2)
+
+    @pytest.mark.parametrize("name", ["center", "direction"])
+    def test_wrong_length_rejected_by_dynkin(self, name):
+        u = estimator.SmoothTestFunction(family="polynomial-times-bump", base=0.3,
+                                         scale=0.5, **{name: (0.5, 0.5)})
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), CRITICAL, 0.1, 1.0)
+        with pytest.raises(ConfigurationError, match=f"{name} has length 2, expected dim = 1"):
+            estimator.dynkin_residual(setup, u, 10, 0)
+
+
 class TestDpp:
     def setup_method(self):
         self.m = make_model(sigma=0.45, gamma=0.8, rate_bound=0.8, p0=0.5,

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -372,6 +373,13 @@ class TestLayerGuards:
         assert out.values[0].tolist() == [0.5, 1.0, 0.5, 0.0, 0.5]
         assert out.clamp_events == 2
 
+    def test_solve_after_patched_solve_unchanged(self, monkeypatch):
+        params, cfg = FEEDBACK_CASES["harvest"][0](), FEEDBACK_CASES["harvest"][1]
+        before = solve_bytes(params, cfg)
+        self.solve_with_step(monkeypatch, 2, [0.0, 0.5 + 1e-6, 0.0, 0.0, 0.0])
+        monkeypatch.undo()
+        assert solve_bytes(params, cfg) == before
+
     def test_nan_raises_with_layer(self, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -464,6 +472,80 @@ SOLVE_PINNED = {
     "harvest_wide": "365f629202b482c1",
     "critical": "df994fb34282fffb",
 }
+
+
+def solve_bytes(params, cfg):
+    out = hjb.solve(params, cfg)
+    return out.values.tobytes(), out.argmin_control.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FEEDBACK_CASES))
+def test_successive_solves_identical(name):
+    make, cfg = FEEDBACK_CASES[name]
+    params = make()
+    assert solve_bytes(params, cfg) == solve_bytes(params, cfg)
+
+
+def record_layers(monkeypatch):
+    """Patch the layer operator and the generator to pass through, keeping
+    every argument and result they see (so no two are the same object by
+    reuse of a freed one's id)."""
+    seen = {"operator": [], "generator": []}
+    layer_operator, generator = hjb._layer_operator, hjb.generator
+
+    def operator(u, coef, stencil, dx):
+        out = layer_operator(u, coef, stencil, dx)
+        seen["operator"].append((coef, stencil, out))
+        return out
+
+    def gen(coef, r, grad, hess, out=None):
+        result = generator(coef, r, grad, hess, out=out)
+        seen["generator"].append((grad, hess, result))
+        return result
+
+    monkeypatch.setattr(hjb, "_layer_operator", operator)
+    monkeypatch.setattr(hjb, "generator", gen)
+    return seen
+
+
+def test_value_grid_shares_no_buffer(monkeypatch):
+    make, cfg = FEEDBACK_CASES["harvest"]
+    seen = record_layers(monkeypatch)
+    out = hjb.solve(make(), cfg)
+    coef, stencil, _ = seen["operator"][0]
+    buffers = [*coef, *(v for v in vars(stencil).values() if isinstance(v, np.ndarray))]
+    buffers += [arr for call in seen["generator"] for arr in call]
+    for kept in (out.values, out.argmin_control, out.times, out.nodes):
+        assert not any(np.shares_memory(kept, buf) for buf in buffers)
+
+
+def test_layers_reuse_their_buffers(monkeypatch):
+    """Every layer of a solve fills the same stencil and operator arrays."""
+    make, cfg = FEEDBACK_CASES["harvest"]
+    seen = record_layers(monkeypatch)
+    hjb.solve(make(), cfg)
+    assert len(seen["generator"]) == cfg.n_t + 1
+    for column in zip(*seen["generator"]):     # upwind slope, curvature, result
+        assert len({id(arr) for arr in column}) == 1
+
+
+def test_solve_peak_memory_is_its_surface():
+    """Under tracemalloc, a long narrow solve holds little beyond the arrays
+    it returns: its work arrays are O(n_x), whatever n_t is."""
+    model_name, cfg = SOLVE_CASES["critical"]
+    params = load_model(MODELS / f"{model_name}.yaml")
+    hjb.solve(params, cfg)                 # one-time allocations of numpy itself
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = hjb.solve(params, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    returned = sum(arr.nbytes for arr in (out.values, out.argmin_control,
+                                          out.times, out.nodes))
+    assert out.values.shape == (6001, 21)
+    assert peak <= returned + 1000 * cfg.n_x
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_CASES))

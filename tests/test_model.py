@@ -349,3 +349,47 @@ def test_position_dependent_control_gets_every_point():
     assert [f.shape[0] for f in dependent] == [5] * 5
     assert [f.shape[0] for f in free] == [1] * 5
     np.testing.assert_array_equal(dependent.drift[:, 0], 0.1 + 0.2 * xs[:, 0])
+
+
+def generator_one_expression(coef, r, grad, hess):
+    """L^a u written as one expression, each intermediate a fresh array."""
+    rc = np.minimum(np.maximum(r, -1.0), 1.0)
+    probs = coef.probs
+    branching = probs[..., 0] * (1.0 - rc)
+    for k in range(1, probs.shape[-1]):
+        branching += probs[..., k] * (rc**k - rc)
+    return (np.add.reduce(coef.drift * grad, -1)
+            + 0.5 * np.add.reduce(coef.cov * hess, (-2, -1))
+            + coef.death_rate * branching - coef.cost * r)
+
+
+@st.composite
+def generator_inputs(draw):
+    """(coef, r, grad, hess): n points in d = 1 or 2 dimensions, a leading
+    control axis of 1 or 2, and coefficients at every point or one
+    position-free row.  Entries reach past [-1, 1], so that r is clipped, and
+    a fifth of them are -0.0, 0.0 or 1.0."""
+    d, n = draw(st.sampled_from((1, 2))), draw(st.integers(1, 16))
+    n_controls, rows = draw(st.sampled_from((1, 2))), draw(st.sampled_from((1, n)))
+    n_probs = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def array(*shape):
+        special = rng.choice([-0.0, 0.0, 1.0], shape)
+        return np.where(rng.random(shape) < 0.2, special, rng.uniform(-3.0, 3.0, shape))
+
+    lead = (n_controls, rows)
+    coef = M.Coefficients(drift=array(*lead, d), cov=array(*lead, d, d),
+                          death_rate=array(*lead), probs=array(*lead, n_probs),
+                          cost=array(*lead))
+    return coef, array(n), array(n, d), array(n, d, d)
+
+
+@given(generator_inputs())
+def test_generator_into_out_matches_fresh_result(inputs):
+    coef, r, grad, hess = inputs
+    expected = generator_one_expression(coef, r, grad, hess)
+    out = np.full(expected.shape, np.nan)
+    assert M.generator(coef, r, grad, hess, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    assert M.generator(coef, r, grad, hess).tobytes() == expected.tobytes()
