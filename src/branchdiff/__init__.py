@@ -41,10 +41,7 @@ from .hjb import (
     FeedbackPolicy,
     GridConfig,
     ValueGrid,
-    cfl_ratio,
-    check_cfl,
     evaluate,
-    extract_feedback,
     solve,
 )
 from .estimator import (

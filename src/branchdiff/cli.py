@@ -164,6 +164,15 @@ _POLICIES = {
 }
 
 
+def _needs_solver(exp, path, what):
+    """Fail at ``path`` unless the experiment has a grid and a 1-d model to solve on."""
+    if exp.grid is None:
+        _fail(path, f"{what} needs a grid section")
+    if exp.params.dim != 1:
+        _fail(path, f"{what} needs the PDE solver, which handles one-dimensional "
+                    f"models only; the model has dim = {exp.params.dim}")
+
+
 def _policy(exp, node, path):
     """A constant or open-loop policy, or FEEDBACK."""
     kind, v = _of_kind(exp, node, _POLICIES, path)
@@ -172,8 +181,7 @@ def _policy(exp, node, path):
     if kind == "open-loop":
         return _build(f"{path}.switch_times", simulator.OpenLoopPolicy,
                       (v["switch_times"], v["controls"]))
-    if exp.grid is None:
-        _fail(path, "a feedback policy needs a grid section")
+    _needs_solver(exp, path, "a feedback policy")
     return FEEDBACK
 
 
@@ -188,8 +196,7 @@ def _dpp_policy(exp, node, path):
 _TEST_FUNCTION = {
     "family": (_one_of("constant", "gaussian-bump", "polynomial-times-bump"), REQUIRED),
     **{key: (_real, None) for key in ("base", "scale", "decay", "width")},
-    "center": (_point, lambda exp, _: (0.0,) * exp.params.dim),
-    "direction": (_point, lambda exp, _: (1.0,) + (0.0,) * (exp.params.dim - 1)),
+    **{key: (_point, None) for key in ("center", "direction")},
 }
 
 
@@ -258,6 +265,12 @@ _TASKS = {
                    "branching_positions": (_list_of(_position), None)},
 }
 _NEEDS_GRID = ("solve", "dpp", "verify-all")
+# the estimator's minimums of each task's counts, checked before the first task runs
+_MIN_REPS = {kind: {"replications": estimator.MIN_REPLICATIONS}
+             for kind in ("estimate", "branching", "dpp", "dynkin")}
+_MIN_REPS["moment"] = {"replications": estimator.MIN_MOMENT_REPLICATIONS}
+_MIN_REPS["verify-all"] = {"replications": estimator.MIN_REPLICATIONS,
+                           "check_replications": estimator.MIN_MOMENT_REPLICATIONS}
 
 _EXPERIMENT = {"model": (_text, REQUIRED), "output_dir": (_text, REQUIRED),
                "initial": (_raw, REQUIRED), "simulation": (_raw, REQUIRED),
@@ -310,8 +323,8 @@ class Experiment:
 
     def _task(self, node, path):
         kind, values = _of_kind(self, node, _TASKS, path)
-        if self.grid is None and (kind in _NEEDS_GRID or values.get("compare_pde")):
-            _fail(path, "this task needs a grid section")
+        if kind in _NEEDS_GRID or values.get("compare_pde"):
+            _needs_solver(self, path, "this task")
         if kind == "verify-all":
             # the coupling ladder is a couple task at the check replications
             ladder = values.pop("perturbations")
@@ -320,6 +333,15 @@ class Experiment:
                        "replications": values["check_replications"]},
                 _TASKS["couple"], path)
         return kind, values
+
+    def check_replications(self) -> None:
+        """Raise ConfigurationError at the first task count below its minimum."""
+        for i, (kind, values) in enumerate(self.tasks):
+            for key, least in _MIN_REPS.get(kind, {}).items():
+                if values[key] < least:
+                    raise ConfigurationError(
+                        f"tasks[{i}].{key}: needs at least {least} replications, "
+                        f"got {values[key]}")
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +360,7 @@ class Runner:
 
     def policy(self, policy):
         """The parsed policy, with FEEDBACK built from the solved grid."""
-        return hjb.extract_feedback(self.solved_grid()) if policy is FEEDBACK else policy
+        return hjb.FeedbackPolicy(self.solved_grid()) if policy is FEEDBACK else policy
 
     def setup(self, policy, *, positions=None, horizon=None) -> simulator.SimulationSetup:
         """The set-up of a task's paths under a resolved ``policy``: from the
@@ -375,17 +397,16 @@ def _probe_lattice(exp: Experiment, n: int = 21):
 def _task_solve(runner: Runner, idx: int, *, export_csv, probe_points,
                 boundary_sensitivity) -> dict:
     exp, cfg = runner.exp, runner.exp.grid
-    ratio = hjb.cfl_ratio(exp.params, cfg)
-    grid = runner.solved_grid()
+    grid = runner.solved_grid()   # a grid past the CFL bound raises instead
     u_min, u_max = float(grid.values.min()), float(grid.values.max())
     checks = [
-        runner.check(idx, "solve", "cfl_ratio", ratio, 1.0, 0.0, ratio <= 1.0),
+        runner.check(idx, "solve", "cfl_ratio", grid.cfl_ratio, 1.0, 0.0, True),
         runner.check(idx, "solve", "clamp_events", float(grid.clamp_events),
                      0.0, 0.0, grid.clamp_events == 0),
         runner.check(idx, "solve", "range", u_min, 0.0, 0.0,
                      0.0 <= u_min and u_max <= 1.0),
     ]
-    results = {"cfl_ratio": ratio, "clamp_events": grid.clamp_events,
+    results = {"cfl_ratio": grid.cfl_ratio, "clamp_events": grid.clamp_events,
                "degenerate_diffusion": grid.degenerate_diffusion,
                "u_min": u_min, "u_max": u_max}
     if probe_points is not None:
@@ -560,7 +581,7 @@ def _task_verify_all(runner: Runner, idx: int, *, replications, check_replicatio
                                float(grid.clamp_events), 0.0, 0.0,
                                grid.clamp_events == 0))
 
-    policy = hjb.extract_feedback(grid)
+    policy = hjb.FeedbackPolicy(grid)
     setup = runner.setup(policy)
     est = estimator.estimate_value(setup, replications, exp.seed_base)
     ref = math.prod(hjb.evaluate(grid, exp.start_time, x) for x in exp.initial.values())
@@ -681,6 +702,7 @@ def run(config_path, *, out=None, seed=None, reps=None, threads=1) -> int:
     report_files = []
     runner = Runner(exp)
     try:
+        exp.check_replications()
         lattice = _probe_lattice(exp)
         validation = model_mod.validate_params(exp.params, lattice)
         if not validation.ok:

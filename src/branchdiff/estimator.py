@@ -36,6 +36,9 @@ from .model import ModelParams, generator
 from .simulator import (PopulationPath, SimulationSetup, coupled_setup, pathwise_cost,
                         prepare_simulation, simulate, simulate_coupled)
 
+MIN_REPLICATIONS = 2            # a standard error needs two samples
+MIN_MOMENT_REPLICATIONS = 100   # the moment check's fewest
+
 
 # ---------------------------------------------------------------------------
 # basic containers
@@ -159,8 +162,8 @@ def run_replications(setup: SimulationSetup, n_reps: int, seed_base: int
 def estimate_value(setup: SimulationSetup, n_reps: int, seed_base: int) -> Estimate:
     """Sample mean and standard error of the pathwise cost over independent
     replications seeded ``seed_base + k``."""
-    if n_reps < 2:
-        raise ConfigurationError("need at least 2 replications")
+    if n_reps < MIN_REPLICATIONS:
+        raise ConfigurationError(f"need at least {MIN_REPLICATIONS} replications")
     summaries = run_replications(setup, n_reps, seed_base)
     costs = np.array([s.cost for s in summaries])
     return estimate_from_samples(costs, seed_base)
@@ -478,8 +481,9 @@ def moment_check(summaries: list[RepSummary], setup: SimulationSetup) -> MomentR
     mean running supremum of the population size may not exceed initial size
     times exp(rate_bound * mean_offspring_bound * elapsed), up to 3 standard
     errors."""
-    if len(summaries) < 100:
-        raise ConfigurationError("moment check needs at least 100 replications")
+    if len(summaries) < MIN_MOMENT_REPLICATIONS:
+        raise ConfigurationError(
+            f"moment check needs at least {MIN_MOMENT_REPLICATIONS} replications")
     sups = np.array([s.sup_population for s in summaries], dtype=float)
     mean = float(np.mean(sups))
     stderr = float(np.std(sups, ddof=1) / math.sqrt(len(sups)))

@@ -20,8 +20,9 @@ the edge rule does not influence values at probe points, which
 :func:`boundary_sensitivity` quantifies.
 
 A solve builds its coefficient tables once, for the CFL check and the sweep,
-and allocates the stencil's work arrays once; every layer refills them in
-place, so a layer pays for the arithmetic of its update and little else.
+and reports the CFL ratio it checked as ``ValueGrid.cfl_ratio``.  It
+allocates the stencil's work arrays once; every layer refills them in place,
+so a layer pays for the arithmetic of its update and little else.
 """
 
 from __future__ import annotations
@@ -84,9 +85,10 @@ class ValueGrid:
     values: np.ndarray          # (n_t + 1, n_x), within [0, 1]
     argmin_control: np.ndarray  # (n_t + 1, n_x), np.min_scalar_type(n_controls - 1)
     params: ModelParams
+    cfl_ratio: float            # the CFL ratio the solve checked, at most one
     clamp_events: int
     degenerate_diffusion: bool
-    config: GridConfig = field(repr=False, default=None)
+    config: GridConfig = field(repr=False)
 
     @property
     def horizon(self) -> float:
@@ -101,6 +103,8 @@ def _coefficient_tables(params: ModelParams, nodes: np.ndarray) -> Coefficients:
     rows are broadcast to the nodes first.  Every table is contiguous, and
     ``probs`` views a (K + 1, n_controls, n_x) array, so that each
     ``probs[..., k]`` is contiguous too."""
+    if params.dim != 1:
+        raise ConfigurationError("the PDE solver handles one-dimensional models only")
     n = len(nodes)
     per_control = [params.coefficients(nodes[:, None], a)
                    for a in params.controls.indices]
@@ -112,6 +116,9 @@ def _coefficient_tables(params: ModelParams, nodes: np.ndarray) -> Coefficients:
 
 
 def _cfl_ratio(params: ModelParams, grid: GridConfig, coef: Coefficients) -> float:
+    """Largest over nodes of dt * (max_a sigma^2/dx^2 + max_a |b|/dx +
+    rate_bound * (mean offspring bound + 1) + max_a running cost).
+    The scheme is monotone when this is at most one."""
     per_node = (coef.cov[:, :, 0, 0].max(axis=0) / grid.dx**2
                 + np.abs(coef.drift[:, :, 0]).max(axis=0) / grid.dx
                 + params.rate_bound * (params.mean_offspring_bound + 1.0)
@@ -123,30 +130,9 @@ def _steps_for(ratio: float, grid: GridConfig) -> int:
     return max(1, int(math.ceil(grid.n_t * ratio * (1.0 + 1e-12))))
 
 
-def _check_ratio(ratio: float, grid: GridConfig) -> None:
-    if ratio > 1.0:
-        raise ConfigurationError(
-            f"CFL violation: dt * (max sigma^2/dx^2 + max |b|/dx + "
-            f"rate_bound * (M + 1) + max cost) = {ratio:.6g} > 1; "
-            f"increase n_t to at least {_steps_for(ratio, grid)}")
-
-
-def cfl_ratio(params: ModelParams, grid: GridConfig) -> float:
-    """Largest over nodes of dt * (max_a sigma^2/dx^2 + max_a |b|/dx +
-    rate_bound * (mean offspring bound + 1) + max_a running cost).
-    The scheme is monotone when this is at most one."""
-    if params.dim != 1:
-        raise ConfigurationError("the PDE solver handles one-dimensional models only")
-    return _cfl_ratio(params, grid, _coefficient_tables(params, grid.nodes))
-
-
-def check_cfl(params: ModelParams, grid: GridConfig) -> None:
-    _check_ratio(cfl_ratio(params, grid), grid)
-
-
 def required_time_steps_for(params: ModelParams, grid: GridConfig) -> int:
     """Smallest n_t satisfying the CFL bound on this spatial grid."""
-    return _steps_for(cfl_ratio(params, grid), grid)
+    return _steps_for(_cfl_ratio(params, grid, _coefficient_tables(params, grid.nodes)), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +194,16 @@ def _minimize(stacked: np.ndarray, argmin_row: np.ndarray) -> np.ndarray:
 
 def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
     """Backward explicit sweep from the terminal layer; rejects grids that
-    violate the CFL bound and reports clamp events (layer values that left
-    [0, 1] by more than a floating-point guard before clipping)."""
-    if params.dim != 1:
-        raise ConfigurationError("the PDE solver handles one-dimensional models only")
+    violate the CFL bound and reports the ratio and clamp events (layer values
+    that left [0, 1] by more than a floating-point guard before clipping)."""
     nodes = grid.nodes
     coef = _coefficient_tables(params, nodes)
-    _check_ratio(_cfl_ratio(params, grid, coef), grid)
+    ratio = _cfl_ratio(params, grid, coef)
+    if ratio > 1.0:
+        raise ConfigurationError(
+            f"CFL violation: dt * (max sigma^2/dx^2 + max |b|/dx + "
+            f"rate_bound * (M + 1) + max cost) = {ratio:.6g} > 1; "
+            f"increase n_t to at least {_steps_for(ratio, grid)}")
     terminal = params.terminal_many(nodes[:, None])
     if terminal.min() < -CLAMP_TOL or terminal.max() > 1.0 + CLAMP_TOL:
         raise ConfigurationError("terminal cost leaves [0, 1] on the grid")
@@ -245,7 +234,7 @@ def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
     _minimize(_layer_operator(u, coef, stencil, dx), argmin[0])
     degenerate = bool(np.any(coef.cov == 0.0))
     return ValueGrid(times=grid.times, nodes=nodes, values=values,
-                     argmin_control=argmin, params=params,
+                     argmin_control=argmin, params=params, cfl_ratio=ratio,
                      clamp_events=clamp_events, degenerate_diffusion=degenerate,
                      config=grid)
 
@@ -298,6 +287,7 @@ class FeedbackPolicy:
     """
 
     def __init__(self, grid: ValueGrid):
+        self.control = None   # a one-control model runs at 0 (simulator._make_plan)
         self.grid = grid
         self.params = grid.params
         dx = float(grid.nodes[1] - grid.nodes[0])
@@ -313,9 +303,6 @@ class FeedbackPolicy:
         self._rows = None
         if not any(row is None for row in rows):
             self._rows = Coefficients(*(np.stack(field) for field in zip(*rows)))
-
-    def constant_control(self) -> int | None:
-        return 0 if len(self.params.controls) == 1 else None
 
     def controls_along(self, times: np.ndarray, xs: np.ndarray, label: Label) -> np.ndarray:
         grid = self.grid
@@ -342,17 +329,11 @@ class FeedbackPolicy:
         return vals.argmin(0)   # lowest index wins ties, as in solve
 
 
-def extract_feedback(grid: ValueGrid) -> FeedbackPolicy:
-    """Feedback rule applying, at any time and position, the control that
-    minimizes the operator on the solved value surface."""
-    return FeedbackPolicy(grid)
-
-
 # ---------------------------------------------------------------------------
 # diagnostics and export
 
-def boundary_sensitivity(base: ValueGrid, probe_xs, t: float = 0.0) -> float:
-    """Max change of u(t, probe) from the solved ``base`` when the domain
+def boundary_sensitivity(base: ValueGrid, probe_xs) -> float:
+    """Max change of u(0, probe) from the solved ``base`` when the domain
     width doubles at the same resolution.  Small values certify that the
     edge closure does not reach the probes."""
     params, grid = base.params, base.config
@@ -366,7 +347,7 @@ def boundary_sensitivity(base: ValueGrid, probe_xs, t: float = 0.0) -> float:
     worst = 0.0
     for x in probe_xs:
         xv = np.atleast_1d(np.asarray(x, dtype=float))
-        worst = max(worst, abs(evaluate(base, t, xv) - evaluate(wide, t, xv)))
+        worst = max(worst, abs(evaluate(base, 0.0, xv) - evaluate(wide, 0.0, xv)))
     return worst
 
 

@@ -53,16 +53,13 @@ from .rng import RandomDriver, StreamTable
 
 
 # ---------------------------------------------------------------------------
-# policies
+# policies: ``control`` is the one control a policy applies throughout, or None
 
 class ConstantPolicy:
     """Apply one control index to every particle at all times."""
 
     def __init__(self, control: int):
         self.control = int(control)
-
-    def constant_control(self) -> int | None:
-        return self.control
 
     def controls_along(self, times: np.ndarray, xs: np.ndarray, label: Label) -> np.ndarray:
         return np.full(len(times), self.control, dtype=np.int64)
@@ -77,6 +74,7 @@ class OpenLoopPolicy:
     """
 
     def __init__(self, schedule: tuple):
+        self.control = None
         times, ctrls = schedule
         self.times = np.asarray(times, dtype=float)
         self.controls = np.asarray(ctrls, dtype=np.int64)
@@ -84,9 +82,6 @@ class OpenLoopPolicy:
             raise ConfigurationError("schedule needs matching, non-empty times and controls")
         if np.any(np.diff(self.times) <= 0):
             raise ConfigurationError("schedule switch times must be strictly increasing")
-
-    def constant_control(self) -> int | None:
-        return None
 
     def controls_along(self, times_q: np.ndarray, xs: np.ndarray, label: Label) -> np.ndarray:
         idx = np.searchsorted(self.times, times_q, side="right") - 1
@@ -238,7 +233,7 @@ class _MotionPlan:
 
 
 def _make_plan(policy, params: ModelParams) -> _MotionPlan:
-    const = 0 if len(params.controls) == 1 else policy.constant_control()
+    const = 0 if len(params.controls) == 1 else policy.control
     if const is not None:
         motion_ctrl = const
     elif params.motion_control_independent():

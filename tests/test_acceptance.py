@@ -96,7 +96,7 @@ def test_criterion_3_branching_property():
     drifted = single_control(b=0.2, sigma=0.35, gamma=1.0, rate_bound=1.0,
                              p0=0.5, g=BUMP)
     grid = hjb.solve(drifted, cfl_grid(drifted, -4, 4, 161, 1.0))
-    policy = hjb.extract_feedback(grid)
+    policy = hjb.FeedbackPolicy(grid)
     setup = prepare_simulation(0.0, {(0,): [-0.3], (1,): [0.4]}, policy, drifted, 0.5, 1.0)
     report = estimator.check_branching(setup, 100_000, 555)
     assert report.passed
@@ -139,7 +139,7 @@ def test_criterion_4_dynkin_residual():
 def test_criterion_5_dpp_inequalities():
     params = load_model(MODELS / "two_control_harvest.yaml")
     grid = hjb.solve(params, cfl_grid(params, -4, 4, 161, 1.0))
-    feedback = hjb.extract_feedback(grid)
+    feedback = hjb.FeedbackPolicy(grid)
     policies = [
         ("feedback", feedback, "optimal"),
         ("constant0", ConstantPolicy(0), "admissible"),
@@ -284,7 +284,7 @@ def test_criterion_9_determinism_and_identities():
 
     # single-control feedback policy equals the constant policy bit for bit
     grid = hjb.solve(noisy, cfl_grid(noisy, -4, 4, 81, 1.0))
-    fa = simulate(prepare_simulation(0.0, START, hjb.extract_feedback(grid), noisy,
+    fa = simulate(prepare_simulation(0.0, START, hjb.FeedbackPolicy(grid), noisy,
                                      0.05, 1.0), 7)
     fb = simulate(prepare_simulation(0.0, START, ConstantPolicy(0), noisy, 0.05, 1.0), 7)
     assert paths_equal(fa, fb)

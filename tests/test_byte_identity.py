@@ -60,7 +60,7 @@ def harvest_feedback():
     coarse = hjb.GridConfig(x_lo=-4.0, x_hi=4.0, n_x=41, n_t=1, horizon=HORIZON)
     grid = hjb.GridConfig(x_lo=-4.0, x_hi=4.0, n_x=41, horizon=HORIZON,
                           n_t=hjb.required_time_steps_for(params, coarse))
-    return params, hjb.extract_feedback(hjb.solve(params, grid))
+    return params, hjb.FeedbackPolicy(hjb.solve(params, grid))
 
 
 def case(name):

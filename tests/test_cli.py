@@ -6,10 +6,12 @@ import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 
 from branchdiff import cli, estimator, modelio, simulator
+from branchdiff.errors import ConfigurationError
 
 REPO = Path(__file__).resolve().parents[1]
 MODELS = REPO / "configs" / "models"
@@ -187,6 +189,29 @@ class TestRun:
         assert len(calls) == 2   # the task's grid, then the doubled domain
         results = read_json(tmp_path / "out" / "task_00_solve.json")["results"]
         assert 0.0 <= results["boundary_sensitivity"] < 1.0
+
+    @pytest.mark.parametrize("sensitivity, builds", [(False, 1), (True, 3)])
+    def test_solve_builds_coefficient_tables_once(self, tmp_path, monkeypatch,
+                                                  sensitivity, builds):
+        """A solve task builds its coefficient tables once; the boundary
+        sensitivity adds one build to size the doubled domain's n_t and one
+        for its solve."""
+        calls = []
+        tables = cli.hjb._coefficient_tables
+
+        def counted(*args):
+            calls.append(args)
+            return tables(*args)
+
+        monkeypatch.setattr(cli.hjb, "_coefficient_tables", counted)
+        body = EXPERIMENT.split("  - kind: estimate")[0].replace(
+            "probe_points: [0.0]",
+            f"probe_points: [0.0]\n    boundary_sensitivity: {str(sensitivity).lower()}")
+        cfg = write_experiment(tmp_path, body=body)
+        assert cli.run(cfg) == cli.EXIT_OK
+        assert len(calls) == builds
+        results = read_json(tmp_path / "out" / "task_00_solve.json")["results"]
+        assert 0.0 < results["cfl_ratio"] <= 1.0
 
     def test_yaml_syntax_error_exits_parse(self, tmp_path, capsys):
         cfg = tmp_path / "exp.yaml"
@@ -517,6 +542,14 @@ def set_in(doc, keys, value):
 DPP = {"kind": "dpp", "policies": [{"kind": "feedback"}],
        "stopping": [{"rule": "fixed", "time": 0.5}]}
 
+
+def on_planar_model(doc):
+    """Move ``doc`` to the 2-d PLANAR_MODEL, written beside its output dir."""
+    model = Path(doc["output_dir"]).with_name("planar.yaml")
+    model.write_text(PLANAR_MODEL)
+    doc["model"] = str(model)
+    set_in(doc, ["initial", "particles", 0, "position"], [0.0, 0.0])
+
 BAD_INPUTS = {
     "step_zero": (lambda d: set_in(d, ["simulation", "step"], 0), "simulation.step"),
     "step_fast": (lambda d: set_in(d, ["simulation", "step"], "fast"),
@@ -542,6 +575,8 @@ BAD_INPUTS = {
         "tasks[0].policy"),
     "solve_without_grid": (
         lambda d: (d.pop("grid"), set_in(d, ["tasks"], [{"kind": "solve"}])), "tasks[0]"),
+    "solve_on_planar_model": (
+        lambda d: (on_planar_model(d), set_in(d, ["tasks"], [{"kind": "solve"}])), "tasks[0]"),
     "compare_pde_without_grid": (
         lambda d: (d.pop("grid"), set_in(d, ["tasks", 0, "compare_pde"], True)),
         "tasks[0]"),
@@ -680,6 +715,61 @@ coefficients:
 """
 
 
+@pytest.mark.parametrize("task, path", [
+    ({"kind": "estimate", "replications": 100}, None),
+    ({"kind": "estimate", "replications": 100, "policy": {"kind": "feedback"}},
+     "tasks[0].policy"),
+    ({"kind": "dpp", "replications": 100, "policies": [{"kind": "constant"}],
+      "stopping": [{"rule": "fixed", "time": 0.5}]}, "tasks[0]"),
+    ({"kind": "verify-all"}, "tasks[0]"),
+], ids=["estimate", "feedback", "dpp", "verify_all"])
+def test_only_solving_tasks_need_a_one_dimensional_model(tmp_path, task, path):
+    """A 2-d run with a grid section parses unless a task solves the PDE."""
+    doc = base_doc(tmp_path, tasks=[task])
+    on_planar_model(doc)
+    overrides = SimpleNamespace(out=None, seed=None, reps=None)
+    if path is None:
+        cli.Experiment(doc, tmp_path / "exp.json", overrides)
+    else:
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"{path}: ") + ".*one-dimensional models only"):
+            cli.Experiment(doc, tmp_path / "exp.json", overrides)
+
+
+@pytest.mark.parametrize("tasks, reps, path", [
+    ([{"kind": "estimate"}, {"kind": "moment"}], 50, "tasks[1].replications"),
+    ([{"kind": "estimate", "replications": 100},
+      {"kind": "branching", "positions": [[0.0], [0.5]]}], 1, "tasks[1].replications"),
+    ([{"kind": "estimate"}], 1, "tasks[0].replications"),
+    ([{"kind": "estimate", "replications": 100},
+      {"kind": "dynkin", "times": [0.5], "functions": [{"family": "constant"}]}], 1,
+     "tasks[1].replications"),
+    ([{"kind": "estimate", "replications": 100}, DPP], 1, "tasks[1].replications"),
+    ([{"kind": "estimate", "replications": 100}, {"kind": "verify-all"}], 1,
+     "tasks[1].replications"),
+    ([{"kind": "estimate", "replications": 100},
+      {"kind": "verify-all", "replications": 200, "check_replications": 99}], 200,
+     "tasks[1].check_replications"),
+    ([{"kind": "estimate"}, {"kind": "moment"}], "--reps 99", "tasks[1].replications"),
+], ids=["moment", "branching", "lone_estimate", "dynkin", "dpp", "verify_all",
+        "verify_all_checks", "reps_override"])
+def test_too_few_replications_exit_before_any_task(tmp_path, capsys, tasks, reps, path):
+    """Every task's replication count is held to its estimator minimum before
+    the first task runs, whether written, defaulted or set by --reps."""
+    doc = base_doc(tmp_path, tasks=tasks)
+    argv = []
+    if isinstance(reps, str):
+        argv = reps.split()
+    else:
+        doc["simulation"]["replications"] = reps
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(cfg), *argv]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{path}: needs at least" in err and "internal error" not in err
+    assert not list((tmp_path / "out").glob("task_*.json"))
+
+
 def test_test_function_vectors_default_at_the_model_dim(tmp_path):
     """On a 2-d model a test function without center or direction takes the
     origin and the first unit vector."""
@@ -694,7 +784,12 @@ def test_test_function_vectors_default_at_the_model_dim(tmp_path):
     cfg.write_text(json.dumps(doc))
     exp = cli.Experiment(doc, cfg, SimpleNamespace(out=None, seed=None, reps=None))
     fn = exp.tasks[0][1]["functions"][0]
-    assert (fn.center, fn.direction) == ((0.0, 0.0), (1.0, 0.0))
+    explicit = estimator.SmoothTestFunction(
+        family="polynomial-times-bump", base=0.3, scale=0.5,
+        center=(0.0, 0.0), direction=(1.0, 0.0))
+    xs = np.linspace(-1.0, 1.0, 10).reshape(5, 2)
+    for part in ("value", "gradient", "hessian"):
+        assert getattr(fn, part)(0.2, xs).tobytes() == getattr(explicit, part)(0.2, xs).tobytes()
     assert cli.run(cfg) == cli.EXIT_OK
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from branchdiff import hjb, model as M
 from branchdiff.errors import ConfigurationError, NumericalFailureError
 from branchdiff.modelio import load_model
+from branchdiff.simulator import prepare_simulation
 
 MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
 
@@ -158,6 +160,23 @@ class TestSolve:
         with pytest.raises(ConfigurationError, match="CFL"):
             hjb.solve(m, bad)
 
+    def test_solve_reports_the_ratio_it_checked(self):
+        """At required_time_steps_for's n_t the solve passes and reports the
+        ratio it checked; a grid with too few steps fails, naming that n_t."""
+        m = single_control(sigma=1.0)
+        need = hjb.required_time_steps_for(
+            m, hjb.GridConfig(x_lo=-2, x_hi=2, n_x=201, n_t=5, horizon=1.0))
+        cfg = hjb.GridConfig(x_lo=-2, x_hi=2, n_x=201, n_t=need, horizon=1.0)
+        out = hjb.solve(m, cfg)
+        assert out.cfl_ratio == hjb._cfl_ratio(m, cfg, hjb._coefficient_tables(m, cfg.nodes))
+        assert 0.0 < out.cfl_ratio <= 1.0
+        message = (re.escape("CFL violation: dt * (max sigma^2/dx^2 + max |b|/dx + "
+                             "rate_bound * (M + 1) + max cost) = ")
+                   + r"[0-9.e+]+" + re.escape(f" > 1; increase n_t to at least {need}") + "$")
+        with pytest.raises(ConfigurationError, match=message):
+            hjb.solve(m, hjb.GridConfig(x_lo=-2, x_hi=2, n_x=201, n_t=need // 2,
+                                        horizon=1.0))
+
     def test_dimension_guard(self):
         m2 = M.ModelParams(
             dim=2, noise_dim=1, controls=M.ControlSet.of_size(1),
@@ -168,9 +187,10 @@ class TestSolve:
             running_cost=(M.constant(0.0),),
             terminal=M.constant(0.5),
             rate_bound=0.0, mean_offspring_bound=1.0, max_children=2)
-        with pytest.raises(ConfigurationError):
-            hjb.solve(m2, hjb.GridConfig(x_lo=-1, x_hi=1, n_x=11, n_t=10,
-                                         horizon=1.0))
+        cfg = hjb.GridConfig(x_lo=-1, x_hi=1, n_x=11, n_t=10, horizon=1.0)
+        for sized_or_solved in (hjb.solve, hjb.required_time_steps_for):
+            with pytest.raises(ConfigurationError, match="one-dimensional models only"):
+                sized_or_solved(m2, cfg)
 
     def test_semilinear_path_identical(self):
         m = single_control(b=0.2, sigma=0.5, gamma=0.6, rate_bound=0.6, p0=0.3,
@@ -268,16 +288,24 @@ class TestFeedback:
     def test_singleton_constant(self):
         out = hjb.solve(CRITICAL, hjb.GridConfig(x_lo=-1, x_hi=1, n_x=11,
                                                  n_t=50, horizon=1.0))
-        pol = hjb.extract_feedback(out)
-        assert pol.constant_control() == 0
+        pol = hjb.FeedbackPolicy(out)
         assert pol.controls_along(np.array([0.3]), np.array([[0.2]]), ())[0] == 0
+
+    @pytest.mark.parametrize("n_controls, const", [(1, 0), (2, None)])
+    def test_one_control_feedback_runs_as_constant(self, n_controls, const):
+        """A one-control model's feedback policy runs as constant control 0;
+        a two-control one's has no constant control."""
+        m = CRITICAL if n_controls == 1 else two_control(sigma=0.4, g=M.constant(0.8))
+        pol = hjb.FeedbackPolicy(hjb.solve(m, grid_for(m, -1, 1, 11, 1.0)))
+        setup = prepare_simulation(0.0, {(): np.zeros(1)}, pol, m, 0.05, 1.0)
+        assert setup.plan.const_control == const
 
     def test_dominating_control_chosen_everywhere(self):
         # all else equal and u > 0: the larger running cost minimizes the
         # operator, so control 1 dominates
         m = two_control(c0=0.1, c1=0.6, sigma=0.4, g=M.constant(0.8))
         out = hjb.solve(m, grid_for(m, -2, 2, 41, 1.0))
-        pol = hjb.extract_feedback(out)
+        pol = hjb.FeedbackPolicy(out)
         ts = np.linspace(0, 1, 7)
         xs = np.linspace(-1.5, 1.5, 9)
         for t in ts:
@@ -288,7 +316,7 @@ class TestFeedback:
     def test_tie_breaks_to_lowest_index(self):
         m = two_control(c0=0.3, c1=0.3, sigma=0.4, g=M.constant(0.8))
         out = hjb.solve(m, grid_for(m, -2, 2, 41, 1.0))
-        pol = hjb.extract_feedback(out)
+        pol = hjb.FeedbackPolicy(out)
         for x in np.linspace(-1.5, 1.5, 9):
             assert pol.controls_along(np.array([0.5]), np.array([[x]]), ())[0] == 0
         assert np.all(out.argmin_control == 0)
@@ -299,7 +327,7 @@ class TestFeedback:
         models = Path(__file__).resolve().parents[1] / "configs" / "models"
         m = modelio.load_model(models / "two_control_harvest.yaml")
         out = hjb.solve(m, grid_for(m, -4, 4, 161, 1.0))
-        pol = hjb.extract_feedback(out)
+        pol = hjb.FeedbackPolicy(out)
         rng = np.random.default_rng(0)
         times = rng.uniform(0, 1, 40)
         xs = rng.uniform(-5, 5, (40, 1))
@@ -430,7 +458,7 @@ def feedback_digest(params, cfg, n_queries=5000):
     """Hash of the controls chosen over seeded random batches of (t, x)
     queries of 1 to 32 points: positions reach 2 beyond the domain, and
     about a tenth of the times each sit at 0 and at the horizon."""
-    pol = hjb.extract_feedback(hjb.solve(params, cfg))
+    pol = hjb.FeedbackPolicy(hjb.solve(params, cfg))
     rng = np.random.default_rng(2026)
     h = hashlib.sha256()
     counts = np.zeros(len(params.controls), dtype=np.int64)

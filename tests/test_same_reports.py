@@ -1,0 +1,47 @@
+"""tools/same_reports.py: a tree agrees with itself, and a changed byte
+anywhere but the manifest's ``generated_at`` is a difference."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("same_reports",
+                                                  REPO / "tools" / "same_reports.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tree_agrees_with_itself(tmp_path, capsys):
+    tool = load_tool()
+    code = tool.main([str(REPO), str(REPO), "--workload", "population_growth",
+                      "--seeds", "1", "--reps", "0", "--scratch", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "population_growth seed 1 rep 0 main: exit 0, same outputs" in out
+    assert not list(tmp_path.iterdir())      # an agreeing config's files are removed
+
+
+def write_run(out_dir, generated_at, report):
+    out_dir.mkdir()
+    (out_dir / "task_00_estimate.json").write_text(report)
+    (out_dir / "manifest.json").write_text(json.dumps(
+        {"all_passed": True, "generated_at": generated_at}))
+
+
+def test_only_generated_at_is_left_out(tmp_path):
+    tool = load_tool()
+    write_run(tmp_path / "a", "2020-01-01T00:00:00", '{"mean": 0.5}\n')
+    write_run(tmp_path / "b", "2021-06-30T12:00:00", '{"mean": 0.5}\n')
+    write_run(tmp_path / "c", "2020-01-01T00:00:00", '{"mean": 0.50000000000000011}\n')
+    a, b, c = (tool.outputs(tmp_path / side) for side in "abc")
+    assert tool.differences(a, b) == []
+    assert tool.differences(a, c) == ["task_00_estimate.json"]
+    (tmp_path / "b" / "summary.csv").write_text("")
+    assert tool.differences(a, tool.outputs(tmp_path / "b")) == ["summary.csv"]

@@ -244,7 +244,7 @@ class TestDeterminism:
         cfg = hjb.GridConfig(x_lo=-4, x_hi=4, n_x=81, n_t=1, horizon=1.0)
         cfg = hjb.GridConfig(x_lo=-4, x_hi=4, n_x=81,
                              n_t=hjb.required_time_steps_for(m, cfg), horizon=1.0)
-        feedback = hjb.extract_feedback(hjb.solve(m, cfg))
+        feedback = hjb.FeedbackPolicy(hjb.solve(m, cfg))
         a = simulate(prepare_simulation(0.0, ROOT_START, feedback, m, 0.05, 1.0), 33)
         b = simulate(root_setup(m, 0.05, 1.0), 33)
         assert paths_equal(a, b)
@@ -607,12 +607,11 @@ class PerLabelSchedule:
     """Open-loop schedules that differ by label: a label with its own
     schedule follows it, every other label the default one."""
 
+    control = None
+
     def __init__(self, default, per_label):
         self.default = OpenLoopPolicy(default)
         self.per_label = {lab: OpenLoopPolicy(s) for lab, s in per_label.items()}
-
-    def constant_control(self):
-        return None
 
     def controls_along(self, times, xs, label):
         return self.per_label.get(label, self.default).controls_along(times, xs, label)
@@ -630,7 +629,7 @@ class TestControlDependentMotion:
         cfg = hjb.GridConfig(x_lo=-4, x_hi=4, n_x=81, n_t=1, horizon=1.0)
         cfg = hjb.GridConfig(x_lo=-4, x_hi=4, n_x=81,
                              n_t=hjb.required_time_steps_for(m, cfg), horizon=1.0)
-        return hjb.extract_feedback(hjb.solve(m, cfg))
+        return hjb.FeedbackPolicy(hjb.solve(m, cfg))
 
     @pytest.mark.parametrize("name", ["open_loop", "feedback"])
     def test_tracks_pinned(self, name):
