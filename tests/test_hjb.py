@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branchdiff import hjb, model as M
+from branchdiff import estimator, hjb, model as M
 from branchdiff.errors import ConfigurationError, NumericalFailureError
 from branchdiff.modelio import load_model
-from branchdiff.simulator import prepare_simulation
+from branchdiff.simulator import prepare_simulation, simulate
 
 MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
 
@@ -419,7 +419,10 @@ class TestLayerGuards:
 
 # ---------------------------------------------------------------------------
 # bit-for-bit pins: recorded from the solver and feedback query that
-# evaluated every coefficient at every point
+# evaluated every coefficient at every point; the shared_drift and
+# state_dependent solve pins, and the Dynkin integrand pins, from the solver
+# that broadcast position-free rows over the nodes and the integrand that
+# evaluated one control at a time
 
 def state_dependent_two_control():
     """Control 0 has a position-dependent drift and running cost; control 1
@@ -440,6 +443,24 @@ def state_dependent_two_control():
         rate_bound=0.8, mean_offspring_bound=1.0, max_children=2)
 
 
+def shared_drift_two_control():
+    """Two controls that share the drift (negative, so the backward
+    difference is picked) but not the diffusion, death rate, offspring or
+    running cost; three children, so the k = 3 branching term is exercised.
+    Neither dominates, so both are chosen."""
+    return M.ModelParams(
+        dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
+        drift=(M.constant_vector([-0.2]),),
+        diffusion=(M.constant_vector([0.3]), M.constant_vector([0.6])),
+        death_rate=(M.constant(0.7), M.constant(0.2)),
+        offspring=((M.constant(0.5), M.constant(0.1), M.constant(0.0)),
+                   (M.constant(0.3), M.constant(0.2), M.constant(0.1))),
+        running_cost=(M.constant(0.3), M.constant(0.1)),
+        terminal=M.CoefficientSpec(family="gaussian-bump", offset=0.1,
+                                   amplitude=0.8, center=(0.3,), width=0.9),
+        rate_bound=0.8, mean_offspring_bound=1.6, max_children=3)
+
+
 FEEDBACK_CASES = {
     # the grid of the bundled dpp_two_control experiment
     "harvest": (lambda: load_model(MODELS / "two_control_harvest.yaml"),
@@ -447,10 +468,13 @@ FEEDBACK_CASES = {
     "state_dependent": (state_dependent_two_control,
                         hjb.GridConfig(x_lo=-4.0, x_hi=4.0, n_x=161, n_t=400,
                                        horizon=1.0)),
+    "shared_drift": (shared_drift_two_control,
+                     hjb.GridConfig(x_lo=-3.0, x_hi=3.0, n_x=121, n_t=800, horizon=1.0)),
 }
 FEEDBACK_PINNED = {
     "harvest": "0b9dcf00bed542e5",
     "state_dependent": "43be48c9f094275b",
+    "shared_drift": "f077fa5b18f4b146",
 }
 
 
@@ -484,21 +508,60 @@ def test_feedback_queries_pinned(name):
     assert got == FEEDBACK_PINNED[name]
 
 
+def bundled(name):
+    return lambda: load_model(MODELS / f"{name}.yaml")
+
+
+DYNKIN_PINNED = {
+    "harvest": "1a35721cab66c217",
+    "state_dependent": "1fd04f978e415fb9",
+    "shared_drift": "5fa473bb4d63efd3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FEEDBACK_CASES))
+def test_dynkin_integrand_pinned(name):
+    """The pathwise operator integral of the martingale residual along
+    feedback-driven paths, on which both controls are used."""
+    make, cfg = FEEDBACK_CASES[name]
+    params = make()
+    policy = hjb.FeedbackPolicy(hjb.solve(params, cfg))
+    setup = prepare_simulation(0.0, {(0,): np.array([-0.5]), (1,): np.array([0.7])},
+                               policy, params, 0.05, 1.0)
+    u = estimator.SmoothTestFunction(family="polynomial-times-bump", base=0.2,
+                                     scale=0.6, decay=0.3, center=(0.1,), width=0.9)
+    h = hashlib.sha256()
+    used = set()
+    for seed in range(10):
+        path = simulate(setup, seed)
+        used.update(*(tr.controls.tolist() for tr in path.tracks.values()))
+        h.update(estimator._path_operator_integral(path, u, params).hex().encode())
+    assert used == {0, 1}
+    assert h.hexdigest()[:16] == DYNKIN_PINNED[name]
+
+
 # the grids of the pde_sweep benchmark workload: the harvest grid, the doubled
-# domain its boundary sensitivity solves, and the long critical grid
+# domain its boundary sensitivity solves, and the long critical grid; and the
+# two ways a model's coefficients can reach the solver that those grids do
+# not cover, tables over the nodes (state_dependent) and rows shared by some
+# fields only (shared_drift)
 SOLVE_CASES = {
-    "harvest": ("two_control_harvest",
+    "harvest": (bundled("two_control_harvest"),
                 hjb.GridConfig(x_lo=-8.0, x_hi=8.0, n_x=1601, n_t=2040, horizon=1.0)),
-    "harvest_wide": ("two_control_harvest",
+    "harvest_wide": (bundled("two_control_harvest"),
                      hjb.GridConfig(x_lo=-16.0, x_hi=16.0, n_x=3201, n_t=2040,
                                     horizon=1.0)),
-    "critical": ("critical_binary",
+    "critical": (bundled("critical_binary"),
                  hjb.GridConfig(x_lo=-1.0, x_hi=1.0, n_x=21, n_t=6000, horizon=2.0)),
+    "state_dependent": FEEDBACK_CASES["state_dependent"],
+    "shared_drift": FEEDBACK_CASES["shared_drift"],
 }
 SOLVE_PINNED = {
     "harvest": "41526e24372553d3",
     "harvest_wide": "365f629202b482c1",
     "critical": "df994fb34282fffb",
+    "state_dependent": "5ef9dcaa74ac2dc8",
+    "shared_drift": "a056fa65548a5632",
 }
 
 
@@ -560,8 +623,8 @@ def test_layers_reuse_their_buffers(monkeypatch):
 def test_solve_peak_memory_is_its_surface():
     """Under tracemalloc, a long narrow solve holds little beyond the arrays
     it returns: its work arrays are O(n_x), whatever n_t is."""
-    model_name, cfg = SOLVE_CASES["critical"]
-    params = load_model(MODELS / f"{model_name}.yaml")
+    make, cfg = SOLVE_CASES["critical"]
+    params = make()
     hjb.solve(params, cfg)                 # one-time allocations of numpy itself
     tracemalloc.start()
     try:
@@ -578,8 +641,10 @@ def test_solve_peak_memory_is_its_surface():
 
 @pytest.mark.parametrize("name", sorted(SOLVE_CASES))
 def test_solve_pinned(name):
-    model_name, cfg = SOLVE_CASES[name]
-    out = hjb.solve(load_model(MODELS / f"{model_name}.yaml"), cfg)
+    make, cfg = SOLVE_CASES[name]
+    out = hjb.solve(make(), cfg)
+    if name in ("harvest", "state_dependent", "shared_drift"):
+        assert set(np.unique(out.argmin_control)) == {0, 1}
     h = hashlib.sha256(out.values.tobytes())
     h.update(out.argmin_control.astype(np.int64).tobytes())
     assert h.hexdigest()[:16] == SOLVE_PINNED[name]
@@ -596,8 +661,7 @@ def test_argmin_control_smallest_unsigned(model_name):
 # dpp_two_control grid (both controls in the control column) and a grid whose
 # nodes are not round decimals
 CSV_CASES = {
-    "critical": (lambda: load_model(MODELS / "critical_binary.yaml"),
-                 SOLVE_CASES["critical"][1]),
+    "critical": SOLVE_CASES["critical"],
     "harvest": FEEDBACK_CASES["harvest"],
     "off_decimal": (lambda: CRITICAL,
                     hjb.GridConfig(x_lo=-1.0, x_hi=1.0, n_x=7, n_t=20, horizon=1.0)),
