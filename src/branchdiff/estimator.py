@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -106,7 +107,8 @@ def worker_pool(threads: int):
             _POOL.reset(token)
 
 
-def _run_chunk(worker, args, lo, hi):
+def _run_chunk(worker, payload: bytes, lo, hi):
+    args = pickle.loads(payload)   # pickled by _fan_out in the parent
     return [worker(args, i) for i in range(lo, hi)]
 
 
@@ -126,7 +128,9 @@ def _fan_out(worker, args, n_reps: int) -> list:
         return out
     ex, threads = pool
     bounds = np.linspace(0, n_reps, threads * 8 + 1).astype(int)
-    futures = [ex.submit(_run_chunk, worker, args, int(lo), int(hi))
+    # the arguments are pickled once per call; each chunk sends the bytes
+    payload = pickle.dumps(args)
+    futures = [ex.submit(_run_chunk, worker, payload, int(lo), int(hi))
                for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     results = []
     try:
@@ -359,10 +363,19 @@ def _path_operator_integral(path: PopulationPath, u: SmoothTestFunction,
     lu = u.time_derivative(tl, xs)
     grad = u.gradient(tl, xs)
     hess = u.hessian(tl, xs)
-    for a in np.unique(ctrls):
-        m = ctrls == a
-        coef = params.coefficients(xs[m], int(a))
-        lu[m] += generator(coef, uv[m], grad[m], hess[m])
+    rows = params.stacked_rows
+    if rows is None:
+        for a in np.unique(ctrls):
+            m = ctrls == a
+            coef = params.coefficients(xs[m], int(a))
+            lu[m] += generator(coef, uv[m], grad[m], hess[m])
+    else:
+        # every control at every point in one call, each point keeping its
+        # own control's value (all controls' are one when they share every
+        # field)
+        every = np.broadcast_to(generator(rows, uv, grad, hess),
+                                (len(params.controls), len(uv)))
+        lu += every[ctrls, np.arange(len(uv))]
     uvals = np.ones((len(tracks), len(left)))
     lus = np.zeros((len(tracks), len(left)))
     cost = np.zeros(len(union))
@@ -420,7 +433,8 @@ class DppReport:
 def _dpp_worker(args, k):
     (setup, grid, tau_kind, seed_base) = args
     s, params = setup.horizon, setup.params
-    path = simulate(setup, seed_base + k)
+    # only the first-event rule reads the tracks (state_after_event)
+    path = simulate(setup, seed_base + k, record_paths=tau_kind == "first-event")
     if tau_kind == "first-event":
         for idx, ev in enumerate(path.events):
             if ev.kind != "phantom":

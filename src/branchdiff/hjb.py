@@ -19,10 +19,16 @@ the edge update monotone; the domain is meant to be taken wide enough that
 the edge rule does not influence values at probe points, which
 :func:`boundary_sensitivity` quantifies.
 
-A solve builds its coefficient tables once, for the CFL check and the sweep,
-and reports the CFL ratio it checked as ``ValueGrid.cfl_ratio``.  It
-allocates the stencil's work arrays once; every layer refills them in place,
-so a layer pays for the arithmetic of its update and little else.
+A solve reads its coefficients once, for the CFL check and the sweep, and
+reports the CFL ratio it checked as ``ValueGrid.cfl_ratio``.  A model whose
+coefficients do not depend on the position is solved on its rows, one per
+control (:attr:`~branchdiff.model.ModelParams.stacked_rows`): a field that
+every control shares is kept once, so its terms are computed once per layer
+for all controls.  Other models are tabulated over the nodes.  A drift of
+one sign at every node and control fixes the upwind slope for the whole
+solve.  A solve allocates
+the stencil's work arrays once; every layer refills them in place, so a
+layer pays for the arithmetic of its update and little else.
 """
 
 from __future__ import annotations
@@ -99,12 +105,16 @@ class ValueGrid:
 # CFL
 
 def _coefficient_tables(params: ModelParams, nodes: np.ndarray) -> Coefficients:
-    """Coefficients over the node set, stacked over the controls; position-free
-    rows are broadcast to the nodes first.  Every table is contiguous, and
-    ``probs`` views a (K + 1, n_controls, n_x) array, so that each
-    ``probs[..., k]`` is contiguous too."""
+    """The coefficients a solve reads: the model's stacked rows
+    (:attr:`~branchdiff.model.ModelParams.stacked_rows`) when no coefficient
+    depends on the position, else tables over the node set, stacked over the
+    controls.  Every table is contiguous, and ``probs`` views a
+    (K + 1, n_controls, n_x) array, so that each ``probs[..., k]`` is
+    contiguous too."""
     if params.dim != 1:
         raise ConfigurationError("the PDE solver handles one-dimensional models only")
+    if params.stacked_rows is not None:
+        return params.stacked_rows
     n = len(nodes)
     per_control = [params.coefficients(nodes[:, None], a)
                    for a in params.controls.indices]
@@ -115,24 +125,42 @@ def _coefficient_tables(params: ModelParams, nodes: np.ndarray) -> Coefficients:
     return Coefficients(*tables)
 
 
-def _cfl_ratio(params: ModelParams, grid: GridConfig, coef: Coefficients) -> float:
-    """Largest over nodes of dt * (max_a sigma^2/dx^2 + max_a |b|/dx +
-    rate_bound * (mean offspring bound + 1) + max_a running cost).
-    The scheme is monotone when this is at most one."""
-    per_node = (coef.cov[:, :, 0, 0].max(axis=0) / grid.dx**2
-                + np.abs(coef.drift[:, :, 0]).max(axis=0) / grid.dx
+def _cfl_bound(params: ModelParams, dx: float, coef: Coefficients) -> float:
+    """Largest over nodes of max_a sigma^2/dx^2 + max_a |b|/dx +
+    rate_bound * (mean offspring bound + 1) + max_a running cost: the CFL
+    ratio is dt times this, and the scheme is monotone when it is at most
+    one."""
+    def worst(field):    # max over the controls, per node or for all nodes
+        return np.atleast_2d(field).max(axis=0)
+
+    per_node = (worst(coef.cov[..., 0, 0]) / dx**2
+                + worst(np.abs(coef.drift[..., 0])) / dx
                 + params.rate_bound * (params.mean_offspring_bound + 1.0)
-                + coef.cost.max(axis=0))
-    return float(grid.dt * per_node.max())
+                + worst(coef.cost))
+    return float(per_node.max())
 
 
-def _steps_for(ratio: float, grid: GridConfig) -> int:
-    return max(1, int(math.ceil(grid.n_t * ratio * (1.0 + 1e-12))))
+def _cfl_ratio(params: ModelParams, grid: GridConfig, coef: Coefficients) -> float:
+    """The CFL ratio ``solve`` checks: dt times :func:`_cfl_bound`."""
+    return grid.dt * _cfl_bound(params, grid.dx, coef)
+
+
+def _steps_for(bound: float, horizon: float) -> int:
+    """Least n_t whose ratio (horizon / n_t) * bound passes the check of
+    ``solve``."""
+    # horizon * bound is rounded: the least n_t is its ceiling, one less, or
+    # (up to about 1e15 steps, more than any grid that fits in memory) one more
+    first = max(1, math.ceil(horizon * bound) - 1)
+    for n_t in (first, first + 1):
+        if horizon / n_t * bound <= 1.0:
+            return n_t
+    return first + 2
 
 
 def required_time_steps_for(params: ModelParams, grid: GridConfig) -> int:
     """Smallest n_t satisfying the CFL bound on this spatial grid."""
-    return _steps_for(_cfl_ratio(params, grid, _coefficient_tables(params, grid.nodes)), grid)
+    coef = _coefficient_tables(params, grid.nodes)
+    return _steps_for(_cfl_bound(params, grid.dx, coef), grid.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +182,24 @@ def _second_difference(u: np.ndarray, dx: float, out: np.ndarray = None) -> np.n
 
 class _Stencil:
     """The work arrays of one solve's layer updates, allocated once and
-    refilled in place on every layer."""
+    refilled in place on every layer.  ``forward`` flags where the drift is
+    nonnegative, per control and node, per control, or once for a drift
+    that every control shares."""
 
-    def __init__(self, forward: np.ndarray):
-        n_controls, n_x = forward.shape[:2]
+    def __init__(self, forward: np.ndarray, n_x: int, n_controls: int):
         self.slope = np.zeros(n_x + 1)   # a difference looking outside the domain is dropped
         self.inner = self.slope[1:-1]
-        # the slope entry each (control, node) reads: forward where the
-        # drift is nonnegative, backward elsewhere
-        self.pick = np.arange(n_x)[:, None] + forward
-        self.upwind = np.empty(self.pick.shape)
+        if forward.all() or not forward.any():
+            # one upwind direction for every node and control: the upwind
+            # slope is a view of the slope, nothing to pick per layer
+            self.pick = None
+            self.upwind = (self.slope[1:] if forward.all() else self.slope[:-1])[None]
+        else:
+            # the slope entry each (control, node) reads: forward where the
+            # drift is nonnegative, backward elsewhere
+            self.pick = np.arange(n_x) + np.atleast_2d(forward)
+            self.upwind = np.empty(self.pick.shape)
+        self.grad = self.upwind[..., None]
         self.m2 = np.empty(n_x)
         self.hess = self.m2[None, :, None, None]
         self.out = np.empty((n_controls, n_x))
@@ -172,13 +208,15 @@ class _Stencil:
 def _layer_operator(u: np.ndarray, coef: Coefficients, stencil: _Stencil,
                     dx: float) -> np.ndarray:
     """Stacked per-control generator values (n_controls, n_x) on one layer,
-    in ``stencil.out``; the first difference is upwinded by ``stencil.pick``."""
+    in ``stencil.out``; the first difference is upwinded by ``stencil.pick``
+    or, when that is None, by the view ``stencil.upwind`` itself."""
     np.divide(np.subtract(u[1:], u[:-1], out=stencil.inner), dx, out=stencil.inner)
-    np.take(stencil.slope, stencil.pick, out=stencil.upwind, mode="clip")
+    if stencil.pick is not None:
+        np.take(stencil.slope, stencil.pick, out=stencil.upwind, mode="clip")
     _second_difference(u, dx, out=stencil.m2)
-    # u and the second difference with a control axis of one: a single
-    # control's terms are then same-shape operations, numpy's fastest
-    return generator(coef, u[None], stencil.upwind, stencil.hess, out=stencil.out)
+    # u and the second difference with a control axis of one: the terms of
+    # a shared field are then same-shape operations, numpy's fastest
+    return generator(coef, u[None], stencil.grad, stencil.hess, out=stencil.out)
 
 
 def _minimize(stacked: np.ndarray, argmin_row: np.ndarray) -> np.ndarray:
@@ -200,10 +238,11 @@ def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
     coef = _coefficient_tables(params, nodes)
     ratio = _cfl_ratio(params, grid, coef)
     if ratio > 1.0:
+        need = _steps_for(_cfl_bound(params, grid.dx, coef), grid.horizon)
         raise ConfigurationError(
             f"CFL violation: dt * (max sigma^2/dx^2 + max |b|/dx + "
             f"rate_bound * (M + 1) + max cost) = {ratio:.6g} > 1; "
-            f"increase n_t to at least {_steps_for(ratio, grid)}")
+            f"increase n_t to at least {need}")
     terminal = params.terminal_many(nodes[:, None])
     if terminal.min() < -CLAMP_TOL or terminal.max() > 1.0 + CLAMP_TOL:
         raise ConfigurationError("terminal cost leaves [0, 1] on the grid")
@@ -214,7 +253,7 @@ def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
                       dtype=np.min_scalar_type(len(params.controls) - 1))
     values[n_t] = terminal
     clamp_events = 0
-    stencil = _Stencil(coef.drift >= 0.0)
+    stencil = _Stencil(coef.drift[..., 0] >= 0.0, grid.n_x, len(params.controls))
     dx, dt = grid.dx, grid.dt
     u = values[n_t]
     for k in range(n_t - 1, -1, -1):
@@ -297,12 +336,9 @@ class FeedbackPolicy:
         self._table = np.stack([grid.values, *_derivative_tables(grid.values, dx)],
                                axis=-1).reshape(-1, 3)
         self._t0, self._dt = grid.times[0], grid.times[1] - grid.times[0]
-        # when every control's coefficients are position-free, their rows
-        # stacked over the controls: one generator call serves all controls
-        rows = self.params.position_free_rows
-        self._rows = None
-        if not any(row is None for row in rows):
-            self._rows = Coefficients(*(np.stack(field) for field in zip(*rows)))
+        # when every coefficient is position-free, one generator call on the
+        # stacked rows serves all controls
+        self._rows = self.params.stacked_rows
 
     def controls_along(self, times: np.ndarray, xs: np.ndarray, label: Label) -> np.ndarray:
         grid = self.grid
@@ -321,7 +357,8 @@ class FeedbackPolicy:
         r, p, m2 = (self._table[row] * (1 - wx) + self._table[row + 1] * wx).T
         pts, grad, hess = xq[:, None], p[:, None], m2[:, None, None]
         if self._rows is not None:
-            vals = generator(self._rows, r, grad, hess)
+            # no control axis when the controls share every field: all tie
+            vals = np.atleast_2d(generator(self._rows, r, grad, hess))
         else:
             vals = np.empty((len(self.params.controls), n))
             for a in self.params.controls.indices:

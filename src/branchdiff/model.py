@@ -348,10 +348,35 @@ class ModelParams:
             rows.append(row)
         return tuple(rows)
 
+    @functools.cached_property
+    def stacked_rows(self) -> Coefficients | None:
+        """Every control's row of :meth:`coefficients` stacked over the
+        controls, read-only, or None when some coefficient depends on the
+        position.  A field whose row is the same in every control, bit for
+        bit, is kept once and without its point axis (drift (d,), cov (d, d),
+        death_rate (), probs (K + 1,), cost ()); any other field gets a
+        leading control axis, (n_controls, 1, ...).  Fed to
+        :func:`generator` with n points, the shared fields' terms are
+        computed once; the result has a control axis unless every field is
+        shared."""
+        rows = self.position_free_rows
+        if any(row is None for row in rows):
+            return None
+        fields = []
+        for values in zip(*rows):
+            if all(v.tobytes() == values[0].tobytes() for v in values):
+                fields.append(values[0][0, ...])
+            else:
+                stacked = np.stack(values)
+                stacked.flags.writeable = False
+                fields.append(stacked)
+        return Coefficients(*fields)
+
     def __getstate__(self):
         # a copy rebuilds its own rows, read-only like these
         state = dict(self.__dict__)
         state.pop("position_free_rows", None)
+        state.pop("stacked_rows", None)
         return state
 
     # -- structure queries used by the simulator fast paths -------------------
@@ -375,7 +400,9 @@ class ModelParams:
 class Coefficients(NamedTuple):
     """Coefficients of one control at n points (:meth:`ModelParams.coefficients`),
     or one row of them (n = 1) that holds at every point.  Stacking each field
-    over controls adds a leading control axis."""
+    over controls adds a leading control axis; a field that every control
+    shares may instead be given once, without its point axis
+    (:attr:`ModelParams.stacked_rows`)."""
 
     drift: np.ndarray       # (n, d)
     cov: np.ndarray         # (n, d, d): sigma sigma^T
@@ -392,29 +419,54 @@ def generator(coef: Coefficients, r, grad, hess, out=None) -> np.ndarray:
 
     with rc = r clipped to [-1, 1].  ``r`` has shape (n,), ``grad`` (n, d) and
     ``hess`` (n, d, d); leading axes (one per control, say) broadcast against
-    those of ``coef``, and so does a position-free row of ``coef`` (n = 1).
-    The zero-order term carries the branching: the summand form
-    (rc^k - rc) vanishes at r = 1 exactly, probability rounding
-    notwithstanding.  The terms are summed in the order written, in place,
-    into ``out`` when it is given (an array of the result's shape), which
-    gives the same bits as a fresh result.
+    those of ``coef``, and so do a position-free row of ``coef`` (n = 1) and
+    a field given without its point axis (:attr:`ModelParams.stacked_rows`),
+    whose terms are then computed once for every control.  The zero-order
+    term carries the branching: the summand form (rc^k - rc) vanishes at
+    r = 1 exactly, probability rounding notwithstanding.  The result, into
+    ``out`` when it is given (an array of the result's shape, same bits as a
+    fresh result), is summed as written:
+    ((b . grad + 1/2 sigma sigma^T : hess) + branching) - c r.
+
+    Only the terms there are get computed: the k = 1 summand p_1 (rc - rc)
+    is skipped, and in one dimension b . grad and sigma sigma^T : hess are
+    single products, not sums over axes of length one.  For finite
+    coefficients the bits are those of the formula as written, summed
+    term by term from +0.0:
+
+    - The written formula never gives -0.0 unless a NaN is involved: its two
+      sums start from +0.0, and a sum or difference whose first operand is
+      not -0.0 is not -0.0 under rounding to nearest, so neither is any
+      later partial result.
+    - Each skipped step changes a value at most in the sign of a zero: p_1
+      (rc - rc) is a signed zero for finite rc (for NaN rc the k = 0 term is
+      NaN already), and a sum over one term differs from the term only when
+      it is -0.0.  Sums, differences and products with finite operands keep
+      such a difference to the sign of a zero.
+    - The result may thus be -0.0 where the written formula gives +0.0, and
+      the closing ``+ 0.0`` maps exactly those back.
     """
     rc = np.maximum(r, -1.0)
     np.minimum(rc, 1.0, out=rc)   # np.clip costs more per call
     probs = coef.probs
     branching = probs[..., 0] * (1.0 - rc)
-    for k in range(1, probs.shape[-1]):
+    for k in range(2, probs.shape[-1]):
         power = rc**k
         power -= rc
         branching += probs[..., k] * power
-    branching *= coef.death_rate
-    # np.add.reduce is ndarray.sum without its per-call wrapper
-    result = np.add.reduce(coef.drift * grad, -1, out=out)
-    curvature = np.add.reduce(coef.cov * hess, (-2, -1))
+    # from here out of place up to the last step: a term made of fields the
+    # controls share lacks the control axis of the result
+    branching = branching * coef.death_rate
+    if grad.shape[-1] == 1:
+        motion = coef.drift[..., 0] * grad[..., 0]
+        curvature = coef.cov[..., 0, 0] * hess[..., 0, 0]
+    else:
+        # np.add.reduce is ndarray.sum without its per-call wrapper
+        motion = np.add.reduce(coef.drift * grad, -1)
+        curvature = np.add.reduce(coef.cov * hess, (-2, -1))
     curvature *= 0.5
-    result += curvature
-    result += branching
-    result -= coef.cost * r
+    result = np.subtract(motion + curvature + branching, coef.cost * r, out=out)
+    result += 0.0
     return result
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import pickle
@@ -261,6 +262,25 @@ class TestDpp:
             estimator.dpp_check(prepare_simulation(0.0, START, ConstantPolicy(0), self.m,
                                                    0.1, 0.5), "sometimes", self.grid, 10, 0)
 
+    @pytest.mark.parametrize("rule", ["fixed", "first-event"])
+    def test_records_only_for_first_event(self, rule, monkeypatch):
+        """The fixed rule simulates without tracks, the first-event rule with
+        them, and the report equals that of a run that records every path."""
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), self.m, 0.05, 0.6)
+        asked = []
+
+        def simulate(setup, seed, *, record_paths=True, forced=None):
+            asked.append(record_paths)
+            record = record_paths if forced is None else forced
+            return simulator.simulate(setup, seed, record_paths=record)
+
+        monkeypatch.setattr(estimator, "simulate", functools.partial(simulate, forced=True))
+        every_path_recorded = estimator.dpp_check(setup, rule, self.grid, 300, 21)
+        asked.clear()
+        monkeypatch.setattr(estimator, "simulate", simulate)
+        assert estimator.dpp_check(setup, rule, self.grid, 300, 21) == every_path_recorded
+        assert set(asked) == {rule == "first-event"}
+
 
 class TestMoment:
     def test_no_branching_supremum_constant(self):
@@ -414,6 +434,17 @@ def _worker_pid(args, k):
     return os.getpid()
 
 
+class _CountsPickling:
+    """Counts how often it is pickled (in the process that pickles it)."""
+
+    def __init__(self):
+        self.pickled = 0
+
+    def __getstate__(self):
+        self.pickled += 1
+        return dict(vars(self))
+
+
 class TestWorkerPool:
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -455,6 +486,13 @@ class TestWorkerPool:
             assert estimator._POOL.get() is outer
         assert estimator._POOL.get() is None
         assert [len(p.submitted) for p in pools] == [16]
+
+    def test_arguments_pickled_once_per_call(self, pools):
+        args = _CountsPickling()
+        with estimator.worker_pool(2):
+            pids = estimator._fan_out(_worker_pid, args, 100)
+        assert len(pids) == 100 and len(pools[0].submitted) == 16
+        assert args.pickled == 1
 
     def test_serial_again_after_failed_block(self, pools):
         with pytest.raises(RuntimeError):

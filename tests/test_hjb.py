@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,35 @@ class TestSolve:
         with pytest.raises(ConfigurationError, match=message):
             hjb.solve(m, hjb.GridConfig(x_lo=-2, x_hi=2, n_x=201, n_t=need // 2,
                                         horizon=1.0))
+
+    @pytest.mark.parametrize("horizon, steps", [(1.0, 2500), (0.7, 1750)])
+    def test_required_steps_at_an_exact_bound(self, horizon, steps):
+        """Where horizon times the bound is a whole number of steps, that
+        number passes the check of solve and is the one asked for; one step
+        fewer fails and names it."""
+        m = single_control(sigma=1.0)
+        cfg = hjb.GridConfig(x_lo=-2, x_hi=2, n_x=201, n_t=1, horizon=horizon)
+        assert hjb.required_time_steps_for(m, cfg) == steps
+        assert hjb.solve(m, replace(cfg, n_t=steps)).cfl_ratio <= 1.0
+        with pytest.raises(ConfigurationError,
+                           match=f"increase n_t to at least {steps}$"):
+            hjb.solve(m, replace(cfg, n_t=steps - 1))
+
+    def test_identical_controls_solve_as_one(self):
+        """Two controls that share every coefficient give the one-control
+        surface bit for bit, and control 0 everywhere, in the solve and in
+        feedback queries."""
+        kw = dict(b=0.1, sigma=0.4, gamma=0.5, rate_bound=0.5, p0=0.4, c=0.3,
+                  g=M.CoefficientSpec(family="gaussian-bump", amplitude=0.8,
+                                      center=(0.0,), width=0.7))
+        one, two = single_control(**kw), two_control(c0=0.3, c1=0.3, **kw)
+        cfg = grid_for(one, -2, 2, 41, 1.0)
+        solved = hjb.solve(two, cfg)
+        assert solved.values.tobytes() == hjb.solve(one, cfg).values.tobytes()
+        assert not solved.argmin_control.any()
+        xs = np.linspace(-3.0, 3.0, 13)[:, None]
+        assert not hjb.FeedbackPolicy(solved).controls_along(
+            np.full(13, 0.5), xs, ()).any()
 
     def test_dimension_guard(self):
         m2 = M.ModelParams(
@@ -568,6 +598,58 @@ SOLVE_PINNED = {
 def solve_bytes(params, cfg):
     out = hjb.solve(params, cfg)
     return out.values.tobytes(), out.argmin_control.tobytes()
+
+
+def opposite_drifts():
+    """Two position-free controls whose drifts point opposite ways, so that
+    each reads its own upwind slope."""
+    return M.ModelParams(
+        dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
+        drift=(M.constant_vector([0.3]), M.constant_vector([-0.25])),
+        diffusion=(M.constant_vector([0.4]),),
+        death_rate=(M.constant(0.6), M.constant(0.3)),
+        offspring=((M.constant(0.4), M.constant(0.2)),),
+        running_cost=(M.constant(0.2), M.constant(0.1)),
+        terminal=M.CoefficientSpec(family="gaussian-bump", offset=0.1,
+                                   amplitude=0.8, center=(0.0,), width=0.9),
+        rate_bound=0.6, mean_offspring_bound=1.4, max_children=2)
+
+
+POSITION_FREE = {
+    "critical": bundled("critical_binary"),
+    "harvest": bundled("two_control_harvest"),
+    "shared_drift": shared_drift_two_control,
+    "opposite_drifts": opposite_drifts,
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITION_FREE))
+def test_rows_give_what_node_tables_give(name, monkeypatch):
+    """A position-free model solved, queried and integrated on its stacked
+    rows gives the bits it gives when tabulated over the nodes and
+    evaluated one control at a time."""
+    u = estimator.SmoothTestFunction(family="gaussian-bump", base=0.2, scale=0.6,
+                                     decay=0.3, center=(0.1,), width=0.9)
+    rng = np.random.default_rng(8)
+    times, xs = rng.uniform(0.0, 1.0, 200), rng.uniform(-4.0, 4.0, (200, 1))
+
+    def run():
+        params = POSITION_FREE[name]()
+        solved = hjb.solve(params, grid_for(params, -3, 3, 61, 1.0))
+        policy = hjb.FeedbackPolicy(solved)
+        setup = prepare_simulation(0.0, {(0,): np.array([-0.5]), (1,): np.array([0.7])},
+                                   policy, params, 0.05, 1.0)
+        integrals = [estimator._path_operator_integral(simulate(setup, seed), u, params)
+                     for seed in range(5)]
+        return (params.stacked_rows is None, solved.values.tobytes(),
+                solved.argmin_control.tobytes(),
+                policy.controls_along(times, xs, ()).tobytes(), integrals)
+
+    on_rows = run()
+    monkeypatch.setattr(M.ModelParams, "stacked_rows", None)
+    on_tables = run()
+    assert (on_rows[0], on_tables[0]) == (False, True)
+    assert on_rows[1:] == on_tables[1:]
 
 
 @pytest.mark.parametrize("name", sorted(FEEDBACK_CASES))

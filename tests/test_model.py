@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchdiff import model as M
@@ -351,6 +351,68 @@ def test_position_dependent_control_gets_every_point():
     np.testing.assert_array_equal(dependent.drift[:, 0], 0.1 + 0.2 * xs[:, 0])
 
 
+def partly_shared():
+    """Two controls sharing drift and offspring but not diffusion, death rate
+    or running cost."""
+    return M.ModelParams(
+        dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
+        drift=(M.constant_vector([-0.2]),),
+        diffusion=(M.constant_vector([0.3]), M.constant_vector([0.6])),
+        death_rate=(M.constant(0.7), M.constant(0.2)),
+        offspring=((M.constant(0.5), M.constant(0.1)),),
+        running_cost=(M.constant(0.3), M.constant(0.1)),
+        terminal=M.constant(0.5), rate_bound=0.8, mean_offspring_bound=1.5,
+        max_children=2)
+
+
+STACKED_CASES = {**ROW_CASES, "partly_shared": partly_shared}
+# the fields each model shares among its controls (one control shares all)
+SHARED_FIELDS = {"two_control_harvest": {"drift", "cov", "probs"},
+                 "partly_shared": {"drift", "probs"}}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_CASES))
+def test_stacked_rows_match_per_control_rows(name):
+    """A shared field is one row without point axis, any other is stacked
+    over the controls; one generator call on them gives every control's
+    values bit for bit."""
+    params = STACKED_CASES[name]()
+    rows = params.stacked_rows
+    shared = SHARED_FIELDS.get(name, set(M.Coefficients._fields))
+    rng = np.random.default_rng(11)
+    n, d, n_controls = 101, params.dim, len(params.controls)
+    xs = rng.uniform(-5.0, 5.0, (n, d))
+    r = rng.uniform(-1.5, 1.5, n)
+    grad, hess = rng.normal(size=(n, d)), rng.normal(size=(n, d, d))
+    for field, row, control_row in zip(M.Coefficients._fields, rows,
+                                       params.position_free_rows[0]):
+        assert not row.flags.writeable
+        want = control_row.shape[1:] if field in shared else (n_controls,) + control_row.shape
+        assert row.shape == want
+    every = np.broadcast_to(M.generator(rows, r, grad, hess), (n_controls, n))
+    for a in params.controls.indices:
+        one = M.generator(params.coefficients(xs, a), r, grad, hess)
+        assert every[a].tobytes() == one.tobytes()
+
+
+def test_no_stacked_rows_for_position_dependent_model():
+    sloped = M.VectorSpec((M.CoefficientSpec(family="affine", intercept=0.1,
+                                             slope=(0.2,)),))
+    params = dataclasses.replace(partly_shared(), drift=(sloped, partly_shared().drift[1]))
+    assert params.position_free_rows[0] is None and params.position_free_rows[1] is not None
+    assert params.stacked_rows is None
+
+
+def test_stacked_rows_rebuilt_after_pickle():
+    params = partly_shared()
+    rows = params.stacked_rows
+    copy = pickle.loads(pickle.dumps(params))
+    assert "stacked_rows" not in vars(copy)
+    for got, want in zip(copy.stacked_rows, rows):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
 def generator_one_expression(coef, r, grad, hess):
     """L^a u written as one expression, each intermediate a fresh array."""
     rc = np.minimum(np.maximum(r, -1.0), 1.0)
@@ -393,3 +455,59 @@ def test_generator_into_out_matches_fresh_result(inputs):
     assert M.generator(coef, r, grad, hess, out=out) is out
     assert out.tobytes() == expected.tobytes()
     assert M.generator(coef, r, grad, hess).tobytes() == expected.tobytes()
+
+
+@st.composite
+def operator_inputs(draw):
+    """(coef, r, grad, hess) in each layout the package feeds the generator:
+    tables over n points per control, one control's position-free row, and
+    rows stacked over the controls with each field either shared (no point
+    or control axis) or per control.  The points may carry a leading axis
+    of one, as on a solver layer.  max_children is 0, 1, 2 or 10; a quarter
+    or, in a third of the draws, four fifths of the entries are -0.0, 0.0,
+    1.0 or -1.0 in every field (so that every term of some results is a
+    signed zero), r reaches past [-1, 1], and in half the draws a fifth of
+    r, grad and hess is NaN."""
+    d, n = draw(st.sampled_from((1, 2))), draw(st.integers(1, 12))
+    n_controls = draw(st.sampled_from((1, 2, 3)))
+    n_probs = draw(st.sampled_from((1, 2, 3, 11)))
+    layout = draw(st.sampled_from(("tables", "one row", "stacked rows")))
+    shared = draw(st.lists(st.booleans(), min_size=5, max_size=5))
+    points_lead = draw(st.sampled_from(((), (1,))))
+    special_share = draw(st.sampled_from((0.25, 0.25, 0.8)))
+    with_nan = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def array(*shape):
+        special = rng.choice([-0.0, 0.0, 1.0, -1.0], shape)
+        return np.where(rng.random(shape) < special_share, special,
+                        rng.uniform(-3.0, 3.0, shape))
+
+    fields = []
+    for core, share in zip(((d,), (d, d), (), (n_probs,), ()), shared):
+        lead = {"tables": (n_controls, n), "one row": (1,),
+                "stacked rows": () if share else (n_controls, 1)}[layout]
+        fields.append(array(*lead, *core))
+    points = [array(*points_lead, n), array(*points_lead, n, d),
+              array(*points_lead, n, d, d)]
+    if with_nan:
+        for arr in points:
+            arr[rng.random(arr.shape) < 0.2] = np.nan
+    return (M.Coefficients(*fields), *points)
+
+
+@settings(max_examples=400)
+@given(operator_inputs())
+def test_generator_matches_written_formula(inputs):
+    """The generator gives the bits of the formula as written, summed term
+    by term from +0.0 with the k = 1 branching term, into ``out`` or not;
+    NaN where that formula gives NaN."""
+    coef, r, grad, hess = inputs
+    expected = generator_one_expression(coef, r, grad, hess)
+    nan = np.isnan(expected)
+    for out in (None, np.full(expected.shape, 7.0)):
+        got = M.generator(coef, r, grad, hess, out=out)
+        assert got.shape == expected.shape
+        assert out is None or got is out
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
