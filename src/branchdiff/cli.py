@@ -225,6 +225,19 @@ def _path_time(exp, value, path) -> float:
     return s
 
 
+def _probes(exp, value, path) -> tuple[float, ...]:
+    """Probe positions, each within [grid.x_lo, grid.x_hi]; without a grid
+    the task fails its grid check instead."""
+    xs = _reals(exp, value, path)
+    if exp.grid is not None:
+        lo, hi = exp.grid.x_lo, exp.grid.x_hi
+        for j, x in enumerate(xs):
+            if not lo <= x <= hi:
+                _fail(f"{path}[{j}]", f"must lie in [grid.x_lo, grid.x_hi] = "
+                                      f"[{lo!r}, {hi!r}], got {x!r}")
+    return xs
+
+
 def _ladder(exp, value, path) -> list:
     return sorted(_some_reals(exp, value, path), reverse=True)
 
@@ -240,7 +253,7 @@ _STOPPING = {"rule": (_one_of("fixed", "first-event"), REQUIRED),
 _ORACLE = {"value": (_real, REQUIRED), "sigmas": (_real, 3.0), "allowance": (_real, 0.0)}
 
 _TASKS = {
-    "solve": {"export_csv": (_flag, True), "probe_points": (_reals, None),
+    "solve": {"export_csv": (_flag, True), "probe_points": (_probes, None),
               "boundary_sensitivity": (_flag, False)},
     "estimate": {"policy": _POLICY, "replications": _reps(),
                  "oracle": (_section(_ORACLE), None), "compare_pde": (_flag, False),
@@ -264,7 +277,16 @@ _TASKS = {
                    "perturbations": (_raw, None),
                    "branching_positions": (_list_of(_position), None)},
 }
-_NEEDS_GRID = ("solve", "dpp", "verify-all")
+
+
+def _reads_grid(kind, values) -> bool:
+    """Whether a parsed task reads the solved grid: a solve, dpp (under any
+    of its policies) or verify-all task, an estimate with compare_pde, or a
+    task under the feedback policy."""
+    return (kind in ("solve", "dpp", "verify-all") or values.get("compare_pde", False)
+            or values.get("policy") is FEEDBACK)
+
+
 # the estimator's minimums of each task's counts, checked before the first task runs
 _MIN_REPS = {kind: {"replications": estimator.MIN_REPLICATIONS}
              for kind in ("estimate", "branching", "dpp", "dynkin")}
@@ -323,7 +345,7 @@ class Experiment:
 
     def _task(self, node, path):
         kind, values = _of_kind(self, node, _TASKS, path)
-        if kind in _NEEDS_GRID or values.get("compare_pde"):
+        if _reads_grid(kind, values):
             _needs_solver(self, path, "this task")
         if kind == "verify-all":
             # the coupling ladder is a couple task at the check replications
@@ -351,12 +373,22 @@ class Runner:
     def __init__(self, exp: Experiment):
         self.exp = exp
         self._solved: hjb.ValueGrid | None = None
+        # the index of the last task that reads the solved grid, -1 for none
+        self._last_reader = max((i for i, (kind, values) in enumerate(exp.tasks)
+                                 if _reads_grid(kind, values)), default=-1)
         self.checks_rows = []
 
     def solved_grid(self) -> hjb.ValueGrid:
+        """The experiment's solved grid, solved on first use (again after a
+        release)."""
         if self._solved is None:
             self._solved = hjb.solve(self.exp.params, self.exp.grid)
         return self._solved
+
+    def release_grid(self, idx: int) -> None:
+        """Drop the solved grid when task ``idx`` is the last that reads it."""
+        if idx == self._last_reader:
+            self._solved = None
 
     def policy(self, policy):
         """The parsed policy, with FEEDBACK built from the solved grid."""
@@ -412,15 +444,20 @@ def _task_solve(runner: Runner, idx: int, *, export_csv, probe_points,
     if probe_points is not None:
         results["probes"] = [{"x": x, "u0": hjb.evaluate(grid, 0.0, [x])}
                              for x in probe_points]
-    if boundary_sensitivity:
-        sens = hjb.boundary_sensitivity(
-            grid,
-            [[p["x"]] for p in results.get("probes", [])] or
-            [[0.5 * (cfg.x_lo + cfg.x_hi)]])
-        results["boundary_sensitivity"] = sens
     if export_csv:
         csv_path = exp.output_dir / f"task_{idx:02d}_grid.csv"
         hjb.write_grid_csv(grid, csv_path)
+    if boundary_sensitivity:
+        # at the report's probes, else at the midpoint.  All the task reports
+        # is read from the grid by now, so unless a later task reads it, the
+        # grid is released before the doubled domain's surface is allocated
+        xs = probe_points or [0.5 * (cfg.x_lo + cfg.x_hi)]
+        u0 = ([p["u0"] for p in results["probes"]] if probe_points
+              else [hjb.evaluate(grid, 0.0, xs)])
+        del grid
+        runner.release_grid(idx)
+        results["boundary_sensitivity"] = hjb.boundary_sensitivity(exp.params, cfg, xs, u0)
+    if export_csv:
         results["grid_csv"] = csv_path.name
     return {"results": results, "checks": checks}
 

@@ -17,7 +17,10 @@ difference is used when it looks into the domain, and a difference that would
 look outside is dropped (ghost value equal to the edge value).  This keeps
 the edge update monotone; the domain is meant to be taken wide enough that
 the edge rule does not influence values at probe points, which
-:func:`boundary_sensitivity` quantifies.
+:func:`boundary_sensitivity` quantifies by solving again on a domain twice as
+wide.  It takes the base grid's probe values rather than the grid, so that a
+caller who reads nothing else from that grid can release its surface before
+the doubled one is allocated.
 
 A solve reads its coefficients once, for the CFL check and the sweep, and
 reports the CFL ratio it checked as ``ValueGrid.cfl_ratio``.  A model whose
@@ -369,22 +372,24 @@ class FeedbackPolicy:
 # ---------------------------------------------------------------------------
 # diagnostics and export
 
-def boundary_sensitivity(base: ValueGrid, probe_xs) -> float:
-    """Max change of u(0, probe) from the solved ``base`` when the domain
-    width doubles at the same resolution.  Small values certify that the
-    edge closure does not reach the probes."""
-    params, grid = base.params, base.config
-    half = (grid.x_hi - grid.x_lo) / 2.0
-    wide_cfg = replace(grid, x_lo=grid.x_lo - half, x_hi=grid.x_hi + half,
-                       n_x=2 * grid.n_x - 1)
+def boundary_sensitivity(params: ModelParams, config: GridConfig, probe_xs,
+                         base_values) -> float:
+    """Max change of u(0, x) over the probes ``probe_xs`` when the domain of
+    ``config`` doubles in width at the same resolution; ``base_values`` are
+    u(0, x) on ``config``'s own solved grid, in probe order.  Small values
+    certify that the edge closure does not reach the probes.  The base grid
+    is not an argument, so a caller done with it can let it go before the
+    doubled domain is solved."""
+    half = (config.x_hi - config.x_lo) / 2.0
+    wide_cfg = replace(config, x_lo=config.x_lo - half, x_hi=config.x_hi + half,
+                       n_x=2 * config.n_x - 1)
     n_t_needed = required_time_steps_for(params, wide_cfg)
     if n_t_needed > wide_cfg.n_t:
         wide_cfg = replace(wide_cfg, n_t=n_t_needed)
     wide = solve(params, wide_cfg)
     worst = 0.0
-    for x in probe_xs:
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        worst = max(worst, abs(evaluate(base, 0.0, xv) - evaluate(wide, 0.0, xv)))
+    for x, u in zip(probe_xs, base_values):
+        worst = max(worst, abs(u - evaluate(wide, 0.0, [x])))
     return worst
 
 

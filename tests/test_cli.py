@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import io
 import json
 import re
 import shutil
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -189,6 +191,60 @@ class TestRun:
         assert len(calls) == 2   # the task's grid, then the doubled domain
         results = read_json(tmp_path / "out" / "task_00_solve.json")["results"]
         assert 0.0 <= results["boundary_sensitivity"] < 1.0
+
+    @pytest.mark.parametrize("probes", ["probe_points: [0.0]\n    ", ""],
+                             ids=["probes", "midpoint"])
+    def test_boundary_sensitivity_releases_the_task_grid_first(self, tmp_path, monkeypatch,
+                                                               probes):
+        """A solve task that is the last to read its grid lets it go before
+        the doubled domain is solved: the two surfaces are never held at
+        once, and the task's grid is still solved first."""
+        configs, alive_at_call, grids = [], [], []
+        solve = cli.hjb.solve
+
+        def tracked(params, config):
+            gc.collect()
+            alive_at_call.append([ref() is not None for ref in grids])
+            configs.append(config)
+            grid = solve(params, config)
+            grids.append(weakref.ref(grid))
+            return grid
+
+        monkeypatch.setattr(cli.hjb, "solve", tracked)
+        body = EXPERIMENT.split("  - kind: estimate")[0].replace(
+            "probe_points: [0.0]", f"{probes}boundary_sensitivity: true")
+        cfg = write_experiment(tmp_path, body=body)
+        assert cli.run(cfg) == cli.EXIT_OK
+        assert [c.n_x for c in configs] == [11, 21]   # the task's grid, then the doubled one
+        assert alive_at_call == [[], [False]]
+        results = read_json(tmp_path / "out" / "task_00_solve.json")["results"]
+        assert list(results)[-2:] == ["boundary_sensitivity", "grid_csv"]
+        assert (tmp_path / "out" / results["grid_csv"]).is_file()
+
+    @pytest.mark.parametrize("later", [
+        {"kind": "dpp", "replications": 100, "policies": [{"kind": "constant"}],
+         "stopping": [{"rule": "fixed", "time": 0.5}]},
+        {"kind": "estimate", "replications": 100, "compare_pde": True},
+        {"kind": "estimate", "replications": 100, "policy": {"kind": "feedback"}},
+    ], ids=["dpp", "compare_pde", "feedback"])
+    def test_later_grid_reader_keeps_the_solved_grid(self, tmp_path, monkeypatch, later):
+        """The solve task keeps the grid for a later task that reads it: two
+        solves, the task's grid and the doubled domain, and no third."""
+        calls = []
+        solve = cli.hjb.solve
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(cli.hjb, "solve", counted)
+        doc = base_doc(tmp_path, tasks=[
+            {"kind": "solve", "probe_points": [0.0], "boundary_sensitivity": True,
+             "export_csv": False}, later])
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.run(cfg) == cli.EXIT_OK
+        assert [args[1].n_x for args in calls] == [41, 81]
 
     @pytest.mark.parametrize("sensitivity, builds", [(False, 1), (True, 3)])
     def test_solve_builds_coefficient_tables_once(self, tmp_path, monkeypatch,
@@ -580,6 +636,13 @@ BAD_INPUTS = {
     "compare_pde_without_grid": (
         lambda d: (d.pop("grid"), set_in(d, ["tasks", 0, "compare_pde"], True)),
         "tasks[0]"),
+    "probe_past_grid": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "solve", "probe_points": [4.0, 5.0, 40.0]}]),
+        "tasks[0].probe_points[1]"),
+    "probe_before_grid": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "estimate", "replications": 100},
+                                        {"kind": "solve", "probe_points": [-4.5]}]),
+        "tasks[1].probe_points[0]"),
     "too_few_space_nodes": (lambda d: set_in(d, ["grid", "n_x"], 2), "grid.n_x"),
     "grid_bounds_reversed": (lambda d: set_in(d, ["grid", "x_hi"], -5.0), "grid"),
     "decreasing_switch_times": (

@@ -381,7 +381,8 @@ def test_boundary_sensitivity_small_for_wide_domain():
     m = single_control(sigma=0.5, gamma=0.4, rate_bound=0.4, p0=0.3, p1=0.1,
                        mean_bound=1.1, g=g)
     grid = grid_for(m, -6, 6, 121, 1.0)
-    sens = hjb.boundary_sensitivity(hjb.solve(m, grid), [[-1.0], [0.0], [1.0]])
+    base, xs = hjb.solve(m, grid), [-1.0, 0.0, 1.0]
+    sens = hjb.boundary_sensitivity(m, grid, xs, [hjb.evaluate(base, 0.0, [x]) for x in xs])
     assert sens < 1e-6
 
 
