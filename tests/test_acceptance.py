@@ -21,6 +21,7 @@ from branchdiff.simulator import (
     prepare_simulation,
     simulate,
 )
+from model_cases import single_control
 from path_equality import paths_equal
 
 THREADS = min(2, os.cpu_count() or 1)
@@ -37,20 +38,6 @@ X0 = np.zeros(1)
 START = {(): X0}
 BUMP = M.CoefficientSpec(family="gaussian-bump", offset=0.1, amplitude=0.8,
                          center=(0.0,), width=1.0)
-
-
-def single_control(b=0.0, sigma=0.0, gamma=0.0, rate_bound=0.0, p0=1.0, p1=0.0,
-                   c=0.0, g=None, mean_bound=1.0):
-    return M.ModelParams(
-        dim=1, noise_dim=1, controls=M.ControlSet.of_size(1),
-        drift=(M.constant_vector([b]),),
-        diffusion=(M.constant_vector([sigma]),),
-        death_rate=(M.constant(gamma),),
-        offspring=((M.constant(p0), M.constant(p1)),),
-        running_cost=(M.constant(c),),
-        terminal=g if g is not None else M.constant(0.0),
-        rate_bound=rate_bound, mean_offspring_bound=mean_bound, max_children=2,
-    )
 
 
 def cfl_grid(params, x_lo, x_hi, n_x, horizon, n_t=None):

@@ -13,24 +13,12 @@ from branchdiff import estimator, hjb, model as M
 from branchdiff.errors import ConfigurationError, NumericalFailureError
 from branchdiff.modelio import load_model
 from branchdiff.simulator import prepare_simulation, simulate
+from model_cases import (opposite_drifts, shared_drift_two_control, single_control,
+                         state_dependent_two_control)
 
 MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
 
 X0 = np.zeros(1)
-
-
-def single_control(b=0.0, sigma=0.0, gamma=0.0, rate_bound=0.0, p0=1.0, p1=0.0,
-                   c=0.0, g=None, mean_bound=1.0):
-    return M.ModelParams(
-        dim=1, noise_dim=1, controls=M.ControlSet.of_size(1),
-        drift=(M.constant_vector([b]),),
-        diffusion=(M.constant_vector([sigma]),),
-        death_rate=(M.constant(gamma),),
-        offspring=((M.constant(p0), M.constant(p1)),),
-        running_cost=(M.constant(c),),
-        terminal=g if g is not None else M.constant(0.0),
-        rate_bound=rate_bound, mean_offspring_bound=mean_bound, max_children=2,
-    )
 
 
 def two_control(c0=1.0, c1=2.0, **kw):
@@ -455,43 +443,6 @@ class TestLayerGuards:
 # that broadcast position-free rows over the nodes and the integrand that
 # evaluated one control at a time
 
-def state_dependent_two_control():
-    """Control 0 has a position-dependent drift and running cost; control 1
-    is position-free.  Neither dominates, so both are chosen."""
-    bump = M.CoefficientSpec(family="gaussian-bump", offset=0.05, amplitude=0.5,
-                             center=(0.5,), width=0.7)
-    return M.ModelParams(
-        dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
-        drift=(M.VectorSpec((M.CoefficientSpec(family="affine", intercept=0.1,
-                                               slope=(-0.4,)),)),
-               M.constant_vector([0.0])),
-        diffusion=(M.constant_vector([0.45]),),
-        death_rate=(M.constant(0.8), M.constant(0.3)),
-        offspring=((M.constant(0.5), M.constant(0.0)),),
-        running_cost=(bump, M.constant(0.2)),
-        terminal=M.CoefficientSpec(family="gaussian-bump", offset=0.15,
-                                   amplitude=0.7, center=(0.0,), width=0.8),
-        rate_bound=0.8, mean_offspring_bound=1.0, max_children=2)
-
-
-def shared_drift_two_control():
-    """Two controls that share the drift (negative, so the backward
-    difference is picked) but not the diffusion, death rate, offspring or
-    running cost; three children, so the k = 3 branching term is exercised.
-    Neither dominates, so both are chosen."""
-    return M.ModelParams(
-        dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
-        drift=(M.constant_vector([-0.2]),),
-        diffusion=(M.constant_vector([0.3]), M.constant_vector([0.6])),
-        death_rate=(M.constant(0.7), M.constant(0.2)),
-        offspring=((M.constant(0.5), M.constant(0.1), M.constant(0.0)),
-                   (M.constant(0.3), M.constant(0.2), M.constant(0.1))),
-        running_cost=(M.constant(0.3), M.constant(0.1)),
-        terminal=M.CoefficientSpec(family="gaussian-bump", offset=0.1,
-                                   amplitude=0.8, center=(0.3,), width=0.9),
-        rate_bound=0.8, mean_offspring_bound=1.6, max_children=3)
-
-
 FEEDBACK_CASES = {
     # the grid of the bundled dpp_two_control experiment
     "harvest": (lambda: load_model(MODELS / "two_control_harvest.yaml"),
@@ -599,21 +550,6 @@ SOLVE_PINNED = {
 def solve_bytes(params, cfg):
     out = hjb.solve(params, cfg)
     return out.values.tobytes(), out.argmin_control.tobytes()
-
-
-def opposite_drifts():
-    """Two position-free controls whose drifts point opposite ways, so that
-    each reads its own upwind slope."""
-    return M.ModelParams(
-        dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
-        drift=(M.constant_vector([0.3]), M.constant_vector([-0.25])),
-        diffusion=(M.constant_vector([0.4]),),
-        death_rate=(M.constant(0.6), M.constant(0.3)),
-        offspring=((M.constant(0.4), M.constant(0.2)),),
-        running_cost=(M.constant(0.2), M.constant(0.1)),
-        terminal=M.CoefficientSpec(family="gaussian-bump", offset=0.1,
-                                   amplitude=0.8, center=(0.0,), width=0.9),
-        rate_bound=0.6, mean_offspring_bound=1.4, max_children=2)
 
 
 POSITION_FREE = {

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from branchdiff import model as M
 from branchdiff.errors import ConfigurationError
 from branchdiff.modelio import load_model
+from model_cases import partly_shared
 
 X0 = np.zeros(1)
 
@@ -349,20 +350,6 @@ def test_position_dependent_control_gets_every_point():
     assert [f.shape[0] for f in dependent] == [5] * 5
     assert [f.shape[0] for f in free] == [1] * 5
     np.testing.assert_array_equal(dependent.drift[:, 0], 0.1 + 0.2 * xs[:, 0])
-
-
-def partly_shared():
-    """Two controls sharing drift and offspring but not diffusion, death rate
-    or running cost."""
-    return M.ModelParams(
-        dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
-        drift=(M.constant_vector([-0.2]),),
-        diffusion=(M.constant_vector([0.3]), M.constant_vector([0.6])),
-        death_rate=(M.constant(0.7), M.constant(0.2)),
-        offspring=((M.constant(0.5), M.constant(0.1)),),
-        running_cost=(M.constant(0.3), M.constant(0.1)),
-        terminal=M.constant(0.5), rate_bound=0.8, mean_offspring_bound=1.5,
-        max_children=2)
 
 
 STACKED_CASES = {**ROW_CASES, "partly_shared": partly_shared}
