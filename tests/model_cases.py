@@ -82,3 +82,31 @@ def partly_shared():
         terminal=M.constant(0.5), rate_bound=0.8, mean_offspring_bound=1.5,
         max_children=2)
 
+
+def two_dim_two_control():
+    """d = 2 with two noise coordinates.  Both controls' drifts depend on the
+    position; control 0's diffusion and running cost do too, control 1's do
+    not.  The death rates are position-free but differ between the controls,
+    and the offspring law is shared."""
+    def affine(intercept, *slope):
+        return M.CoefficientSpec(family="affine", intercept=intercept, slope=slope)
+
+    def logistic(lo, hi, *slope):
+        return M.CoefficientSpec(family="logistic", lo=lo, hi=hi, slope=slope,
+                                 center=(0.1, -0.2))
+
+    return M.ModelParams(
+        dim=2, noise_dim=2, controls=M.ControlSet.of_size(2),
+        drift=(M.VectorSpec((affine(0.1, -0.4, 0.1), affine(-0.05, 0.2, -0.3))),
+               M.VectorSpec((affine(0.0, 0.0, 0.15), M.constant(0.2)))),
+        diffusion=(M.VectorSpec((logistic(0.2, 0.5, 1.0, 0.0), M.constant(0.1),
+                                 affine(0.05, 0.02, 0.0), logistic(0.3, 0.4, 0.0, -1.5))),
+                   M.constant_vector([0.35, 0.0, 0.05, 0.3])),
+        death_rate=(M.constant(0.7), M.constant(0.25)),
+        offspring=((M.constant(0.4), M.constant(0.2)),),
+        running_cost=(M.CoefficientSpec(family="gaussian-bump", offset=0.05,
+                                        amplitude=0.4, center=(0.3, -0.1), width=0.8),
+                      M.constant(0.15)),
+        terminal=M.CoefficientSpec(family="gaussian-bump", offset=0.1, amplitude=0.8,
+                                   center=(0.0, 0.0), width=0.9),
+        rate_bound=0.7, mean_offspring_bound=1.4, max_children=2)

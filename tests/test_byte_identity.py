@@ -6,7 +6,7 @@ and population counters and, when they are recorded, the tracks.  A change
 that is meant to leave the engine's results alone must leave these digests
 alone; one that changes the streams or the order of float operations shows
 up here first.  The bundled experiments' reports, at capped replication
-counts, are pinned the same way.
+counts, and one report on a position-dependent model are pinned the same way.
 """
 
 import hashlib
@@ -23,6 +23,7 @@ from branchdiff import model as M
 from branchdiff.modelio import load_model
 from branchdiff.simulator import (ConstantPolicy, OpenLoopPolicy, coupled_setup,
                                   prepare_simulation, simulate, simulate_coupled)
+from model_cases import state_dependent_two_control
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 MODELS = CONFIGS / "models"
@@ -201,10 +202,59 @@ def report_digest(out_dir):
     return h.hexdigest()[:16]
 
 
-# (exit code, digest) of each bundled experiment at REPORT_REPS replications
+# state_dependent_two_control as a model file, and an experiment on it that
+# solves, runs a dpp check under the feedback policy and a dynkin task: the
+# bundled models are all position-free, so only this report is computed from
+# coefficients evaluated point by point
+STATE_DEPENDENT_MODEL = """\
+dim: 1
+noise_dim: 1
+rate_bound: 0.8
+max_children: 2
+mean_offspring_bound: 1.0
+controls: {count: 2}
+coefficients:
+  drift:
+    - [{family: affine, intercept: 0.1, slope: [-0.4]}]
+    - [{family: constant, value: 0.0}]
+  diffusion:
+    - {family: constant, value: 0.45}
+  death_rate:
+    - {family: constant, value: 0.8}
+    - {family: constant, value: 0.3}
+  offspring:
+    probs:
+      - {family: constant, value: 0.5}
+      - {family: constant, value: 0.0}
+  running_cost:
+    - {family: gaussian-bump, offset: 0.05, amplitude: 0.5, center: [0.5], width: 0.7}
+    - {family: constant, value: 0.2}
+  terminal: {family: gaussian-bump, offset: 0.15, amplitude: 0.7, center: [0.0],
+             width: 0.8}
+"""
+STATE_DEPENDENT_EXPERIMENT = {
+    "model": "../models/state_dependent_two_control.yaml",
+    "output_dir": "out",
+    "initial": {"time": 0.0, "particles": [{"label": "", "position": [0.2]}]},
+    "simulation": {"step": 0.02, "horizon": 1.0, "replications": REPORT_REPS,
+                   "seed_base": 613},
+    "grid": {"x_lo": -4.0, "x_hi": 4.0, "n_x": 161, "n_t": 400},
+    "tasks": [
+        {"kind": "solve", "probe_points": [-1.0, 0.0, 1.0]},
+        {"kind": "dpp", "stopping": [{"rule": "fixed", "time": 0.5}],
+         "policies": [{"kind": "feedback", "role": "optimal"},
+                      {"kind": "constant", "control": 1, "role": "admissible"}]},
+        {"kind": "dynkin", "times": [0.5], "policy": {"kind": "feedback"},
+         "functions": [{"family": "polynomial-times-bump", "base": 0.2, "scale": 0.6,
+                        "decay": 0.3, "center": [0.1], "width": 0.9}]},
+    ],
+}
+
+# (exit code, digest) of each experiment at REPORT_REPS replications
 REPORTS_PINNED = {
     "coupling_ladder": (0, "0b89f3008bc92083"),
     "dpp_two_control": (0, "88c7dd8491f36074"),
+    "state_dependent_two_control": (0, "b5fd595d4d9c6323"),
     "verify_critical_binary": (0, "a66db1d9e63c8e6f"),
 }
 
@@ -212,10 +262,17 @@ REPORTS_PINNED = {
 @pytest.mark.parametrize("name", sorted(REPORTS_PINNED))
 def test_bundled_reports_pinned(name, tmp_path):
     """Each bundled experiment, run from a copy whose replication counts are
-    capped, writes the same task reports, summary.csv and manifest body."""
+    capped, and the experiment on state_dependent_two_control write the same
+    task reports, summary.csv and manifest body."""
     shutil.copytree(MODELS, tmp_path / "models")
     (tmp_path / "experiments").mkdir()
-    doc = capped(yaml.safe_load((CONFIGS / "experiments" / f"{name}.yaml").read_text()))
+    if name == "state_dependent_two_control":
+        model = tmp_path / "models" / f"{name}.yaml"
+        model.write_text(STATE_DEPENDENT_MODEL)
+        assert load_model(model) == state_dependent_two_control()
+        doc = STATE_DEPENDENT_EXPERIMENT
+    else:
+        doc = capped(yaml.safe_load((CONFIGS / "experiments" / f"{name}.yaml").read_text()))
     config = tmp_path / "experiments" / f"{name}.yaml"
     config.write_text(yaml.safe_dump(doc))
     code = cli.run(config, out=tmp_path / "out")

@@ -12,9 +12,9 @@ import pytest
 from branchdiff import estimator, hjb, model as M
 from branchdiff.errors import ConfigurationError, NumericalFailureError
 from branchdiff.modelio import load_model
-from branchdiff.simulator import prepare_simulation, simulate
+from branchdiff.simulator import OpenLoopPolicy, prepare_simulation, simulate
 from model_cases import (opposite_drifts, shared_drift_two_control, single_control,
-                         state_dependent_two_control)
+                         state_dependent_two_control, two_dim_two_control)
 
 MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
 
@@ -498,26 +498,43 @@ DYNKIN_PINNED = {
     "harvest": "1a35721cab66c217",
     "state_dependent": "1fd04f978e415fb9",
     "shared_drift": "5fa473bb4d63efd3",
+    "two_dim": "eb5753ca78344829",
 }
 
 
-@pytest.mark.parametrize("name", sorted(FEEDBACK_CASES))
-def test_dynkin_integrand_pinned(name):
-    """The pathwise operator integral of the martingale residual along
-    feedback-driven paths, on which both controls are used."""
+def dynkin_case(name):
+    """The model, policy, founders and test functions of a Dynkin pin: a
+    feedback case's solved policy, or, in two dimensions, where the
+    generator sums over axes, an open-loop schedule of both controls."""
+    if name == "two_dim":
+        return (two_dim_two_control(), OpenLoopPolicy(([0.0, 0.3, 0.6], [1, 0, 1])),
+                {(0,): np.array([-0.5, 0.2]), (1,): np.array([0.7, -0.3])},
+                [estimator.SmoothTestFunction(family="polynomial-times-bump", base=0.2,
+                                              scale=0.6, decay=0.3, center=(0.1, -0.2),
+                                              width=0.9, direction=(1.0, 0.5)),
+                 estimator.SmoothTestFunction(family="gaussian-bump", base=0.2, scale=0.6,
+                                              decay=0.3, center=(0.1, 0.3), width=0.9)])
     make, cfg = FEEDBACK_CASES[name]
     params = make()
-    policy = hjb.FeedbackPolicy(hjb.solve(params, cfg))
-    setup = prepare_simulation(0.0, {(0,): np.array([-0.5]), (1,): np.array([0.7])},
-                               policy, params, 0.05, 1.0)
-    u = estimator.SmoothTestFunction(family="polynomial-times-bump", base=0.2,
-                                     scale=0.6, decay=0.3, center=(0.1,), width=0.9)
+    return (params, hjb.FeedbackPolicy(hjb.solve(params, cfg)),
+            {(0,): np.array([-0.5]), (1,): np.array([0.7])},
+            [estimator.SmoothTestFunction(family="polynomial-times-bump", base=0.2,
+                                          scale=0.6, decay=0.3, center=(0.1,), width=0.9)])
+
+
+@pytest.mark.parametrize("name", sorted(DYNKIN_PINNED))
+def test_dynkin_integrand_pinned(name):
+    """The pathwise operator integral of the martingale residual along paths
+    on which both controls are used."""
+    params, policy, founders, functions = dynkin_case(name)
+    setup = prepare_simulation(0.0, founders, policy, params, 0.05, 1.0)
     h = hashlib.sha256()
     used = set()
     for seed in range(10):
         path = simulate(setup, seed)
         used.update(*(tr.controls.tolist() for tr in path.tracks.values()))
-        h.update(estimator._path_operator_integral(path, u, params).hex().encode())
+        for u in functions:
+            h.update(estimator._path_operator_integral(path, u, params).hex().encode())
     assert used == {0, 1}
     assert h.hexdigest()[:16] == DYNKIN_PINNED[name]
 
