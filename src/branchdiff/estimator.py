@@ -363,19 +363,11 @@ def _path_operator_integral(path: PopulationPath, u: SmoothTestFunction,
     lu = u.time_derivative(tl, xs)
     grad = u.gradient(tl, xs)
     hess = u.hessian(tl, xs)
-    rows = params.stacked_rows
-    if rows is None:
-        for a in np.unique(ctrls):
-            m = ctrls == a
-            coef = params.coefficients(xs[m], int(a))
-            lu[m] += generator(coef, uv[m], grad[m], hess[m])
-    else:
-        # every control at every point in one call, each point keeping its
-        # own control's value (all controls' are one when they share every
-        # field)
-        every = np.broadcast_to(generator(rows, uv, grad, hess),
-                                (len(params.controls), len(uv)))
-        lu += every[ctrls, np.arange(len(uv))]
+    # every control at every point in one call, each point keeping its own
+    # control's value (all controls' are one when they share every field)
+    every = np.broadcast_to(generator(params.coefficients(xs), uv, grad, hess),
+                            (len(params.controls), len(uv)))
+    lu += every[ctrls, np.arange(len(uv))]
     uvals = np.ones((len(tracks), len(left)))
     lus = np.zeros((len(tracks), len(left)))
     cost = np.zeros(len(union))

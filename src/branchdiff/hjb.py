@@ -23,15 +23,14 @@ caller who reads nothing else from that grid can release its surface before
 the doubled one is allocated.
 
 A solve reads its coefficients once, for the CFL check and the sweep, and
-reports the CFL ratio it checked as ``ValueGrid.cfl_ratio``.  A model whose
-coefficients do not depend on the position is solved on its rows, one per
-control (:attr:`~branchdiff.model.ModelParams.stacked_rows`): a field that
-every control shares is kept once, so its terms are computed once per layer
-for all controls.  Other models are tabulated over the nodes.  A drift of
+reports the CFL ratio it checked as ``ValueGrid.cfl_ratio``.  It reads every
+control's at the nodes (:meth:`~branchdiff.model.ModelParams.coefficients`):
+a position-free field is a row, and one that every control shares is kept
+once, so its terms are computed once per layer for all controls.  A drift of
 one sign at every node and control fixes the upwind slope for the whole
-solve.  A solve allocates
-the stencil's work arrays once; every layer refills them in place, so a
-layer pays for the arithmetic of its update and little else.
+solve.  A solve allocates the stencil's work arrays once; every layer
+refills them in place, so a layer pays for the arithmetic of its update and
+little else.
 """
 
 from __future__ import annotations
@@ -107,25 +106,12 @@ class ValueGrid:
 # ---------------------------------------------------------------------------
 # CFL
 
-def _coefficient_tables(params: ModelParams, nodes: np.ndarray) -> Coefficients:
-    """The coefficients a solve reads: the model's stacked rows
-    (:attr:`~branchdiff.model.ModelParams.stacked_rows`) when no coefficient
-    depends on the position, else tables over the node set, stacked over the
-    controls.  Every table is contiguous, and ``probs`` views a
-    (K + 1, n_controls, n_x) array, so that each ``probs[..., k]`` is
-    contiguous too."""
+def _node_coefficients(params: ModelParams, nodes: np.ndarray) -> Coefficients:
+    """The coefficients a solve reads: every control's at the nodes
+    (:meth:`~branchdiff.model.ModelParams.coefficients`)."""
     if params.dim != 1:
         raise ConfigurationError("the PDE solver handles one-dimensional models only")
-    if params.stacked_rows is not None:
-        return params.stacked_rows
-    n = len(nodes)
-    per_control = [params.coefficients(nodes[:, None], a)
-                   for a in params.controls.indices]
-    tables = [np.stack([np.broadcast_to(f, (n,) + f.shape[1:]) for f in fields])
-              for fields in zip(*per_control)]
-    probs = np.ascontiguousarray(np.moveaxis(tables[3], -1, 0))
-    tables[3] = np.moveaxis(probs, 0, -1)
-    return Coefficients(*tables)
+    return params.coefficients(nodes[:, None])
 
 
 def _cfl_bound(params: ModelParams, dx: float, coef: Coefficients) -> float:
@@ -162,7 +148,7 @@ def _steps_for(bound: float, horizon: float) -> int:
 
 def required_time_steps_for(params: ModelParams, grid: GridConfig) -> int:
     """Smallest n_t satisfying the CFL bound on this spatial grid."""
-    coef = _coefficient_tables(params, grid.nodes)
+    coef = _node_coefficients(params, grid.nodes)
     return _steps_for(_cfl_bound(params, grid.dx, coef), grid.horizon)
 
 
@@ -238,7 +224,7 @@ def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
     violate the CFL bound and reports the ratio and clamp events (layer values
     that left [0, 1] by more than a floating-point guard before clipping)."""
     nodes = grid.nodes
-    coef = _coefficient_tables(params, nodes)
+    coef = _node_coefficients(params, nodes)
     ratio = _cfl_ratio(params, grid, coef)
     if ratio > 1.0:
         need = _steps_for(_cfl_bound(params, grid.dx, coef), grid.horizon)
@@ -339,16 +325,12 @@ class FeedbackPolicy:
         self._table = np.stack([grid.values, *_derivative_tables(grid.values, dx)],
                                axis=-1).reshape(-1, 3)
         self._t0, self._dt = grid.times[0], grid.times[1] - grid.times[0]
-        # when every coefficient is position-free, one generator call on the
-        # stacked rows serves all controls
-        self._rows = self.params.stacked_rows
 
     def controls_along(self, times: np.ndarray, xs: np.ndarray, label: Label) -> np.ndarray:
         grid = self.grid
         times = np.asarray(times, dtype=float)
         xs = np.asarray(xs, dtype=float)
-        n = len(times)
-        if n == 0:
+        if len(times) == 0:
             return np.empty(0, dtype=np.int64)
         n_x = len(grid.nodes)
         k = np.minimum(np.maximum(np.rint((times - self._t0) / self._dt).astype(int), 0),
@@ -358,14 +340,9 @@ class FeedbackPolicy:
         wx = ((xq - grid.nodes[j]) / self._dx)[:, None]
         row = k * n_x + j
         r, p, m2 = (self._table[row] * (1 - wx) + self._table[row + 1] * wx).T
-        pts, grad, hess = xq[:, None], p[:, None], m2[:, None, None]
-        if self._rows is not None:
-            # no control axis when the controls share every field: all tie
-            vals = np.atleast_2d(generator(self._rows, r, grad, hess))
-        else:
-            vals = np.empty((len(self.params.controls), n))
-            for a in self.params.controls.indices:
-                vals[a] = generator(self.params.coefficients(pts, a), r, grad, hess)
+        coef = self.params.coefficients(xq[:, None])
+        # no control axis when the controls share every field: all tie
+        vals = np.atleast_2d(generator(coef, r, p[:, None], m2[:, None, None]))
         return vals.argmin(0)   # lowest index wins ties, as in solve
 
 

@@ -208,6 +208,12 @@ def _per_control(name: str, items, n: int) -> tuple:
     return items
 
 
+# the ModelParams method that evaluates each field of Coefficients (cov from sigma)
+_FIELD_METHODS = {"drift": "drift_many", "cov": "diffusion_many",
+                  "death_rate": "death_rate_many", "probs": "offspring_probs_many",
+                  "cost": "running_cost_many"}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Coefficient bundle of one controlled branching diffusion.
@@ -316,67 +322,65 @@ class ModelParams:
     def terminal_at(self, x: np.ndarray) -> float:
         return float(self.terminal(x))
 
-    def coefficients(self, xs: np.ndarray, a: int) -> "Coefficients":
-        """Every coefficient of control ``a`` at the (n, d) points ``xs``.  A
-        control whose coefficients are all position-free gets one read-only
-        row of shape (1, ...), computed once per model, which broadcasts
-        against the n points in :func:`generator`."""
-        row = self.position_free_rows[a]
-        return row if row is not None else self._coefficients_at(xs, a)
+    def coefficients(self, xs: np.ndarray) -> "Coefficients":
+        """Every control's coefficients at the (n, d) points ``xs``, each
+        field by :meth:`field`.  When no field depends on the position this
+        is one cached object, whatever ``xs`` is."""
+        if self._position_free:
+            return self._rows
+        return Coefficients(*(self.field(name, xs) for name in Coefficients._fields))
 
-    def _coefficients_at(self, xs: np.ndarray, a: int) -> "Coefficients":
-        sig = self.diffusion_many(xs, a)
-        return Coefficients(drift=self.drift_many(xs, a),
-                            cov=sig @ sig.transpose(0, 2, 1),
-                            death_rate=self.death_rate_many(xs, a),
-                            probs=self.offspring_probs_many(xs, a),
-                            cost=self.running_cost_many(xs, a))
+    def field(self, name: str, xs: np.ndarray) -> np.ndarray:
+        """Field ``name`` of :class:`Coefficients` for every control at the
+        (n, d) points ``xs``.  A field that no control's coefficient makes
+        position-dependent is a read-only row computed once per model: one
+        value without point or control axis when every control's row is the
+        same, bit for bit (drift (d,), cov (d, d), death_rate (), probs
+        (K + 1,), cost ()), else (n_controls, 1, ...).  Any other field is
+        evaluated at every point for every control, (n_controls, n, ...)."""
+        row = getattr(self._rows, name)
+        if row is not None:
+            return row
+        return np.stack([self._field_at(name, xs, a) for a in self.controls.indices])
 
-    @functools.cached_property
-    def position_free_rows(self) -> tuple[Coefficients | None, ...]:
-        """Per control, the read-only row of :meth:`coefficients` when every
-        coefficient of the control is position-free, else None."""
-        rows = []
-        for a in self.controls.indices:
-            specs = (self.drift[a], self.diffusion[a], self.death_rate[a],
-                     *self.offspring[a], self.running_cost[a])
-            row = None
-            if all(spec.state_independent for spec in specs):
-                row = self._coefficients_at(np.zeros((1, self.dim)), a)
-                for arr in row:
-                    arr.flags.writeable = False
-            rows.append(row)
-        return tuple(rows)
+    def _field_at(self, name: str, xs: np.ndarray, a: int) -> np.ndarray:
+        values = getattr(self, _FIELD_METHODS[name])(xs, a)
+        return values @ np.swapaxes(values, -1, -2) if name == "cov" else values
+
+    def _field_specs(self, name: str, a: int) -> tuple[CoefficientSpec, ...]:
+        return {"drift": self.drift[a].components, "cov": self.diffusion[a].components,
+                "death_rate": (self.death_rate[a],), "probs": self.offspring[a],
+                "cost": (self.running_cost[a],)}[name]
 
     @functools.cached_property
-    def stacked_rows(self) -> Coefficients | None:
-        """Every control's row of :meth:`coefficients` stacked over the
-        controls, read-only, or None when some coefficient depends on the
-        position.  A field whose row is the same in every control, bit for
-        bit, is kept once and without its point axis (drift (d,), cov (d, d),
-        death_rate (), probs (K + 1,), cost ()); any other field gets a
-        leading control axis, (n_controls, 1, ...).  Fed to
-        :func:`generator` with n points, the shared fields' terms are
-        computed once; the result has a control axis unless every field is
-        shared."""
-        rows = self.position_free_rows
-        if any(row is None for row in rows):
-            return None
+    def _rows(self) -> Coefficients:
+        """Per field, the read-only row of :meth:`field`, or None where some
+        control's coefficient depends on the position."""
+        origin = np.zeros((1, self.dim))
         fields = []
-        for values in zip(*rows):
+        for name in Coefficients._fields:
+            if not all(spec.state_independent for a in self.controls.indices
+                       for spec in self._field_specs(name, a)):
+                fields.append(None)
+                continue
+            values = [self._field_at(name, origin, a) for a in self.controls.indices]
             if all(v.tobytes() == values[0].tobytes() for v in values):
-                fields.append(values[0][0, ...])
+                row = values[0][0, ...]
             else:
-                stacked = np.stack(values)
-                stacked.flags.writeable = False
-                fields.append(stacked)
+                row = np.stack(values)
+            row.flags.writeable = False
+            fields.append(row)
         return Coefficients(*fields)
+
+    @functools.cached_property
+    def _position_free(self) -> bool:
+        return all(row is not None for row in self._rows)
 
     def __getstate__(self):
         # a copy rebuilds its own rows, read-only like these
         state = dict(self.__dict__)
-        state.pop("position_free_rows", None)
-        state.pop("stacked_rows", None)
+        state.pop("_rows", None)
+        state.pop("_position_free", None)
         return state
 
     # -- structure queries used by the simulator fast paths -------------------
@@ -398,11 +402,11 @@ class ModelParams:
 
 
 class Coefficients(NamedTuple):
-    """Coefficients of one control at n points (:meth:`ModelParams.coefficients`),
-    or one row of them (n = 1) that holds at every point.  Stacking each field
-    over controls adds a leading control axis; a field that every control
-    shares may instead be given once, without its point axis
-    (:attr:`ModelParams.stacked_rows`)."""
+    """Coefficients at n points, each field with a leading control axis
+    (:meth:`ModelParams.coefficients`).  A field may instead be one row
+    (n = 1) that holds at every point, or, when every control shares it, one
+    value without point or control axis (:meth:`ModelParams.field`).  The
+    shapes below are those of one control at n points."""
 
     drift: np.ndarray       # (n, d)
     cov: np.ndarray         # (n, d, d): sigma sigma^T
@@ -420,7 +424,7 @@ def generator(coef: Coefficients, r, grad, hess, out=None) -> np.ndarray:
     with rc = r clipped to [-1, 1].  ``r`` has shape (n,), ``grad`` (n, d) and
     ``hess`` (n, d, d); leading axes (one per control, say) broadcast against
     those of ``coef``, and so do a position-free row of ``coef`` (n = 1) and
-    a field given without its point axis (:attr:`ModelParams.stacked_rows`),
+    a field given without point and control axes (:meth:`ModelParams.field`),
     whose terms are then computed once for every control.  The zero-order
     term carries the branching: the summand form (rc^k - rc) vanishes at
     r = 1 exactly, probability rounding notwithstanding.  The result, into

@@ -401,11 +401,8 @@ def particle_grid(t0: float, start: float, end: float, step: float,
 
 def _segment_costs(params: ModelParams, xs_left: np.ndarray, ctrls: np.ndarray) -> np.ndarray:
     """Per-step running cost of one particle, left-endpoint evaluation."""
-    out = np.empty(len(ctrls))
-    for a in np.unique(ctrls):
-        mask = ctrls == a
-        out[mask] = params.running_cost_many(xs_left[mask], int(a))
-    return out
+    every = np.broadcast_to(params.field("cost", xs_left), (len(params.controls), len(ctrls)))
+    return every[ctrls, np.arange(len(ctrls))]
 
 
 def _build_track(pieces: list[tuple], const_control: int | None) -> Track:

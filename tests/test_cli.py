@@ -14,6 +14,7 @@ import yaml
 
 from branchdiff import cli, estimator, modelio, simulator
 from branchdiff.errors import ConfigurationError
+from branchdiff.model import ModelParams
 
 REPO = Path(__file__).resolve().parents[1]
 MODELS = REPO / "configs" / "models"
@@ -249,17 +250,17 @@ class TestRun:
     @pytest.mark.parametrize("sensitivity, builds", [(False, 1), (True, 3)])
     def test_solve_builds_coefficient_tables_once(self, tmp_path, monkeypatch,
                                                   sensitivity, builds):
-        """A solve task builds its coefficient tables once; the boundary
-        sensitivity adds one build to size the doubled domain's n_t and one
+        """A solve task reads the model's coefficients once; the boundary
+        sensitivity adds one read to size the doubled domain's n_t and one
         for its solve."""
         calls = []
-        tables = cli.hjb._coefficient_tables
+        coefficients = ModelParams.coefficients
 
-        def counted(*args):
+        def counted(self, *args):
             calls.append(args)
-            return tables(*args)
+            return coefficients(self, *args)
 
-        monkeypatch.setattr(cli.hjb, "_coefficient_tables", counted)
+        monkeypatch.setattr(ModelParams, "coefficients", counted)
         body = EXPERIMENT.split("  - kind: estimate")[0].replace(
             "probe_points: [0.0]",
             f"probe_points: [0.0]\n    boundary_sensitivity: {str(sensitivity).lower()}")

@@ -44,9 +44,9 @@ CRITICAL = single_control(gamma=1.0, rate_bound=1.0, p0=0.5, p1=0.0)
 
 def generator_at(m, r, p=0.0, m2=0.0):
     """Generator values of every control at X0, stacked (n_controls,)."""
-    return np.array([M.generator(m.coefficients(X0[None, :], a), np.array([r]),
-                                 np.array([[p]]), np.array([[[m2]]]))[0]
-                     for a in m.controls.indices])
+    vals = M.generator(m.coefficients(X0[None, :]), np.array([r]), np.array([[p]]),
+                       np.array([[[m2]]]))
+    return np.broadcast_to(vals, (len(m.controls), 1))[:, 0]
 
 
 def hamiltonian(m, r, p, m2):
@@ -157,7 +157,7 @@ class TestSolve:
             m, hjb.GridConfig(x_lo=-2, x_hi=2, n_x=201, n_t=5, horizon=1.0))
         cfg = hjb.GridConfig(x_lo=-2, x_hi=2, n_x=201, n_t=need, horizon=1.0)
         out = hjb.solve(m, cfg)
-        assert out.cfl_ratio == hjb._cfl_ratio(m, cfg, hjb._coefficient_tables(m, cfg.nodes))
+        assert out.cfl_ratio == hjb._cfl_ratio(m, cfg, hjb._node_coefficients(m, cfg.nodes))
         assert 0.0 < out.cfl_ratio <= 1.0
         message = (re.escape("CFL violation: dt * (max sigma^2/dx^2 + max |b|/dx + "
                              "rate_bound * (M + 1) + max cost) = ")
@@ -220,7 +220,7 @@ class TestSolve:
         a = hjb.solve(m, grid)
         # explicit Euler over the single control's generator, no minimum
         xs, dx = grid.nodes[:, None], grid.dx
-        coef = m.coefficients(xs, 0)
+        coef = m.coefficients(xs)      # one control: no control axis
         u = np.clip(m.terminal_many(xs), 0.0, 1.0)
         for k in range(grid.n_t - 1, -1, -1):
             slope = np.concatenate(([0.0], (u[1:] - u[:-1]) / dx, [0.0]))
@@ -579,9 +579,8 @@ POSITION_FREE = {
 
 @pytest.mark.parametrize("name", sorted(POSITION_FREE))
 def test_rows_give_what_node_tables_give(name, monkeypatch):
-    """A position-free model solved, queried and integrated on its stacked
-    rows gives the bits it gives when tabulated over the nodes and
-    evaluated one control at a time."""
+    """A position-free model solved, queried and integrated on its rows
+    gives the bits it gives when every field is evaluated at every point."""
     u = estimator.SmoothTestFunction(family="gaussian-bump", base=0.2, scale=0.6,
                                      decay=0.3, center=(0.1,), width=0.9)
     rng = np.random.default_rng(8)
@@ -595,14 +594,14 @@ def test_rows_give_what_node_tables_give(name, monkeypatch):
                                    policy, params, 0.05, 1.0)
         integrals = [estimator._path_operator_integral(simulate(setup, seed), u, params)
                      for seed in range(5)]
-        return (params.stacked_rows is None, solved.values.tobytes(),
+        return (params._position_free, solved.values.tobytes(),
                 solved.argmin_control.tobytes(),
                 policy.controls_along(times, xs, ()).tobytes(), integrals)
 
     on_rows = run()
-    monkeypatch.setattr(M.ModelParams, "stacked_rows", None)
+    monkeypatch.setattr(M.ModelParams, "_rows", M.Coefficients(*[None] * 5))
     on_tables = run()
-    assert (on_rows[0], on_tables[0]) == (False, True)
+    assert (on_rows[0], on_tables[0]) == (True, False)
     assert on_rows[1:] == on_tables[1:]
 
 

@@ -304,38 +304,163 @@ ROW_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ROW_CASES))
-def test_rows_match_per_point_coefficients(name):
-    params = ROW_CASES[name]()
-    rng = np.random.default_rng(5)
-    n, d = 257, params.dim
+STACKED_CASES = {**ROW_CASES, "partly_shared": partly_shared}
+# the fields each model shares among its controls (one control shares all)
+SHARED_FIELDS = {"two_control_harvest": {"drift", "cov", "probs"},
+                 "partly_shared": {"drift", "probs"}}
+
+
+def reference_coefficients(params, xs, a):
+    """Control ``a``'s coefficients at the (n, d) points ``xs``, from the
+    ``*_many`` methods."""
+    sig = params.diffusion_many(xs, a)
+    return M.Coefficients(drift=params.drift_many(xs, a), cov=sig @ sig.transpose(0, 2, 1),
+                          death_rate=params.death_rate_many(xs, a),
+                          probs=params.offspring_probs_many(xs, a),
+                          cost=params.running_cost_many(xs, a))
+
+
+def position_dependent(params, name):
+    """Whether some control's spec of field ``name`` depends on the position."""
+    specs = {"drift": [c for v in params.drift for c in v.components],
+             "cov": [c for v in params.diffusion for c in v.components],
+             "death_rate": params.death_rate,
+             "probs": [p for probs in params.offspring for p in probs],
+             "cost": params.running_cost}[name]
+    return not all(spec.state_independent for spec in specs)
+
+
+def check_field_rule(params, seed):
+    """``params.coefficients`` at random points follows the per-field rule,
+    in the model and in a pickled copy, which rebuilds its rows; one
+    generator call on it gives each control the bits the generator gives on
+    that control's coefficients alone."""
+    rng = np.random.default_rng(seed)
+    n, d, n_controls = 37, params.dim, len(params.controls)
     xs = rng.uniform(-5.0, 5.0, (n, d))
     r = rng.uniform(-1.5, 1.5, n)
     grad, hess = rng.normal(size=(n, d)), rng.normal(size=(n, d, d))
-    for a in params.controls.indices:
-        row = params.coefficients(xs, a)
-        every = params._coefficients_at(xs, a)
-        assert row.drift.shape == (1, d)
-        for f_row, f_every in zip(row, every):
-            assert np.broadcast_to(f_row, f_every.shape).tobytes() == f_every.tobytes()
-        assert (M.generator(row, r, grad, hess).tobytes()
-                == M.generator(every, r, grad, hess).tobytes())
+    refs = [reference_coefficients(params, xs, a) for a in params.controls.indices]
+    coef = params.coefficients(xs)
+    copy = pickle.loads(pickle.dumps(params))
+    assert "_rows" not in vars(copy)
+    for name, got, from_copy, per_control in zip(M.Coefficients._fields, coef,
+                                                 copy.coefficients(xs), zip(*refs)):
+        core = per_control[0].shape[1:]
+        assert params.field(name, xs).tobytes() == got.tobytes()
+        assert (from_copy.shape, from_copy.tobytes()) == (got.shape, got.tobytes())
+        if position_dependent(params, name):
+            assert got.shape == (n_controls, n) + core
+        else:
+            assert not got.flags.writeable and not from_copy.flags.writeable
+            shared = all(v.tobytes() == per_control[0].tobytes() for v in per_control)
+            assert got.shape == (core if shared else (n_controls, 1) + core)
+        every = np.broadcast_to(got, (n_controls, n) + core)
+        for a, want in enumerate(per_control):
+            assert every[a].tobytes() == want.tobytes()
+    every = np.broadcast_to(M.generator(coef, r, grad, hess), (n_controls, n))
+    for a, ref in enumerate(refs):
+        assert every[a].tobytes() == M.generator(ref, r, grad, hess).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_CASES))
+def test_rows_match_per_point_coefficients(name):
+    check_field_rule(STACKED_CASES[name](), seed=5)
+
+
+@st.composite
+def coefficient_models(draw):
+    """Models of 1 to 3 controls in d = 1 or 2 whose every field of
+    :class:`~branchdiff.model.Coefficients` is drawn position-free and
+    shared by the controls, position-free and different in each control, or
+    position-dependent in one control's spec; the position-free specs come
+    from every family."""
+    n_controls, d = draw(st.integers(1, 3)), draw(st.sampled_from((1, 2)))
+    noise_dim, max_children = draw(st.sampled_from((1, 2))), draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(("shared", "per control", "dependent")),
+                          min_size=5, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def flat(value):
+        center, zeros = tuple(rng.uniform(-1.0, 1.0, d)), (0.0,) * d
+        return [M.constant(value),
+                M.CoefficientSpec(family="affine", intercept=value, slope=zeros),
+                M.CoefficientSpec(family="gaussian-bump", offset=value, amplitude=0.0,
+                                  center=center, width=0.7),
+                M.CoefficientSpec(family="logistic", lo=value - 0.1, hi=value + 0.1,
+                                  slope=zeros, center=center)][rng.integers(4)]
+
+    def sloped(value):
+        slope, center = tuple(rng.uniform(0.1, 0.5, d)), tuple(rng.uniform(-1.0, 1.0, d))
+        return [M.CoefficientSpec(family="affine", intercept=value, slope=slope),
+                M.CoefficientSpec(family="gaussian-bump", offset=value, amplitude=0.3,
+                                  center=center, width=0.7),
+                M.CoefficientSpec(family="logistic", lo=value - 0.1, hi=value + 0.1,
+                                  slope=slope, center=center)][rng.integers(3)]
+
+    def specs(kind, count):
+        """Per control, the ``count`` specs of one field."""
+        values = rng.uniform(0.1, 0.5, count)
+        step = 0.0 if kind == "shared" else 0.1
+        per_control = [[flat(v + step * a) for v in values] for a in range(n_controls)]
+        if kind == "dependent":
+            j = rng.integers(count)
+            per_control[rng.integers(n_controls)][j] = sloped(values[j])
+        return per_control
+
+    drift, diffusion, death, probs, cost = (
+        specs(kind, count) for kind, count in zip(kinds, (d, d * noise_dim, 1,
+                                                          max_children, 1)))
+    return M.ModelParams(
+        dim=d, noise_dim=noise_dim, controls=M.ControlSet.of_size(n_controls),
+        drift=tuple(M.VectorSpec(tuple(s)) for s in drift),
+        diffusion=tuple(M.VectorSpec(tuple(s)) for s in diffusion),
+        death_rate=tuple(s[0] for s in death), offspring=tuple(tuple(s) for s in probs),
+        running_cost=tuple(s[0] for s in cost), terminal=M.constant(0.5), rate_bound=1.0,
+        mean_offspring_bound=float(max_children), max_children=max_children)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficient_models(), st.integers(0, 2**32 - 1))
+def test_coefficients_follow_the_field_rule(params, seed):
+    check_field_rule(params, seed)
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_CASES))
+def test_stacked_rows_match_per_control_rows(name):
+    """A position-free model's coefficients are one cached object whatever
+    the points: a field every control shares is one row without point or
+    control axis, any other is stacked over the controls, (n_controls, 1,
+    ...)."""
+    params = STACKED_CASES[name]()
+    shared = SHARED_FIELDS.get(name, set(M.Coefficients._fields))
+    d, n_controls = params.dim, len(params.controls)
+    rows = params.coefficients(np.zeros((3, d)))
+    assert params.coefficients(np.ones((7, d))) is rows
+    cores = [(d,), (d, d), (), (params.max_children + 1,), ()]
+    for field, row, core in zip(M.Coefficients._fields, rows, cores):
+        assert row.shape == (core if field in shared else (n_controls, 1) + core)
 
 
 def test_rows_read_only_after_pickle():
-    params = load_model(MODELS / "two_control_harvest.yaml")
-    xs = np.zeros((3, 1))
-    params.coefficients(xs, 0)             # the rows exist before pickling
-    for copy in (params, pickle.loads(pickle.dumps(params))):
-        assert copy == params
-        for a in copy.controls.indices:
-            for arr in copy.coefficients(xs, a):
+    """The rows of a model and those its pickled copy rebuilds are the same
+    bits, and read-only."""
+    for params in (load_model(MODELS / "two_control_harvest.yaml"), partly_shared()):
+        xs = np.zeros((3, 1))
+        rows = params.coefficients(xs)         # the rows exist before pickling
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy == params and "_rows" not in vars(copy)
+        for got, want in zip(copy.coefficients(xs), rows):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+            for arr in (got, want):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[...] = 0.0
 
 
 def test_position_dependent_control_gets_every_point():
+    """A field that one control's spec makes position-dependent is evaluated
+    at every point for every control; the other fields stay rows."""
     base = load_model(MODELS / "two_control_harvest.yaml")
     sloped = M.VectorSpec((M.CoefficientSpec(family="affine", intercept=0.1,
                                              slope=(0.2,)),))
@@ -346,58 +471,11 @@ def test_position_dependent_control_gets_every_point():
         rate_bound=base.rate_bound, mean_offspring_bound=base.mean_offspring_bound,
         max_children=base.max_children)
     xs = np.linspace(-1.0, 1.0, 5)[:, None]
-    dependent, free = params.coefficients(xs, 0), params.coefficients(xs, 1)
-    assert [f.shape[0] for f in dependent] == [5] * 5
-    assert [f.shape[0] for f in free] == [1] * 5
-    np.testing.assert_array_equal(dependent.drift[:, 0], 0.1 + 0.2 * xs[:, 0])
-
-
-STACKED_CASES = {**ROW_CASES, "partly_shared": partly_shared}
-# the fields each model shares among its controls (one control shares all)
-SHARED_FIELDS = {"two_control_harvest": {"drift", "cov", "probs"},
-                 "partly_shared": {"drift", "probs"}}
-
-
-@pytest.mark.parametrize("name", sorted(STACKED_CASES))
-def test_stacked_rows_match_per_control_rows(name):
-    """A shared field is one row without point axis, any other is stacked
-    over the controls; one generator call on them gives every control's
-    values bit for bit."""
-    params = STACKED_CASES[name]()
-    rows = params.stacked_rows
-    shared = SHARED_FIELDS.get(name, set(M.Coefficients._fields))
-    rng = np.random.default_rng(11)
-    n, d, n_controls = 101, params.dim, len(params.controls)
-    xs = rng.uniform(-5.0, 5.0, (n, d))
-    r = rng.uniform(-1.5, 1.5, n)
-    grad, hess = rng.normal(size=(n, d)), rng.normal(size=(n, d, d))
-    for field, row, control_row in zip(M.Coefficients._fields, rows,
-                                       params.position_free_rows[0]):
-        assert not row.flags.writeable
-        want = control_row.shape[1:] if field in shared else (n_controls,) + control_row.shape
-        assert row.shape == want
-    every = np.broadcast_to(M.generator(rows, r, grad, hess), (n_controls, n))
-    for a in params.controls.indices:
-        one = M.generator(params.coefficients(xs, a), r, grad, hess)
-        assert every[a].tobytes() == one.tobytes()
-
-
-def test_no_stacked_rows_for_position_dependent_model():
-    sloped = M.VectorSpec((M.CoefficientSpec(family="affine", intercept=0.1,
-                                             slope=(0.2,)),))
-    params = dataclasses.replace(partly_shared(), drift=(sloped, partly_shared().drift[1]))
-    assert params.position_free_rows[0] is None and params.position_free_rows[1] is not None
-    assert params.stacked_rows is None
-
-
-def test_stacked_rows_rebuilt_after_pickle():
-    params = partly_shared()
-    rows = params.stacked_rows
-    copy = pickle.loads(pickle.dumps(params))
-    assert "stacked_rows" not in vars(copy)
-    for got, want in zip(copy.stacked_rows, rows):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert not got.flags.writeable
+    coef = params.coefficients(xs)
+    assert [f.shape for f in coef] == [(2, 5, 1), (1, 1), (2, 1), (3,), (2, 1)]
+    np.testing.assert_array_equal(coef.drift[0, :, 0], 0.1 + 0.2 * xs[:, 0])
+    np.testing.assert_array_equal(coef.drift[1, :, 0], 0.0)
+    assert [f.flags.writeable for f in coef] == [True, False, False, False, False]
 
 
 def generator_one_expression(coef, r, grad, hess):
@@ -416,20 +494,21 @@ def generator_one_expression(coef, r, grad, hess):
 
 @st.composite
 def generator_inputs(draw):
-    """(coef, r, grad, hess) in each layout the package feeds the generator:
-    tables over n points per control, one control's position-free row, and
-    rows stacked over the controls with each field either shared (no point
-    or control axis) or per control.  The points may carry a leading axis
-    of one, as on a solver layer.  max_children is 0 to 3 or 10; a quarter
-    or, in a third of the draws, four fifths of the entries are -0.0, 0.0,
-    1.0 or -1.0 in every field (so that every term of some results is a
-    signed zero), r reaches past [-1, 1], and in half the draws a fifth of
-    r, grad and hess is NaN."""
+    """(coef, r, grad, hess) in each layout the package feeds the generator
+    (:meth:`~branchdiff.model.ModelParams.field`), drawn per field: a row
+    that every control shares (no point or control axis), a row per control
+    (n_controls, 1, ...) or values at the n points per control
+    (n_controls, n, ...).  The points may carry a leading axis of one, as on
+    a solver layer.  max_children is 0 to 3 or 10; a quarter or, in a third
+    of the draws, four fifths of the entries are -0.0, 0.0, 1.0 or -1.0 in
+    every field (so that every term of some results is a signed zero), r
+    reaches past [-1, 1], and in half the draws a fifth of r, grad and hess
+    is NaN."""
     d, n = draw(st.sampled_from((1, 2))), draw(st.integers(1, 12))
     n_controls = draw(st.sampled_from((1, 2, 3)))
     n_probs = draw(st.sampled_from((1, 2, 3, 4, 11)))
-    layout = draw(st.sampled_from(("tables", "one row", "stacked rows")))
-    shared = draw(st.lists(st.booleans(), min_size=5, max_size=5))
+    leads = draw(st.lists(st.sampled_from(((), (n_controls, 1), (n_controls, n))),
+                          min_size=5, max_size=5))
     points_lead = draw(st.sampled_from(((), (1,))))
     special_share = draw(st.sampled_from((0.25, 0.25, 0.8)))
     with_nan = draw(st.booleans())
@@ -441,9 +520,7 @@ def generator_inputs(draw):
                         rng.uniform(-3.0, 3.0, shape))
 
     fields = []
-    for core, share in zip(((d,), (d, d), (), (n_probs,), ()), shared):
-        lead = {"tables": (n_controls, n), "one row": (1,),
-                "stacked rows": () if share else (n_controls, 1)}[layout]
+    for core, lead in zip(((d,), (d, d), (), (n_probs,), ()), leads):
         fields.append(array(*lead, *core))
     points = [array(*points_lead, n), array(*points_lead, n, d),
               array(*points_lead, n, d, d)]
