@@ -542,8 +542,8 @@ def test_dynkin_integrand_pinned(name):
 # the grids of the pde_sweep benchmark workload: the harvest grid, the doubled
 # domain its boundary sensitivity solves, and the long critical grid; and the
 # two ways a model's coefficients can reach the solver that those grids do
-# not cover, tables over the nodes (state_dependent) and rows shared by some
-# fields only (shared_drift)
+# not cover, fields evaluated at every node (state_dependent) and rows shared
+# by some fields only (shared_drift)
 SOLVE_CASES = {
     "harvest": (bundled("two_control_harvest"),
                 hjb.GridConfig(x_lo=-8.0, x_hi=8.0, n_x=1601, n_t=2040, horizon=1.0)),
