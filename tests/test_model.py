@@ -458,6 +458,44 @@ def test_rows_read_only_after_pickle():
                     arr[...] = 0.0
 
 
+def test_no_stacked_rows_for_position_dependent_model():
+    """Once one control's drift depends on the position the model has no one
+    cached set of coefficients: the drift is evaluated per point, while the
+    position-free fields stay the model's cached rows, stacked over the
+    controls where they differ."""
+    sloped = M.VectorSpec((M.CoefficientSpec(family="affine", intercept=0.1,
+                                             slope=(0.2,)),))
+    params = dataclasses.replace(partly_shared(), drift=(sloped, partly_shared().drift[1]))
+    xs, ys = np.zeros((3, 1)), np.ones((4, 1))
+    coef, other = params.coefficients(xs), params.coefficients(ys)
+    assert coef is not other
+    assert coef.drift.shape == (2, 3, 1) and other.drift.shape == (2, 4, 1)
+    assert coef.drift.flags.writeable
+    for name in M.Coefficients._fields[1:]:
+        row = getattr(coef, name)
+        assert row is getattr(other, name) is params.field(name, ys)
+        assert not row.flags.writeable
+    assert [getattr(coef, name).shape for name in M.Coefficients._fields[1:]] == [
+        (2, 1, 1, 1), (2, 1), (3,), (2, 1)]
+
+
+def test_stacked_rows_rebuilt_after_pickle():
+    """A pickled copy of a model whose controls differ in some fields does
+    not carry the rows; it rebuilds them, stacked the same way, bit for bit,
+    read-only, and caches them for any points."""
+    params = partly_shared()
+    xs = np.zeros((3, 1))
+    rows = params.coefficients(xs)
+    copy = pickle.loads(pickle.dumps(params))
+    assert "_rows" not in vars(copy)
+    rebuilt = copy.coefficients(xs)
+    assert copy.coefficients(np.ones((7, 1))) is rebuilt
+    for got, want in zip(rebuilt, rows):
+        assert got is not want
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
 def test_position_dependent_control_gets_every_point():
     """A field that one control's spec makes position-dependent is evaluated
     at every point for every control; the other fields stay rows."""
