@@ -69,6 +69,8 @@ def case(name):
         return state_dependent(), ConstantPolicy(0)
     if name == "harvest_feedback":
         return harvest_feedback()
+    if name.startswith("state_dependent_two_control_c"):
+        return state_dependent_two_control(), ConstantPolicy(int(name[-1]))
     model_name, policy = {
         "critical_binary": ("critical_binary", ConstantPolicy(0)),
         "subcritical_drift": ("subcritical_drift", ConstantPolicy(0)),
@@ -112,7 +114,9 @@ def digest(name, start, record):
 
 # recorded from the engine that rebuilt every path's set-up per call; the
 # harvest_feedback digests from the engine that advanced every particle's
-# positions on every step
+# positions on every step; the state_dependent_two_control digests, a constant
+# control on a position-dependent cost, from the engine that evaluated every
+# control's running cost at every step point
 PINNED = {
     # (model case, start, record_paths): digest over seeds 0..19
     ("critical_binary", "root", False): "72f2932895a6915d",
@@ -143,6 +147,10 @@ PINNED = {
     ("harvest_feedback", "root", True): "4114551f530d02c6",
     ("harvest_feedback", "founders16", False): "bf756e4aa560c342",
     ("harvest_feedback", "founders16", True): "e6f5fe507075aedb",
+    ("state_dependent_two_control_c0", "founders16", False): "d99e9cd602d9996d",
+    ("state_dependent_two_control_c0", "founders16", True): "c6310dad0576040b",
+    ("state_dependent_two_control_c1", "founders16", False): "df7ae271a4da02a5",
+    ("state_dependent_two_control_c1", "founders16", True): "072a5188920c123c",
 }
 
 

@@ -539,6 +539,46 @@ def test_dynkin_integrand_pinned(name):
     assert h.hexdigest()[:16] == DYNKIN_PINNED[name]
 
 
+DYNKIN_RESIDUALS_PINNED = {
+    "harvest": "734f9ab99cbbdd5d",
+    "state_dependent": "9bc06de84b85fdf3",
+    "two_dim": "1936bc007b686699",
+}
+
+
+def residual_case(name):
+    """The model, policy, founders and test function of a per-path residual
+    pin: the harvest feedback policy from the root, the state-dependent one
+    from four founders, and the two-dimensional schedule from sixteen
+    founders under a bump whose direction is off the axes."""
+    params, policy, _, functions = dynkin_case(name)
+    if name == "two_dim":
+        founders = {(i,): np.array([0.2 * i - 1.5, 0.7 - 0.1 * i]) for i in range(16)}
+        return params, policy, founders, estimator.SmoothTestFunction(
+            family="polynomial-times-bump", base=0.2, scale=0.6, decay=0.3,
+            center=(0.1, -0.2), width=0.9, direction=(1.0, 0.7))
+    if name == "state_dependent":
+        return (params, policy, {(i,): np.array([0.5 * i - 0.8]) for i in range(4)},
+                functions[0])
+    return params, policy, {(): np.zeros(1)}, functions[0]
+
+
+@pytest.mark.parametrize("name", sorted(DYNKIN_RESIDUALS_PINNED))
+def test_dynkin_residuals_pinned(name, monkeypatch):
+    """Every per-path residual that dynkin_residual averages: the discounted
+    terminal product, the founders' product and the operator integral, path
+    by path, as the array handed to estimate_from_samples."""
+    params, policy, founders, u = residual_case(name)
+    setup = prepare_simulation(0.0, founders, policy, params, 0.05, 1.0)
+    seen = []
+    monkeypatch.setattr(estimator, "estimate_from_samples",
+                        lambda values, seed_base: seen.append(values))
+    estimator.dynkin_residual(setup, u, 40, 11)
+    (residuals,) = seen
+    assert residuals.shape == (40,) and np.all(residuals != 0.0)
+    assert hashlib.sha256(residuals.tobytes()).hexdigest()[:16] == DYNKIN_RESIDUALS_PINNED[name]
+
+
 # the grids of the pde_sweep benchmark workload: the harvest grid, the doubled
 # domain its boundary sensitivity solves, and the long critical grid; and the
 # two ways a model's coefficients can reach the solver that those grids do
