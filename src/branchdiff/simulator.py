@@ -399,10 +399,13 @@ def particle_grid(t0: float, start: float, end: float, step: float,
     return grid
 
 
-def _segment_costs(params: ModelParams, xs_left: np.ndarray, ctrls: np.ndarray) -> np.ndarray:
-    """Per-step running cost of one particle, left-endpoint evaluation."""
-    every = np.broadcast_to(params.field("cost", xs_left), (len(params.controls), len(ctrls)))
-    return every[ctrls, np.arange(len(ctrls))]
+def _segment_costs(params: ModelParams, xs_left: np.ndarray, a) -> np.ndarray:
+    """Per-step running cost of one particle, left-endpoint evaluation, under
+    control ``a``: one index for every step, or an array of one per step."""
+    if np.ndim(a) == 0:
+        return params.running_cost_many(xs_left, a)
+    every = np.broadcast_to(params.field("cost", xs_left), (len(params.controls), len(a)))
+    return every[a, np.arange(len(a))]
 
 
 def _build_track(pieces: list[tuple], const_control: int | None) -> Track:
@@ -527,8 +530,7 @@ class _Simulation:
             if setup.cost_rates is not None:
                 step_cost = setup.cost_rates[a] * deltas
             else:
-                step_cost = _segment_costs(
-                    self.params, xs[:-1], np.broadcast_to(a, n_steps)) * deltas
+                step_cost = _segment_costs(self.params, xs[:-1], a) * deltas
             self.cost += float(np.add.reduce(step_cost))
             if not math.isfinite(self.cost):
                 if xs is None:
