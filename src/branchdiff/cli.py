@@ -202,8 +202,11 @@ _TEST_FUNCTION = {
 
 def _test_function(exp, node, path) -> estimator.SmoothTestFunction:
     given = _fields(exp, node, _TEST_FUNCTION, path)
-    return _build(path, estimator.SmoothTestFunction,
-                  **{k: v for k, v in given.items() if v is not None})
+    fn = _build(path, estimator.SmoothTestFunction,
+                **{k: v for k, v in given.items() if v is not None})
+    # the task evaluates u from initial.time on, before t = 0 if that is negative
+    _build(path, fn.check_range, exp.start_time)
+    return fn
 
 
 def _times(exp, value, path) -> list:

@@ -117,25 +117,20 @@ def _fan_out(worker, args, n_reps: int) -> list:
     :func:`worker_pool` if there is one.  Results come back in index order
     regardless of scheduling."""
     pool = _POOL.get()
-    if pool is None:
-        out = []
-        for k in range(n_reps):
-            try:
-                out.append(worker(args, k))
-            except ExplosionGuardError as err:
-                err.completed_replications = k
-                raise
-        return out
-    ex, threads = pool
-    bounds = np.linspace(0, n_reps, threads * 8 + 1).astype(int)
-    # the arguments are pickled once per call; each chunk sends the bytes
-    payload = pickle.dumps(args)
-    futures = [ex.submit(_run_chunk, worker, payload, int(lo), int(hi))
-               for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    results = []
+    results, futures = [], []
     try:
-        for fut in futures:
-            results.extend(fut.result())
+        if pool is None:
+            for k in range(n_reps):
+                results.append(worker(args, k))
+        else:
+            ex, threads = pool
+            bounds = np.linspace(0, n_reps, threads * 8 + 1).astype(int)
+            # the arguments are pickled once per call; each chunk sends the bytes
+            payload = pickle.dumps(args)
+            futures = [ex.submit(_run_chunk, worker, payload, int(lo), int(hi))
+                       for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+            for fut in futures:
+                results.extend(fut.result())
     except ExplosionGuardError as err:
         err.completed_replications = len(results)
         raise
@@ -222,10 +217,12 @@ class SmoothTestFunction:
     """Bounded smooth function of (t, x) valued in [0, 1] with analytic
     derivatives, for the martingale-residual check.
 
-    Families: ``constant`` (u = base), ``gaussian-bump``
-    (base + scale * exp(-decay t) * bump), and ``polynomial-times-bump``
-    (base + scale * exp(-decay t) * (1 + directional bump) / 2).  Parameters
-    must keep base >= 0 and base + scale <= 1.
+    Families: ``constant`` (u = base), ``gaussian-bump`` (base + a(t) * bump)
+    and ``polynomial-times-bump`` (base + a(t) * (1 + directional bump) / 2),
+    where a(t) = scale * exp(-decay t) and decay >= 0.  u(t, .) spans
+    [base + min(0, a(t)), base + max(0, a(t))], widest at the earliest time;
+    it must lie in [0, 1] from t = 0 on, and :meth:`check_range` checks an
+    earlier start.
     """
 
     family: str
@@ -239,8 +236,9 @@ class SmoothTestFunction:
     def __post_init__(self):
         if self.family not in ("constant", "gaussian-bump", "polynomial-times-bump"):
             raise ConfigurationError(f"unknown test function family {self.family!r}")
-        if self.base < 0 or self.base + abs(self.scale) > 1.0 + 1e-12:
-            raise ConfigurationError("test function must stay inside [0, 1]")
+        if self.decay < 0:
+            raise ConfigurationError(f"decay must not be negative, got {self.decay!r}")
+        self.check_range(0.0)
         if self.width <= 0:
             raise ConfigurationError("width must be positive")
         if self.family == "polynomial-times-bump" and self.direction is not None:
@@ -259,70 +257,68 @@ class SmoothTestFunction:
                 raise ConfigurationError(
                     f"test function {name} has length {len(given)}, expected dim = {dim}")
 
+    def check_range(self, t: float) -> None:
+        """Raise :class:`ConfigurationError` unless u stays inside [0, 1] from
+        time t on."""
+        try:
+            amp = self.scale * math.exp(-self.decay * t)
+        except OverflowError:
+            amp = self.scale * math.inf     # nan, and so no bound, for scale 0
+        lo, hi = self.base + min(0.0, amp), self.base + max(0.0, amp)
+        if lo < 0 or hi > 1.0 + 1e-12:
+            raise ConfigurationError(f"test function must stay inside [0, 1]; "
+                                     f"it spans [{lo!r}, {hi!r}] at t = {t!r}")
+
     def _direction(self, d: int) -> np.ndarray:
         if self.direction is None:
             return np.eye(d)[0]
         return np.asarray(self.direction, dtype=float)
 
-    def _bump(self, x: np.ndarray):
+    def _bump(self, t, x: np.ndarray):
+        """u at the (..., d) points x and its terms: a(t), the offset z from
+        the center, the bump phi and the directional coordinate s (or None)."""
         center = np.zeros(x.shape[-1]) if self.center is None else self.center
         z = x - np.asarray(center, dtype=float)
-        q = np.sum(z * z, axis=-1) / (2.0 * self.width**2)
-        return z, np.exp(-q)
+        phi = np.exp(-(np.sum(z * z, axis=-1) / (2.0 * self.width**2)))
+        amp = self.scale * np.exp(-self.decay * np.asarray(t))
+        if self.family == "gaussian-bump":
+            return self.base + amp * phi, amp, z, phi, None
+        s = (z @ self._direction(x.shape[-1])) / self.width
+        return self.base + amp * (1.0 + s * phi * math.sqrt(math.e)) / 2.0, amp, z, phi, s
 
     def value(self, t, x: np.ndarray) -> np.ndarray:
+        """u at the (..., d) points x, shape (...)."""
         x = np.asarray(x, dtype=float)
         if self.family == "constant":
             return np.broadcast_to(np.asarray(self.base), x.shape[:-1]).copy()
-        amp = self.scale * np.exp(-self.decay * np.asarray(t))
-        if self.family == "gaussian-bump":
-            _, phi = self._bump(x)
-            return self.base + amp * phi
-        z, phi = self._bump(x)
-        s = (z @ self._direction(x.shape[-1])) / self.width
-        psi = s * phi * math.sqrt(math.e)
-        return self.base + amp * (1.0 + psi) / 2.0
+        return self._bump(t, x)[0]
 
-    def time_derivative(self, t, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.family == "constant" or self.decay == 0.0:
-            return np.zeros(x.shape[:-1])
-        return -self.decay * (self.value(t, x) - self.base)
-
-    def gradient(self, t, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.family == "constant":
-            return np.zeros_like(x)
-        amp = self.scale * np.exp(-self.decay * np.asarray(t))
-        z, phi = self._bump(x)
-        w2 = self.width**2
-        if self.family == "gaussian-bump":
-            return -np.asarray(amp)[..., None] * phi[..., None] * z / w2
-        e = self._direction(x.shape[-1])
-        s = (z @ e) / self.width
-        grad_psi = math.sqrt(math.e) * phi[..., None] * (
-            e / self.width - s[..., None] * z / w2)
-        return np.asarray(amp)[..., None] * grad_psi / 2.0
-
-    def hessian(self, t, x: np.ndarray) -> np.ndarray:
+    def jet(self, t, x: np.ndarray):
+        """(u, du/dt, grad u, Hessian of u) at the (..., d) points x, of
+        shapes (...), (...), (..., d) and (..., d, d), from one evaluation of
+        the bump."""
         x = np.asarray(x, dtype=float)
         d = x.shape[-1]
-        eye = np.eye(d)
         if self.family == "constant":
-            return np.zeros(x.shape[:-1] + (d, d))
-        amp = self.scale * np.exp(-self.decay * np.asarray(t))
-        z, phi = self._bump(x)
+            return (self.value(t, x), np.zeros(x.shape[:-1]), np.zeros_like(x),
+                    np.zeros(x.shape[:-1] + (d, d)))
+        u, amp, z, phi, s = self._bump(t, x)
+        du_dt = np.zeros(x.shape[:-1]) if self.decay == 0.0 else -self.decay * (u - self.base)
+        # from here on amp and phi carry an axis for the coordinates
+        amp, phi = np.asarray(amp)[..., None], phi[..., None]
         w2 = self.width**2
+        eye = np.eye(d)
         outer = z[..., :, None] * z[..., None, :]
-        if self.family == "gaussian-bump":
-            core = outer / w2**2 - eye / w2
-            return np.asarray(amp)[..., None, None] * phi[..., None, None] * core
-        e = self._direction(d)
-        s = (z @ e) / self.width
+        if s is None:
+            grad = -amp * phi * z / w2
+            hess = amp[..., None] * phi[..., None] * (outer / w2**2 - eye / w2)
+            return u, du_dt, grad, hess
+        e, s = self._direction(d), s[..., None]
+        grad = amp * (math.sqrt(math.e) * phi * (e / self.width - s * z / w2)) / 2.0
         sym = (e[:, None] * z[..., None, :] + z[..., :, None] * e[None, :]) / self.width**3
-        core = -sym + s[..., None, None] * outer / w2**2 - s[..., None, None] * eye / w2
-        hess_psi = math.sqrt(math.e) * phi[..., None, None] * core
-        return np.asarray(amp)[..., None, None] * hess_psi / 2.0
+        core = -sym + s[..., None] * outer / w2**2 - s[..., None] * eye / w2
+        hess = amp[..., None] * (math.sqrt(math.e) * phi[..., None] * core) / 2.0
+        return u, du_dt, grad, hess
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +355,7 @@ def _path_operator_integral(path: PopulationPath, u: SmoothTestFunction,
     tl = np.concatenate([tr.times[:-1] for tr in tracks])
     xs = np.concatenate([tr.positions[:-1] for tr in tracks])
     ctrls = np.concatenate([tr.controls for tr in tracks])
-    uv = u.value(tl, xs)
-    lu = u.time_derivative(tl, xs)
-    grad = u.gradient(tl, xs)
-    hess = u.hessian(tl, xs)
+    uv, lu, grad, hess = u.jet(tl, xs)
     # every control at every point in one call, each point keeping its own
     # control's value (all controls' are one when they share every field)
     every = np.broadcast_to(generator(params.coefficients(xs), uv, grad, hess),
@@ -385,16 +378,11 @@ def _path_operator_integral(path: PopulationPath, u: SmoothTestFunction,
 
 
 def _dynkin_worker(args, k):
-    (setup, u, seed_base) = args
-    t, s, params = setup.t, setup.horizon, setup.params
+    (setup, u, initial, seed_base) = args
     path = simulate(setup, seed_base + k)
-    terminal = math.exp(-path.cost_integral)
-    for x in path.final.values():
-        terminal *= float(u.value(s, x))
-    initial = 1.0
-    for x in path.initial.values():
-        initial *= float(u.value(t, x))
-    return terminal - initial - _path_operator_integral(path, u, params)
+    terminal = math.prod((float(u.value(setup.horizon, x)) for x in path.final.values()),
+                         start=math.exp(-path.cost_integral))
+    return terminal - initial - _path_operator_integral(path, u, setup.params)
 
 
 def dynkin_residual(setup: SimulationSetup, u: SmoothTestFunction, n_reps: int,
@@ -404,7 +392,9 @@ def dynkin_residual(setup: SimulationSetup, u: SmoothTestFunction, n_reps: int,
     integral of the operator applied to the test function.  Zero in
     expectation up to O(step) quadrature bias."""
     u.check_dim(setup.params.dim)
-    args = (setup, u, seed_base)
+    u.check_range(setup.t)
+    initial = math.prod(float(u.value(setup.t, x)) for x in setup.initial.values())
+    args = (setup, u, initial, seed_base)
     residuals = np.array(_fan_out(_dynkin_worker, args, n_reps))
     return estimate_from_samples(residuals, seed_base)
 
@@ -424,23 +414,15 @@ class DppReport:
 
 def _dpp_worker(args, k):
     (setup, grid, tau_kind, seed_base) = args
-    s, params = setup.horizon, setup.params
     # only the first-event rule reads the tracks (state_after_event)
     path = simulate(setup, seed_base + k, record_paths=tau_kind == "first-event")
+    tau, pop, cost = setup.horizon, path.final, path.cost_integral
     if tau_kind == "first-event":
-        for idx, ev in enumerate(path.events):
-            if ev.kind != "phantom":
-                tau, pop, cost = path.state_after_event(idx, params)
-                value = math.exp(-cost)
-                if pop:
-                    xs = np.stack(list(pop.values()))
-                    value *= float(np.prod(evaluate_many(grid, tau, xs)))
-                return value
-    value = math.exp(-path.cost_integral)
-    if path.final:
-        xs = np.stack(list(path.final.values()))
-        value *= float(np.prod(evaluate_many(grid, s, xs)))
-    return value
+        first = next((i for i, ev in enumerate(path.events) if ev.kind != "phantom"), None)
+        if first is not None:
+            tau, pop, cost = path.state_after_event(first, setup.params)
+    values = evaluate_many(grid, tau, np.stack(list(pop.values()))) if pop else 1.0
+    return math.exp(-cost) * float(np.prod(values))
 
 
 def dpp_check(setup: SimulationSetup, rule: str, value_grid: ValueGrid, n_reps: int,
@@ -461,9 +443,7 @@ def dpp_check(setup: SimulationSetup, rule: str, value_grid: ValueGrid, n_reps: 
     args = (setup, value_grid, rule, seed_base)
     values = np.array(_fan_out(_dpp_worker, args, n_reps))
     est = estimate_from_samples(values, seed_base)
-    reference = 1.0
-    for x in setup.initial.values():
-        reference *= evaluate(value_grid, setup.t, x)
+    reference = math.prod(evaluate(value_grid, setup.t, x) for x in setup.initial.values())
     band = est.band(3.0, allowance)
     slack = est.mean - reference
     return DppReport(estimate=est, reference=reference, slack=slack, band=band,

@@ -687,6 +687,21 @@ BAD_INPUTS = {
         lambda d: set_in(d, ["tasks"], [{"kind": "dynkin", "times": [0.5], "functions": [
             {"family": "gaussian-bump", "base": 0.8, "scale": 0.6}]}]),
         "tasks[0].functions[0]"),
+    "test_function_dips_below_zero": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "dynkin", "times": [0.5], "functions": [
+            {"family": "constant"}, {"family": "gaussian-bump", "base": 0.1, "scale": -0.5}]}]),
+        "tasks[0].functions[1]"),
+    "test_function_negative_decay": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "dynkin", "times": [0.5], "functions": [
+            {"family": "gaussian-bump", "base": 0.3, "scale": 0.5, "decay": -1.0}]}]),
+        "tasks[0].functions[0]"),
+    "test_function_leaves_before_time_zero": (
+        lambda d: (d.pop("grid"), set_in(d, ["initial", "time"], -1.0),
+                   set_in(d, ["tasks"], [{"kind": "estimate", "replications": 100}, {
+                       "kind": "dynkin", "times": [0.5], "functions": [
+                           {"family": "gaussian-bump", "base": 0.3, "scale": 0.5,
+                            "decay": 1.0}]}])),
+        "tasks[1].functions[0]"),
     "flag_not_boolean": (
         lambda d: set_in(d, ["tasks"], [{"kind": "solve", "export_csv": "no"}]),
         "tasks[0].export_csv"),
@@ -834,6 +849,17 @@ def test_too_few_replications_exit_before_any_task(tmp_path, capsys, tasks, reps
     assert not list((tmp_path / "out").glob("task_*.json"))
 
 
+def test_negative_scale_inside_unit_interval_accepted(tmp_path):
+    """base 0.8 with scale -0.5 spans [0.3, 0.8], inside [0, 1]."""
+    doc = base_doc(tmp_path, tasks=[{"kind": "dynkin", "times": [0.5], "functions": [
+        {"family": "gaussian-bump", "base": 0.8, "scale": -0.5, "decay": 0.2}]}])
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    exp = cli.Experiment(doc, cfg, SimpleNamespace(out=None, seed=None, reps=None))
+    fn = exp.tasks[0][1]["functions"][0]
+    assert (fn.base, fn.scale, fn.decay) == (0.8, -0.5, 0.2)
+
+
 def test_test_function_vectors_default_at_the_model_dim(tmp_path):
     """On a 2-d model a test function without center or direction takes the
     origin and the first unit vector."""
@@ -852,8 +878,9 @@ def test_test_function_vectors_default_at_the_model_dim(tmp_path):
         family="polynomial-times-bump", base=0.3, scale=0.5,
         center=(0.0, 0.0), direction=(1.0, 0.0))
     xs = np.linspace(-1.0, 1.0, 10).reshape(5, 2)
-    for part in ("value", "gradient", "hessian"):
-        assert getattr(fn, part)(0.2, xs).tobytes() == getattr(explicit, part)(0.2, xs).tobytes()
+    got, want = (fn.value(0.2, xs), *fn.jet(0.2, xs)), (explicit.value(0.2, xs),
+                                                      *explicit.jet(0.2, xs))
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
     assert cli.run(cfg) == cli.EXIT_OK
 
 

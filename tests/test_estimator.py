@@ -215,10 +215,10 @@ class TestTestFunctionDim:
         unset = estimator.SmoothTestFunction(family=family, base=0.3, scale=0.5)
         explicit = estimator.SmoothTestFunction(family=family, base=0.3, scale=0.5,
                                                 center=(0.0, 0.0), direction=(1.0, 0.0))
-        for name in ("value", "gradient", "hessian"):
-            got = getattr(unset, name)(0.2, xs)
-            assert got.tobytes() == getattr(explicit, name)(0.2, xs).tobytes()
-        assert unset.hessian(0.2, xs).shape == (6, 2, 2)
+        got = (unset.value(0.2, xs), *unset.jet(0.2, xs))
+        want = (explicit.value(0.2, xs), *explicit.jet(0.2, xs))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert [g.shape for g in got] == [(6,), (6,), (6,), (6, 2), (6, 2, 2)]
 
     @pytest.mark.parametrize("name", ["center", "direction"])
     def test_wrong_length_rejected_by_dynkin(self, name):
@@ -226,6 +226,80 @@ class TestTestFunctionDim:
                                          scale=0.5, **{name: (0.5, 0.5)})
         setup = prepare_simulation(0.0, START, ConstantPolicy(0), CRITICAL, 0.1, 1.0)
         with pytest.raises(ConfigurationError, match=f"{name} has length 2, expected dim = 1"):
+            estimator.dynkin_residual(setup, u, 10, 0)
+
+
+def bump_function(family, dim):
+    """A decaying bump of ``family`` in ``dim`` dimensions, its center off
+    the origin and, in two dimensions, its direction off the axes."""
+    extra = {"direction": (1.0, 0.7)} if family == "polynomial-times-bump" and dim == 2 else {}
+    return estimator.SmoothTestFunction(family=family, base=0.3, scale=0.5, decay=0.4,
+                                        center=(0.1, -0.2)[:dim], width=0.8, **extra)
+
+
+class TestJet:
+    """The jet's derivatives against central differences (h = 1e-5) of
+    value, the Hessian against those of the jet's gradient: second
+    differences of value at that step carry rounding errors near 1e-6."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("family", ["gaussian-bump", "polynomial-times-bump"])
+    def test_derivatives_match_central_differences(self, family, dim):
+        u = bump_function(family, dim)
+        rng_ = np.random.default_rng(12)
+        ts, xs = rng_.uniform(0.0, 1.0, 9), rng_.normal(0.0, 0.8, (9, dim))
+        h = 1e-5
+        steps = h * np.eye(dim)
+        value, du_dt, grad, hess = u.jet(ts, xs)
+        assert value.tobytes() == u.value(ts, xs).tobytes()
+        fd_t = (u.value(ts + h, xs) - u.value(ts - h, xs)) / (2 * h)
+        fd_grad = np.stack([(u.value(ts, xs + e) - u.value(ts, xs - e)) / (2 * h)
+                            for e in steps], axis=-1)
+        fd_hess = np.stack([(u.jet(ts, xs + e)[2] - u.jet(ts, xs - e)[2]) / (2 * h)
+                            for e in steps], axis=-1)
+        assert np.abs(du_dt - fd_t).max() <= 1e-8 and np.abs(du_dt).max() > 0.01
+        assert np.abs(grad - fd_grad).max() <= 1e-8 and np.abs(grad).max() > 0.01
+        assert np.abs(hess - fd_hess).max() <= 1e-8 and np.abs(hess).max() > 0.01
+        assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+
+    def test_constant_family_has_zero_derivatives(self):
+        u = estimator.SmoothTestFunction(family="constant", base=0.7, decay=0.4)
+        xs = np.ones((3, 2))
+        value, du_dt, grad, hess = u.jet(0.5, xs)
+        assert value.tolist() == [0.7] * 3
+        assert [a.shape for a in (du_dt, grad, hess)] == [(3,), (3, 2), (3, 2, 2)]
+        assert not (du_dt.any() or grad.any() or hess.any())
+
+
+class TestTestFunctionRange:
+    """u(t, .) spans [base + min(0, a(t)), base + max(0, a(t))] with
+    a(t) = scale * exp(-decay t); that range may not leave [0, 1] from the
+    earliest time u is evaluated on, t = 0 or an earlier start."""
+
+    @pytest.mark.parametrize("kw", [dict(base=0.1, scale=-0.5),
+                                    dict(base=0.3, scale=0.5, decay=-1.0),
+                                    dict(base=0.8, scale=0.6)],
+                             ids=["below_zero", "negative_decay", "above_one"])
+    def test_leaving_rejected(self, kw):
+        with pytest.raises(ConfigurationError, match="test function|decay"):
+            estimator.SmoothTestFunction(family="gaussian-bump", **kw)
+
+    def test_negative_scale_inside_accepted(self):
+        u = estimator.SmoothTestFunction(family="gaussian-bump", base=0.8, scale=-0.5)
+        values = u.value(0.0, np.linspace(-4.0, 4.0, 81)[:, None])
+        assert values.min() == pytest.approx(0.3) and values.max() <= 0.8
+
+    def test_earlier_start_checked(self):
+        u = estimator.SmoothTestFunction(family="gaussian-bump", base=0.3, scale=0.5,
+                                         decay=1.0)
+        u.check_range(0.5)
+        for t in (-1.0, -1e6):     # a(-1) = 0.5 e; a(-1e6) overflows
+            with pytest.raises(ConfigurationError, match=r"inside \[0, 1\]"):
+                u.check_range(t)
+        estimator.SmoothTestFunction(family="gaussian-bump", base=0.3, decay=1.0
+                                     ).check_range(-1e6)
+        setup = prepare_simulation(-1.0, START, ConstantPolicy(0), CRITICAL, 0.1, 0.0)
+        with pytest.raises(ConfigurationError, match=r"at t = -1\.0"):
             estimator.dynkin_residual(setup, u, 10, 0)
 
 
