@@ -110,3 +110,20 @@ def two_dim_two_control():
         terminal=M.CoefficientSpec(family="gaussian-bump", offset=0.1, amplitude=0.8,
                                    center=(0.0, 0.0), width=0.9),
         rate_bound=0.7, mean_offspring_bound=1.4, max_children=2)
+
+
+def two_control_motion():
+    """Drift and diffusion differ per control, so the engine asks the policy
+    for the control of every Euler step as the particle moves."""
+    return M.ModelParams(
+        dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
+        drift=(M.constant_vector([0.4]),
+               M.VectorSpec((M.CoefficientSpec(family="affine", intercept=-0.2,
+                                               slope=(-0.5,)),))),
+        diffusion=(M.constant_vector([0.3]), M.constant_vector([0.7])),
+        death_rate=(M.constant(0.8),),
+        offspring=((M.constant(0.4), M.constant(0.2)),),
+        running_cost=(M.constant(0.1), M.constant(0.4)),
+        terminal=M.CoefficientSpec(family="gaussian-bump", offset=0.2,
+                                   amplitude=0.7, center=(0.0,), width=0.8),
+        rate_bound=1.0, mean_offspring_bound=1.2, max_children=2)

@@ -23,7 +23,8 @@ from branchdiff import model as M
 from branchdiff.modelio import load_model
 from branchdiff.simulator import (ConstantPolicy, OpenLoopPolicy, coupled_setup,
                                   prepare_simulation, simulate, simulate_coupled)
-from model_cases import state_dependent_two_control
+import model_cases
+from model_cases import state_dependent_two_control, two_control_motion
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 MODELS = CONFIGS / "models"
@@ -179,6 +180,94 @@ def test_coupled_pair_pinned():
             update_path(h, path_tilde)
             h.update(b"1" if ok else b"0")
     assert h.hexdigest()[:16] == COUPLED_PINNED
+
+
+SETUP_MODELS = {
+    "single_control": model_cases.single_control,
+    "single_control_moving": lambda: model_cases.single_control(
+        b=0.2, sigma=0.3, gamma=0.8, rate_bound=1.0, p0=0.4, p1=0.1, c=0.2,
+        mean_bound=1.1),
+    "state_dependent_two_control": state_dependent_two_control,
+    "shared_drift_two_control": model_cases.shared_drift_two_control,
+    "opposite_drifts": model_cases.opposite_drifts,
+    "partly_shared": model_cases.partly_shared,
+    "two_dim_two_control": model_cases.two_dim_two_control,
+    "state_dependent": state_dependent,
+    "two_control_motion": two_control_motion,
+    **{name: (lambda name=name: load_model(MODELS / f"{name}.yaml"))
+       for name in ("critical_binary", "subcritical_drift", "two_control_harvest")},
+}
+
+
+def setup_cases():
+    """(model, policy) names: each constant control, and an open-loop
+    schedule where there are two controls."""
+    for name, make in SETUP_MODELS.items():
+        n_controls = len(make().controls)
+        yield from ((name, f"c{a}") for a in range(n_controls))
+        if n_controls == 2:
+            yield name, "open_loop"
+
+
+def setup_fields_digest(setup):
+    """Digest of what ``prepare_simulation`` derives from the model and the
+    policy: the static event geometry, the running-cost rates, whether costs
+    vanish, and the motion plan."""
+    plan = setup.plan
+
+    def array(arr):
+        return None if arr is None else arr.tobytes()
+
+    fields = (
+        sorted((a, float(gamma).hex(), bounds.tobytes())
+               for a, (gamma, bounds) in setup.static_geom.items()),
+        array(setup.cost_rates), bool(setup.cost_free),
+        *(None if c is None else int(c) for c in (plan.const_control, plan.motion_control)),
+        bool(plan.draw_noise), array(plan.b_const), array(plan.sig_const))
+    return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
+
+
+# recorded from the set-up that decided from the coefficient specs which
+# coefficients are constant
+SETUP_PINNED = {
+    ("single_control", "c0"): "a702315135c07446",
+    ("single_control_moving", "c0"): "4f71cabc1829f4fd",
+    ("state_dependent_two_control", "c0"): "c439e1d0bbd30ab9",
+    ("state_dependent_two_control", "c1"): "f8ea92dfc5953f67",
+    ("state_dependent_two_control", "open_loop"): "0a8b0f8a4b6c31ea",
+    ("shared_drift_two_control", "c0"): "0fa8ed5626daa043",
+    ("shared_drift_two_control", "c1"): "383bd59508dda871",
+    ("shared_drift_two_control", "open_loop"): "230839832263d8e0",
+    ("opposite_drifts", "c0"): "aa3be305e3ea9996",
+    ("opposite_drifts", "c1"): "805062285dcd90fd",
+    ("opposite_drifts", "open_loop"): "40b3db9b7e5cb05f",
+    ("partly_shared", "c0"): "d009331d757f660f",
+    ("partly_shared", "c1"): "bab199bc1c24bd92",
+    ("partly_shared", "open_loop"): "184269b7d33cfbc1",
+    ("two_dim_two_control", "c0"): "0ac74c6ff207ec49",
+    ("two_dim_two_control", "c1"): "6c53f32ee4598bbc",
+    ("two_dim_two_control", "open_loop"): "6a657cd9fd260978",
+    ("state_dependent", "c0"): "780e89498febea22",
+    ("two_control_motion", "c0"): "5408683fb3daec93",
+    ("two_control_motion", "c1"): "aa93de27ada947a8",
+    ("two_control_motion", "open_loop"): "1899480dc0c0935c",
+    ("critical_binary", "c0"): "86a4baf77d45e34d",
+    ("subcritical_drift", "c0"): "14b41336d7e6d8f3",
+    ("two_control_harvest", "c0"): "13788b61bbfd91ed",
+    ("two_control_harvest", "c1"): "15d88fc4b371a3b4",
+    ("two_control_harvest", "open_loop"): "6a9894a1e45092c3",
+}
+
+
+@pytest.mark.parametrize("key", list(setup_cases()), ids="-".join)
+def test_setup_fields_pinned(key):
+    name, policy = key
+    params = SETUP_MODELS[name]()
+    policy = (OpenLoopPolicy(([0.0, 0.5], [1, 0])) if policy == "open_loop"
+              else ConstantPolicy(int(policy[1:])))
+    setup = prepare_simulation(0.0, {(): np.zeros(params.dim)}, policy, params,
+                               STEP, HORIZON)
+    assert setup_fields_digest(setup) == SETUP_PINNED[key]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchdiff import hjb, model as M
 from branchdiff.errors import (ConfigurationError, ExplosionGuardError,
@@ -24,6 +26,7 @@ from branchdiff.simulator import (
     simulate,
     write_path_csv,
 )
+from model_cases import two_control_motion
 from path_equality import paths_equal, tracks_equal
 
 X0 = np.zeros(1)
@@ -279,6 +282,45 @@ def own_grid_steps(path, step):
                                            grid_times(path.start_time, b, step))) - 1
                          for a, b in zip(points, points[1:]))
     return steps
+
+
+@st.composite
+def grid_intervals(draw):
+    """(t0, step, horizon, start, end): steps that divide the horizons and 1/3,
+    which does not; each of the horizon and the ends on a global grid point,
+    within 0.5e-9 or 2e-9 steps of one or between two, and start = end in a
+    fifth of the draws."""
+    t0 = draw(st.sampled_from((0.0, 0.3, -1.0)))
+    step = draw(st.sampled_from((0.05, 0.02, 0.1, 0.5, 1 / 3)))
+    offsets = st.one_of(st.sampled_from((0.0, 0.5e-9, -0.5e-9, 2e-9, -2e-9)),
+                        st.floats(0.0, 1.0))
+
+    def near(k):
+        return t0 + step * k + step * draw(offsets)
+
+    n = draw(st.integers(0, 40))
+    horizon = max(t0, near(n))
+    i = draw(st.integers(0, n))
+    start = min(max(t0, near(i)), horizon)
+    end = start if draw(st.integers(0, 4)) == 0 else min(max(start, near(
+        draw(st.integers(i, n)))), horizon)
+    return t0, step, horizon, start, end
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_intervals())
+def test_particle_grid_matches_brute_force(case):
+    """The global grid holds the points t0 + step*k short of the horizon by
+    more than 1e-9 steps; a particle grid has both ends exact and, between
+    them, the global points farther than 1e-9 steps from either end."""
+    t0, step, horizon, start, end = case
+    tol = 1e-9 * step
+    points = [t0 + step * k for k in range(int((horizon - t0) / step) + 3)]
+    times = grid_times(t0, horizon, step)
+    assert times.tolist() == [p for p in points if p < horizon - tol]
+    grid = particle_grid(t0, start, end, step, times)
+    assert (grid[0].hex(), grid[-1].hex()) == (start.hex(), end.hex())
+    assert grid[1:-1].tolist() == [p for p in points if start + tol < p < end - tol]
 
 
 class TestParticleLocalStepping:
@@ -570,26 +612,13 @@ def test_open_loop_policy_lookup():
     pol = OpenLoopPolicy(([0.0, 0.5], [0, 1]))
     for t, want in ((0.0, 0), (0.49, 0), (0.5, 1), (2.0, 1)):
         assert pol.controls_along(np.array([t]), X0[None], ())[0] == want
+    # the first control also applies before the first switch time
+    late = OpenLoopPolicy(([0.3, 0.6], [1, 0]))
+    for t, want in ((0.1, 1), (0.3, 1), (0.59, 1), (0.6, 0), (2.0, 0)):
+        assert late.controls_along(np.array([t]), X0[None], ())[0] == want
     np.testing.assert_array_equal(
         pol.controls_along(np.array([0.1, 0.6]), np.zeros((2, 1)), ()),
         [0, 1])
-
-
-def two_control_motion():
-    """Drift and diffusion differ per control, so the engine asks the policy
-    for the control of every Euler step as the particle moves."""
-    return M.ModelParams(
-        dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
-        drift=(M.constant_vector([0.4]),
-               M.VectorSpec((M.CoefficientSpec(family="affine", intercept=-0.2,
-                                               slope=(-0.5,)),))),
-        diffusion=(M.constant_vector([0.3]), M.constant_vector([0.7])),
-        death_rate=(M.constant(0.8),),
-        offspring=((M.constant(0.4), M.constant(0.2)),),
-        running_cost=(M.constant(0.1), M.constant(0.4)),
-        terminal=M.CoefficientSpec(family="gaussian-bump", offset=0.2,
-                                   amplitude=0.7, center=(0.0,), width=0.8),
-        rate_bound=1.0, mean_offspring_bound=1.2, max_children=2)
 
 
 def track_digest(paths):
