@@ -146,15 +146,6 @@ class VectorSpec:
         """(..., d) points -> (..., len(components)) values."""
         return _stack_last([c(x) for c in self.components])
 
-    @property
-    def state_independent(self) -> bool:
-        return all(c.state_independent for c in self.components)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.state_independent and c.bounds() == (0.0, 0.0)
-                   for c in self.components)
-
 
 def vector_sup_distance(a: VectorSpec, b: VectorSpec) -> float:
     """Upper bound on sup |a(x) - b(x)| (Euclidean), from per-component sups."""
@@ -353,17 +344,34 @@ class ModelParams:
                 "cost": (self.running_cost[a],)}[name]
 
     @functools.cached_property
+    def constants(self) -> tuple[Coefficients, ...]:
+        """Per control, each field of :class:`Coefficients` at one point,
+        shape (1, ...) and read-only, where none of that control's specs for
+        the field depends on the position; None where one does.  A value
+        that overflows is left as it is, to be reported where it is used."""
+        origin = np.zeros((1, self.dim))
+        table = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in self.controls.indices:
+                fields = []
+                for name in Coefficients._fields:
+                    value = None
+                    if all(spec.state_independent for spec in self._field_specs(name, a)):
+                        value = self._field_at(name, origin, a)
+                        value.flags.writeable = False
+                    fields.append(value)
+                table.append(Coefficients(*fields))
+        return tuple(table)
+
+    @functools.cached_property
     def _rows(self) -> Coefficients:
         """Per field, the read-only row of :meth:`field`, or None where some
         control's coefficient depends on the position."""
-        origin = np.zeros((1, self.dim))
         fields = []
-        for name in Coefficients._fields:
-            if not all(spec.state_independent for a in self.controls.indices
-                       for spec in self._field_specs(name, a)):
+        for values in zip(*self.constants):
+            if any(v is None for v in values):
                 fields.append(None)
                 continue
-            values = [self._field_at(name, origin, a) for a in self.controls.indices]
             if all(v.tobytes() == values[0].tobytes() for v in values):
                 row = values[0][0, ...]
             else:
@@ -377,27 +385,14 @@ class ModelParams:
         return all(row is not None for row in self._rows)
 
     def __getstate__(self):
-        # a copy rebuilds its own rows, read-only like these
+        # a copy rebuilds its own constants and rows, read-only like these
         state = dict(self.__dict__)
-        state.pop("_rows", None)
-        state.pop("_position_free", None)
+        for name in ("constants", "_rows", "_position_free"):
+            state.pop(name, None)
         return state
-
-    # -- structure queries used by the simulator fast paths -------------------
-
-    def motion_state_independent(self, a: int) -> bool:
-        return self.drift[a].state_independent and self.diffusion[a].state_independent
 
     def motion_control_independent(self) -> bool:
         return all(self.drift[a] == self.drift[0] and self.diffusion[a] == self.diffusion[0]
-                   for a in self.controls.indices)
-
-    def diffusion_is_zero(self) -> bool:
-        return all(self.diffusion[a].is_zero for a in self.controls.indices)
-
-    def cost_is_zero(self) -> bool:
-        return all(self.running_cost[a].state_independent
-                   and self.running_cost[a].bounds() == (0.0, 0.0)
                    for a in self.controls.indices)
 
 

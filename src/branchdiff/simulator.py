@@ -17,11 +17,12 @@ A path has two inputs: the set-up that :func:`prepare_simulation` checks and
 builds from the problem data (start time, founders, policy, model, step size,
 horizon, population cap), and the seed; ``simulate(setup, seed)`` runs it.
 The set-up also holds, computed once, whatever depends on that data alone:
-the global grid ``t0 + k*step`` (:func:`grid_times`), of which a particle's
-grid is a slice between its two ends, the motion plan, each control's
-position-free event geometry and running-cost rate, and the seed words of
-its founders' and first generation's streams under any seed; so a caller
-builds it once per problem and runs any seeds on it.  An advance computes the
+the global grid ``t0 + k*step`` (:func:`grid_times`), from which two
+bisections cut a particle's grid between its two ends; the motion plan and
+each control's position-free event geometry and running-cost rate, read from
+the model's table of constant coefficients (``ModelParams.constants``); and
+the seed words of its founders' and first generation's streams under any
+seed; so a caller builds it once per problem and runs any seeds on it.  An advance computes the
 positions of a particle's Euler steps only when something reads them: a
 recorded track, state-dependent motion, a per-step policy query or a
 state-dependent running cost.  Otherwise the motion is linear and the advance
@@ -40,6 +41,7 @@ the population size.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -226,9 +228,8 @@ def pathwise_cost_log_form(path: PopulationPath, params: ModelParams) -> float:
 class _MotionPlan:
     const_control: int | None
     motion_control: int | None   # control used for motion when control-independent
-    linear: bool
     draw_noise: bool
-    b_const: np.ndarray | None = None
+    b_const: np.ndarray | None = None    # set when the motion is linear
     sig_const: np.ndarray | None = None
 
 
@@ -240,21 +241,17 @@ def _make_plan(policy, params: ModelParams) -> _MotionPlan:
         motion_ctrl = 0
     else:
         motion_ctrl = None
-    linear = motion_ctrl is not None and params.motion_state_independent(motion_ctrl)
+    # a constant diffusion draws noise when some entry of sigma is nonzero
+    # (sigma sigma^T may underflow to zero), a position-dependent one always
+    origin = np.zeros(params.dim)
+    movers = params.controls.indices if motion_ctrl is None else [motion_ctrl]
+    plan = _MotionPlan(const_control=const, motion_control=motion_ctrl, draw_noise=any(
+        params.constants[a].cov is None or params.diffusion_at(origin, a).any() for a in movers))
     if motion_ctrl is not None:
-        draw_noise = not params.diffusion[motion_ctrl].is_zero
-    else:
-        draw_noise = not params.diffusion_is_zero()
-    plan = _MotionPlan(
-        const_control=const,
-        motion_control=motion_ctrl,
-        linear=linear,
-        draw_noise=draw_noise,
-    )
-    if linear:
-        origin = np.zeros(params.dim)
-        plan.b_const = params.drift_at(origin, motion_ctrl)
-        plan.sig_const = params.diffusion_at(origin, motion_ctrl)
+        constants = params.constants[motion_ctrl]
+        if constants.drift is not None and constants.cov is not None:
+            plan.b_const = constants.drift[0]
+            plan.sig_const = params.diffusion_at(origin, motion_ctrl)
     return plan
 
 
@@ -299,20 +296,15 @@ class SimulationSetup:
 
 def _model_fields(policy, params: ModelParams) -> dict:
     """The set-up fields that depend on the model."""
-    # event geometry is position-free for many models; cache it per control
-    static_geom = {}
     origin = np.zeros(params.dim)
-    for a in params.controls.indices:
-        if (params.death_rate[a].state_independent
-                and all(p.state_independent for p in params.offspring[a])):
-            static_geom[a] = (params.death_rate_at(origin, a),
-                              offspring_boundaries(origin, a, params))
-    cost_rates = None
-    if all(params.running_cost[a].state_independent for a in params.controls.indices):
-        cost_rates = np.array([params.running_cost_at(origin, a)
-                               for a in params.controls.indices])
+    static_geom = {a: (float(c.death_rate[0]), offspring_boundaries(origin, a, params))
+                   for a, c in enumerate(params.constants)
+                   if c.death_rate is not None and c.probs is not None}
+    costs = [c.cost for c in params.constants]
+    cost_rates = None if any(c is None for c in costs) else np.concatenate(costs)
     return dict(params=params, plan=_make_plan(policy, params), static_geom=static_geom,
-                cost_rates=cost_rates, cost_free=params.cost_is_zero())
+                cost_rates=cost_rates,
+                cost_free=cost_rates is not None and not cost_rates.any())
 
 
 def prepare_simulation(t: float, initial: dict, policy, params: ModelParams,
@@ -356,42 +348,23 @@ def coupled_setup(setup: SimulationSetup, params_tilde: ModelParams) -> Simulati
     return replace(setup, **_model_fields(setup.policy, params_tilde))
 
 
-def _grid_span(t0: float, start: float, end: float, step: float) -> tuple[int, int]:
-    """The indices [lo, hi) of the global grid points ``t0 + k*step`` strictly
-    inside (start, end), where a point within 1e-9 steps of an end merges
-    into it."""
-    tol = 1e-9 * step
-    k_lo = math.floor((start - t0) / step)
-    while t0 + step * k_lo > start + tol:
-        k_lo -= 1
-    while t0 + step * k_lo <= start + tol:
-        k_lo += 1
-    k_hi = math.ceil((end - t0) / step)
-    while t0 + step * k_hi < end - tol:
-        k_hi += 1
-    while t0 + step * k_hi >= end - tol:
-        k_hi -= 1
-    return k_lo, k_hi + 1
-
-
 def grid_times(t0: float, horizon: float, step: float) -> np.ndarray:
     """The global grid ``t0 + k*step`` for k = 0, 1, ... up to the last point
-    a particle grid on [t0, horizon] uses."""
-    return t0 + step * np.arange(_grid_span(t0, t0, horizon, step)[1])
+    short of the horizon by more than 1e-9 steps."""
+    times = t0 + step * np.arange(math.ceil((horizon - t0) / step) + 1)
+    return times[:bisect.bisect_left(times, horizon - 1e-9 * step)]
 
 
-def particle_grid(t0: float, start: float, end: float, step: float,
-                  times: np.ndarray) -> np.ndarray:
-    """Euler grid of one particle on [start, end], t0 <= start, for a path
-    started at t0.
-
-    The global grid points ``t0 + k*step`` strictly inside the interval, plus
-    both ends; a global point within 1e-9 steps of an end merges into it.
-    Always at least one step, of length zero when ``start == end``.  The
-    inner points are read from ``times``, the global grid of a path ending
-    at ``end`` or later (:func:`grid_times`).
-    """
-    lo, hi = _grid_span(t0, start, end, step)
+def particle_grid(start: float, end: float, step: float, times: np.ndarray) -> np.ndarray:
+    """Euler grid of one particle on [start, end]: the points of the global
+    grid ``times`` (:func:`grid_times`, of a path ending at ``end`` or later)
+    strictly inside the interval, plus both ends; a global point within 1e-9
+    steps of an end merges into it.  Always at least one step, of length zero
+    when ``start == end``."""
+    tol = 1e-9 * step
+    # bisect on the array costs less per call than two ndarray.searchsorted
+    lo = bisect.bisect_right(times, start + tol)
+    hi = bisect.bisect_left(times, end - tol)
     grid = np.empty(max(hi - lo, 0) + 2)
     grid[0] = start
     grid[1:-1] = times[lo:hi]
@@ -438,7 +411,7 @@ class _Simulation:
         self.driver = RandomDriver(seed, setup.streams)
         # the positions of a particle's Euler steps are computed only when
         # something reads them; otherwise an advance computes its end point
-        self.reads_positions = (record_paths or not plan.linear
+        self.reads_positions = (record_paths or plan.b_const is None
                                 or plan.const_control is None or setup.cost_rates is None)
         # label -> position at its own time; positions are replaced, never
         # written into, so the founders' read-only arrays can start it
@@ -496,7 +469,7 @@ class _Simulation:
         grid; returns the control of its last step."""
         setup, plan = self.setup, self.plan
         start = self.clock[lab]
-        grid = particle_grid(setup.t, start, target, setup.step, setup.times)
+        grid = particle_grid(start, target, setup.step, setup.times)
         deltas = grid[1:] - grid[:-1]
         n_steps = len(deltas)
         x0 = self.pop[lab]
@@ -545,7 +518,7 @@ class _Simulation:
         or None for the latter when the control is constant."""
         params, plan = self.params, self.plan
         n_steps = len(deltas)
-        if plan.linear:
+        if plan.b_const is not None:
             xs = x0 + (grid - grid[0])[:, None] * plan.b_const
             if dw is not None:
                 xs[1:] += dw.cumsum(0) @ plan.sig_const.T

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from branchdiff import model as M
 from branchdiff.errors import ConfigurationError
 from branchdiff.modelio import load_model
-from model_cases import partly_shared
+from model_cases import partly_shared, state_dependent_two_control, two_dim_two_control
 
 X0 = np.zeros(1)
 
@@ -320,14 +320,16 @@ def reference_coefficients(params, xs, a):
                           cost=params.running_cost_many(xs, a))
 
 
-def position_dependent(params, name):
-    """Whether some control's spec of field ``name`` depends on the position."""
-    specs = {"drift": [c for v in params.drift for c in v.components],
-             "cov": [c for v in params.diffusion for c in v.components],
-             "death_rate": params.death_rate,
-             "probs": [p for probs in params.offspring for p in probs],
-             "cost": params.running_cost}[name]
-    return not all(spec.state_independent for spec in specs)
+def position_dependent(params, name, controls=None):
+    """Whether the spec of field ``name`` of some control in ``controls``
+    (every control when None) depends on the position."""
+    specs = {"drift": [v.components for v in params.drift],
+             "cov": [v.components for v in params.diffusion],
+             "death_rate": [(c,) for c in params.death_rate],
+             "probs": params.offspring,
+             "cost": [(c,) for c in params.running_cost]}[name]
+    controls = params.controls.indices if controls is None else controls
+    return not all(spec.state_independent for a in controls for spec in specs[a])
 
 
 def check_field_rule(params, seed):
@@ -514,6 +516,44 @@ def test_position_dependent_control_gets_every_point():
     np.testing.assert_array_equal(coef.drift[0, :, 0], 0.1 + 0.2 * xs[:, 0])
     np.testing.assert_array_equal(coef.drift[1, :, 0], 0.0)
     assert [f.flags.writeable for f in coef] == [True, False, False, False, False]
+
+
+CONSTANTS_CASES = {**STACKED_CASES,
+                   "state_dependent_two_control": state_dependent_two_control,
+                   "two_dim_two_control": two_dim_two_control}
+
+
+def check_constants(params):
+    """Each control's table entry of a field is None exactly where that
+    control's specs for it depend on the position, and otherwise the
+    read-only value at the origin, shape (1, ...), with the bits of the
+    ``*_many`` methods; a pickled copy rebuilds the table."""
+    origin = np.zeros((1, params.dim))
+    table = params.constants
+    copy = pickle.loads(pickle.dumps(params))
+    assert "constants" not in vars(copy)
+    assert len(table) == len(copy.constants) == len(params.controls)
+    for a, (entries, rebuilt) in enumerate(zip(table, copy.constants)):
+        want = reference_coefficients(params, origin, a)
+        for name, got, again, ref in zip(M.Coefficients._fields, entries, rebuilt, want):
+            if position_dependent(params, name, [a]):
+                assert got is None and again is None
+                continue
+            assert ref.shape[0] == 1
+            for arr in (got, again):
+                assert not arr.flags.writeable
+                assert (arr.shape, arr.tobytes()) == (ref.shape, ref.tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANTS_CASES))
+def test_constants_follow_each_controls_specs(name):
+    check_constants(CONSTANTS_CASES[name]())
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficient_models())
+def test_constants_of_drawn_models(params):
+    check_constants(params)
 
 
 def generator_one_expression(coef, r, grad, hess):

@@ -76,7 +76,7 @@ class TestSingleDiffusion:
         m = make_model(sigma=0.3, affine_drift=(0.1, -0.5))
         h, horizon, seed = 0.1, 1.0, 77
         path = simulate(root_setup(m, h, horizon), seed)
-        grid = particle_grid(0.0, 0.0, horizon, h, grid_times(0.0, horizon, h))
+        grid = particle_grid(0.0, horizon, h, grid_times(0.0, horizon, h))
         deltas = np.diff(grid)
         z = RandomDriver(seed).motion_stream(()).standard_normal((len(deltas), 1))
         dw = z * np.sqrt(deltas)[:, None]
@@ -278,7 +278,7 @@ def own_grid_steps(path, step):
     for lab, t_birth in birth.items():
         ends = cuts[lab] if lab not in path.final else cuts[lab] + [path.horizon]
         points = [t_birth] + ends
-        steps[lab] = sum(len(particle_grid(path.start_time, a, b, step,
+        steps[lab] = sum(len(particle_grid(a, b, step,
                                            grid_times(path.start_time, b, step))) - 1
                          for a, b in zip(points, points[1:]))
     return steps
@@ -318,7 +318,7 @@ def test_particle_grid_matches_brute_force(case):
     points = [t0 + step * k for k in range(int((horizon - t0) / step) + 3)]
     times = grid_times(t0, horizon, step)
     assert times.tolist() == [p for p in points if p < horizon - tol]
-    grid = particle_grid(t0, start, end, step, times)
+    grid = particle_grid(start, end, step, times)
     assert (grid[0].hex(), grid[-1].hex()) == (start.hex(), end.hex())
     assert grid[1:-1].tolist() == [p for p in points if start + tol < p < end - tol]
 
@@ -570,6 +570,37 @@ class TestSimulationSetup:
         path = simulate(setup, 3)
         assert all(x.flags.writeable for x in path.initial.values())
         assert all(x.flags.writeable for x in path.final.values())
+
+
+class TestConstantValueRules:
+    """The set-up reads constant coefficients by value: a logistic of slope
+    0 with lo = -hi is exactly 0.0, so its diffusion draws no noise and its
+    running cost is free, and its paths are those of the constant 0."""
+
+    @staticmethod
+    def flat_zero(half_width):
+        return M.CoefficientSpec(family="logistic", lo=-half_width, hi=half_width,
+                                 slope=(0.0,), center=(0.3,))
+
+    def models(self):
+        zero = make_model(b=0.2, gamma=0.8, rate_bound=1.0, p0=0.4, p1=0.1,
+                          mean_bound=1.1)
+        flat = dataclasses.replace(zero, diffusion=(M.VectorSpec((self.flat_zero(0.2),)),),
+                                   running_cost=(self.flat_zero(0.1),))
+        return zero, flat
+
+    def test_flat_zero_draws_no_noise_and_costs_nothing(self):
+        for m in self.models():
+            setup = prepare_simulation(0.0, FOUNDERS, ConstantPolicy(0), m, 0.1, 1.0)
+            assert setup.plan.draw_noise is False and setup.cost_free is True
+
+    def test_paths_equal_constant_zero_paths(self):
+        setups = [prepare_simulation(0.0, FOUNDERS, ConstantPolicy(0), m, 0.1, 1.0)
+                  for m in self.models()]
+        for seed in range(20):
+            for record in (False, True):
+                zero, flat = (simulate(s, seed, record_paths=record) for s in setups)
+                assert paths_equal(zero, flat)
 
 
 class TestStreamTable:
