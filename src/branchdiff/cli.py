@@ -500,7 +500,8 @@ def _task_estimate(runner: Runner, idx: int, *, policy, replications, oracle,
                 }).replace("\n", " ") + "\n")
         results["replications_jsonl"] = jl_path.name
     for k in range(dump_paths):
-        p = simulator.simulate(setup, exp.seed_base + k)
+        # the CSV holds the events and the final positions, not the tracks
+        p = simulator.simulate(setup, exp.seed_base + k, record_paths=False)
         csv_path = exp.output_dir / f"task_{idx:02d}_path_{k}.csv"
         with open(csv_path, "w", newline="") as fh:
             simulator.write_path_csv(p, fh)

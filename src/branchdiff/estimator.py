@@ -220,9 +220,9 @@ class SmoothTestFunction:
     Families: ``constant`` (u = base), ``gaussian-bump`` (base + a(t) * bump)
     and ``polynomial-times-bump`` (base + a(t) * (1 + directional bump) / 2),
     where a(t) = scale * exp(-decay t) and decay >= 0.  u(t, .) spans
-    [base + min(0, a(t)), base + max(0, a(t))], widest at the earliest time;
-    it must lie in [0, 1] from t = 0 on, and :meth:`check_range` checks an
-    earlier start.
+    [base + min(0, a(t)), base + max(0, a(t))] (a(t) = 0 for ``constant``),
+    widest at the earliest time; it must lie in [0, 1] from t = 0 on, and
+    :meth:`check_range` checks an earlier start.
     """
 
     family: str
@@ -261,7 +261,8 @@ class SmoothTestFunction:
         """Raise :class:`ConfigurationError` unless u stays inside [0, 1] from
         time t on."""
         try:
-            amp = self.scale * math.exp(-self.decay * t)
+            # a constant's value ignores its scale
+            amp = 0.0 if self.family == "constant" else self.scale * math.exp(-self.decay * t)
         except OverflowError:
             amp = self.scale * math.inf     # nan, and so no bound, for scale 0
         lo, hi = self.base + min(0.0, amp), self.base + max(0.0, amp)

@@ -118,15 +118,23 @@ def _cfl_bound(params: ModelParams, dx: float, coef: Coefficients) -> float:
     """Largest over nodes of max_a sigma^2/dx^2 + max_a |b|/dx +
     rate_bound * (mean offspring bound + 1) + max_a running cost: the CFL
     ratio is dt times this, and the scheme is monotone when it is at most
-    one."""
+    one.  Raises :class:`ConfigurationError` when the bound is not finite."""
     def worst(field):    # max over the controls, per node or for all nodes
         return np.atleast_2d(field).max(axis=0)
 
-    per_node = (worst(coef.cov[..., 0, 0]) / dx**2
-                + worst(np.abs(coef.drift[..., 0])) / dx
-                + params.rate_bound * (params.mean_offspring_bound + 1.0)
-                + worst(coef.cost))
-    return float(per_node.max())
+    # an overflow is reported once, below, instead of warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_node = (worst(coef.cov[..., 0, 0]) / dx**2
+                    + worst(np.abs(coef.drift[..., 0])) / dx
+                    + params.rate_bound * (params.mean_offspring_bound + 1.0)
+                    + worst(coef.cost))
+    bound = float(per_node.max())
+    if not math.isfinite(bound):
+        raise ConfigurationError(
+            f"the CFL bound max sigma^2/dx^2 + max |b|/dx + rate_bound * (M + 1) "
+            f"+ max cost is {bound!r} on this grid: the drift, diffusion or running "
+            f"cost is too large")
+    return bound
 
 
 def _cfl_ratio(params: ModelParams, grid: GridConfig, coef: Coefficients) -> float:

@@ -649,6 +649,11 @@ def _validate_point(params: ModelParams, x: np.ndarray, a: int,
         report.add("mean-offspring", a, x,
                    f"mean offspring {mean!r} exceeds bound "
                    f"{params.mean_offspring_bound!r}")
+    b, sig = params.drift_at(x, a), params.diffusion_at(x, a)
+    cov = sig @ sig.T
+    if not (np.isfinite(b).all() and np.isfinite(cov).all()):
+        report.add("motion-non-finite", a, x, f"drift {b.tolist()} or sigma sigma^T "
+                   f"{cov.tolist()} is not finite")
     c = params.running_cost_at(x, a)
     if not math.isfinite(c):
         report.add("cost-non-finite", a, x, f"running cost {c!r} is not finite")

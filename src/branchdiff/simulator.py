@@ -72,7 +72,8 @@ class OpenLoopPolicy:
     particle.
 
     The schedule is (switch_times, controls) with switch_times strictly
-    increasing; controls[j] applies on [switch_times[j], switch_times[j+1]).
+    increasing; controls[j] applies on [switch_times[j], switch_times[j+1]),
+    and controls[0] also before switch_times[0].
     """
 
     def __init__(self, schedule: tuple):

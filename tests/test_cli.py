@@ -527,6 +527,39 @@ def test_unquoted_dotted_label_exits_parse(tmp_path, capsys):
     assert "initial.particles[0].label" in capsys.readouterr().err
 
 
+SIGMA_1E160 = ("diffusion:\n    - {family: constant, value: 0.45}",
+               "diffusion:\n    - {family: constant, value: 1.0e+160}")
+DRIFT_1E308 = ("drift:\n    - {family: constant, value: 0.0}",
+               "drift:\n    - {family: constant, value: 1.0e+308}")
+
+
+@pytest.mark.parametrize("edit, task, message", [
+    (SIGMA_1E160, {"kind": "solve"}, "motion-non-finite control=0"),
+    (DRIFT_1E308, {"kind": "solve"}, "the CFL bound"),
+    (SIGMA_1E160, {"kind": "dynkin", "times": [0.5], "functions": [
+        {"family": "gaussian-bump", "base": 0.3, "scale": 0.5}]},
+     "motion-non-finite control=0"),
+], ids=["diffusion_solve", "drift_solve", "diffusion_dynkin"])
+def test_overflowing_motion_exits_validation(tmp_path, capsys, edit, task, message):
+    """sigma sigma^T that overflows fails validation; a drift whose CFL term
+    overflows fails the solve's CFL check: exit 3 either way, unwarned."""
+    text = (MODELS / "two_control_harvest.yaml").read_text()
+    assert edit[0] in text
+    model = tmp_path / "model.yaml"
+    model.write_text(text.replace(*edit))
+    doc = base_doc(tmp_path, tasks=[task])
+    doc["model"] = str(model)
+    if task["kind"] == "dynkin":
+        del doc["grid"]
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(cfg)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err
+    assert "internal error" not in err and "RuntimeWarning" not in err
+    assert not list((tmp_path / "out").glob("task_*.json"))
+
+
 # ---------------------------------------------------------------------------
 # the whole experiment is parsed before any task runs
 
@@ -702,6 +735,11 @@ BAD_INPUTS = {
                            {"family": "gaussian-bump", "base": 0.3, "scale": 0.5,
                             "decay": 1.0}]}])),
         "tasks[1].functions[0]"),
+    "constant_test_function_above_one": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "dynkin", "times": [0.5], "functions": [
+            {"family": "constant", "base": 0.7, "scale": 0.5},
+            {"family": "constant", "base": 1.2}]}]),
+        "tasks[0].functions[1]"),
     "flag_not_boolean": (
         lambda d: set_in(d, ["tasks"], [{"kind": "solve", "export_csv": "no"}]),
         "tasks[0].export_csv"),
@@ -858,6 +896,20 @@ def test_negative_scale_inside_unit_interval_accepted(tmp_path):
     exp = cli.Experiment(doc, cfg, SimpleNamespace(out=None, seed=None, reps=None))
     fn = exp.tasks[0][1]["functions"][0]
     assert (fn.base, fn.scale, fn.decay) == (0.8, -0.5, 0.2)
+
+
+def test_constant_test_function_with_scale_runs(tmp_path):
+    """A constant is base everywhere: its scale does not count against the
+    range."""
+    doc = base_doc(tmp_path, tasks=[{"kind": "dynkin", "times": [0.5], "replications": 100,
+                                     "functions": [{"family": "constant", "base": 0.7,
+                                                    "scale": 0.5}]}])
+    del doc["grid"]
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.run(cfg) == cli.EXIT_OK
+    rows = read_json(tmp_path / "out" / "task_00_dynkin.json")["results"]["residuals"]
+    assert [row["family"] for row in rows] == ["constant"]
 
 
 def test_test_function_vectors_default_at_the_model_dim(tmp_path):

@@ -289,6 +289,12 @@ class TestTestFunctionRange:
         values = u.value(0.0, np.linspace(-4.0, 4.0, 81)[:, None])
         assert values.min() == pytest.approx(0.3) and values.max() <= 0.8
 
+    def test_constant_ignores_scale(self):
+        """A constant is base everywhere, whatever its scale."""
+        u = estimator.SmoothTestFunction(family="constant", base=0.7, scale=0.5)
+        u.check_range(-1e6)
+        assert u.value(0.0, np.zeros((3, 1))).tolist() == [0.7] * 3
+
     def test_earlier_start_checked(self):
         u = estimator.SmoothTestFunction(family="gaussian-bump", base=0.3, scale=0.5,
                                          decay=1.0)

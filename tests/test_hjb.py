@@ -166,6 +166,15 @@ class TestSolve:
             hjb.solve(m, hjb.GridConfig(x_lo=-2, x_hi=2, n_x=201, n_t=need // 2,
                                         horizon=1.0))
 
+    def test_overflowing_cfl_bound_rejected(self):
+        """|b|/dx overflows: the bound is not finite, which solve and
+        required_time_steps_for report, unwarned, instead of sizing a grid."""
+        m = single_control(b=1e308, sigma=0.3)
+        cfg = hjb.GridConfig(x_lo=-2, x_hi=2, n_x=41, n_t=100, horizon=1.0)
+        for call in (hjb.solve, hjb.required_time_steps_for):
+            with pytest.raises(ConfigurationError, match="the CFL bound .* is inf"):
+                call(m, cfg)
+
     @pytest.mark.parametrize("horizon, steps", [(1.0, 2500), (0.7, 1750)])
     def test_required_steps_at_an_exact_bound(self, horizon, steps):
         """Where horizon times the bound is a whole number of steps, that
