@@ -24,7 +24,7 @@ from branchdiff.modelio import load_model
 from branchdiff.simulator import (ConstantPolicy, OpenLoopPolicy, coupled_setup,
                                   prepare_simulation, simulate, simulate_coupled)
 import model_cases
-from model_cases import state_dependent_two_control, two_control_motion
+from model_cases import state_dependent, state_dependent_two_control, two_control_motion
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 MODELS = CONFIGS / "models"
@@ -33,26 +33,6 @@ STEP, HORIZON = 0.05, 1.0
 
 ROOT = {(): np.zeros(1)}
 FOUNDERS_16 = {(i,): np.array([0.2 * i - 1.5]) for i in range(16)}
-
-
-def state_dependent():
-    """Motion, death rate and offspring all depend on the position, so no
-    part of the event geometry or the motion can be cached."""
-    affine = M.VectorSpec((M.CoefficientSpec(family="affine", intercept=0.1,
-                                             slope=(-0.4,)),))
-    logistic = M.CoefficientSpec(family="logistic", lo=0.2, hi=0.9, slope=(2.0,),
-                                 center=(0.0,))
-    bump = M.CoefficientSpec(family="gaussian-bump", offset=0.2, amplitude=0.3,
-                             center=(0.5,), width=0.7)
-    return M.ModelParams(
-        dim=1, noise_dim=1, controls=M.ControlSet.of_size(1),
-        drift=(affine,),
-        diffusion=(M.VectorSpec((M.CoefficientSpec(
-            family="affine", intercept=0.3, slope=(0.05,)),)),),
-        death_rate=(logistic,), offspring=((bump, M.constant(0.1)),),
-        running_cost=(M.constant(0.2),),
-        terminal=M.constant(0.5),
-        rate_bound=1.0, mean_offspring_bound=1.5, max_children=2)
 
 
 def harvest_feedback():

@@ -13,8 +13,10 @@ from branchdiff import estimator, hjb, model as M
 from branchdiff.errors import ConfigurationError, NumericalFailureError
 from branchdiff.modelio import load_model
 from branchdiff.simulator import OpenLoopPolicy, prepare_simulation, simulate
-from model_cases import (opposite_drifts, shared_drift_two_control, single_control,
-                         state_dependent_two_control, two_dim_two_control)
+from model_cases import (costless_motion, deathless, driftless_two_control,
+                         opposite_drifts, shared_drift_two_control, single_control,
+                         state_dependent_two_control, still_two_control,
+                         transport_two_control, two_dim_two_control)
 
 MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
 
@@ -461,11 +463,15 @@ FEEDBACK_CASES = {
                                        horizon=1.0)),
     "shared_drift": (shared_drift_two_control,
                      hjb.GridConfig(x_lo=-3.0, x_hi=3.0, n_x=121, n_t=800, horizon=1.0)),
+    # zero drift for both controls, other fields position-dependent
+    "driftless": (driftless_two_control,
+                  hjb.GridConfig(x_lo=-4.0, x_hi=4.0, n_x=161, n_t=200, horizon=1.0)),
 }
 FEEDBACK_PINNED = {
     "harvest": "0b9dcf00bed542e5",
     "state_dependent": "43be48c9f094275b",
     "shared_drift": "f077fa5b18f4b146",
+    "driftless": "da22262012094ce3",
 }
 
 
@@ -508,6 +514,7 @@ DYNKIN_PINNED = {
     "state_dependent": "1fd04f978e415fb9",
     "shared_drift": "5fa473bb4d63efd3",
     "two_dim": "eb5753ca78344829",
+    "driftless": "51f563267c470700",
 }
 
 
@@ -589,10 +596,12 @@ def test_dynkin_residuals_pinned(name, monkeypatch):
 
 
 # the grids of the pde_sweep benchmark workload: the harvest grid, the doubled
-# domain its boundary sensitivity solves, and the long critical grid; and the
-# two ways a model's coefficients can reach the solver that those grids do
-# not cover, fields evaluated at every node (state_dependent) and rows shared
-# by some fields only (shared_drift)
+# domain its boundary sensitivity solves, and the long critical grid; the two
+# ways a model's coefficients can reach the solver that those grids do not
+# cover, fields evaluated at every node (state_dependent) and rows shared by
+# some fields only (shared_drift); and models whose generator lacks a term at
+# every node and control, in the combinations the bundled models do not have
+# (harvest lacks the drift, critical all but the branching)
 SOLVE_CASES = {
     "harvest": (bundled("two_control_harvest"),
                 hjb.GridConfig(x_lo=-8.0, x_hi=8.0, n_x=1601, n_t=2040, horizon=1.0)),
@@ -603,6 +612,15 @@ SOLVE_CASES = {
                  hjb.GridConfig(x_lo=-1.0, x_hi=1.0, n_x=21, n_t=6000, horizon=2.0)),
     "state_dependent": FEEDBACK_CASES["state_dependent"],
     "shared_drift": FEEDBACK_CASES["shared_drift"],
+    "driftless": FEEDBACK_CASES["driftless"],
+    "transport": (transport_two_control,
+                  hjb.GridConfig(x_lo=-3.0, x_hi=3.0, n_x=121, n_t=100, horizon=1.0)),
+    "still": (still_two_control,
+              hjb.GridConfig(x_lo=-3.0, x_hi=3.0, n_x=121, n_t=100, horizon=1.0)),
+    "costless": (costless_motion,
+                 hjb.GridConfig(x_lo=-3.0, x_hi=3.0, n_x=121, n_t=200, horizon=1.0)),
+    "deathless": (deathless,
+                  hjb.GridConfig(x_lo=-3.0, x_hi=3.0, n_x=121, n_t=100, horizon=1.0)),
 }
 SOLVE_PINNED = {
     "harvest": "41526e24372553d3",
@@ -610,6 +628,11 @@ SOLVE_PINNED = {
     "critical": "df994fb34282fffb",
     "state_dependent": "5ef9dcaa74ac2dc8",
     "shared_drift": "a056fa65548a5632",
+    "driftless": "f88dd09752471de8",
+    "transport": "f23866c600a46ce0",
+    "still": "1b6d972d7d4d65d8",
+    "costless": "1feefa982ef4df06",
+    "deathless": "cfcf75a8f02c721c",
 }
 
 
@@ -727,7 +750,7 @@ def test_solve_peak_memory_is_its_surface():
 def test_solve_pinned(name):
     make, cfg = SOLVE_CASES[name]
     out = hjb.solve(make(), cfg)
-    if name in ("harvest", "state_dependent", "shared_drift"):
+    if name not in ("harvest_wide", "critical"):
         assert set(np.unique(out.argmin_control)) == {0, 1}
     h = hashlib.sha256(out.values.tobytes())
     h.update(out.argmin_control.astype(np.int64).tobytes())
