@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError
 from .labels import Label
-from .model import Coefficients, ModelParams, generator
+from .model import Coefficients, ModelParams, generator, zero_fields
 
 CLAMP_TOL = 1e-12
 
@@ -179,11 +179,14 @@ def _second_difference(u: np.ndarray, dx: float, out: np.ndarray = None) -> np.n
 
 class _Stencil:
     """The work arrays of one solve's layer updates, allocated once and
-    refilled in place on every layer.  ``forward`` flags where the drift is
-    nonnegative, per control and node, per control, or once for a drift
+    refilled in place on every layer; ``skip`` holds the fields that are
+    zero at every node for every control.  ``forward`` flags where the drift
+    is nonnegative, per control and node, per control, or once for a drift
     that every control shares."""
 
-    def __init__(self, forward: np.ndarray, n_x: int, n_controls: int):
+    def __init__(self, coef: Coefficients, n_x: int, n_controls: int):
+        self.skip = zero_fields(coef)
+        forward = coef.drift[..., 0] >= 0.0
         self.slope = np.zeros(n_x + 1)   # a difference looking outside the domain is dropped
         self.inner = self.slope[1:-1]
         if forward.all() or not forward.any():
@@ -206,14 +209,18 @@ def _layer_operator(u: np.ndarray, coef: Coefficients, stencil: _Stencil,
                     dx: float) -> np.ndarray:
     """Stacked per-control generator values (n_controls, n_x) on one layer,
     in ``stencil.out``; the first difference is upwinded by ``stencil.pick``
-    or, when that is None, by the view ``stencil.upwind`` itself."""
-    np.divide(np.subtract(u[1:], u[:-1], out=stencil.inner), dx, out=stencil.inner)
-    if stencil.pick is not None:
-        np.take(stencil.slope, stencil.pick, out=stencil.upwind, mode="clip")
-    _second_difference(u, dx, out=stencil.m2)
+    or, when that is None, by the view ``stencil.upwind`` itself.  No
+    difference is taken for a skipped term, and no clip: ``u`` is in [0, 1]."""
+    if "drift" not in stencil.skip:
+        np.divide(np.subtract(u[1:], u[:-1], out=stencil.inner), dx, out=stencil.inner)
+        if stencil.pick is not None:
+            np.take(stencil.slope, stencil.pick, out=stencil.upwind, mode="clip")
+    if "cov" not in stencil.skip:
+        _second_difference(u, dx, out=stencil.m2)
     # u and the second difference with a control axis of one: the terms of
     # a shared field are then same-shape operations, numpy's fastest
-    return generator(coef, u[None], stencil.grad, stencil.hess, out=stencil.out)
+    return generator(coef, u[None], stencil.grad, stencil.hess, out=stencil.out,
+                     skip=stencil.skip, clip=False)
 
 
 def _minimize(stacked: np.ndarray, argmin_row: np.ndarray) -> np.ndarray:
@@ -250,7 +257,7 @@ def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
                       dtype=np.min_scalar_type(len(params.controls) - 1))
     values[n_t] = terminal
     clamp_events = 0
-    stencil = _Stencil(coef.drift[..., 0] >= 0.0, grid.n_x, len(params.controls))
+    stencil = _Stencil(coef, grid.n_x, len(params.controls))
     dx, dt = grid.dx, grid.dt
     u = values[n_t]
     for k in range(n_t - 1, -1, -1):
@@ -350,7 +357,8 @@ class FeedbackPolicy:
         r, p, m2 = (self._table[row] * (1 - wx) + self._table[row + 1] * wx).T
         coef = self.params.coefficients(xq[:, None])
         # no control axis when the controls share every field: all tie
-        vals = np.atleast_2d(generator(coef, r, p[:, None], m2[:, None, None]))
+        vals = np.atleast_2d(generator(coef, r, p[:, None], m2[:, None, None],
+                                       skip=self.params.zero_everywhere))
         return vals.argmin(0)   # lowest index wins ties, as in solve
 
 

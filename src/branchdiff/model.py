@@ -381,6 +381,11 @@ class ModelParams:
         return Coefficients(*fields)
 
     @functools.cached_property
+    def zero_everywhere(self) -> frozenset:
+        """:func:`zero_fields` of the rows of :meth:`field`, known per model."""
+        return zero_fields(self._rows)
+
+    @functools.cached_property
     def _position_free(self) -> bool:
         return all(row is not None for row in self._rows)
 
@@ -410,7 +415,16 @@ class Coefficients(NamedTuple):
     cost: np.ndarray        # (n,): running cost
 
 
-def generator(coef: Coefficients, r, grad, hess, out=None) -> np.ndarray:
+def zero_fields(coef: Coefficients) -> frozenset:
+    """The fields among drift, cov, death_rate and cost that ``coef`` holds
+    as zero at every point for every control (a field that is None is not
+    known to be zero): ``generator`` may skip the terms they weight."""
+    return frozenset(name for name in ("drift", "cov", "death_rate", "cost")
+                     if getattr(coef, name) is not None and not np.any(getattr(coef, name)))
+
+
+def generator(coef: Coefficients, r, grad, hess, out=None, *, skip=frozenset(),
+              clip=True) -> np.ndarray:
     """The operator of the value equation applied at n points:
 
         L^a u = b . grad + 1/2 sum_ij (sigma sigma^T)_ij hess_ij
@@ -428,43 +442,53 @@ def generator(coef: Coefficients, r, grad, hess, out=None) -> np.ndarray:
     ((b . grad + 1/2 sigma sigma^T : hess) + branching) - c r.
 
     Only the terms there are get computed: the k = 1 summand p_1 (rc - rc)
-    is skipped, and in one dimension b . grad and sigma sigma^T : hess are
-    single products, not sums over axes of length one.  For finite
-    coefficients the bits are those of the formula as written, summed
-    term by term from +0.0:
+    is skipped, in one dimension b . grad and sigma sigma^T : hess are
+    single products, not sums over axes of length one, and so is the term
+    of each field in ``skip`` (a subset of :func:`zero_fields` of ``coef``).
+    ``clip=False`` leaves out the clip, which changes no r in [-1, 1].  For
+    finite coefficients and arguments the bits are those of the formula as
+    written, summed term by term from +0.0:
 
     - The written formula never gives -0.0 unless a NaN is involved: its two
       sums start from +0.0, and a sum or difference whose first operand is
       not -0.0 is not -0.0 under rounding to nearest, so neither is any
       later partial result.
     - Each skipped step changes a value at most in the sign of a zero: p_1
-      (rc - rc) is a signed zero for finite rc (for NaN rc the k = 0 term is
-      NaN already), and a sum over one term differs from the term only when
-      it is -0.0.  Sums, differences and products with finite operands keep
-      such a difference to the sign of a zero.
+      (rc - rc) and a term whose coefficient is zero are signed zeros for
+      finite rc and arguments (for NaN rc the k = 0 term is NaN already),
+      and a sum over one term differs from the term only when it is -0.0.
+      Sums, differences and products with finite operands keep such a
+      difference to the sign of a zero.
     - The result may thus be -0.0 where the written formula gives +0.0, and
       the closing ``+ 0.0`` maps exactly those back.
     """
-    rc = np.maximum(r, -1.0)
-    np.minimum(rc, 1.0, out=rc)   # np.clip costs more per call
-    probs = coef.probs
-    branching = probs[..., 0] * (1.0 - rc)
-    for k in range(2, probs.shape[-1]):
-        power = rc**k
-        power -= rc
-        branching += probs[..., k] * power
-    # from here out of place up to the last step: a term made of fields the
-    # controls share lacks the control axis of the result
-    branching = branching * coef.death_rate
-    if grad.shape[-1] == 1:
-        motion = coef.drift[..., 0] * grad[..., 0]
-        curvature = coef.cov[..., 0, 0] * hess[..., 0, 0]
-    else:
+    one_dim = grad.shape[-1] == 1
+    # out of place up to the last step: a term made of fields the controls
+    # share lacks the control axis of the result
+    terms = []
+    if "drift" not in skip:
         # np.add.reduce is ndarray.sum without its per-call wrapper
-        motion = np.add.reduce(coef.drift * grad, -1)
-        curvature = np.add.reduce(coef.cov * hess, (-2, -1))
-    curvature *= 0.5
-    result = np.subtract(motion + curvature + branching, coef.cost * r, out=out)
+        terms.append(coef.drift[..., 0] * grad[..., 0] if one_dim
+                     else np.add.reduce(coef.drift * grad, -1))
+    if "cov" not in skip:
+        curvature = (coef.cov[..., 0, 0] * hess[..., 0, 0] if one_dim
+                     else np.add.reduce(coef.cov * hess, (-2, -1)))
+        curvature *= 0.5
+        terms.append(curvature)
+    if "death_rate" not in skip:
+        # np.clip costs more per call
+        rc = np.minimum(np.maximum(r, -1.0), 1.0) if clip else r
+        probs = coef.probs
+        branching = probs[..., 0] * (1.0 - rc)
+        for k in range(2, probs.shape[-1]):
+            power = rc**k
+            power -= rc
+            branching += probs[..., k] * power
+        terms.append(branching * coef.death_rate)
+    lead = functools.reduce(np.add, terms) if terms else np.zeros(np.shape(r))
+    if "cost" in skip:
+        return np.add(lead, 0.0, out=out)
+    result = np.subtract(lead, coef.cost * r, out=out)
     result += 0.0
     return result
 

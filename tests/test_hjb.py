@@ -696,8 +696,8 @@ def record_layers(monkeypatch):
         seen["operator"].append((coef, stencil, out))
         return out
 
-    def gen(coef, r, grad, hess, out=None):
-        result = generator(coef, r, grad, hess, out=out)
+    def gen(coef, r, grad, hess, **kw):
+        result = generator(coef, r, grad, hess, **kw)
         seen["generator"].append((grad, hess, result))
         return result
 
