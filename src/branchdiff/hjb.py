@@ -111,7 +111,9 @@ def _node_coefficients(params: ModelParams, nodes: np.ndarray) -> Coefficients:
     (:meth:`~branchdiff.model.ModelParams.coefficients`)."""
     if params.dim != 1:
         raise ConfigurationError("the PDE solver handles one-dimensional models only")
-    return params.coefficients(nodes[:, None])
+    # an overflow is reported by the CFL check (_cfl_bound), not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        return params.coefficients(nodes[:, None])
 
 
 def _cfl_bound(params: ModelParams, dx: float, coef: Coefficients) -> float:

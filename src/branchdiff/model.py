@@ -629,13 +629,14 @@ def validate_params(params: ModelParams, probe_points) -> ValidationReport:
 
     Violations are data, not exceptions: the report lists everything found.
     ``probe_points`` is an iterable of (x, a) pairs; ``a = None`` probes all
-    controls at that point.
+    controls at that point.  A check of fields that are position-free for a
+    control (:attr:`ModelParams.constants`) runs at its first probe only.
     """
     probe_points = list(probe_points)
     if not probe_points:
         raise ConfigurationError("probe_points must be non-empty")
     report = ValidationReport()
-    seen_x = []
+    seen_x, done = [], set()
     # a value that overflows is reported as a violation, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for x, a in probe_points:
@@ -643,7 +644,7 @@ def validate_params(params: ModelParams, probe_points) -> ValidationReport:
             seen_x.append(x)
             controls = params.controls.indices if a is None else [a]
             for ctrl in controls:
-                _validate_point(params, x, ctrl, report)
+                _validate_point(params, x, ctrl, report, done)
         for x in seen_x:
             g = params.terminal_at(x)
             if not -PROB_TOL <= g <= 1.0 + PROB_TOL:
@@ -652,34 +653,45 @@ def validate_params(params: ModelParams, probe_points) -> ValidationReport:
 
 
 def _validate_point(params: ModelParams, x: np.ndarray, a: int,
-                    report: ValidationReport) -> None:
-    gamma = params.death_rate_at(x, a)
-    if gamma < -PROB_TOL:
-        report.add("rate-negative", a, x, f"death rate {gamma!r} < 0")
-    if gamma > params.rate_bound + PROB_TOL:
-        report.add("rate-bound", a, x,
-                   f"death rate {gamma!r} exceeds bound {params.rate_bound!r}")
-    probs = params.offspring_probs_at(x, a)
-    total = float(probs.sum())
-    if abs(total - 1.0) > PROB_TOL:
-        report.add("probability-sum", a, x,
-                   f"offspring probabilities sum to {total!r}, not 1")
-    for k, p in enumerate(probs):
-        if p < -PROB_TOL or p > 1.0 + PROB_TOL:
-            report.add("probability-range", a, x,
-                       f"p_{k}={float(p)!r} outside [0, 1]")
-    mean = float(np.dot(np.arange(len(probs)), probs))
-    if mean > params.mean_offspring_bound + PROB_TOL:
-        report.add("mean-offspring", a, x,
-                   f"mean offspring {mean!r} exceeds bound "
-                   f"{params.mean_offspring_bound!r}")
-    b, sig = params.drift_at(x, a), params.diffusion_at(x, a)
-    cov = sig @ sig.T
-    if not (np.isfinite(b).all() and np.isfinite(cov).all()):
-        report.add("motion-non-finite", a, x, f"drift {b.tolist()} or sigma sigma^T "
-                   f"{cov.tolist()} is not finite")
-    c = params.running_cost_at(x, a)
-    if not math.isfinite(c):
-        report.add("cost-non-finite", a, x, f"running cost {c!r} is not finite")
-    elif c < -PROB_TOL:
-        report.add("cost-negative", a, x, f"running cost {c!r} < 0")
+                    report: ValidationReport, done: set) -> None:
+    def due(*fields) -> bool:   # False once a position-free check has run
+        if (a, fields) in done:
+            return False
+        if all(getattr(params.constants[a], name) is not None for name in fields):
+            done.add((a, fields))
+        return True
+
+    if due("death_rate"):
+        gamma = params.death_rate_at(x, a)
+        if gamma < -PROB_TOL:
+            report.add("rate-negative", a, x, f"death rate {gamma!r} < 0")
+        if gamma > params.rate_bound + PROB_TOL:
+            report.add("rate-bound", a, x,
+                       f"death rate {gamma!r} exceeds bound {params.rate_bound!r}")
+    if due("probs"):
+        probs = params.offspring_probs_at(x, a)
+        total = float(probs.sum())
+        if abs(total - 1.0) > PROB_TOL:
+            report.add("probability-sum", a, x,
+                       f"offspring probabilities sum to {total!r}, not 1")
+        for k, p in enumerate(probs):
+            if p < -PROB_TOL or p > 1.0 + PROB_TOL:
+                report.add("probability-range", a, x,
+                           f"p_{k}={float(p)!r} outside [0, 1]")
+        mean = float(np.dot(np.arange(len(probs)), probs))
+        if mean > params.mean_offspring_bound + PROB_TOL:
+            report.add("mean-offspring", a, x,
+                       f"mean offspring {mean!r} exceeds bound "
+                       f"{params.mean_offspring_bound!r}")
+    if due("drift", "cov"):
+        b, sig = params.drift_at(x, a), params.diffusion_at(x, a)
+        cov = sig @ sig.T
+        if not (np.isfinite(b).all() and np.isfinite(cov).all()):
+            report.add("motion-non-finite", a, x, f"drift {b.tolist()} or sigma "
+                       f"sigma^T {cov.tolist()} is not finite")
+    if due("cost"):
+        c = params.running_cost_at(x, a)
+        if not math.isfinite(c):
+            report.add("cost-non-finite", a, x, f"running cost {c!r} is not finite")
+        elif c < -PROB_TOL:
+            report.add("cost-negative", a, x, f"running cost {c!r} < 0")

@@ -531,18 +531,24 @@ SIGMA_1E160 = ("diffusion:\n    - {family: constant, value: 0.45}",
                "diffusion:\n    - {family: constant, value: 1.0e+160}")
 DRIFT_1E308 = ("drift:\n    - {family: constant, value: 0.0}",
                "drift:\n    - {family: constant, value: 1.0e+308}")
+# sigma sigma^T overflows at the grid node 0.2 only, which no probe point hits
+SIGMA_BUMP_1E200 = (SIGMA_1E160[0], "diffusion:\n    - {family: gaussian-bump, offset: 0.45, "
+                    "amplitude: 1.0e+200, center: [0.2], width: 0.01}")
 
 
 @pytest.mark.parametrize("edit, task, message", [
     (SIGMA_1E160, {"kind": "solve"}, "motion-non-finite control=0"),
     (DRIFT_1E308, {"kind": "solve"}, "the CFL bound"),
+    (SIGMA_BUMP_1E200, {"kind": "solve"}, "the CFL bound"),
     (SIGMA_1E160, {"kind": "dynkin", "times": [0.5], "functions": [
         {"family": "gaussian-bump", "base": 0.3, "scale": 0.5}]},
      "motion-non-finite control=0"),
-], ids=["diffusion_solve", "drift_solve", "diffusion_dynkin"])
+], ids=["diffusion_solve", "drift_solve", "diffusion_at_node_solve", "diffusion_dynkin"])
 def test_overflowing_motion_exits_validation(tmp_path, capsys, edit, task, message):
     """sigma sigma^T that overflows fails validation; a drift whose CFL term
-    overflows fails the solve's CFL check: exit 3 either way, unwarned."""
+    overflows, or sigma sigma^T that overflows at a grid node between the
+    probe points, fails the solve's CFL check: exit 3 either way, unwarned
+    (RuntimeWarning is an error under this suite's settings)."""
     text = (MODELS / "two_control_harvest.yaml").read_text()
     assert edit[0] in text
     model = tmp_path / "model.yaml"

@@ -68,6 +68,21 @@ class TestValidation:
         assert [(v.kind, v.point, v.detail) for v in report.violations] == [
             ("cost-non-finite", (0.0,), "running cost inf is not finite")]
 
+    def test_position_free_violation_reported_once_per_control(self):
+        """A bad constant is reported at each control's first probe point; a
+        bad field that depends on the position at every probe where it is
+        bad."""
+        base = load_model(MODELS / "two_control_harvest.yaml")
+        falling = M.CoefficientSpec(family="affine", intercept=0.1, slope=(-1.0,))
+        bad = dataclasses.replace(base, diffusion=(M.constant_vector([1e160]),),
+                                  running_cost=(base.running_cost[0], falling))
+        probes = [(np.array([x]), None) for x in (-1.0, 0.0, 0.5, 1.0, 2.0)]
+        report = M.validate_params(bad, probes)
+        assert [(v.kind, v.control, v.point) for v in report.violations] == [
+            ("motion-non-finite", 0, (-1.0,)), ("motion-non-finite", 1, (-1.0,)),
+            ("cost-negative", 1, (0.5,)), ("cost-negative", 1, (1.0,)),
+            ("cost-negative", 1, (2.0,))]
+
     def test_empty_probes_rejected(self):
         with pytest.raises(ConfigurationError):
             M.validate_params(binary_model(), [])
