@@ -6,6 +6,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -24,8 +26,30 @@ def test_tree_agrees_with_itself(tmp_path, capsys):
                       "--seeds", "1", "--reps", "0", "--scratch", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "population_growth seed 1 rep 0 main: exit 0, same outputs" in out
+    assert "population_growth seed 1 rep 0 main --threads 1: exit 0, same outputs" in out
     assert not list(tmp_path.iterdir())      # an agreeing config's files are removed
+
+
+def test_threads_override_every_invocation(tmp_path, monkeypatch, capsys):
+    """``--threads`` sets every CLI run's worker count; without it each
+    invocation runs at its own (2 on feedback_dpp, 1 on population_growth)."""
+    tool = load_tool()
+    seen = []
+    monkeypatch.setattr(tool, "run_cli",
+                        lambda tree, config, out, threads: seen.append(threads) or 0)
+    argv = [str(REPO), str(REPO), "--workload", "feedback_dpp", "--workload",
+            "population_growth", "--scratch", str(tmp_path)]
+    assert tool.main(argv) == 0
+    assert sorted(seen) == [1, 1, 2, 2]
+    seen.clear()
+    assert tool.main(argv + ["--threads", "3"]) == 0
+    assert seen == [3, 3, 3, 3]
+    assert "feedback_dpp seed 1 rep 0 main --threads 3: exit 0, same outputs" in (
+        capsys.readouterr().out)
+    for bad in ("0", "-1", "two"):
+        with pytest.raises(SystemExit) as info:
+            tool.main(argv + ["--threads", bad])
+        assert info.value.code == 2
 
 
 def write_run(out_dir, generated_at, report):

@@ -1,13 +1,14 @@
 """Check that two source trees give the same CLI results on benchmark configs.
 
     python3 tools/same_reports.py OLD_TREE NEW_TREE \
-        --workload population_growth --seeds 1-30 --reps 0-11
+        --workload population_growth --seeds 1-30 --reps 0-11 [--threads 2]
 
 Each config comes from ``perfbench/workloads.build`` of the checkout that
 holds this script (its bundled models included) and is written once, under
 one scratch path, so both trees read the same file and report the same
 config digest.  Each tree's CLI runs as ``python -m branchdiff.cli`` with its
-own ``src`` on the path and bytecode writing off.  The two runs must exit
+own ``src`` on the path and bytecode writing off, at the worker count of the
+workload's invocation or at the one ``--threads`` gives every invocation.  The two runs must exit
 with the same code and leave the same files with the same bytes; the only
 value left out is the manifest's ``generated_at``.
 
@@ -57,6 +58,13 @@ def span(text: str) -> range:
     return range(first, last + 1)
 
 
+def positive(text: str) -> int:
+    """``text`` as an int of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def outputs(out_dir: Path) -> dict[str, bytes]:
     """Every file a run left, by name; the manifest without ``generated_at``."""
     if not out_dir.is_dir():
@@ -88,10 +96,12 @@ def run_cli(tree: Path, config: Path, out: Path, threads: int) -> int:
                               stderr=err).returncode
 
 
-def compare(trees: tuple[Path, Path], names, seeds, reps, scratch: Path) -> list[str]:
-    """One line per CLI run on which the trees disagree.  The files of a
-    config whose runs agree are removed; those of one that differs, its
-    runs' standard error included, stay under ``scratch``."""
+def compare(trees: tuple[Path, Path], names, seeds, reps, scratch: Path,
+            threads: int | None = None) -> list[str]:
+    """One line per CLI run on which the trees disagree; each run uses
+    ``threads`` workers, or its invocation's count when that is None.  The
+    files of a config whose runs agree are removed; those of one that
+    differs, its runs' standard error included, stay under ``scratch``."""
     workloads = load_workloads()
     found = []
     for name in names:
@@ -101,9 +111,10 @@ def compare(trees: tuple[Path, Path], names, seeds, reps, scratch: Path) -> list
                 wl = workloads.build(name, seed, rep, REPO, where)
                 agree = True
                 for inv in wl.invocations:
-                    tag = f"{name} seed {seed} rep {rep} {inv.name}"
+                    workers = threads or inv.threads
+                    tag = f"{name} seed {seed} rep {rep} {inv.name} --threads {workers}"
                     (code_a, files_a), (code_b, files_b) = [
-                        (run_cli(tree, inv.config, where / side / inv.name, inv.threads),
+                        (run_cli(tree, inv.config, where / side / inv.name, workers),
                          outputs(where / side / inv.name))
                         for tree, side in zip(trees, ("old", "new"))]
                     problem = None
@@ -131,6 +142,9 @@ def main(argv=None) -> int:
                         help="workload to build configs of (repeatable; default: all)")
     parser.add_argument("--seeds", type=span, default=span("1"), help="N or N-M (default 1)")
     parser.add_argument("--reps", type=span, default=span("0"), help="N or N-M (default 0)")
+    parser.add_argument("--threads", type=positive, default=None,
+                        help="worker count of every CLI run (default: each "
+                             "invocation's own)")
     parser.add_argument("--scratch", type=Path, default=None,
                         help="directory for configs and outputs (default: a temporary one)")
     args = parser.parse_args(argv)
@@ -141,7 +155,7 @@ def main(argv=None) -> int:
     names = args.workload or list(names_known)
     with tempfile.TemporaryDirectory(prefix="same_reports_") as tmp:
         scratch = args.scratch.resolve() if args.scratch else Path(tmp)
-        found = compare(trees, names, args.seeds, args.reps, scratch)
+        found = compare(trees, names, args.seeds, args.reps, scratch, args.threads)
     for line in found:
         print(line, file=sys.stderr)
     n_configs = len(names) * len(args.seeds) * len(args.reps)
