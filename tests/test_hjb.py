@@ -688,7 +688,7 @@ def record_layers(monkeypatch):
     """Patch the layer operator and the generator to pass through, keeping
     every argument and result they see (so no two are the same object by
     reuse of a freed one's id)."""
-    seen = {"operator": [], "generator": []}
+    seen = {"operator": [], "generator": [], "kwargs": []}
     layer_operator, generator = hjb._layer_operator, hjb.generator
 
     def operator(u, coef, stencil, dx):
@@ -699,6 +699,7 @@ def record_layers(monkeypatch):
     def gen(coef, r, grad, hess, **kw):
         result = generator(coef, r, grad, hess, **kw)
         seen["generator"].append((grad, hess, result))
+        seen["kwargs"].append(kw)
         return result
 
     monkeypatch.setattr(hjb, "_layer_operator", operator)
@@ -725,6 +726,28 @@ def test_layers_reuse_their_buffers(monkeypatch):
     assert len(seen["generator"]) == cfg.n_t + 1
     for column in zip(*seen["generator"]):     # upwind slope, curvature, result
         assert len({id(arr) for arr in column}) == 1
+
+
+LAYER_SKIPS = {"critical": {"drift", "cov", "cost"}, "still": {"drift", "cov"},
+               "harvest": {"drift"}, "deathless": {"death_rate"}, "transport": {"cov"},
+               "costless": {"cost"}, "state_dependent": set()}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_SKIPS))
+def test_layers_skip_zero_fields(name, monkeypatch):
+    """Every layer evaluates the generator without its clip and skipping the
+    fields zero at every node; no second difference is taken where sigma
+    sigma^T is zero."""
+    calls, second = [], hjb._second_difference
+    monkeypatch.setattr(hjb, "_second_difference",
+                        lambda u, dx, out=None: calls.append(None) or second(u, dx, out))
+    seen = record_layers(monkeypatch)
+    make, cfg = SOLVE_CASES[name]
+    hjb.solve(make(), cfg)
+    assert len(seen["generator"]) == cfg.n_t + 1
+    assert {(kw["skip"], kw["clip"]) for kw in seen["kwargs"]} == {
+        (frozenset(LAYER_SKIPS[name]), False)}
+    assert len(calls) == (0 if "cov" in LAYER_SKIPS[name] else cfg.n_t + 1)
 
 
 def test_solve_peak_memory_is_its_surface():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from branchdiff import model as M
 from branchdiff.errors import ConfigurationError
 from branchdiff.modelio import load_model
-from model_cases import partly_shared, state_dependent_two_control, two_dim_two_control
+from model_cases import (driftless_two_control, partly_shared, state_dependent_two_control,
+                         two_dim_two_control)
 
 X0 = np.zeros(1)
 
@@ -638,3 +639,41 @@ def test_generator_into_out_matches_fresh_result(inputs):
         assert out is None or got is out
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+@settings(max_examples=400)
+@given(generator_inputs(), st.sets(st.sampled_from(("drift", "cov", "death_rate", "cost"))),
+       st.booleans())
+def test_generator_skips_zero_fields(inputs, zeroed, in_range):
+    """With the fields ``zeroed`` made signed zeros and finite r, grad and
+    hess, the generator that skips the terms of ``zero_fields`` gives the
+    bits of the formula as written (broadcast to its shape: a skipped term
+    may have carried an axis), into ``out`` or not; with r in [-1, 1] it
+    does so without the clip too."""
+    coef, r, grad, hess = inputs
+    coef = coef._replace(**{name: getattr(coef, name) * 0.0 for name in zeroed})
+    r, grad, hess = (np.nan_to_num(arr, nan=0.5) for arr in (r, grad, hess))
+    if in_range:
+        r = np.minimum(np.maximum(r, -1.0), 1.0)
+    skip = M.zero_fields(coef)
+    assert skip >= zeroed
+    expected = generator_one_expression(coef, r, grad, hess)
+    for out in (None, np.full(expected.shape, 7.0)):
+        got = M.generator(coef, r, grad, hess, out=out, skip=skip, clip=not in_range)
+        assert out is None or got is out
+        assert np.broadcast_to(got, expected.shape).tobytes() == expected.tobytes()
+
+
+ZERO_EVERYWHERE = {"critical_binary": {"drift", "cov", "cost"},
+                   "two_control_harvest": {"drift"}, "subcritical_drift": {"cost"},
+                   "driftless": {"drift"}, "state_dependent": set()}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_EVERYWHERE))
+def test_zero_everywhere(name):
+    """The fields zero at every point for every control: only position-free
+    ones can be, whatever the other fields are."""
+    params = {"driftless": driftless_two_control,
+              "state_dependent": state_dependent_two_control}.get(
+        name, lambda: load_model(MODELS / f"{name}.yaml"))()
+    assert params.zero_everywhere == ZERO_EVERYWHERE[name]
