@@ -30,7 +30,11 @@ once, so its terms are computed once per layer for all controls.  A drift of
 one sign at every node and control fixes the upwind slope for the whole
 solve.  A solve allocates the stencil's work arrays once; every layer
 refills them in place, so a layer pays for the arithmetic of its update and
-little else.
+little else.  A drift, sigma sigma^T, death rate or running cost that is
+zero everywhere for every control drops its term from every layer, and a
+zero drift or sigma sigma^T its difference too; a layer lies in [0, 1], so
+the generator's clip is left out as well.  Each skipped step is a signed
+zero or the identity, so the bits stay (:func:`~branchdiff.model.generator`).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError
 from .labels import Label
-from .model import Coefficients, ModelParams, generator, zero_fields
+from .model import Coefficients, ModelParams, generator
 
 CLAMP_TOL = 1e-12
 
@@ -181,13 +185,13 @@ def _second_difference(u: np.ndarray, dx: float, out: np.ndarray = None) -> np.n
 
 class _Stencil:
     """The work arrays of one solve's layer updates, allocated once and
-    refilled in place on every layer; ``skip`` holds the fields that are
-    zero at every node for every control.  ``forward`` flags where the drift
-    is nonnegative, per control and node, per control, or once for a drift
-    that every control shares."""
+    refilled in place on every layer, and the fields whose terms every layer
+    skips (:attr:`~branchdiff.model.ModelParams.zero_everywhere`)."""
 
-    def __init__(self, coef: Coefficients, n_x: int, n_controls: int):
-        self.skip = zero_fields(coef)
+    def __init__(self, params: ModelParams, coef: Coefficients, n_x: int):
+        self.skip = params.zero_everywhere
+        # where the drift is nonnegative, per control and node, per control,
+        # or once for a drift that every control shares
         forward = coef.drift[..., 0] >= 0.0
         self.slope = np.zeros(n_x + 1)   # a difference looking outside the domain is dropped
         self.inner = self.slope[1:-1]
@@ -204,7 +208,7 @@ class _Stencil:
         self.grad = self.upwind[..., None]
         self.m2 = np.empty(n_x)
         self.hess = self.m2[None, :, None, None]
-        self.out = np.empty((n_controls, n_x))
+        self.out = np.empty((len(params.controls), n_x))
 
 
 def _layer_operator(u: np.ndarray, coef: Coefficients, stencil: _Stencil,
@@ -259,7 +263,7 @@ def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
                       dtype=np.min_scalar_type(len(params.controls) - 1))
     values[n_t] = terminal
     clamp_events = 0
-    stencil = _Stencil(coef, grid.n_x, len(params.controls))
+    stencil = _Stencil(params, coef, grid.n_x)
     dx, dt = grid.dx, grid.dt
     u = values[n_t]
     for k in range(n_t - 1, -1, -1):

@@ -382,8 +382,12 @@ class ModelParams:
 
     @functools.cached_property
     def zero_everywhere(self) -> frozenset:
-        """:func:`zero_fields` of the rows of :meth:`field`, known per model."""
-        return zero_fields(self._rows)
+        """The fields among drift, cov, death_rate and cost that are zero at
+        every point for every control: :func:`generator` may skip the terms
+        they weight."""
+        return frozenset(name for name in ("drift", "cov", "death_rate", "cost")
+                         if getattr(self._rows, name) is not None
+                         and not getattr(self._rows, name).any())
 
     @functools.cached_property
     def _position_free(self) -> bool:
@@ -415,14 +419,6 @@ class Coefficients(NamedTuple):
     cost: np.ndarray        # (n,): running cost
 
 
-def zero_fields(coef: Coefficients) -> frozenset:
-    """The fields among drift, cov, death_rate and cost that ``coef`` holds
-    as zero at every point for every control (a field that is None is not
-    known to be zero): ``generator`` may skip the terms they weight."""
-    return frozenset(name for name in ("drift", "cov", "death_rate", "cost")
-                     if getattr(coef, name) is not None and not np.any(getattr(coef, name)))
-
-
 def generator(coef: Coefficients, r, grad, hess, out=None, *, skip=frozenset(),
               clip=True) -> np.ndarray:
     """The operator of the value equation applied at n points:
@@ -444,7 +440,7 @@ def generator(coef: Coefficients, r, grad, hess, out=None, *, skip=frozenset(),
     Only the terms there are get computed: the k = 1 summand p_1 (rc - rc)
     is skipped, in one dimension b . grad and sigma sigma^T : hess are
     single products, not sums over axes of length one, and so is the term
-    of each field in ``skip`` (a subset of :func:`zero_fields` of ``coef``).
+    of each field in ``skip``, which must be zero in ``coef`` everywhere.
     ``clip=False`` leaves out the clip, which changes no r in [-1, 1].  For
     finite coefficients and arguments the bits are those of the formula as
     written, summed term by term from +0.0:
