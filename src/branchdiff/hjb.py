@@ -30,11 +30,10 @@ once, so its terms are computed once per layer for all controls.  A drift of
 one sign at every node and control fixes the upwind slope for the whole
 solve.  A solve allocates the stencil's work arrays once; every layer
 refills them in place, so a layer pays for the arithmetic of its update and
-little else.  A drift, sigma sigma^T, death rate or running cost that is
-zero everywhere for every control drops its term from every layer, and a
-zero drift or sigma sigma^T its difference too; a layer lies in [0, 1], so
-the generator's clip is left out as well.  Each skipped step is a signed
-zero or the identity, so the bits stay (:func:`~branchdiff.model.generator`).
+little else.  A field that is zero everywhere for every control drops its
+term, and a zero drift or sigma sigma^T its difference, from every layer; a
+layer lies in [0, 1], so it skips the generator's clip too, with the same
+bits (each skipped step is a signed zero: :func:`~branchdiff.model.generator`).
 """
 
 from __future__ import annotations
@@ -186,12 +185,12 @@ def _second_difference(u: np.ndarray, dx: float, out: np.ndarray = None) -> np.n
 class _Stencil:
     """The work arrays of one solve's layer updates, allocated once and
     refilled in place on every layer, and the fields whose terms every layer
-    skips (:attr:`~branchdiff.model.ModelParams.zero_everywhere`)."""
+    skips (:attr:`~branchdiff.model.ModelParams.zero_everywhere`).  The
+    upwind direction follows the drift's sign per control and node, per
+    control, or once for a drift that every control shares."""
 
     def __init__(self, params: ModelParams, coef: Coefficients, n_x: int):
         self.skip = params.zero_everywhere
-        # where the drift is nonnegative, per control and node, per control,
-        # or once for a drift that every control shares
         forward = coef.drift[..., 0] >= 0.0
         self.slope = np.zeros(n_x + 1)   # a difference looking outside the domain is dropped
         self.inner = self.slope[1:-1]

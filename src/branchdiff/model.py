@@ -438,9 +438,9 @@ def generator(coef: Coefficients, r, grad, hess, out=None, *, skip=frozenset(),
     ((b . grad + 1/2 sigma sigma^T : hess) + branching) - c r.
 
     Only the terms there are get computed: the k = 1 summand p_1 (rc - rc)
-    is skipped, in one dimension b . grad and sigma sigma^T : hess are
-    single products, not sums over axes of length one, and so is the term
-    of each field in ``skip``, which must be zero in ``coef`` everywhere.
+    is skipped, and so is the term of each field in ``skip``, which must be
+    zero in ``coef`` everywhere; in one dimension b . grad and sigma
+    sigma^T : hess are single products, not sums over axes of length one.
     ``clip=False`` leaves out the clip, which changes no r in [-1, 1].  For
     finite coefficients and arguments the bits are those of the formula as
     written, summed term by term from +0.0:

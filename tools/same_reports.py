@@ -8,9 +8,9 @@ holds this script (its bundled models included) and is written once, under
 one scratch path, so both trees read the same file and report the same
 config digest.  Each tree's CLI runs as ``python -m branchdiff.cli`` with its
 own ``src`` on the path and bytecode writing off, at the worker count of the
-workload's invocation or at the one ``--threads`` gives every invocation.  The two runs must exit
-with the same code and leave the same files with the same bytes; the only
-value left out is the manifest's ``generated_at``.
+workload's invocation or at the one ``--threads`` gives every invocation.
+The two runs must exit with the same code and leave the same files with the
+same bytes; the only value left out is the manifest's ``generated_at``.
 
 Exit code 0 when every config agrees, 1 when any differs, 2 on bad
 arguments.  Nothing is written outside the scratch directory, a fresh
