@@ -237,3 +237,21 @@ def driftless_two_control():
         running_cost=(M.constant(0.3), _bump(0.05, 0.2, 0.0, 0.7)),
         terminal=_bump(0.15, 0.7, 0.0, 0.8),
         rate_bound=0.8, mean_offspring_bound=1.0, max_children=2)
+
+
+def far_bump_two_control():
+    """Control 0's drift and running cost are gaussian bumps centred at
+    x = 1000: position-dependent, yet exactly 0.0 at every point within a
+    few hundred of the origin, where exp underflows.  Control 1 has neither,
+    and the two differ in death rate and offspring so that both are chosen."""
+    return M.ModelParams(
+        dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
+        drift=(M.VectorSpec((_bump(0.0, 0.5, 1000.0, 1.0),)),
+               M.constant_vector([0.0])),
+        diffusion=(M.constant_vector([0.35]),),
+        death_rate=(M.constant(0.8), M.constant(0.5)),
+        offspring=((M.constant(0.5), M.constant(0.0)),
+                   (M.constant(0.6), M.constant(0.3))),
+        running_cost=(_bump(0.0, 0.3, 1000.0, 1.0), M.constant(0.0)),
+        terminal=_bump(0.1, 0.8, 0.0, 0.8),
+        rate_bound=0.8, mean_offspring_bound=1.0, max_children=2)

@@ -14,7 +14,7 @@ from branchdiff.errors import ConfigurationError, NumericalFailureError
 from branchdiff.modelio import load_model
 from branchdiff.simulator import OpenLoopPolicy, prepare_simulation, simulate
 from model_cases import (costless_motion, deathless, driftless_two_control,
-                         opposite_drifts, shared_drift_two_control, single_control,
+                         far_bump_two_control, opposite_drifts, shared_drift_two_control, single_control,
                          state_dependent_two_control, still_two_control,
                          transport_two_control, two_dim_two_control)
 
@@ -466,12 +466,16 @@ FEEDBACK_CASES = {
     # zero drift for both controls, other fields position-dependent
     "driftless": (driftless_two_control,
                   hjb.GridConfig(x_lo=-4.0, x_hi=4.0, n_x=161, n_t=200, horizon=1.0)),
+    # position-dependent drift and cost that are 0.0 at every node
+    "far_bump": (far_bump_two_control,
+                 hjb.GridConfig(x_lo=-2.0, x_hi=2.0, n_x=81, n_t=100, horizon=1.0)),
 }
 FEEDBACK_PINNED = {
     "harvest": "0b9dcf00bed542e5",
     "state_dependent": "43be48c9f094275b",
     "shared_drift": "f077fa5b18f4b146",
     "driftless": "da22262012094ce3",
+    "far_bump": "218b97194ade881a",
 }
 
 
@@ -613,6 +617,7 @@ SOLVE_CASES = {
     "state_dependent": FEEDBACK_CASES["state_dependent"],
     "shared_drift": FEEDBACK_CASES["shared_drift"],
     "driftless": FEEDBACK_CASES["driftless"],
+    "far_bump": FEEDBACK_CASES["far_bump"],
     "transport": (transport_two_control,
                   hjb.GridConfig(x_lo=-3.0, x_hi=3.0, n_x=121, n_t=100, horizon=1.0)),
     "still": (still_two_control,
@@ -629,6 +634,7 @@ SOLVE_PINNED = {
     "state_dependent": "5ef9dcaa74ac2dc8",
     "shared_drift": "a056fa65548a5632",
     "driftless": "f88dd09752471de8",
+    "far_bump": "027775d60405647c",
     "transport": "f23866c600a46ce0",
     "still": "1b6d972d7d4d65d8",
     "costless": "1feefa982ef4df06",
