@@ -359,8 +359,7 @@ def _path_operator_integral(path: PopulationPath, u: SmoothTestFunction,
     uv, lu, grad, hess = u.jet(tl, xs)
     # every control at every point in one call, each point keeping its own
     # control's value (all controls' are one when they share every field)
-    every = np.broadcast_to(generator(params.coefficients(xs), uv, grad, hess,
-                                      skip=params.zero_everywhere),
+    every = np.broadcast_to(generator(params.coefficients(xs), uv, grad, hess),
                             (len(params.controls), len(uv)))
     lu += every[ctrls, np.arange(len(uv))]
     uvals = np.ones((len(tracks), len(left)))

@@ -22,18 +22,18 @@ wide.  It takes the base grid's probe values rather than the grid, so that a
 caller who reads nothing else from that grid can release its surface before
 the doubled one is allocated.
 
-A solve reads its coefficients once, for the CFL check and the sweep, and
-reports the CFL ratio it checked as ``ValueGrid.cfl_ratio``.  It reads every
-control's at the nodes (:meth:`~branchdiff.model.ModelParams.coefficients`):
-a position-free field is a row, and one that every control shares is kept
-once, so its terms are computed once per layer for all controls.  A drift of
-one sign at every node and control fixes the upwind slope for the whole
-solve.  A solve allocates the stencil's work arrays once; every layer
-refills them in place, so a layer pays for the arithmetic of its update and
-little else.  A field that is zero everywhere for every control drops its
-term, and a zero drift or sigma sigma^T its difference, from every layer; a
-layer lies in [0, 1], so it skips the generator's clip too, with the same
-bits (each skipped step is a signed zero: :func:`~branchdiff.model.generator`).
+A solve reads every control's coefficients at the nodes once
+(:meth:`~branchdiff.model.ModelParams.coefficients`) and decides from them
+its CFL bound, reported as the ratio ``ValueGrid.cfl_ratio``, its upwind
+directions and the terms its layers skip.  A position-free field is a row,
+and one that every control shares is kept once, so its terms are computed
+once per layer for all controls.  A drift of one sign at every node and
+control fixes the upwind slope for the whole solve.  The stencil's work
+arrays are allocated once and refilled in place by every layer.  A field
+zero at every node for every control drops its term, and a zero drift or
+sigma sigma^T its difference, from every layer; a layer lies in [0, 1], so
+it skips the generator's clip too, with the same bits (each skipped step is
+a signed zero: :func:`~branchdiff.model.generator`).
 """
 
 from __future__ import annotations
@@ -142,11 +142,6 @@ def _cfl_bound(params: ModelParams, dx: float, coef: Coefficients) -> float:
     return bound
 
 
-def _cfl_ratio(params: ModelParams, grid: GridConfig, coef: Coefficients) -> float:
-    """The CFL ratio ``solve`` checks: dt times :func:`_cfl_bound`."""
-    return grid.dt * _cfl_bound(params, grid.dx, coef)
-
-
 def _steps_for(bound: float, horizon: float) -> int:
     """Least n_t whose ratio (horizon / n_t) * bound passes the check of
     ``solve``."""
@@ -185,12 +180,13 @@ def _second_difference(u: np.ndarray, dx: float, out: np.ndarray = None) -> np.n
 class _Stencil:
     """The work arrays of one solve's layer updates, allocated once and
     refilled in place on every layer, and the fields whose terms every layer
-    skips (:attr:`~branchdiff.model.ModelParams.zero_everywhere`).  The
-    upwind direction follows the drift's sign per control and node, per
-    control, or once for a drift that every control shares."""
+    skips: those zero at every node for every control.  The upwind direction
+    follows the drift's sign per control and node, per control, or once for
+    a drift that every control shares."""
 
     def __init__(self, params: ModelParams, coef: Coefficients, n_x: int):
-        self.skip = params.zero_everywhere
+        self.skip = frozenset(name for name in ("drift", "cov", "death_rate", "cost")
+                              if not getattr(coef, name).any())
         forward = coef.drift[..., 0] >= 0.0
         self.slope = np.zeros(n_x + 1)   # a difference looking outside the domain is dropped
         self.inner = self.slope[1:-1]
@@ -245,13 +241,13 @@ def solve(params: ModelParams, grid: GridConfig) -> ValueGrid:
     that left [0, 1] by more than a floating-point guard before clipping)."""
     nodes = grid.nodes
     coef = _node_coefficients(params, nodes)
-    ratio = _cfl_ratio(params, grid, coef)
+    bound = _cfl_bound(params, grid.dx, coef)
+    ratio = grid.dt * bound
     if ratio > 1.0:
-        need = _steps_for(_cfl_bound(params, grid.dx, coef), grid.horizon)
         raise ConfigurationError(
             f"CFL violation: dt * (max sigma^2/dx^2 + max |b|/dx + "
             f"rate_bound * (M + 1) + max cost) = {ratio:.6g} > 1; "
-            f"increase n_t to at least {need}")
+            f"increase n_t to at least {_steps_for(bound, grid.horizon)}")
     terminal = params.terminal_many(nodes[:, None])
     if terminal.min() < -CLAMP_TOL or terminal.max() > 1.0 + CLAMP_TOL:
         raise ConfigurationError("terminal cost leaves [0, 1] on the grid")
@@ -362,8 +358,7 @@ class FeedbackPolicy:
         r, p, m2 = (self._table[row] * (1 - wx) + self._table[row + 1] * wx).T
         coef = self.params.coefficients(xq[:, None])
         # no control axis when the controls share every field: all tie
-        vals = np.atleast_2d(generator(coef, r, p[:, None], m2[:, None, None],
-                                       skip=self.params.zero_everywhere))
+        vals = np.atleast_2d(generator(coef, r, p[:, None], m2[:, None, None]))
         return vals.argmin(0)   # lowest index wins ties, as in solve
 
 

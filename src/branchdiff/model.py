@@ -381,15 +381,6 @@ class ModelParams:
         return Coefficients(*fields)
 
     @functools.cached_property
-    def zero_everywhere(self) -> frozenset:
-        """The fields among drift, cov, death_rate and cost that are zero at
-        every point for every control: :func:`generator` may skip the terms
-        they weight."""
-        return frozenset(name for name in ("drift", "cov", "death_rate", "cost")
-                         if getattr(self._rows, name) is not None
-                         and not getattr(self._rows, name).any())
-
-    @functools.cached_property
     def _position_free(self) -> bool:
         return all(row is not None for row in self._rows)
 
@@ -439,7 +430,8 @@ def generator(coef: Coefficients, r, grad, hess, out=None, *, skip=frozenset(),
 
     Only the terms there are get computed: the k = 1 summand p_1 (rc - rc)
     is skipped, and so is the term of each field in ``skip``, which must be
-    zero in ``coef`` everywhere; in one dimension b . grad and sigma
+    zero in ``coef`` everywhere (the solver passes the fields that are zero
+    at its nodes for every control); in one dimension b . grad and sigma
     sigma^T : hess are single products, not sums over axes of length one.
     ``clip=False`` leaves out the clip, which changes no r in [-1, 1].  For
     finite coefficients and arguments the bits are those of the formula as

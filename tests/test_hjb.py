@@ -151,22 +151,29 @@ class TestSolve:
         with pytest.raises(ConfigurationError, match="CFL"):
             hjb.solve(m, bad)
 
-    def test_solve_reports_the_ratio_it_checked(self):
+    def test_solve_reports_the_ratio_it_checked(self, monkeypatch):
         """At required_time_steps_for's n_t the solve passes and reports the
-        ratio it checked; a grid with too few steps fails, naming that n_t."""
+        ratio it checked, dt times its CFL bound; a grid with too few steps
+        fails, naming that n_t.  Either way the bound is computed once."""
         m = single_control(sigma=1.0)
         need = hjb.required_time_steps_for(
             m, hjb.GridConfig(x_lo=-2, x_hi=2, n_x=201, n_t=5, horizon=1.0))
         cfg = hjb.GridConfig(x_lo=-2, x_hi=2, n_x=201, n_t=need, horizon=1.0)
+        bounds, cfl_bound = [], hjb._cfl_bound
+        monkeypatch.setattr(hjb, "_cfl_bound",
+                            lambda *args: bounds.append(cfl_bound(*args)) or bounds[-1])
         out = hjb.solve(m, cfg)
-        assert out.cfl_ratio == hjb._cfl_ratio(m, cfg, hjb._node_coefficients(m, cfg.nodes))
+        assert out.cfl_ratio == cfg.dt * cfl_bound(m, cfg.dx,
+                                                   hjb._node_coefficients(m, cfg.nodes))
         assert 0.0 < out.cfl_ratio <= 1.0
+        assert len(bounds) == 1
         message = (re.escape("CFL violation: dt * (max sigma^2/dx^2 + max |b|/dx + "
                              "rate_bound * (M + 1) + max cost) = ")
                    + r"[0-9.e+]+" + re.escape(f" > 1; increase n_t to at least {need}") + "$")
         with pytest.raises(ConfigurationError, match=message):
             hjb.solve(m, hjb.GridConfig(x_lo=-2, x_hi=2, n_x=201, n_t=need // 2,
                                         horizon=1.0))
+        assert len(bounds) == 2
 
     def test_overflowing_cfl_bound_rejected(self):
         """|b|/dx overflows: the bound is not finite, which solve and
@@ -736,14 +743,14 @@ def test_layers_reuse_their_buffers(monkeypatch):
 
 LAYER_SKIPS = {"critical": {"drift", "cov", "cost"}, "still": {"drift", "cov"},
                "harvest": {"drift"}, "deathless": {"death_rate"}, "transport": {"cov"},
-               "costless": {"cost"}, "state_dependent": set()}
+               "costless": {"cost"}, "state_dependent": set(), "far_bump": {"drift", "cost"}}
 
 
 @pytest.mark.parametrize("name", sorted(LAYER_SKIPS))
 def test_layers_skip_zero_fields(name, monkeypatch):
     """Every layer evaluates the generator without its clip and skipping the
-    fields zero at every node; no second difference is taken where sigma
-    sigma^T is zero."""
+    fields zero at every node for every control, position-dependent ones
+    included; no second difference is taken where sigma sigma^T is zero."""
     calls, second = [], hjb._second_difference
     monkeypatch.setattr(hjb, "_second_difference",
                         lambda u, dx, out=None: calls.append(None) or second(u, dx, out))

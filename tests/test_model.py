@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from branchdiff import model as M
 from branchdiff.errors import ConfigurationError
 from branchdiff.modelio import load_model
-from model_cases import (driftless_two_control, partly_shared, state_dependent_two_control,
-                         two_dim_two_control)
+from model_cases import partly_shared, state_dependent_two_control, two_dim_two_control
 
 X0 = np.zeros(1)
 
@@ -660,18 +659,3 @@ def test_generator_skips_zero_fields(inputs, zeroed, in_range):
         got = M.generator(coef, r, grad, hess, out=out, skip=zeroed, clip=not in_range)
         assert out is None or got is out
         assert np.broadcast_to(got, expected.shape).tobytes() == expected.tobytes()
-
-
-ZERO_EVERYWHERE = {"critical_binary": {"drift", "cov", "cost"},
-                   "two_control_harvest": {"drift"}, "subcritical_drift": {"cost"},
-                   "driftless": {"drift"}, "state_dependent": set()}
-
-
-@pytest.mark.parametrize("name", sorted(ZERO_EVERYWHERE))
-def test_zero_everywhere(name):
-    """The fields zero at every point for every control: only position-free
-    ones can be, whatever the other fields are."""
-    params = {"driftless": driftless_two_control,
-              "state_dependent": state_dependent_two_control}.get(
-        name, lambda: load_model(MODELS / f"{name}.yaml"))()
-    assert params.zero_everywhere == ZERO_EVERYWHERE[name]
