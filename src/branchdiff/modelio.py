@@ -133,6 +133,17 @@ def _whole(low: int):
     return parse
 
 
+def _real_in(lo: float, hi: float = math.inf):
+    """The parser of the numbers in [lo, hi]."""
+    def parse(ctx, value, path: str) -> float:
+        x = _number(value, path)
+        if not lo <= x <= hi:
+            _fail(path, f"must be at least {lo!r}, got {x!r}" if hi == math.inf
+                  else f"must lie in [{lo!r}, {hi!r}], got {x!r}")
+        return x
+    return parse
+
+
 def _one_of(*options):
     def parse(ctx, value, path: str) -> str:
         if not isinstance(value, str) or value not in options:

@@ -754,6 +754,38 @@ BAD_INPUTS = {
     "empty_ladder": (
         lambda d: set_in(d, ["tasks"], [{"kind": "couple", "perturbations": []}]),
         "tasks[0].perturbations"),
+    # a negative band fails its check whatever the data
+    "negative_oracle_sigmas": (
+        lambda d: set_in(d, ["tasks", 0, "oracle"], {"value": 0.5, "sigmas": -3.0}),
+        "tasks[0].oracle.sigmas: must be at least 0.0, got -3.0"),
+    "negative_oracle_allowance": (
+        lambda d: set_in(d, ["tasks", 0, "oracle"], {"value": 0.5, "allowance": -0.01}),
+        "tasks[0].oracle.allowance"),
+    "negative_estimate_allowance": (
+        lambda d: set_in(d, ["tasks", 0, "allowance"], -0.01), "tasks[0].allowance"),
+    "negative_dpp_allowance": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "estimate", "replications": 100},
+                                        {**DPP, "allowance": -0.01}]),
+        "tasks[1].allowance"),
+    "negative_allowance_per_step": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "dynkin", "times": [0.5],
+                                         "functions": [{"family": "constant"}],
+                                         "allowance_per_step": -0.5}]),
+        "tasks[0].allowance_per_step"),
+    "negative_verify_all_allowance": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "verify-all", "allowance": -0.01}]),
+        "tasks[0].allowance"),
+    "negative_coupling_delta": (
+        lambda d: set_in(d, ["simulation", "coupling_delta"], -0.05),
+        "simulation.coupling_delta"),
+    "final_rate_min_above_one": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "couple", "perturbations": [0.1],
+                                         "final_rate_min": 1.5}]),
+        "tasks[0].final_rate_min: must lie in [0.0, 1.0], got 1.5"),
+    "negative_final_rate_min": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "couple", "perturbations": [0.1],
+                                         "final_rate_min": -0.1}]),
+        "tasks[0].final_rate_min"),
 }
 OVERRIDES = {"reps_override_zero": ["--reps", "0"],
              "negative_seed_override": ["--seed", "-1"]}
