@@ -52,6 +52,31 @@ def test_threads_override_every_invocation(tmp_path, monkeypatch, capsys):
         assert info.value.code == 2
 
 
+def test_experiments_run_in_place(tmp_path, monkeypatch, capsys):
+    """``--experiment`` runs that bundled config, read where it lies, in both
+    trees at 1 worker or at ``--threads``; alone it runs no workload."""
+    tool = load_tool()
+    seen = []
+    monkeypatch.setattr(tool, "run_cli",
+                        lambda tree, config, out, threads: seen.append((config, threads)) or 0)
+    argv = [str(REPO), str(REPO), "--experiment", "coupling_ladder", "--experiment",
+            "dpp_two_control", "--scratch", str(tmp_path)]
+    assert tool.main(argv) == 0
+    bundled = REPO / "configs" / "experiments"
+    assert seen == [(bundled / "coupling_ladder.yaml", 1)] * 2 + [
+        (bundled / "dpp_two_control.yaml", 1)] * 2
+    out = capsys.readouterr().out
+    assert "experiment coupling_ladder --threads 1: exit 0, same outputs" in out
+    assert "2 config(s): identical exit codes and outputs" in out
+    seen.clear()
+    assert tool.main(argv + ["--threads", "2", "--workload", "population_growth"]) == 0
+    assert [threads for _, threads in seen] == [2] * 6
+    assert "3 config(s)" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        tool.main(argv + ["--experiment", "no_such_experiment"])
+    assert info.value.code == 2
+
+
 def write_run(out_dir, generated_at, report):
     out_dir.mkdir()
     (out_dir / "task_00_estimate.json").write_text(report)

@@ -1,14 +1,20 @@
-"""Check that two source trees give the same CLI results on benchmark configs.
+"""Check that two source trees give the same CLI results on benchmark configs
+and on the bundled experiments.
 
     python3 tools/same_reports.py OLD_TREE NEW_TREE \
         --workload population_growth --seeds 1-30 --reps 0-11 [--threads 2]
+    python3 tools/same_reports.py OLD_TREE NEW_TREE \
+        --experiment dpp_two_control [--threads 2]
 
-Each config comes from ``perfbench/workloads.build`` of the checkout that
-holds this script (its bundled models included) and is written once, under
-one scratch path, so both trees read the same file and report the same
-config digest.  Each tree's CLI runs as ``python -m branchdiff.cli`` with its
-own ``src`` on the path and bytecode writing off, at the worker count of the
-workload's invocation or at the one ``--threads`` gives every invocation.
+Each benchmark config comes from ``perfbench/workloads.build`` of the
+checkout that holds this script (its bundled models included) and is
+written once, under one scratch path; a bundled experiment,
+``configs/experiments/NAME.yaml`` of that checkout, is read in place.  Either
+way both trees read the same file and report the same config digest.  Each
+tree's CLI runs as ``python -m branchdiff.cli`` with its own ``src`` on the
+path and bytecode writing off, at the worker count ``--threads`` gives every
+run, or else at the workload invocation's own count and at 1 for an
+experiment.  Without ``--workload`` or ``--experiment`` every workload runs.
 The two runs must exit with the same code and leave the same files with the
 same bytes; the only value left out is the manifest's ``generated_at``.
 
@@ -30,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+EXPERIMENTS = REPO / "configs" / "experiments"
 
 
 def load_workloads():
@@ -96,12 +103,31 @@ def run_cli(tree: Path, config: Path, out: Path, threads: int) -> int:
                               stderr=err).returncode
 
 
+def disagreement(trees: tuple[Path, Path], config: Path, where: Path, run: str,
+                 label: str, workers: int) -> str | None:
+    """The line naming how the trees' runs of ``config`` at ``workers``
+    differ, or None; each writes into ``where / side / run``.  Prints the
+    outcome either way."""
+    tag = f"{label} --threads {workers}"
+    (code_a, files_a), (code_b, files_b) = [
+        (run_cli(tree, config, where / side / run, workers), outputs(where / side / run))
+        for tree, side in zip(trees, ("old", "new"))]
+    problem = None
+    if code_a != code_b:
+        problem = f"exit {code_a} != {code_b}"
+    elif differ := differences(files_a, files_b):
+        problem = f"exit {code_a}, files differ: {', '.join(differ)}"
+    print(f"{tag}: " + (problem or f"exit {code_a}, same outputs"))
+    return problem and f"{tag}: {problem}"
+
+
 def compare(trees: tuple[Path, Path], names, seeds, reps, scratch: Path,
-            threads: int | None = None) -> list[str]:
+            threads: int | None = None, experiments=()) -> list[str]:
     """One line per CLI run on which the trees disagree; each run uses
-    ``threads`` workers, or its invocation's count when that is None.  The
-    files of a config whose runs agree are removed; those of one that
-    differs, its runs' standard error included, stay under ``scratch``."""
+    ``threads`` workers, or when that is None its invocation's count, or 1
+    for a bundled experiment.  The files of a config whose runs agree are
+    removed; those of one that differs, its runs' standard error included,
+    stay under ``scratch``."""
     workloads = load_workloads()
     found = []
     for name in names:
@@ -109,25 +135,21 @@ def compare(trees: tuple[Path, Path], names, seeds, reps, scratch: Path,
             for rep in reps:
                 where = scratch / f"{name}_{seed}_{rep}"
                 wl = workloads.build(name, seed, rep, REPO, where)
-                agree = True
-                for inv in wl.invocations:
-                    workers = threads or inv.threads
-                    tag = f"{name} seed {seed} rep {rep} {inv.name} --threads {workers}"
-                    (code_a, files_a), (code_b, files_b) = [
-                        (run_cli(tree, inv.config, where / side / inv.name, workers),
-                         outputs(where / side / inv.name))
-                        for tree, side in zip(trees, ("old", "new"))]
-                    problem = None
-                    if code_a != code_b:
-                        problem = f"exit {code_a} != {code_b}"
-                    elif differ := differences(files_a, files_b):
-                        problem = f"exit {code_a}, files differ: {', '.join(differ)}"
-                    print(f"{tag}: " + (problem or f"exit {code_a}, same outputs"))
-                    if problem:
-                        found.append(f"{tag}: {problem}")
-                        agree = False
-                if agree:
+                problems = [disagreement(trees, inv.config, where, inv.name,
+                                         f"{name} seed {seed} rep {rep} {inv.name}",
+                                         threads or inv.threads)
+                            for inv in wl.invocations]
+                found += filter(None, problems)
+                if not any(problems):
                     shutil.rmtree(where)
+    for name in experiments:
+        where = scratch / f"experiment_{name}"
+        problem = disagreement(trees, EXPERIMENTS / f"{name}.yaml", where, name,
+                               f"experiment {name}", threads or 1)
+        if problem:
+            found.append(problem)
+        else:
+            shutil.rmtree(where, ignore_errors=True)
     return found
 
 
@@ -139,12 +161,16 @@ def main(argv=None) -> int:
     parser.add_argument("old", type=Path, help="first source tree (holds src/branchdiff)")
     parser.add_argument("new", type=Path, help="second source tree")
     parser.add_argument("--workload", action="append", choices=names_known,
-                        help="workload to build configs of (repeatable; default: all)")
+                        help="workload to build configs of (repeatable; default: "
+                             "all, unless --experiment is given)")
+    parser.add_argument("--experiment", action="append", default=[],
+                        choices=sorted(p.stem for p in EXPERIMENTS.glob("*.yaml")),
+                        help="bundled experiment to run in place (repeatable)")
     parser.add_argument("--seeds", type=span, default=span("1"), help="N or N-M (default 1)")
     parser.add_argument("--reps", type=span, default=span("0"), help="N or N-M (default 0)")
     parser.add_argument("--threads", type=positive, default=None,
                         help="worker count of every CLI run (default: each "
-                             "invocation's own)")
+                             "invocation's own, 1 for an experiment)")
     parser.add_argument("--scratch", type=Path, default=None,
                         help="directory for configs and outputs (default: a temporary one)")
     args = parser.parse_args(argv)
@@ -152,13 +178,14 @@ def main(argv=None) -> int:
     for tree in trees:
         if not (tree / "src" / "branchdiff" / "cli.py").is_file():
             parser.error(f"{tree} holds no src/branchdiff/cli.py")
-    names = args.workload or list(names_known)
+    names = args.workload or ([] if args.experiment else list(names_known))
     with tempfile.TemporaryDirectory(prefix="same_reports_") as tmp:
         scratch = args.scratch.resolve() if args.scratch else Path(tmp)
-        found = compare(trees, names, args.seeds, args.reps, scratch, args.threads)
+        found = compare(trees, names, args.seeds, args.reps, scratch, args.threads,
+                        args.experiment)
     for line in found:
         print(line, file=sys.stderr)
-    n_configs = len(names) * len(args.seeds) * len(args.reps)
+    n_configs = len(names) * len(args.seeds) * len(args.reps) + len(args.experiment)
     print(f"{n_configs} config(s): " + (f"{len(found)} difference(s)" if found
                                         else "identical exit codes and outputs"))
     return 1 if found else 0
