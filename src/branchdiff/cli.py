@@ -94,12 +94,7 @@ def config_digest(doc) -> str:
 
 FEEDBACK = "feedback"   # a parsed feedback policy: built from the solved grid
 _count = _whole(1)
-_band = _real_in(0.0)   # a band's width, allowance or tolerance
-
-
-def _some_reals(exp, value, path) -> tuple[float, ...]:
-    _items(value, path)
-    return modelio._float_list(value, path)
+_nonneg = _real_in(0.0)   # a band's width, an allowance, a tolerance or a size
 
 
 def _text(exp, value, path) -> str:
@@ -214,7 +209,7 @@ def _test_function(exp, node, path) -> estimator.SmoothTestFunction:
 def _times(exp, value, path) -> list:
     """(time as written, time) pairs: a check is named by its time as written.
     No time may precede initial.time; one past the horizon is legal."""
-    times = _some_reals(exp, value, path)
+    times = _list_of(_real)(exp, value, path)
     for j, s in enumerate(times):
         if s < exp.start_time:
             _fail(f"{path}[{j}]", f"must not precede initial.time = "
@@ -244,7 +239,7 @@ def _probes(exp, value, path) -> tuple[float, ...]:
 
 
 def _ladder(exp, value, path) -> list:
-    return sorted(_some_reals(exp, value, path), reverse=True)
+    return sorted(_list_of(_nonneg)(exp, value, path), reverse=True)
 
 
 def _reps(cap=None):
@@ -255,30 +250,31 @@ def _reps(cap=None):
 _POLICY = (_policy, simulator.ConstantPolicy(0))
 _STOPPING = {"rule": (_one_of("fixed", "first-event"), REQUIRED),
              "time": (_path_time, REQUIRED)}
-_ORACLE = {"value": (_real, REQUIRED), "sigmas": (_band, 3.0), "allowance": (_band, 0.0)}
+_ORACLE = {"value": (_real, REQUIRED), "sigmas": (_nonneg, 3.0),
+           "allowance": (_nonneg, 0.0)}
 
 _TASKS = {
     "solve": {"export_csv": (_flag, True), "probe_points": (_probes, None),
               "boundary_sensitivity": (_flag, False)},
     "estimate": {"policy": _POLICY, "replications": _reps(),
                  "oracle": (_section(_ORACLE), None), "compare_pde": (_flag, False),
-                 "allowance": (_band, 0.01), "dump_summaries": (_flag, False),
+                 "allowance": (_nonneg, 0.01), "dump_summaries": (_flag, False),
                  "dump_paths": (_whole(0), 0)},
     "branching": {"positions": (_list_of(_position), REQUIRED), "policy": _POLICY,
                   "replications": _reps()},
     "dpp": {"policies": (_list_of(_dpp_policy), REQUIRED),
             "stopping": (_list_of(_section(_STOPPING)), REQUIRED),
-            "replications": _reps(20000), "allowance": (_band, 0.01)},
+            "replications": _reps(20000), "allowance": (_nonneg, 0.01)},
     "dynkin": {"functions": (_list_of(_test_function), REQUIRED),
                "times": (_times, REQUIRED), "policy": _POLICY,
-               "replications": _reps(10000), "allowance_per_step": (_band, 0.5)},
+               "replications": _reps(10000), "allowance_per_step": (_nonneg, 0.5)},
     "moment": {"policy": _POLICY, "replications": _reps()},
     "couple": {"perturbations": (_ladder, REQUIRED), "policy": _POLICY,
                "replications": _reps(10000), "final_rate_min": (_real_in(0.0, 1.0), 0.99)},
     "verify-all": {"replications": _reps(),
                    "check_replications": (_count,
                                           lambda exp, v: min(5000, v["replications"])),
-                   "allowance": (_band, 0.01), "oracle": (_real, None),
+                   "allowance": (_nonneg, 0.01), "oracle": (_real, None),
                    "perturbations": (_raw, None),
                    "branching_positions": (_list_of(_position), None)},
 }
@@ -304,7 +300,7 @@ _EXPERIMENT = {"model": (_text, REQUIRED), "output_dir": (_text, REQUIRED),
                "grid": (_raw, None), "tasks": (_raw, REQUIRED)}
 _SIMULATION = {"step": (_real, REQUIRED), "horizon": (_real, REQUIRED),
                "replications": (_count, REQUIRED), "seed_base": (_whole(0), REQUIRED),
-               "population_cap": (_count, 10**6), "coupling_delta": (_band, 0.05)}
+               "population_cap": (_count, 10**6), "coupling_delta": (_nonneg, 0.05)}
 _INITIAL = {"time": (_real, 0.0), "particles": (_particles, REQUIRED)}
 _GRID = {"x_lo": (_real, REQUIRED), "x_hi": (_real, REQUIRED),
          "n_x": (_whole(3), REQUIRED), "n_t": (_count, REQUIRED)}

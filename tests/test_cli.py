@@ -754,7 +754,7 @@ BAD_INPUTS = {
     "empty_ladder": (
         lambda d: set_in(d, ["tasks"], [{"kind": "couple", "perturbations": []}]),
         "tasks[0].perturbations"),
-    # a negative band fails its check whatever the data
+    # a negative band, tolerance or ladder size, and a rate floor outside [0, 1]
     "negative_oracle_sigmas": (
         lambda d: set_in(d, ["tasks", 0, "oracle"], {"value": 0.5, "sigmas": -3.0}),
         "tasks[0].oracle.sigmas: must be at least 0.0, got -3.0"),
@@ -786,6 +786,13 @@ BAD_INPUTS = {
         lambda d: set_in(d, ["tasks"], [{"kind": "couple", "perturbations": [0.1],
                                          "final_rate_min": -0.1}]),
         "tasks[0].final_rate_min"),
+    "negative_perturbation": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "estimate", "replications": 100},
+                                        {"kind": "couple", "perturbations": [0.1, -0.01]}]),
+        "tasks[1].perturbations[1]: must be at least 0.0, got -0.01"),
+    "negative_verify_all_perturbation": (
+        lambda d: set_in(d, ["tasks"], [{"kind": "verify-all", "perturbations": [-0.1]}]),
+        "tasks[0].perturbations[0]"),
 }
 OVERRIDES = {"reps_override_zero": ["--reps", "0"],
              "negative_seed_override": ["--seed", "-1"]}

@@ -743,7 +743,8 @@ def test_layers_reuse_their_buffers(monkeypatch):
 
 LAYER_SKIPS = {"critical": {"drift", "cov", "cost"}, "still": {"drift", "cov"},
                "harvest": {"drift"}, "deathless": {"death_rate"}, "transport": {"cov"},
-               "costless": {"cost"}, "state_dependent": set(), "far_bump": {"drift", "cost"}}
+               "costless": {"cost"}, "state_dependent": set(), "far_bump": {"drift", "cost"},
+               "driftless": {"drift"}}
 
 
 @pytest.mark.parametrize("name", sorted(LAYER_SKIPS))
