@@ -14,8 +14,8 @@ from branchdiff.errors import ConfigurationError, NumericalFailureError
 from branchdiff.modelio import load_model
 from branchdiff.simulator import OpenLoopPolicy, prepare_simulation, simulate
 from model_cases import (costless_motion, deathless, driftless_two_control,
-                         far_bump_two_control, opposite_drifts, shared_drift_two_control, single_control,
-                         state_dependent_two_control, still_two_control,
+                         far_bump_two_control, opposite_drifts, shared_drift_two_control,
+                         single_control, state_dependent_two_control, still_two_control,
                          transport_two_control, two_dim_two_control)
 
 MODELS = Path(__file__).resolve().parents[1] / "configs" / "models"
@@ -743,8 +743,8 @@ def test_layers_reuse_their_buffers(monkeypatch):
 
 LAYER_SKIPS = {"critical": {"drift", "cov", "cost"}, "still": {"drift", "cov"},
                "harvest": {"drift"}, "deathless": {"death_rate"}, "transport": {"cov"},
-               "costless": {"cost"}, "state_dependent": set(), "far_bump": {"drift", "cost"},
-               "driftless": {"drift"}}
+               "costless": {"cost"}, "state_dependent": set(), "driftless": {"drift"},
+               "far_bump": {"drift", "cost"}}
 
 
 @pytest.mark.parametrize("name", sorted(LAYER_SKIPS))
