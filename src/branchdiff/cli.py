@@ -708,47 +708,20 @@ def run(config_path, *, out=None, seed=None, reps=None, threads=1) -> int:
     """Execute an experiment file; returns the process exit code."""
     config_path = Path(config_path)
     ov = SimpleNamespace(out=out, seed=seed, reps=reps)
-
+    bad_config = EXIT_PARSE   # a ConfigurationError once the file is parsed fails validation
     try:
-        text = config_path.read_text()
-    except OSError as err:
-        print(f"error: cannot read config {config_path}: {err}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        doc = yaml.load(text, Loader=modelio.YAML_LOADER)
-    except yaml.YAMLError as err:
-        mark = getattr(err, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        print(f"error: {config_path}: YAML parse error{where}: {err}",
-              file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
-        exp = Experiment(doc, config_path, ov)
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigurationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
+        exp = Experiment(modelio.read_document(config_path, "config"), config_path, ov)
+        bad_config = EXIT_VALIDATION
         exp.output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        print(f"error: cannot create output dir: {err}", file=sys.stderr)
-        return EXIT_IO
-
-    report_files = []
-    runner = Runner(exp)
-    try:
         exp.check_replications()
-        lattice = _probe_lattice(exp)
-        validation = model_mod.validate_params(exp.params, lattice)
+        validation = model_mod.validate_params(exp.params, _probe_lattice(exp))
         if not validation.ok:
             print("error: model validation failed:\n" + validation.summary(),
                   file=sys.stderr)
             return EXIT_VALIDATION
 
+        report_files = []
+        runner = Runner(exp)
         with estimator.worker_pool(threads):   # one pool for every task
             for idx, (kind, values) in enumerate(exp.tasks):
                 body = _TASK_FUNCS[kind](runner, idx, **values)
@@ -766,9 +739,34 @@ def run(config_path, *, out=None, seed=None, reps=None, threads=1) -> int:
                 (exp.output_dir / fname).write_text(dump_json(report) + "\n")
                 report_files.append((idx, kind, passed, fname))
                 print(f"[{'pass' if passed else 'FAIL'}] task {idx} {kind}")
+
+        with open(exp.output_dir / "summary.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["task", "kind", "check", "value", "reference",
+                             "band", "passed"])
+            for task, kind, row in runner.checks_rows:
+                writer.writerow([task, kind, row["name"], _fmt(row["value"]),
+                                 _fmt(row["reference"]), _fmt(row["band"]), row["passed"]])
+
+        all_passed = all(p for (_, _, p, _) in report_files)
+        manifest = {
+            "config_digest": exp.digest,
+            "model": exp.model_path.name,
+            "seed_base": exp.seed_base,
+            "versions": {"branchdiff": __version__, "numpy": np.__version__,
+                         "python": sys.version.split()[0]},
+            "tasks": [{"index": i, "kind": k, "passed": p, "report": f}
+                      for (i, k, p, f) in report_files],
+            "all_passed": all_passed,
+            "generated_at": datetime.now(timezone.utc).isoformat(),
+        }
+        (exp.output_dir / "manifest.json").write_text(dump_json(manifest) + "\n")
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
     except ConfigurationError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return bad_config
     except ExplosionGuardError as err:
         print(f"error: explosion guard: {err} "
               f"(population {err.population}, time {err.time_reached})",
@@ -777,28 +775,6 @@ def run(config_path, *, out=None, seed=None, reps=None, threads=1) -> int:
     except NumericalFailureError as err:
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    with open(exp.output_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "kind", "check", "value", "reference",
-                         "band", "passed"])
-        for task, kind, row in runner.checks_rows:
-            writer.writerow([task, kind, row["name"], _fmt(row["value"]),
-                             _fmt(row["reference"]), _fmt(row["band"]), row["passed"]])
-
-    all_passed = all(p for (_, _, p, _) in report_files)
-    manifest = {
-        "config_digest": exp.digest,
-        "model": exp.model_path.name,
-        "seed_base": exp.seed_base,
-        "versions": {"branchdiff": __version__, "numpy": np.__version__,
-                     "python": sys.version.split()[0]},
-        "tasks": [{"index": i, "kind": k, "passed": p, "report": f}
-                  for (i, k, p, f) in report_files],
-        "all_passed": all_passed,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-    }
-    (exp.output_dir / "manifest.json").write_text(dump_json(manifest) + "\n")
     return EXIT_OK if all_passed else EXIT_CHECKS_FAILED
 
 
@@ -810,7 +786,8 @@ _EPILOG = """exit codes:
   3  validation failure (model invariants, CFL bound, numerical failure)
   4  explosion guard tripped (population exceeded the configured cap)
   5  tasks ran but at least one verification check failed
-  6  I/O error (missing file, unwritable output directory)
+  6  a file the run cannot read or write (a missing config or model file, an
+     unwritable output directory or report)
 """
 
 
@@ -822,7 +799,7 @@ def main(argv=None) -> int:
                     "structural identities.",
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--config", required=True, help="experiment file (YAML)")
+    parser.add_argument("--config", required=True, help="experiment file (YAML or JSON)")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed base override")

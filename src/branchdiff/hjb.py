@@ -27,13 +27,12 @@ A solve reads every control's coefficients at the nodes once
 its CFL bound, reported as the ratio ``ValueGrid.cfl_ratio``, its upwind
 directions and the terms its layers skip.  A position-free field is a row,
 and one that every control shares is kept once, so its terms are computed
-once per layer for all controls.  A drift of one sign at every node and
-control fixes the upwind slope for the whole solve.  The stencil's work
-arrays are allocated once and refilled in place by every layer.  A field
-zero at every node for every control drops its term, and a zero drift or
-sigma sigma^T its difference, from every layer; a layer lies in [0, 1], so
-it skips the generator's clip too, with the same bits (each skipped step is
-a signed zero: :func:`~branchdiff.model.generator`).
+once per layer for all controls.  The stencil's work arrays are allocated
+once and refilled in place by every layer.  A field zero at every node for
+every control drops its term, and a zero drift or sigma sigma^T its
+difference, from every layer; a layer lies in [0, 1], so it skips the
+generator's clip too, with the same bits (each skipped step is a signed
+zero: :func:`~branchdiff.model.generator`).
 """
 
 from __future__ import annotations
@@ -181,25 +180,18 @@ class _Stencil:
     """The work arrays of one solve's layer updates, allocated once and
     refilled in place on every layer, and the fields whose terms every layer
     skips: those zero at every node for every control.  The upwind direction
-    follows the drift's sign per control and node, per control, or once for
-    a drift that every control shares."""
+    follows the drift's sign per node, for each control or once for a drift
+    that every control shares."""
 
     def __init__(self, params: ModelParams, coef: Coefficients, n_x: int):
         self.skip = frozenset(name for name in ("drift", "cov", "death_rate", "cost")
                               if not getattr(coef, name).any())
-        forward = coef.drift[..., 0] >= 0.0
         self.slope = np.zeros(n_x + 1)   # a difference looking outside the domain is dropped
         self.inner = self.slope[1:-1]
-        if forward.all() or not forward.any():
-            # one upwind direction for every node and control: the upwind
-            # slope is a view of the slope, nothing to pick per layer
-            self.pick = None
-            self.upwind = (self.slope[1:] if forward.all() else self.slope[:-1])[None]
-        else:
-            # the slope entry each (control, node) reads: forward where the
-            # drift is nonnegative, backward elsewhere
-            self.pick = np.arange(n_x) + np.atleast_2d(forward)
-            self.upwind = np.empty(self.pick.shape)
+        # the slope entry each (control, node) reads: forward where the drift
+        # is nonnegative, backward elsewhere
+        self.pick = np.arange(n_x) + np.atleast_2d(coef.drift[..., 0] >= 0.0)
+        self.upwind = np.empty(self.pick.shape)
         self.grad = self.upwind[..., None]
         self.m2 = np.empty(n_x)
         self.hess = self.m2[None, :, None, None]
@@ -209,13 +201,11 @@ class _Stencil:
 def _layer_operator(u: np.ndarray, coef: Coefficients, stencil: _Stencil,
                     dx: float) -> np.ndarray:
     """Stacked per-control generator values (n_controls, n_x) on one layer,
-    in ``stencil.out``; the first difference is upwinded by ``stencil.pick``
-    or, when that is None, by the view ``stencil.upwind`` itself.  No
-    difference is taken for a skipped term, and no clip: ``u`` is in [0, 1]."""
+    in ``stencil.out``; the first difference is upwinded by ``stencil.pick``.
+    No difference is taken for a skipped term, and no clip: ``u`` is in [0, 1]."""
     if "drift" not in stencil.skip:
         np.divide(np.subtract(u[1:], u[:-1], out=stencil.inner), dx, out=stencil.inner)
-        if stencil.pick is not None:
-            np.take(stencil.slope, stencil.pick, out=stencil.upwind, mode="clip")
+        np.take(stencil.slope, stencil.pick, out=stencil.upwind, mode="clip")
     if "cov" not in stencil.skip:
         _second_difference(u, dx, out=stencil.m2)
     # u and the second difference with a control axis of one: the terms of

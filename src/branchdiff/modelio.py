@@ -11,6 +11,7 @@ the offending node.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import yaml
@@ -20,8 +21,17 @@ from .model import CoefficientSpec, ControlSet, ModelParams, VectorSpec
 
 # libyaml's parser and emitter when PyYAML was built with them, about five
 # times faster than the pure-Python classes and giving the same objects and text
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+class YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, reading a number with an exponent and no dot, or an
+    unsigned exponent, as a float: YAML 1.1 reads JSON's 4e-06 as a string."""
+
+
+YAML_LOADER.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"))
 
 
 def _fail(path: str, message: str):
@@ -247,16 +257,22 @@ def parse_model(doc, source: str = "<model>") -> ModelParams:
                   offspring_residual_last=c["offspring"]["residual_last"])
 
 
-def load_model(path) -> ModelParams:
+def read_document(path, what: str):
+    """The parsed YAML (or JSON) document of the file at ``path``; ``what``
+    names the file in the error when it cannot be read.  The parser decodes
+    the bytes, so a file that is not UTF-8 or UTF-16 text fails to parse."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as err:
-        raise FileNotFoundError(f"cannot read model file {path}: {err}") from err
+        raise FileNotFoundError(f"cannot read {what} {path}: {err}") from err
     try:
-        doc = yaml.load(text, Loader=YAML_LOADER)
+        return yaml.load(data, Loader=YAML_LOADER)
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigurationError(f"{path}: YAML parse error{where}: {err}") from err
-    return parse_model(doc, source=str(path))
+
+
+def load_model(path) -> ModelParams:
+    return parse_model(read_document(path, "model file"), source=str(path))

@@ -58,6 +58,16 @@ def test_shipped_configs_parse(tmp_path):
     assert not any(p.name == "out" for p in tmp_path.rglob("*"))
 
 
+def test_benchmark_config_with_exponent_founder_runs(tmp_path):
+    """Repetition 18 of population_growth at seed 9 places a founder at
+    -1e-05, which its JSON config spells without a dot: the CLI reads it as
+    a number and the run succeeds."""
+    workloads = load("workloads")
+    (inv,) = workloads.build("population_growth", 9, 18, REPO, tmp_path).invocations
+    assert "[\n     -1e-05\n    ]" in inv.config.read_text()
+    assert cli.run(inv.config, out=tmp_path / "out", threads=inv.threads) == cli.EXIT_OK
+
+
 def test_tracer_sees_every_path():
     """Every estimator worker reaches the engine through the patched
     ``simulate``: a refactor that routes around it would leave the traced path

@@ -171,6 +171,15 @@ class TestRun:
     def test_missing_config_exits_io(self, tmp_path):
         assert cli.run(tmp_path / "absent.yaml") == cli.EXIT_IO
 
+    def test_unwritable_report_exits_io(self, tmp_path, capsys):
+        """A report the run cannot write, here because a directory holds its
+        name, exits 6 and names the file."""
+        cfg = write_experiment(tmp_path, body=EXPERIMENT.split("  - kind: estimate")[0])
+        (tmp_path / "out" / "task_00_solve.json").mkdir(parents=True)
+        assert cli.main(["--config", str(cfg)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "task_00_solve.json" in err and "internal error" not in err
+
     def test_unknown_key_exits_parse(self, tmp_path):
         cfg = write_experiment(tmp_path, body=EXPERIMENT + "\nbogus: 1\n")
         assert cli.run(cfg) == cli.EXIT_PARSE
@@ -275,6 +284,13 @@ class TestRun:
         cfg.write_text("tasks: [unclosed\n")
         assert cli.run(cfg) == cli.EXIT_PARSE
         assert "YAML parse error at line 2, column 1" in capsys.readouterr().err
+
+    def test_undecodable_config_exits_parse(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_bytes(b"model: \xff.yaml\n")
+        assert cli.main(["--config", str(cfg)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "YAML parse error" in err and "internal error" not in err
 
     def test_cfl_violation_exits_validation_and_names_bound(self, tmp_path, capsys):
         body = EXPERIMENT.replace("n_t: 500", "n_t: 1")

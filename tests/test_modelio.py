@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -119,3 +120,23 @@ def test_yaml_error_position_annotated(tmp_path):
     bad.write_text("dim: 1\n  noise_dim: [unclosed\n")
     with pytest.raises(ConfigurationError, match="line"):
         modelio.load_model(bad)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("4e-06", 4e-06), ("-1e-05", -1e-05), ("1e+20", 1e20), ("1E5", 1e5),
+    ("1.5e5", 1.5e5), ("'4e-06'", "4e-06"),
+])
+def test_exponent_numbers_read_as_floats(text, value):
+    """A number with an exponent and no dot, or an unsigned exponent, as JSON
+    writes it, is a float; a quoted one stays a string."""
+    doc = yaml.load(f"x: {text}\n", Loader=modelio.YAML_LOADER)
+    assert type(doc["x"]) is type(value) and doc["x"] == value
+
+
+def test_json_model_with_exponent_number_loads(tmp_path):
+    doc = yaml.safe_load(MINIMAL)
+    doc["coefficients"]["drift"] = [{"family": "constant", "value": 1e-05}]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert "1e-05" in path.read_text()
+    assert modelio.load_model(path).drift_at(np.zeros(1), 0)[0] == 1e-05
