@@ -16,8 +16,12 @@ a :func:`worker_pool` block, fan out over that block's worker processes::
     with worker_pool(4):
         est = estimate_value(setup, n_reps, seed_base)
 
-Results are keyed by replication index, so the reduction does not depend on
-completion order or on the number of workers.
+Each worker runs one contiguous block of a call's replication indices, from
+one unpickled copy of the call's arguments, so the caches that a set-up and
+its model build on first use serve the whole block.  Results are keyed by
+replication index, so the reduction does not depend on completion order or
+on the number of workers.  An explosion ends its own block only: a failed
+call may still wait for the other blocks to finish or fail.
 """
 
 from __future__ import annotations
@@ -107,38 +111,39 @@ def worker_pool(threads: int):
             _POOL.reset(token)
 
 
-def _run_chunk(worker, payload: bytes, lo, hi):
-    args = pickle.loads(payload)   # pickled by _fan_out in the parent
-    return [worker(args, i) for i in range(lo, hi)]
+def _run_block(worker, args, lo: int, hi: int) -> list:
+    """``worker(args, k)`` for k in [lo, hi).  An explosion reports the indices
+    before it as completed, as in process: the caller raises the first failed
+    block's error."""
+    results = []
+    try:
+        for k in range(lo, hi):
+            results.append(worker(args, k))
+    except ExplosionGuardError as err:
+        err.completed_replications = lo + len(results)
+        raise
+    return results
+
+
+def _run_pickled(worker, payload: bytes, lo: int, hi: int) -> list:
+    return _run_block(worker, pickle.loads(payload), lo, hi)   # pickled by _fan_out
 
 
 def _fan_out(worker, args, n_reps: int) -> list:
     """Map ``worker(args, k)`` over replication indices, across the enclosing
-    :func:`worker_pool` if there is one.  Results come back in index order
-    regardless of scheduling."""
+    :func:`worker_pool` if there is one, as one contiguous block of indices
+    per worker.  Results come back in index order regardless of
+    scheduling."""
     pool = _POOL.get()
-    results, futures = [], []
-    try:
-        if pool is None:
-            for k in range(n_reps):
-                results.append(worker(args, k))
-        else:
-            ex, threads = pool
-            bounds = np.linspace(0, n_reps, threads * 8 + 1).astype(int)
-            # the arguments are pickled once per call; each chunk sends the bytes
-            payload = pickle.dumps(args)
-            futures = [ex.submit(_run_chunk, worker, payload, int(lo), int(hi))
-                       for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-            for fut in futures:
-                results.extend(fut.result())
-    except ExplosionGuardError as err:
-        err.completed_replications = len(results)
-        raise
-    finally:
-        # a failed call leaves no chunk queued in the shared pool
-        for fut in futures:
-            fut.cancel()
-    return results
+    if pool is None:
+        return _run_block(worker, args, 0, n_reps)
+    ex, threads = pool
+    bounds = [n_reps * i // threads for i in range(threads + 1)]
+    # pickled once per call; a worker unpickles them once for its whole block
+    payload = pickle.dumps(args)
+    futures = [ex.submit(_run_pickled, worker, payload, lo, hi)
+               for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    return [result for fut in futures for result in fut.result()]
 
 
 def _cost_worker(args, k):

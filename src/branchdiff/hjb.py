@@ -33,6 +33,10 @@ every control drops its term, and a zero drift or sigma sigma^T its
 difference, from every layer; a layer lies in [0, 1], so it skips the
 generator's clip too, with the same bits (each skipped step is a signed
 zero: :func:`~branchdiff.model.generator`).
+
+A :class:`FeedbackPolicy` of a position-free model tables, once, the control
+of every (layer, cell) pair whose answer a certificate proves constant over
+the cell, and evaluates the generator only for queries in the other cells.
 """
 
 from __future__ import annotations
@@ -318,6 +322,25 @@ class FeedbackPolicy:
     and its space derivatives at the (domain-clamped) position, and returns
     the control minimizing the generator there; ties go to the lowest index.
     Total on all of R: positions are clamped to the grid.
+
+    A policy of a model whose fields are all position-free tables, once, the
+    control that every query snapped to (layer k, cell j) gets, or -1 where
+    the certificate below fails; ``mixed_cells`` counts those (None for a
+    position-dependent model, whose every query is evaluated).  A query
+    evaluates the generator only at its points in mixed cells.
+
+    The certificate.  In a cell r, p and m2 are linear in the weight w in
+    [0, 1], so two controls' difference D(w) is linear but for the branching
+    sum, |D''| <= C = sum_k |gamma_a p_ak - gamma_b p_bk| k (k - 1) dr^2 as r
+    stays in [0, 1], and D(w) <= max(D(0), D(1)) + C/8.  The cell gets
+    control a when, for every other b, max(D(0), D(1)) + C/8 < -margin =
+    -2^-40 (K + 4) ((S_a + S_b) T + C), where K is the most children, S =
+    |c| + |b| + |sigma sigma^T|/2 + sum_k |gamma p_k| and T the largest of 1,
+    |p| and |m2| at the ends.  To first order in eps = 2^-52, a query's value
+    of a control, and each end's (what a query gives at w = 0 and 1), is
+    within (4K + 16) eps S T of the exact value at its weight: the margin is
+    about 500 times what a query and both ends can lose together, and covers
+    a query's weight past 1 by the nodes' rounding while |x| < 1000 dx.
     """
 
     def __init__(self, grid: ValueGrid):
@@ -331,25 +354,76 @@ class FeedbackPolicy:
         self._table = np.stack([grid.values, *_derivative_tables(grid.values, dx)],
                                axis=-1).reshape(-1, 3)
         self._t0, self._dt = grid.times[0], grid.times[1] - grid.times[0]
+        # the control of (layer k, cell j) at k * (n_x - 1) + j
+        self._cells = self._certify() if self.params._position_free else None
+        self.mixed_cells = None if self._cells is None else int(np.sum(self._cells < 0))
 
     def controls_along(self, times: np.ndarray, xs: np.ndarray, label: Label) -> np.ndarray:
-        grid = self.grid
         times = np.asarray(times, dtype=float)
         xs = np.asarray(xs, dtype=float)
         if len(times) == 0:
             return np.empty(0, dtype=np.int64)
-        n_x = len(grid.nodes)
         k = np.minimum(np.maximum(np.rint((times - self._t0) / self._dt).astype(int), 0),
-                       len(grid.times) - 1)
-        xq = np.minimum(np.maximum(xs[:, 0], grid.nodes[0]), grid.nodes[-1])
-        j = np.minimum(np.maximum(grid.nodes.searchsorted(xq, "right") - 1, 0), n_x - 2)
-        wx = ((xq - grid.nodes[j]) / self._dx)[:, None]
-        row = k * n_x + j
-        r, p, m2 = (self._table[row] * (1 - wx) + self._table[row + 1] * wx).T
+                       len(self.grid.times) - 1)
+        # the cell j in [0, n_x - 2] of the domain-clamped position
+        inner = self.grid.nodes[1:-1]
+        j = inner.searchsorted(xs[:, 0], "right")
+        if self._cells is None:
+            return self._argmin(k, j, xs[:, 0])
+        chosen = self._cells[k * (len(inner) + 1) + j].astype(np.int64)
+        mixed = (chosen < 0).nonzero()[0]
+        if len(mixed):
+            chosen[mixed] = self._argmin(k[mixed], j[mixed], xs[mixed, 0])
+        return chosen
+
+    def _argmin(self, k: np.ndarray, j: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The control minimizing the evaluated generator at layers ``k`` and
+        positions ``x`` in cells ``j``; the lowest index wins ties, as in solve."""
+        nodes = self.grid.nodes
+        xq = np.minimum(np.maximum(x, nodes[0]), nodes[-1])
+        row, wx = k * len(nodes) + j, ((xq - nodes[j]) / self._dx)[:, None]
+        return self._generator(self._table[row] * (1 - wx) + self._table[row + 1] * wx,
+                               xq).argmin(0)
+
+    def _generator(self, rpm: np.ndarray, xq: np.ndarray) -> np.ndarray:
+        """Every control's generator value from (n, 3) rows of value, slope and
+        curvature at positions ``xq``: (n_controls, n), or one row when the
+        controls share every field."""
+        r, p, m2 = rpm.T
         coef = self.params.coefficients(xq[:, None])
-        # no control axis when the controls share every field: all tie
-        vals = np.atleast_2d(generator(coef, r, p[:, None], m2[:, None, None]))
-        return vals.argmin(0)   # lowest index wins ties, as in solve
+        return np.atleast_2d(generator(coef, r, p[:, None], m2[:, None, None]))
+
+    def _certify(self) -> np.ndarray:
+        """The control table of a position-free model (class docstring),
+        built four layers at a time to keep its work arrays small."""
+        n_layers, n_x = self.grid.values.shape
+        coef, n_c = self.params.coefficients(None), len(self.params.controls)
+        gp = np.broadcast_to(coef.death_rate[..., None] * coef.probs,
+                             (n_c, 1, coef.probs.shape[-1]))[:, 0]
+        size = np.abs(gp).sum(-1) + sum(np.broadcast_to(np.abs(f), (n_c, 1))[:, 0] for f in
+                                        (coef.cost, coef.drift[..., 0], 0.5 * coef.cov[..., 0, 0]))
+        pair, curvature = size[:, None, None] + size[:, None], _curvature_bounds(gp)[..., None]
+        cells = np.zeros((n_layers, n_x - 1), dtype=np.min_scalar_type(-n_c))
+        for first in range(0, n_layers, 4):
+            row = (np.arange(first, min(first + 4, n_layers))[:, None] * n_x
+                   + np.arange(n_x - 1)).ravel()
+            ends = [self._generator(self._table[row + e], self.grid.nodes[row % n_x + e])
+                    for e in (0, 1)]
+            if len(ends[0]) == 1:      # every field shared: every control ties
+                break
+            top = np.maximum(np.abs(self._table[row]), np.abs(self._table[row + 1])).max(1)
+            curve = curvature * (self._table[row + 1, 0] - self._table[row, 0])**2
+            margin = 2.0**-40 * (gp.shape[-1] + 3) * (pair * np.maximum(top, 1.0) + curve)
+            worst = np.maximum(*(e[:, None] - e[None, :] for e in ends))
+            won = ((worst + curve / 8 < -margin) | np.eye(n_c, dtype=bool)[..., None]).all(1)
+            cells.flat[row - row // n_x] = np.where(won.any(0), won.argmax(0), -1)
+        return cells.ravel()
+
+
+def _curvature_bounds(gp: np.ndarray) -> np.ndarray:
+    """sum_k |gp_ak - gp_bk| k (k - 1) per pair of rows of gp = gamma p_k."""
+    k = np.arange(gp.shape[-1])
+    return np.abs(gp[:, None] - gp[None, :]) @ (k * (k - 1.0))
 
 
 # ---------------------------------------------------------------------------

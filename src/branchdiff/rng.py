@@ -194,9 +194,9 @@ class StreamTable:
     seed, computed lazily, one block of consecutive seeds at a time.  Each
     block starts at the seed that needs it and holds twice the seeds of the
     one before, from about ``_FIRST_BLOCK_KEYS`` keys up to at most
-    ``_BLOCK_KEYS``: a process that takes a short run of seeds, one chunk of
-    a fan-out, computes few words it does not use, and one that takes many
-    pays a block's fixed cost rarely.  The block stays in the process that
+    ``_BLOCK_KEYS``: a process that takes a short run of seeds computes few
+    words it does not use, and one that takes many, such as a worker's block
+    of a fan-out, pays a block's fixed cost rarely.  The block stays in the process that
     built it: a pickled table carries only its labels.  A table whose labels
     alone exceed the bound holds no key."""
 

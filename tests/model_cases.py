@@ -1,4 +1,8 @@
-"""Hand-made models that more than one test module uses, defined once."""
+"""Hand-made models that more than one test module uses, defined once, and
+the hypothesis strategy that draws models."""
+
+import numpy as np
+from hypothesis import strategies as st
 
 from branchdiff import model as M
 
@@ -255,3 +259,107 @@ def far_bump_two_control():
         running_cost=(_bump(0.0, 0.3, 1000.0, 1.0), M.constant(0.0)),
         terminal=_bump(0.1, 0.8, 0.0, 0.8),
         rate_bound=0.8, mean_offspring_bound=1.0, max_children=2)
+
+
+def binary_model(p0=0.5, gamma=1.0, rate_bound=1.0, mean_bound=1.0,
+                 residual=True, p2=None):
+    if residual:
+        offspring = ((M.constant(p0), M.constant(0.0)),)
+    else:
+        offspring = ((M.constant(p0), M.constant(0.0), M.constant(p2)),)
+    return M.ModelParams(
+        dim=1, noise_dim=1, controls=M.ControlSet.of_size(1),
+        drift=(M.constant_vector([0.0]),),
+        diffusion=(M.constant_vector([0.0]),),
+        death_rate=(M.constant(gamma),),
+        offspring=offspring,
+        running_cost=(M.constant(0.0),),
+        terminal=M.constant(0.0),
+        rate_bound=rate_bound, mean_offspring_bound=mean_bound, max_children=2,
+        offspring_residual_last=residual,
+    )
+
+
+def curved_specs(d):
+    """One spec of each family, position-dependent where the family can be."""
+    return (M.constant(0.7),
+            M.CoefficientSpec(family="affine", intercept=0.5, slope=(1.0, 2.0)[:d]),
+            M.CoefficientSpec(family="gaussian-bump", offset=0.2, amplitude=0.3,
+                              center=(0.1, -0.1)[:d], width=0.8),
+            M.CoefficientSpec(family="logistic", lo=0.1, hi=0.9,
+                              slope=(0.5, -0.5)[:d], center=(0.0, 0.0)[:d]))
+
+
+def curved_model(d):
+    """A d-dimensional model whose offspring probabilities and diffusion vary
+    with position."""
+    const, affine, bump, logistic = curved_specs(d)
+    small = M.CoefficientSpec(family="logistic", lo=0.05, hi=0.3,
+                              slope=logistic.slope, center=logistic.center)
+    return M.ModelParams(
+        dim=d, noise_dim=2, controls=M.ControlSet.of_size(1),
+        drift=(M.VectorSpec((bump,) * d),),
+        diffusion=(M.VectorSpec((const, affine, bump, logistic)[:2 * d]),),
+        death_rate=(bump,), offspring=((bump, small),), running_cost=(const,),
+        terminal=bump, rate_bound=1.0, mean_offspring_bound=2.0, max_children=2)
+
+
+def flat_model(spec, max_children=2):
+    """A two-dimensional model whose every coefficient is ``spec``."""
+    return M.ModelParams(
+        dim=2, noise_dim=2, controls=M.ControlSet.of_size(1),
+        drift=(M.VectorSpec((spec,) * 2),), diffusion=(M.VectorSpec((spec,) * 4),),
+        death_rate=(spec,), offspring=((spec,) * max_children,),
+        running_cost=(spec,), terminal=M.constant(0.5), rate_bound=1.0,
+        mean_offspring_bound=float(max_children), max_children=max_children)
+
+
+@st.composite
+def coefficient_models(draw, dims=(1, 2), kinds=("shared", "per control", "dependent")):
+    """Models of 1 to 3 controls in d in ``dims`` whose every field of
+    :class:`~branchdiff.model.Coefficients` is drawn, among ``kinds``,
+    position-free and shared by the controls, position-free and different in
+    each control, or position-dependent in one control's spec; the
+    position-free specs come from every family."""
+    n_controls, d = draw(st.integers(1, 3)), draw(st.sampled_from(dims))
+    noise_dim, max_children = draw(st.sampled_from((1, 2))), draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=5, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def flat(value):
+        center, zeros = tuple(rng.uniform(-1.0, 1.0, d)), (0.0,) * d
+        return [M.constant(value),
+                M.CoefficientSpec(family="affine", intercept=value, slope=zeros),
+                M.CoefficientSpec(family="gaussian-bump", offset=value, amplitude=0.0,
+                                  center=center, width=0.7),
+                M.CoefficientSpec(family="logistic", lo=value - 0.1, hi=value + 0.1,
+                                  slope=zeros, center=center)][rng.integers(4)]
+
+    def sloped(value):
+        slope, center = tuple(rng.uniform(0.1, 0.5, d)), tuple(rng.uniform(-1.0, 1.0, d))
+        return [M.CoefficientSpec(family="affine", intercept=value, slope=slope),
+                M.CoefficientSpec(family="gaussian-bump", offset=value, amplitude=0.3,
+                                  center=center, width=0.7),
+                M.CoefficientSpec(family="logistic", lo=value - 0.1, hi=value + 0.1,
+                                  slope=slope, center=center)][rng.integers(3)]
+
+    def specs(kind, count):
+        """Per control, the ``count`` specs of one field."""
+        values = rng.uniform(0.1, 0.5, count)
+        step = 0.0 if kind == "shared" else 0.1
+        per_control = [[flat(v + step * a) for v in values] for a in range(n_controls)]
+        if kind == "dependent":
+            j = rng.integers(count)
+            per_control[rng.integers(n_controls)][j] = sloped(values[j])
+        return per_control
+
+    drift, diffusion, death, probs, cost = (
+        specs(kind, count) for kind, count in zip(kinds, (d, d * noise_dim, 1,
+                                                          max_children, 1)))
+    return M.ModelParams(
+        dim=d, noise_dim=noise_dim, controls=M.ControlSet.of_size(n_controls),
+        drift=tuple(M.VectorSpec(tuple(s)) for s in drift),
+        diffusion=tuple(M.VectorSpec(tuple(s)) for s in diffusion),
+        death_rate=tuple(s[0] for s in death), offspring=tuple(tuple(s) for s in probs),
+        running_cost=tuple(s[0] for s in cost), terminal=M.constant(0.5), rate_bound=1.0,
+        mean_offspring_bound=float(max_children), max_children=max_children)

@@ -309,9 +309,9 @@ class TestRun:
     def test_explosion_guard_exits_4(self, tmp_path):
         assert cli.run(write_explosion(tmp_path, 64)) == cli.EXIT_EXPLOSION
 
-    def test_explosion_cancels_pending_chunks(self, tmp_path, monkeypatch):
-        # every replication trips the guard; the chunks still queued when the
-        # first failure arrives must never run
+    def test_explosion_in_blocks_exits_4(self, tmp_path, monkeypatch):
+        # every replication trips the guard, so each worker's block of the
+        # call ends at its first replication
         submitted = []
 
         class RecordingPool(estimator.ProcessPoolExecutor):
@@ -322,8 +322,8 @@ class TestRun:
         monkeypatch.setattr(estimator, "ProcessPoolExecutor", RecordingPool)
         cfg = write_explosion(tmp_path, 400)
         assert cli.run(cfg, threads=2) == cli.EXIT_EXPLOSION
-        ran = [fut for fut in submitted if not fut.cancelled()]
-        assert 0 < len(ran) < len(submitted)
+        assert len(submitted) == 2
+        assert [fut.exception().completed_replications for fut in submitted] == [0, 25]
 
     def test_numerical_blowup_exits_validation(self, tmp_path, capsys):
         # explicit Euler on x' = -200 x at step 0.05 multiplies x by -9 per

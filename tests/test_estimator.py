@@ -37,7 +37,7 @@ CRITICAL = make_model(gamma=1.0, rate_bound=1.0, p0=0.5)
 PURE_DEATH = make_model(gamma=1.0, rate_bound=1.0, p0=1.0)
 
 # no pool (a block of one worker opens none), a pool of 2 and a pool of 3,
-# which cuts a call into 24 chunks
+# which cuts a call into 3 blocks
 WORKERS = (1, 2, 3)
 
 
@@ -98,11 +98,15 @@ class TestEstimateValue:
                 prepare_simulation(0.0, START, ConstantPolicy(0), CRITICAL, 1.0, 1.0), 1, 0)
 
     def test_explosion_reports_partial_count(self):
+        """The replications completed before the first explosion, index 4,
+        at any number of workers."""
         boom = make_model(gamma=1.0, rate_bound=1.0, p0=0.0, mean_bound=2.0)
-        with pytest.raises(ExplosionGuardError) as err:
-            estimator.estimate_value(prepare_simulation(
-                0.0, START, ConstantPolicy(0), boom, 1.0, 30.0, population_cap=128), 200, 0)
-        assert err.value.completed_replications is not None
+        setup = prepare_simulation(0.0, START, ConstantPolicy(0), boom, 1.0, 4.0,
+                                   population_cap=128)
+        for workers in WORKERS:
+            with estimator.worker_pool(workers), pytest.raises(ExplosionGuardError) as err:
+                estimator.estimate_value(setup, 200, 0)
+            assert err.value.completed_replications == 4
 
 
 class TestCommonRandomNumberMonotonicity:
@@ -514,6 +518,10 @@ def _worker_pid(args, k):
     return os.getpid()
 
 
+def _index(args, k):
+    return args, k
+
+
 class _CountsPickling:
     """Counts how often it is pickled (in the process that pickles it)."""
 
@@ -551,11 +559,25 @@ class TestWorkerPool:
         assert pools == []
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_eight_chunks_per_worker(self, pools, workers):
+    def test_one_block_per_worker(self, pools, workers):
         with estimator.worker_pool(workers):
             pids = estimator._fan_out(_worker_pid, None, 100)
         assert len(pids) == 100 and os.getpid() not in pids
-        assert [len(p.submitted) for p in pools] == [8 * workers]
+        assert [len(p.submitted) for p in pools] == [workers]
+        # one contiguous block of indices per worker, each run by one process
+        blocks = [fut.result() for fut in pools[0].submitted]
+        assert [len(b) for b in blocks] == [100 * (i + 1) // workers - 100 * i // workers
+                                            for i in range(workers)]
+        assert all(len(set(b)) == 1 for b in blocks) and sum(blocks, []) == pids
+
+    def test_fewer_replications_than_workers(self, pools):
+        results = []
+        for workers in WORKERS:
+            with estimator.worker_pool(workers):
+                results.append(estimator._fan_out(_index, "args", 2))
+        assert results == [[("args", 0), ("args", 1)]] * len(WORKERS)
+        # no empty block is submitted
+        assert [len(p.submitted) for p in pools] == [2, 2]
 
     def test_nested_block_reuses_outer_pool(self, pools):
         with estimator.worker_pool(2):
@@ -565,13 +587,13 @@ class TestWorkerPool:
                 estimator._fan_out(_worker_pid, None, 100)
             assert estimator._POOL.get() is outer
         assert estimator._POOL.get() is None
-        assert [len(p.submitted) for p in pools] == [16]
+        assert [len(p.submitted) for p in pools] == [2]
 
     def test_arguments_pickled_once_per_call(self, pools):
         args = _CountsPickling()
         with estimator.worker_pool(2):
             pids = estimator._fan_out(_worker_pid, args, 100)
-        assert len(pids) == 100 and len(pools[0].submitted) == 16
+        assert len(pids) == 100 and len(pools[0].submitted) == 2
         assert args.pickled == 1
 
     def test_serial_again_after_failed_block(self, pools):

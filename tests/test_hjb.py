@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import re
@@ -8,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchdiff import estimator, hjb, model as M
 from branchdiff.errors import ConfigurationError, NumericalFailureError
 from branchdiff.modelio import load_model
 from branchdiff.simulator import OpenLoopPolicy, prepare_simulation, simulate
-from model_cases import (costless_motion, deathless, driftless_two_control,
+from model_cases import (coefficient_models, costless_motion, deathless, driftless_two_control,
                          far_bump_two_control, opposite_drifts, shared_drift_two_control,
                          single_control, state_dependent_two_control, still_two_control,
                          transport_two_control, two_dim_two_control)
@@ -688,6 +691,83 @@ def test_rows_give_what_node_tables_give(name, monkeypatch):
     on_tables = run()
     assert (on_rows[0], on_tables[0]) == (True, False)
     assert on_rows[1:] == on_tables[1:]
+
+
+# ---------------------------------------------------------------------------
+# the certified control table of a position-free model
+
+def evaluated(policy):
+    """A copy of ``policy`` that evaluates the generator at every query."""
+    plain = copy.copy(policy)
+    plain._cells = None
+    return plain
+
+
+def table_queries(policy, rng, n=300):
+    """(times, xs): random points reaching past the domain, nodes of random
+    layers (the ends of cells) and random points inside every mixed cell."""
+    grid = policy.grid
+    n_x = len(grid.nodes)
+    times = [rng.uniform(-0.1, 1.1, n) * grid.horizon,
+             grid.times[rng.integers(0, len(grid.times), n)]]
+    xs = [rng.uniform(grid.nodes[0] - 1.0, grid.nodes[-1] + 1.0, n),
+          grid.nodes[rng.integers(0, n_x, n)]]
+    k, j = np.divmod(np.flatnonzero(policy._cells < 0), n_x - 1)
+    for w in rng.uniform(0.0, 1.0, 5):
+        times.append(grid.times[k])
+        xs.append(grid.nodes[j] * (1.0 - w) + grid.nodes[j + 1] * w)
+    return np.concatenate(times), np.concatenate(xs)[:, None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficient_models(dims=(1,), kinds=("shared", "per control")),
+       st.integers(0, 2**32 - 1))
+def test_table_gives_the_evaluated_controls(params, seed):
+    """On a position-free model the table's answer is the evaluated one, at
+    random points, at cell ends and inside mixed cells."""
+    params = replace(params, terminal=M.CoefficientSpec(
+        family="gaussian-bump", offset=0.1, amplitude=0.8, center=(0.3,), width=0.6))
+    policy = hjb.FeedbackPolicy(hjb.solve(params, grid_for(params, -2.0, 2.0, 41, 1.0)))
+    assert policy.mixed_cells is not None
+    times, xs = table_queries(policy, np.random.default_rng(seed))
+    assert np.array_equal(policy.controls_along(times, xs, ()),
+                          evaluated(policy).controls_along(times, xs, ()))
+
+
+def test_harvest_table_mixed_cells():
+    """Two cells a layer, at the switching boundary near |x| = 1.5, are
+    mixed on the bundled dpp grid; a position-dependent model has no table."""
+    make, cfg = FEEDBACK_CASES["harvest"]
+    assert hjb.FeedbackPolicy(hjb.solve(make(), cfg)).mixed_cells == 182
+    make, cfg = FEEDBACK_CASES["state_dependent"]
+    assert hjb.FeedbackPolicy(hjb.solve(make(), cfg)).mixed_cells is None
+
+
+def curved_branching():
+    """Two controls without motion, L^1 - L^0 = -(s - 0.4)(s - 0.6)/2 in
+    s = 1 - r: on a cell whose value runs from 0.1 to 0.9, control 1 wins at
+    both ends and control 0 in the middle."""
+    return M.ModelParams(
+        dim=1, noise_dim=1, controls=M.ControlSet.of_size(2),
+        drift=(M.constant_vector([0.0]),), diffusion=(M.constant_vector([0.0]),),
+        death_rate=(M.constant(1.0), M.constant(0.38)),
+        offspring=((M.constant(0.5), M.constant(0.0)), (M.constant(1.0), M.constant(0.0))),
+        running_cost=(M.constant(0.0), M.constant(0.12)),
+        terminal=M.CoefficientSpec(family="logistic", lo=0.1, hi=0.9, slope=(40.0,),
+                                   center=(0.0,)),
+        rate_bound=1.0, mean_offspring_bound=1.0, max_children=2)
+
+
+def test_certificate_needs_the_curvature_bound(monkeypatch):
+    grid = hjb.solve(curved_branching(),
+                     hjb.GridConfig(x_lo=-1.5, x_hi=1.5, n_x=4, n_t=4, horizon=1.0))
+    # the middle cell of the last layer, from 0.1 to 0.9
+    times, xs = np.ones(11), np.linspace(-0.5, 0.5, 11)[:, None]
+    want = evaluated(hjb.FeedbackPolicy(grid)).controls_along(times, xs, ())
+    assert want[[0, 5, 10]].tolist() == [1, 0, 1]
+    assert np.array_equal(hjb.FeedbackPolicy(grid).controls_along(times, xs, ()), want)
+    monkeypatch.setattr(hjb, "_curvature_bounds", lambda gp: np.zeros((len(gp), len(gp))))
+    assert not np.array_equal(hjb.FeedbackPolicy(grid).controls_along(times, xs, ()), want)
 
 
 @pytest.mark.parametrize("name", sorted(FEEDBACK_CASES))

@@ -11,28 +11,11 @@ from hypothesis import strategies as st
 from branchdiff import model as M
 from branchdiff.errors import ConfigurationError
 from branchdiff.modelio import load_model
-from model_cases import partly_shared, state_dependent_two_control, two_dim_two_control
+from model_cases import (binary_model, coefficient_models, curved_model, curved_specs,
+                         flat_model, partly_shared, state_dependent_two_control,
+                         two_dim_two_control)
 
 X0 = np.zeros(1)
-
-
-def binary_model(p0=0.5, gamma=1.0, rate_bound=1.0, mean_bound=1.0,
-                 residual=True, p2=None):
-    if residual:
-        offspring = ((M.constant(p0), M.constant(0.0)),)
-    else:
-        offspring = ((M.constant(p0), M.constant(0.0), M.constant(p2)),)
-    return M.ModelParams(
-        dim=1, noise_dim=1, controls=M.ControlSet.of_size(1),
-        drift=(M.constant_vector([0.0]),),
-        diffusion=(M.constant_vector([0.0]),),
-        death_rate=(M.constant(gamma),),
-        offspring=offspring,
-        running_cost=(M.constant(0.0),),
-        terminal=M.constant(0.0),
-        rate_bound=rate_bound, mean_offspring_bound=mean_bound, max_children=2,
-        offspring_residual_last=residual,
-    )
 
 
 class TestValidation:
@@ -190,30 +173,6 @@ class TestIntervalOverlap:
         assert gaps[2] < 0.01
 
 
-def curved_specs(d):
-    """One spec of each family, position-dependent where the family can be."""
-    return (M.constant(0.7),
-            M.CoefficientSpec(family="affine", intercept=0.5, slope=(1.0, 2.0)[:d]),
-            M.CoefficientSpec(family="gaussian-bump", offset=0.2, amplitude=0.3,
-                              center=(0.1, -0.1)[:d], width=0.8),
-            M.CoefficientSpec(family="logistic", lo=0.1, hi=0.9,
-                              slope=(0.5, -0.5)[:d], center=(0.0, 0.0)[:d]))
-
-
-def curved_model(d):
-    """A d-dimensional model whose offspring probabilities and diffusion vary
-    with position."""
-    const, affine, bump, logistic = curved_specs(d)
-    small = M.CoefficientSpec(family="logistic", lo=0.05, hi=0.3,
-                              slope=logistic.slope, center=logistic.center)
-    return M.ModelParams(
-        dim=d, noise_dim=2, controls=M.ControlSet.of_size(1),
-        drift=(M.VectorSpec((bump,) * d),),
-        diffusion=(M.VectorSpec((const, affine, bump, logistic)[:2 * d]),),
-        death_rate=(bump,), offspring=((bump, small),), running_cost=(const,),
-        terminal=bump, rate_bound=1.0, mean_offspring_bound=2.0, max_children=2)
-
-
 class TestCoefficientSpecs:
     def test_families_evaluate(self):
         x = np.array([0.3, -0.2])
@@ -300,16 +259,6 @@ FLAT_SPECS = {
 }
 
 
-def flat_model(spec, max_children=2):
-    """A two-dimensional model whose every coefficient is ``spec``."""
-    return M.ModelParams(
-        dim=2, noise_dim=2, controls=M.ControlSet.of_size(1),
-        drift=(M.VectorSpec((spec,) * 2),), diffusion=(M.VectorSpec((spec,) * 4),),
-        death_rate=(spec,), offspring=((spec,) * max_children,),
-        running_cost=(spec,), terminal=M.constant(0.5), rate_bound=1.0,
-        mean_offspring_bound=float(max_children), max_children=max_children)
-
-
 ROW_CASES = {
     **{name: (lambda n=name: load_model(MODELS / f"{n}.yaml"))
        for name in ("critical_binary", "subcritical_drift", "two_control_harvest")},
@@ -383,58 +332,6 @@ def check_field_rule(params, seed):
 @pytest.mark.parametrize("name", sorted(STACKED_CASES))
 def test_rows_match_per_point_coefficients(name):
     check_field_rule(STACKED_CASES[name](), seed=5)
-
-
-@st.composite
-def coefficient_models(draw):
-    """Models of 1 to 3 controls in d = 1 or 2 whose every field of
-    :class:`~branchdiff.model.Coefficients` is drawn position-free and
-    shared by the controls, position-free and different in each control, or
-    position-dependent in one control's spec; the position-free specs come
-    from every family."""
-    n_controls, d = draw(st.integers(1, 3)), draw(st.sampled_from((1, 2)))
-    noise_dim, max_children = draw(st.sampled_from((1, 2))), draw(st.integers(1, 3))
-    kinds = draw(st.lists(st.sampled_from(("shared", "per control", "dependent")),
-                          min_size=5, max_size=5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def flat(value):
-        center, zeros = tuple(rng.uniform(-1.0, 1.0, d)), (0.0,) * d
-        return [M.constant(value),
-                M.CoefficientSpec(family="affine", intercept=value, slope=zeros),
-                M.CoefficientSpec(family="gaussian-bump", offset=value, amplitude=0.0,
-                                  center=center, width=0.7),
-                M.CoefficientSpec(family="logistic", lo=value - 0.1, hi=value + 0.1,
-                                  slope=zeros, center=center)][rng.integers(4)]
-
-    def sloped(value):
-        slope, center = tuple(rng.uniform(0.1, 0.5, d)), tuple(rng.uniform(-1.0, 1.0, d))
-        return [M.CoefficientSpec(family="affine", intercept=value, slope=slope),
-                M.CoefficientSpec(family="gaussian-bump", offset=value, amplitude=0.3,
-                                  center=center, width=0.7),
-                M.CoefficientSpec(family="logistic", lo=value - 0.1, hi=value + 0.1,
-                                  slope=slope, center=center)][rng.integers(3)]
-
-    def specs(kind, count):
-        """Per control, the ``count`` specs of one field."""
-        values = rng.uniform(0.1, 0.5, count)
-        step = 0.0 if kind == "shared" else 0.1
-        per_control = [[flat(v + step * a) for v in values] for a in range(n_controls)]
-        if kind == "dependent":
-            j = rng.integers(count)
-            per_control[rng.integers(n_controls)][j] = sloped(values[j])
-        return per_control
-
-    drift, diffusion, death, probs, cost = (
-        specs(kind, count) for kind, count in zip(kinds, (d, d * noise_dim, 1,
-                                                          max_children, 1)))
-    return M.ModelParams(
-        dim=d, noise_dim=noise_dim, controls=M.ControlSet.of_size(n_controls),
-        drift=tuple(M.VectorSpec(tuple(s)) for s in drift),
-        diffusion=tuple(M.VectorSpec(tuple(s)) for s in diffusion),
-        death_rate=tuple(s[0] for s in death), offspring=tuple(tuple(s) for s in probs),
-        running_cost=tuple(s[0] for s in cost), terminal=M.constant(0.5), rate_bound=1.0,
-        mean_offspring_bound=float(max_children), max_children=max_children)
 
 
 @settings(max_examples=100, deadline=None)
